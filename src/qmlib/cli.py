@@ -81,6 +81,8 @@ def _load_any_space(path: str):
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise SpaceError(f"invalid JSON in {path}: {e}") from None
+    if not isinstance(data, dict):
+        raise SpaceError(f"{path} does not hold a JSON object")
     if "rule" in data:
         return family_from_dict(data)
     from .space import space_from_dict
@@ -240,7 +242,7 @@ def _instance_payload(args) -> dict:
     # both hypotheses holding but completeness failing
     mainq = False
     if kind == "value_pair":
-        odc = ctx.order_directed_complete_report.complete
+        odc = ctx.directed_complete_report.complete
         mainq = bool(odc and ctx.e_complete and not ctx.complete)
     # two-distance statements satisfied with e distinct from the join of d
     nonjoin = False

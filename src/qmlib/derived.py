@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extreal import INF, ZERO, ExtReal, ext_min
-from .space import FiniteSpace, threshold_grid
+from .space import FiniteSpace
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,22 @@ class StepFn:
 
 @dataclass(frozen=True)
 class DerivedFunctions:
+    """The four ball-bound functions.
+
+    On a finite carrier d_F and d_Phi coincide with d_low (see
+    :func:`derived_functions`), so they are read-only aliases of it.
+    """
+
     d_up: StepFn
     d_low: StepFn
-    d_F: StepFn
-    d_Phi: StepFn
+
+    @property
+    def d_F(self) -> StepFn:
+        return self.d_low
+
+    @property
+    def d_Phi(self) -> StepFn:
+        return self.d_low
 
     def to_dict(self) -> dict:
         return {"d_up": self.d_up.to_dict(), "d_low": self.d_low.to_dict(),
@@ -75,7 +87,7 @@ class DerivedFunctions:
 
 
 def derived_functions(space: FiniteSpace) -> DerivedFunctions:
-    """Compute d_up, d_low, d_F and d_Phi exactly.
+    """Compute d_up and d_low exactly; d_F and d_Phi equal d_low.
 
     d_up(r):  worst over x of how far x is from a lower bound of its upper
               ball of radius r.
@@ -84,92 +96,52 @@ def derived_functions(space: FiniteSpace) -> DerivedFunctions:
     d_F(r):   like d_low but through finite subsets of the ball; on a
               finite carrier the sup over subsets is attained at the whole
               ball (adding points only shrinks the bound candidates), so
-              the whole-ball formula is exact.
+              d_F = d_low.
     d_Phi(r): like d_F with bounds taken through every generator of the
-              relation filter; the sup over generators is evaluated on the
-              whole threshold grid.
+              relation filter.  The generators are nested and the smallest
+              one is the specialization order {d = 0}, so the sup over them
+              is attained there and d_Phi = d_F = d_low.
 
-    Empty candidate sets contribute inf.
+    Empty candidate sets contribute inf.  The definitional forms of d_F
+    and d_Phi are kept as test oracles.
     """
     n = space.n
     finite_vals = [v for v in space.distinct_values if not v.is_inf and not v.is_zero()]
     cuts = tuple(finite_vals) + (INF,)
-    grid = threshold_grid(space)
     up0 = space.zero_up
     down0 = space.zero_down
-    # per-generator relation rows: rel[g][z] = bitmask {y : d(z, y) < eps_g}
-    rel = []
-    for eps in grid:
-        rows = []
-        for z in range(n):
-            m = 0
-            drow = space.matrix[z]
-            for y in range(n):
-                if drow[y] < eps:
-                    m |= 1 << y
-            rows.append(m)
-        rel.append(rows)
-    full = (1 << n) - 1
 
     def piece_values(r: ExtReal | None):
         # r=None encodes radius 0 (empty balls)
         up_worst = ZERO
         low_worst = ZERO
-        phi_worst = ZERO
         for x in range(n):
-            if r is None:
-                upper_ball = []
-                lower_ball = []
-            else:
-                upper_ball = [z for z in range(n) if space.d(x, z) < r]
-                lower_ball = [z for z in range(n) if space.d(z, x) < r]
             ball_up_mask = 0
-            for z in upper_ball:
-                ball_up_mask |= 1 << z
             ball_low_mask = 0
-            for z in lower_ball:
-                ball_low_mask |= 1 << z
+            if r is not None:
+                for z in range(n):
+                    if space.d(x, z) < r:
+                        ball_up_mask |= 1 << z
+                    if space.d(z, x) < r:
+                        ball_low_mask |= 1 << z
             lb = [y for y in range(n) if up0[y] & ball_up_mask == ball_up_mask]
             up_here = ext_min((space.d(x, y) for y in lb), INF)
             ub = [y for y in range(n) if down0[y] & ball_low_mask == ball_low_mask]
             low_here = ext_min((space.d(y, x) for y in ub), INF)
-            # Generators are nested, so the sup over them is attained at the
-            # smallest one; the loop keeps the quantification explicit.
-            phi_here = ZERO
-            for g in range(len(grid)):
-                rows = rel[g]
-                cand = full
-                for z in lower_ball:
-                    cand &= rows[z]
-                    if not cand:
-                        break
-                val = ext_min((space.d(y, x) for y in range(n) if cand >> y & 1), INF)
-                if phi_here < val:
-                    phi_here = val
             if up_worst < up_here:
                 up_worst = up_here
             if low_worst < low_here:
                 low_worst = low_here
-            if phi_worst < phi_here:
-                phi_worst = phi_here
-        # d_F shares the whole-ball evaluation with d_low (sup over finite
-        # subsets of the ball is attained at the ball itself)
-        return up_worst, low_worst, low_worst, phi_worst
+        return up_worst, low_worst
 
-    z_up, z_low, z_f, z_phi = piece_values(None)
-    ups, lows, fs, phis = [], [], [], []
+    z_up, z_low = piece_values(None)
+    ups, lows = [], []
     for cut in cuts:
-        u, l, f, p = piece_values(cut)
+        u, l = piece_values(cut)
         ups.append(u)
         lows.append(l)
-        fs.append(f)
-        phis.append(p)
-    return DerivedFunctions(
-        StepFn(z_up, cuts, tuple(ups)),
-        StepFn(z_low, cuts, tuple(lows)),
-        StepFn(z_f, cuts, tuple(fs)),
-        StepFn(z_phi, cuts, tuple(phis)),
-    )
+    return DerivedFunctions(StepFn(z_up, cuts, tuple(ups)),
+                            StepFn(z_low, cuts, tuple(lows)))
 
 
 def _sample_points(f: StepFn, g: StepFn) -> list:

@@ -53,13 +53,22 @@ class ExtReal:
 
     @classmethod
     def parse(cls, text: str) -> "ExtReal":
-        """Parse the textual encoding: ``"p/q"``, an integer, or ``"inf"``."""
+        """Parse the textual encoding: ``"p/q"``, an integer, or ``"inf"``.
+
+        A zero denominator raises ``SpaceError``; malformed or negative
+        text raises ``ValueError``.
+        """
         t = text.strip()
         if t in ("inf", "Inf", "INF", "oo"):
             return INF
         if "/" in t:
             p, q = t.split("/", 1)
-            return cls(int(p), int(q))
+            num, den = int(p), int(q)
+            if den == 0:
+                # ExtReal(num, 0) is the internal infinity; text must say "inf"
+                from .space import SpaceError
+                raise SpaceError(f"zero denominator in {text!r}")
+            return cls(num, den)
         return cls(int(t))
 
     @property

@@ -163,9 +163,18 @@ class FamilySpace:
 
 def family_from_dict(data: dict) -> FamilySpace:
     try:
-        return FamilySpace(data["rule"], int(data["cutoff"]), dict(data.get("params", {})))
-    except (KeyError, TypeError):
-        raise SpaceError("family file needs 'rule' and 'cutoff'") from None
+        rule, cutoff = data["rule"], data["cutoff"]
+        params = dict(data.get("params", {}))
+    except (KeyError, TypeError, ValueError):
+        raise SpaceError("family file needs 'rule', 'cutoff' and optional 'params'") from None
+    # int() would silently truncate floats and read booleans as 0/1
+    try:
+        if isinstance(cutoff, (bool, float)):
+            raise TypeError
+        cutoff = int(cutoff)
+    except (TypeError, ValueError):
+        raise SpaceError(f"cutoff {cutoff!r} is not an integer") from None
+    return FamilySpace(rule, cutoff, params)
 
 
 @dataclass(frozen=True, eq=False)

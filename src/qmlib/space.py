@@ -100,13 +100,22 @@ class FiniteSpace:
 
 
 def space_from_rows(labels, rows) -> FiniteSpace:
-    """Build a space from label list and rows of ExtReal/str/int entries."""
+    """Build a space from label list and rows of ExtReal/str/int entries.
+
+    Any other entry (a bool, a float, negative or non-numeric text, a zero
+    denominator) raises ``SpaceError`` instead of being reinterpreted.
+    """
     def conv(v):
         if isinstance(v, ExtReal):
             return v
-        if isinstance(v, int):
-            return ExtReal(v)
-        return ExtReal.parse(str(v))
+        if isinstance(v, bool):
+            raise SpaceError(f"bad matrix entry {v!r}: booleans are not distances")
+        try:
+            if isinstance(v, int):
+                return ExtReal(v)
+            return ExtReal.parse(str(v))
+        except ValueError as e:
+            raise SpaceError(f"bad matrix entry {v!r}: {e}") from None
     matrix = tuple(tuple(conv(v) for v in row) for row in rows)
     return FiniteSpace(tuple(labels), matrix)
 
@@ -309,6 +318,10 @@ def space_from_dict(data: dict) -> FiniteSpace:
         rows = data["matrix"]
     except (KeyError, TypeError):
         raise SpaceError("space file needs 'points' and 'matrix'") from None
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise SpaceError("'points' must be a list of strings")
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise SpaceError("'matrix' must be a list of rows")
     return space_from_rows(labels, rows)
 
 

@@ -23,6 +23,7 @@ from qmlib.topology import (check_hole_characterizations, is_complete,
                             limit_set)
 from qmlib.formal_balls import ball_identities, kw_audit, kw_limit
 
+from tests.oracles import d_Phi_oracle
 from tests.test_nets import classify_oracle
 
 
@@ -235,10 +236,12 @@ def test_criterion_9_derived_chain():
     count = 0
     for i, kind, sp, second in instance_stream(seed=99009, n=6, count=300):
         dfs = derived_functions(sp)
+        # d_Phi by its definition over the filter generators
+        d_Phi = d_Phi_oracle(sp)
         for r in (ZERO,) + dfs.d_F.cuts:
-            if not (dfs.d_Phi(r) <= dfs.d_F(r) <= dfs.d_low(r)):
+            if not (d_Phi(r) <= dfs.d_F(r) <= dfs.d_low(r)):
                 ok = False
-        if dfs.d_F != dfs.d_low:
+        if d_Phi != dfs.d_Phi or dfs.d_F != dfs.d_low:
             ok = False
         count += 1
     report(9, f"derived chain d_Phi <= d_F <= d_low pointwise and the "

@@ -76,6 +76,30 @@ class TestCheck:
         rc, _ = run(capsys, ["check", str(bad)])
         assert rc == EXIT_PARSE
 
+    @pytest.mark.parametrize("data", [
+        {"points": ["a", "b"], "matrix": [["0", "1/0"], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [["0", "0/0"], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [["0", "abc"], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [["0", "0.5"], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [["0", "-1"], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [["0", True], ["1", "0"]]},
+        {"rule": "sup-truncated-difference", "cutoff": "x"},
+        {"rule": "sup-truncated-difference", "cutoff": 8.5},
+        5,
+        {"points": ["a"], "matrix": 5},
+        {"points": [["a"]], "matrix": [["0"]]},
+    ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "cutoff-x", "cutoff-float",
+            "not-an-object", "matrix-not-a-list", "label-not-a-string"])
+    def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["check", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
 
 class TestAudit:
     def test_audit_ok(self, capsys, discrete_file):

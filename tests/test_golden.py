@@ -1,0 +1,41 @@
+"""Byte-identical JSON reports, pinned by sha256.
+
+The hashes were recorded before the finite-carrier identities (d_Phi =
+d_F = d_low, filter composition at its smallest generator, one
+directed-completeness report, completeness by identity) replaced the
+definitional loops; any change to report bytes on these runs is a
+regression.  The input files are fixed fixtures under ``tests/data``: an
+8-point distance with pairwise-coprime denominators and an 8-point
+value-based pair (d, e) whose e differs from the symmetric join of d.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from qmlib.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN = [
+    (["random", "--n", "6", "--count", "32", "--seed", "0"],
+     "7f9b4e945da25a0ac97d6e57b5064a250d0ed29b0f89a28ae3ff45857d9cfeeb"),
+    (["random", "--n", "6", "--count", "32", "--seed", "424242"],
+     "a5f6c09e0b82e062ef4f4235a74ae1f3029fb05b3c29c9cb1f0fe4666f68d3a2"),
+    (["check", "coprime_n8.json"],
+     "d51905ee5bc62de38fc44fa3761e8bf1059413f73e86562a502a7804fcfc4d3e"),
+    (["audit", "pair_n8_d.json", "--second-distance", "pair_n8_e.json"],
+     "d9e45cd016286ba091f8edbf31f7aece48380526866b4de8afbfd21f49d8755d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=["random-seed-0", "random-seed-424242", "check-coprime",
+                              "audit-pair"])
+def test_report_bytes_unchanged(capsys, monkeypatch, argv, digest):
+    # reports embed the input path, so run from the data directory
+    monkeypatch.chdir(DATA)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
