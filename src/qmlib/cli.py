@@ -227,10 +227,10 @@ def _order_signature(space: FiniteSpace) -> str:
 
 
 def _instance_payload(args) -> dict:
-    i, kind, space, second, statements, cap = args
-    opts = AuditOptions(statements=statements, second=second, subset_cap=cap)
+    i, kind, space, second, statements = args
+    opts = AuditOptions(statements=statements, second=second)
     e_space = second if second is not None else derive(space, "join")
-    ctx = AuditContext(space, e_space, cap)
+    ctx = AuditContext(space, e_space)
     report = audit(space, opts, ctx=ctx)
     dfs = ctx.dfs
     chain_ok = all(
@@ -266,7 +266,7 @@ def _instance_payload(args) -> dict:
 
 
 def run_random(cfg: RunConfig) -> int:
-    tasks = [(i, kind, space, second, cfg.theorems, 12)
+    tasks = [(i, kind, space, second, cfg.theorems)
              for i, kind, space, second in instance_stream(cfg.seed, cfg.n, cfg.count)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -388,6 +388,19 @@ def run_report(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low`` (else exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+    return parse
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qml",
@@ -415,8 +428,8 @@ def _parser() -> argparse.ArgumentParser:
     common(p_gal)
 
     p_rand = sub.add_parser("random", help="seeded random audit sweep")
-    p_rand.add_argument("--n", type=int, default=6)
-    p_rand.add_argument("--count", type=int, default=1000)
+    p_rand.add_argument("--n", type=_int_at_least(1), default=6)
+    p_rand.add_argument("--count", type=_int_at_least(0), default=1000)
     p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("--theorems", nargs="+", choices=STATEMENTS, default=None)
     common(p_rand)

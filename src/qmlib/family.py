@@ -33,6 +33,9 @@ from .space import SpaceError
 VALUE_RULES = ("coordinate-projection", "truncated-difference", "order-characteristic")
 RULES = VALUE_RULES + ("sup-truncated-difference",)
 VALUE_FORMS = ("one_minus_unit", "natural")
+# params keys each rule reads; any other key is rejected, not ignored
+VALUE_PARAMS = ("values", "extras")
+VECTOR_PARAMS = ("prefix", "coordinate_cutoff")
 SEQ_KINDS = ("identity", "swap-pairs", "constant", "swap-odd")
 
 
@@ -55,10 +58,7 @@ class FamilySpace:
             raise SpaceError(f"unknown family rule {self.rule!r}")
         if self.cutoff < 4:
             raise SpaceError("cutoff must be at least 4")
-        if self.rule in VALUE_RULES:
-            form = self.params.get("values", "one_minus_unit")
-            if form not in VALUE_FORMS:
-                raise SpaceError(f"unknown value form {form!r}")
+        _check_params(self.rule, self.params)
 
     # -- points ------------------------------------------------------------
 
@@ -161,19 +161,43 @@ class FamilySpace:
         return {"rule": self.rule, "cutoff": self.cutoff, "params": self.params}
 
 
+def _check_params(rule: str, params) -> None:
+    """Reject any ``params`` the rule would not read exactly as written."""
+    if not isinstance(params, dict):
+        raise SpaceError("'params' must be a JSON object")
+    allowed = VALUE_PARAMS if rule in VALUE_RULES else VECTOR_PARAMS
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise SpaceError(f"unknown params {unknown} for rule {rule!r} "
+                         f"(allowed: {', '.join(allowed)})")
+    if params.get("values", "one_minus_unit") not in VALUE_FORMS:
+        raise SpaceError(f"unknown value form {params['values']!r}")
+    extras = params.get("extras", {})
+    if not isinstance(extras, dict):
+        raise SpaceError("'extras' must map point labels to rational text")
+    for label, text in extras.items():
+        if not isinstance(text, str):
+            raise SpaceError(f"extra point {label!r}: value {text!r} is not rational text")
+        try:
+            Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise SpaceError(f"extra point {label!r}: bad rational {text!r}") from None
+    if not isinstance(params.get("prefix", "x"), str):
+        raise SpaceError("'prefix' must be a string")
+    window = params.get("coordinate_cutoff", 1)
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise SpaceError(f"coordinate_cutoff {window!r} is not a positive integer")
+
+
 def family_from_dict(data: dict) -> FamilySpace:
     try:
         rule, cutoff = data["rule"], data["cutoff"]
-        params = dict(data.get("params", {}))
-    except (KeyError, TypeError, ValueError):
+        params = data.get("params", {})
+    except (KeyError, TypeError):
         raise SpaceError("family file needs 'rule', 'cutoff' and optional 'params'") from None
-    # int() would silently truncate floats and read booleans as 0/1
-    try:
-        if isinstance(cutoff, (bool, float)):
-            raise TypeError
-        cutoff = int(cutoff)
-    except (TypeError, ValueError):
-        raise SpaceError(f"cutoff {cutoff!r} is not an integer") from None
+    # a JSON integer only: no text, float or boolean is read as a cutoff
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
+        raise SpaceError(f"cutoff {cutoff!r} is not an integer")
     return FamilySpace(rule, cutoff, params)
 
 

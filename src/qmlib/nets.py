@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extreal import ExtReal, ext_max, ext_min
-from .space import FiniteSpace, SpaceError
+from .space import FiniteSpace, SpaceError, representatives
 
 
 class PreconditionError(ValueError):
@@ -126,26 +126,35 @@ def is_zero_clique(space: FiniteSpace, points) -> bool:
     return all(space.d(i, j).is_zero() for i in pts for j in pts)
 
 
-def zero_cliques(space: FiniteSpace):
-    """All nonempty subsets on which d vanishes, as bitmasks.
+def submasks(mask: int):
+    """Every nonempty submask of ``mask``, in increasing order."""
+    sub = mask & -mask
+    while sub:
+        yield sub
+        sub = (sub - mask) & mask
 
-    Only points with zero self-distance can participate, so the search is
-    restricted to that subset before the exponential sweep.
+
+def zero_cliques(space: FiniteSpace):
+    """All nonempty subsets on which d vanishes, as sorted bitmasks.
+
+    By the triangle law these are exactly the nonempty subsets of the
+    specialization classes (``FiniteSpace.class_masks``) of the points
+    with zero self-distance, so the list is built class by class.  The
+    classes are first confirmed to partition those points; a space where
+    they do not (the triangle law fails) raises ``PreconditionError``.
     """
     n = space.n
-    core = [i for i in range(n) if space.d(i, i).is_zero()]
-    up = space.zero_up
-    down = space.zero_down
-    out = []
-    m = len(core)
-    for bits in range(1, 1 << m):
-        members = [core[t] for t in range(m) if bits >> t & 1]
-        mask = 0
-        for i in members:
-            mask |= 1 << i
-        if all((up[i] & mask) == mask and (down[i] & mask) == mask for i in members):
-            out.append(mask)
-    return out
+    classes = space.class_masks
+    core = sum(1 << i for i in range(n) if space.zero_up[i] >> i & 1)
+    for i in range(n):
+        cls = classes[i]
+        if core >> i & 1 and (cls & ~core or any(
+                classes[j] != cls for j in range(n) if cls >> j & 1)):
+            raise PreconditionError(
+                "specialization classes do not partition the zero-self-distance "
+                "points (the triangle law fails)")
+    reps = representatives(classes) & core
+    return sorted(sub for i in range(n) if reps >> i & 1 for sub in submasks(classes[i]))
 
 
 def cauchy_subsequence(space: FiniteSpace, seq: EpSeq) -> EpSeq:

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .extreal import ext_max, ext_min
-from .nets import EpSeq, PreconditionError, classify
-from .space import FiniteSpace
+from .nets import EpSeq, PreconditionError, classify, submasks
+from .space import FiniteSpace, representatives
 from .topology import convergence
 
 
@@ -108,15 +108,26 @@ def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace,
                       cap: int = 12, rng=None, samples: int = 2000) -> EdCompletenessReport:
     """Every e-directed subset has a d-supremum.
 
-    Exhaustive up to ``cap`` points; beyond that a seeded random sample of
-    subsets is used and the report is flagged as sampled.
+    Both verdicts read a point only through its class under the two
+    distances together (``space_e.class_masks[i] & space_d.class_masks[i]``):
+    by the triangle law its members share their e- and d-profiles, so e-
+    directedness and the d-suprema of Y depend only on which classes Y
+    meets.  Up to ``cap`` points the exhaustive search therefore runs over
+    the nonempty subsets of the class representatives, and a failing Y is
+    such a subset.  Beyond the cap a seeded random sample of point subsets
+    is used and the report is flagged as sampled.  Both arguments must
+    satisfy the triangle law.
     """
     if space_e.labels != space_d.labels:
         raise PreconditionError("the two distances must share a point set")
+    if not (space_e.validation.is_distance and space_d.validation.is_distance):
+        raise PreconditionError("directed completeness requires two validated distances")
     n = space_d.n
     checked = 0
     if n <= cap:
-        subsets = _all_subsets(n)
+        reps = representatives(a & b for a, b in zip(space_e.class_masks,
+                                                     space_d.class_masks))
+        subsets = ([i for i in range(n) if mask >> i & 1] for mask in submasks(reps))
         sampled = False
     else:
         if rng is None:
@@ -147,11 +158,6 @@ def _has_d_sup(space: FiniteSpace, pts) -> bool:
         if all(space.d(x, z) == profile[z] for z in range(n)):
             return True
     return False
-
-
-def _all_subsets(n: int):
-    for bits in range(1, 1 << n):
-        yield [i for i in range(n) if bits >> i & 1]
 
 
 def _sampled_subsets(n: int, rng, samples: int):

@@ -86,6 +86,20 @@ class FiniteSpace:
                     masks[j] |= 1 << i
         return tuple(masks)
 
+    @cached_property
+    def class_masks(self) -> tuple:
+        """Bitmask per point i of its specialization class: i together with
+        every j at mutual distance 0 from it (d(i,j) = d(j,i) = 0).
+
+        Under the triangle law these classes partition the points (the T0
+        quotient), and members of one class share their forward and
+        backward distance profiles.  This is the one place that builds the
+        quotient; callers relying on the partition must check the triangle
+        law first.
+        """
+        return tuple((u & w) | 1 << i
+                     for i, (u, w) in enumerate(zip(self.zero_up, self.zero_down)))
+
     def leq(self, i: int, j: int) -> bool:
         """The specialization order: d(i,j) = 0."""
         return self.matrix[i][j].is_zero()
@@ -97,6 +111,12 @@ class FiniteSpace:
 
     def __repr__(self):
         return f"FiniteSpace({len(self.labels)} points)"
+
+
+def representatives(class_masks) -> int:
+    """Mask of the least member of each class, given per point the mask
+    of its class (as in ``FiniteSpace.class_masks``)."""
+    return sum(1 << i for i, cls in enumerate(class_masks) if cls & -cls == 1 << i)
 
 
 def space_from_rows(labels, rows) -> FiniteSpace:

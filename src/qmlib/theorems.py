@@ -5,7 +5,11 @@ A statement's entry is *vacuous* when some hypothesis fails; a non-vacuous
 entry with an unverified conclusion is a released-bug signal and is
 surfaced loudly by the CLI exit code.  Conclusions quantifying over all
 Cauchy sequences are decided by quantifying over zero cliques, which are
-exactly the possible tails.
+exactly the possible tails.  By the triangle law a zero clique is a
+nonempty subset of one specialization class and every verdict reads it
+only through that class, so the audit runs once per class; likewise
+suprema of a set Y depend only on the classes Y meets, so subset
+searches run over class representatives.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from functools import cached_property
 from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
 from .extreal import INF, ExtReal, ext_min
-from .nets import EpSeq, PreconditionError, classify, epseq, zero_cliques
+from .nets import EpSeq, PreconditionError, classify, epseq, submasks
 from .order import check_ed_complete, is_directed, suprema
-from .space import FiniteSpace, derive, threshold_grid
+from .space import FiniteSpace, derive, representatives, threshold_grid
 from .topology import is_complete
 
 STATEMENTS = (
@@ -81,7 +85,6 @@ class AuditReport:
 class AuditOptions:
     statements: tuple = STATEMENTS
     second: FiniteSpace | None = None    # the distance e for two-distance audits
-    subset_cap: int = 12
     include_vacuous: bool = True
 
 
@@ -111,19 +114,27 @@ def forward_profile(space: FiniteSpace, clique) -> tuple:
 class AuditContext:
     """Shared exact subresults for one audited instance."""
 
-    def __init__(self, space: FiniteSpace, e_space: FiniteSpace, cap: int):
+    def __init__(self, space: FiniteSpace, e_space: FiniteSpace):
         self.space = space
         self.e_space = e_space
-        self.cap = max(cap, space.n)
 
     @cached_property
     def dfs(self) -> DerivedFunctions:
         return derived_functions(self.space)
 
     @cached_property
+    def representatives(self) -> int:
+        """Mask of the least member of each specialization class of d."""
+        return representatives(self.space.class_masks)
+
+    @cached_property
     def cliques(self) -> list:
-        return [[i for i in range(self.space.n) if mask >> i & 1]
-                for mask in zero_cliques(self.space)]
+        """One member list per specialization class of zero self-distance:
+        the possible Cauchy tails up to the choice of a nonempty subset."""
+        n = self.space.n
+        return [[j for j in range(n) if cls >> j & 1]
+                for i, cls in enumerate(self.space.class_masks)
+                if self.representatives >> i & 1 and self.space.leq(i, i)]
 
     @cached_property
     def complete(self) -> bool:
@@ -144,7 +155,7 @@ class AuditContext:
         One report serves both senses: the order-as-distance of d has the
         same zero pattern as d, and directedness only reads that pattern.
         """
-        return check_ed_complete(self.space, self.space, cap=self.cap)
+        return check_ed_complete(self.space, self.space, cap=self.space.n)
 
     @cached_property
     def e_complete(self) -> bool:
@@ -171,17 +182,28 @@ class AuditContext:
 # Statement implementations: each returns (hypotheses, conclusion, witness).
 # ---------------------------------------------------------------------------
 
+def sup_upgrade_counterexample(ctx: AuditContext) -> list | None:
+    """A nonempty Y with an order supremum that is not a d-supremum, or None.
+
+    suprema(Y) reads Y only through the classes it meets, so Y ranges over
+    the nonempty subsets of the class representatives.
+    """
+    n = ctx.space.n
+    for mask in submasks(ctx.representatives):
+        pts = [i for i in range(n) if mask >> i & 1]
+        res = suprema(ctx.space, pts)
+        if not res.leq_sups <= res.d_sups:
+            return pts
+    return None
+
+
 def _stmt_sup_upgrade(ctx: AuditContext):
-    space = ctx.space
     hyp = {"d_low_leq_identity": leq_identity(ctx.dfs.d_low)}
     if not all(hyp.values()):
         return hyp, None, {}
-    n = space.n
-    for bits in range(1, 1 << min(n, ctx.cap)):
-        pts = [i for i in range(n) if bits >> i & 1]
-        res = suprema(space, pts)
-        if not res.leq_sups <= res.d_sups:
-            return hyp, False, {"Y": sorted(space.labels[i] for i in pts)}
+    pts = sup_upgrade_counterexample(ctx)
+    if pts is not None:
+        return hyp, False, {"Y": sorted(ctx.space.labels[i] for i in pts)}
     return hyp, True, {}
 
 
@@ -324,8 +346,10 @@ def audit(space: FiniteSpace, options: AuditOptions = AuditOptions(),
     e_space = options.second if options.second is not None else derive(space, "join")
     if e_space.labels != space.labels:
         raise PreconditionError("second distance must share the point set")
+    if not e_space.validation.is_distance:
+        raise PreconditionError("second distance fails the triangle law")
     if ctx is None:
-        ctx = AuditContext(space, e_space, options.subset_cap)
+        ctx = AuditContext(space, e_space)
     entries = []
 
     def add(stmt, result):

@@ -7,9 +7,10 @@ center.
 
 Completeness ("every Cauchy sequence has a double-hole limit") reads off
 zero cliques: the tail of a Cauchy sequence in a finite space is exactly a
-set on which d vanishes, and its double-hole limits depend on that set
-alone.  Every clique member is its own double-hole limit, so every finite
-space is complete; only family spaces need a search.
+set on which d vanishes, i.e. a nonempty subset of one specialization
+class, and its double-hole limits depend on that class alone.  Every
+clique member is its own double-hole limit, so every finite space is
+complete; only family spaces need a search.
 """
 
 from __future__ import annotations
@@ -169,9 +170,11 @@ def is_complete(space) -> CompletenessReport:
     A finite space is complete by identity: a member c0 of a zero clique
     satisfies d(c0, z) <= d(c0, z) and d(z, c0) <= d(z, c0) for every z,
     so it is a double-hole limit of every sequence with that tail.  The
-    report still counts the cliques; the per-clique search is a test
-    oracle.  Family spaces route to their certified analyzer, which never
-    claims completeness and reports per-candidate witnesses.
+    report still counts the cliques, the sum over specialization classes
+    C of 2^|C| - 1, listed class by class by ``zero_cliques``; the
+    per-clique search is a test oracle.  Family spaces route to their
+    certified analyzer, which never claims completeness and reports
+    per-candidate witnesses.
     """
     if not isinstance(space, FiniteSpace):
         from .family import family_is_complete

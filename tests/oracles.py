@@ -3,9 +3,11 @@
 On a finite carrier several quantifications collapse: the relation filter
 bottoms out at the specialization order {d = 0}, so d_Phi = d_F = d_low and
 composing through the filter equals composing with the order; order- and
-metric-directed subsets coincide; and every zero-clique member is its own
-double-hole limit.  The functions here evaluate the uncollapsed
-definitions so the differential tests can pin each production form to
+metric-directed subsets coincide; every zero-clique member is its own
+double-hole limit; and zero cliques, directedness and suprema read a point
+only through its specialization class, so subset enumerations run over
+the T0 quotient.  The functions here evaluate the uncollapsed definitions,
+point by point, so the differential tests can pin each production form to
 them.
 """
 
@@ -13,8 +15,7 @@ import itertools
 
 from qmlib.derived import StepFn
 from qmlib.extreal import INF, ZERO, ext_min
-from qmlib.nets import zero_cliques
-from qmlib.order import check_ed_complete
+from qmlib.order import EdCompletenessReport, is_directed, suprema
 from qmlib.space import FiniteSpace, derive, threshold_grid
 from qmlib.topology import CompletenessReport
 
@@ -101,17 +102,63 @@ def compose_with_order(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpac
     return derive(e_space, "compose", derive(d_space, "leq_order"))
 
 
-def order_directed_complete_oracle(space: FiniteSpace, cap: int):
+def _point_subsets(n: int):
+    for bits in range(1, 1 << n):
+        yield [i for i in range(n) if bits >> i & 1]
+
+
+def zero_cliques_oracle(space: FiniteSpace) -> list:
+    """Every nonempty subset of the zero-self-distance points on which d
+    vanishes, as bitmasks in increasing order."""
+    n = space.n
+    core = [i for i in range(n) if space.d(i, i).is_zero()]
+    up = space.zero_up
+    down = space.zero_down
+    out = []
+    m = len(core)
+    for bits in range(1, 1 << m):
+        members = [core[t] for t in range(m) if bits >> t & 1]
+        mask = 0
+        for i in members:
+            mask |= 1 << i
+        if all((up[i] & mask) == mask and (down[i] & mask) == mask for i in members):
+            out.append(mask)
+    return out
+
+
+def check_ed_complete_oracle(space_e: FiniteSpace, space_d: FiniteSpace) -> EdCompletenessReport:
+    """Every e-directed subset has a d-supremum, tried on every nonempty
+    subset of the points."""
+    checked = 0
+    for pts in _point_subsets(space_d.n):
+        if not is_directed(space_e, pts, "d"):
+            continue
+        checked += 1
+        if not suprema(space_d, pts).d_sups:
+            return EdCompletenessReport(False, tuple(space_d.labels[i] for i in pts), checked)
+    return EdCompletenessReport(True, None, checked)
+
+
+def order_directed_complete_oracle(space: FiniteSpace) -> EdCompletenessReport:
     """Every order-directed subset has a d-supremum, with directedness
     read from the order-as-distance of d."""
-    return check_ed_complete(derive(space, "leq_order"), space, cap=cap)
+    return check_ed_complete_oracle(derive(space, "leq_order"), space)
+
+
+def sup_upgrade_oracle(space: FiniteSpace) -> bool:
+    """Every order supremum of every nonempty subset is a d-supremum."""
+    for pts in _point_subsets(space.n):
+        res = suprema(space, pts)
+        if not res.leq_sups <= res.d_sups:
+            return False
+    return True
 
 
 def is_complete_oracle(space: FiniteSpace) -> CompletenessReport:
     """Completeness by searching every zero clique for a double-hole limit."""
     n = space.n
     checked = 0
-    for mask in zero_cliques(space):
+    for mask in zero_cliques_oracle(space):
         checked += 1
         members = [i for i in range(n) if mask >> i & 1]
         c0 = members[0]

@@ -85,11 +85,33 @@ class TestCheck:
         {"points": ["a", "b"], "matrix": [["0", True], ["1", "0"]]},
         {"rule": "sup-truncated-difference", "cutoff": "x"},
         {"rule": "sup-truncated-difference", "cutoff": 8.5},
+        {"rule": "sup-truncated-difference", "cutoff": "8"},
         5,
         {"points": ["a"], "matrix": 5},
         {"points": [["a"]], "matrix": [["0"]]},
-    ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "cutoff-x", "cutoff-float",
-            "not-an-object", "matrix-not-a-list", "label-not-a-string"])
+        {"rule": "order-characteristic", "cutoff": 8, "params": 5},
+        {"rule": "order-characteristic", "cutoff": 8, "params": [["values", "natural"]]},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": 5}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"zz": "abc"}}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"zz": 2}}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"zz": "1/0"}}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"values": "odd"}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"colour": "red"}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"prefix": "f"}},
+        {"rule": "sup-truncated-difference", "cutoff": 8, "params": {"prefix": 3}},
+        {"rule": "sup-truncated-difference", "cutoff": 8, "params": {"coordinate_cutoff": "x"}},
+        {"rule": "sup-truncated-difference", "cutoff": 8, "params": {"coordinate_cutoff": 9.0}},
+        {"rule": "sup-truncated-difference", "cutoff": 8,
+         "params": {"coordinate_cutoff": True}},
+        {"rule": "sup-truncated-difference", "cutoff": 8,
+         "params": {"extras": {"zz": "1"}}},
+    ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "cutoff-x", "cutoff-float", "cutoff-text",
+            "not-an-object", "matrix-not-a-list", "label-not-a-string",
+            "params-not-an-object", "params-a-list", "extras-not-an-object",
+            "extra-not-rational", "extra-not-text", "extra-zero-denominator",
+            "unknown-value-form", "unknown-param", "param-of-another-rule",
+            "prefix-not-a-string", "window-text", "window-float", "window-bool",
+            "extras-on-vector-rule"])
     def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -175,6 +197,22 @@ class TestRandom:
                                "--out", str(target)])
         assert rc == EXIT_OK and out == ""
         assert json.loads(target.read_text())["command"] == "random"
+
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-1"], ["--count", "-3"],
+                                      ["--n", "x"]],
+                             ids=["n-0", "n-negative", "count-negative", "n-not-an-int"])
+    def test_bad_size_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "--seed", "1"] + argv)
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    def test_zero_count_is_an_empty_sweep(self, capsys):
+        rc, out = run(capsys, ["random", "--n", "3", "--count", "0"])
+        assert rc == EXIT_OK
+        assert json.loads(out)["instances_audited"] == 0
 
     def test_worker_pool_matches_serial(self, capsys, tmp_path, monkeypatch):
         serial = tmp_path / "serial.json"

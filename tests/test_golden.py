@@ -2,11 +2,14 @@
 
 The hashes were recorded before the finite-carrier identities (d_Phi =
 d_F = d_low, filter composition at its smallest generator, one
-directed-completeness report, completeness by identity) replaced the
-definitional loops; any change to report bytes on these runs is a
-regression.  The input files are fixed fixtures under ``tests/data``: an
-8-point distance with pairwise-coprime denominators and an 8-point
-value-based pair (d, e) whose e differs from the symmetric join of d.
+directed-completeness report, completeness by identity, enumeration over
+specialization classes) replaced the definitional loops; any change to
+report bytes on these runs is a regression.  The input files are fixed
+fixtures under ``tests/data``: an 8-point distance with pairwise-coprime
+denominators, an 8-point value-based pair (d, e) whose e differs from the
+symmetric join of d, and a 10-point plain distance (one point of nonzero
+self-distance) with specialization classes of 1, 2 and 6 points, on which
+sup_upgrade, symmetric_companion and cauchy_to_directed are non-vacuous.
 """
 
 import hashlib
@@ -27,12 +30,14 @@ GOLDEN = [
      "d51905ee5bc62de38fc44fa3761e8bf1059413f73e86562a502a7804fcfc4d3e"),
     (["audit", "pair_n8_d.json", "--second-distance", "pair_n8_e.json"],
      "d9e45cd016286ba091f8edbf31f7aece48380526866b4de8afbfd21f49d8755d"),
+    (["audit", "plain_n10.json"],
+     "7361f69bdf118631458a2974662772f64f980242d1dae2c4a72febd2f16748ac"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
                          ids=["random-seed-0", "random-seed-424242", "check-coprime",
-                              "audit-pair"])
+                              "audit-pair", "audit-plain-classes"])
 def test_report_bytes_unchanged(capsys, monkeypatch, argv, digest):
     # reports embed the input path, so run from the data directory
     monkeypatch.chdir(DATA)

@@ -5,26 +5,34 @@ hypothesis-controlled ``Random``: min-plus-closed plain distances,
 hemimetrics and metrics, and value-based two-distance pairs.
 """
 
+import json
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmlib.cli import EXIT_PRECONDITION, main
 from qmlib.derived import derived_functions
 from qmlib.generate import random_metric, random_space, random_value_pair
-from qmlib.space import derive
-from qmlib.theorems import AuditContext, compose_with_filter
+from qmlib.nets import PreconditionError, zero_cliques
+from qmlib.order import check_ed_complete
+from qmlib.space import derive, space_from_rows
+from qmlib.theorems import (AuditContext, AuditOptions, audit, compose_with_filter,
+                            sup_upgrade_counterexample)
 from qmlib.topology import is_complete
 
-from tests.oracles import (compose_with_filter_oracle, compose_with_order,
-                           d_F_oracle, d_Phi_oracle, is_complete_oracle,
-                           order_directed_complete_oracle)
+from tests.oracles import (check_ed_complete_oracle, compose_with_filter_oracle,
+                           compose_with_order, d_F_oracle, d_Phi_oracle,
+                           is_complete_oracle, order_directed_complete_oracle,
+                           sup_upgrade_oracle, zero_cliques_oracle)
 
 
 @st.composite
-def space_pairs(draw):
+def space_pairs(draw, max_n=5):
     """A distance d with a second distance e on the same points: the
     symmetric join of d (the audit default), an independent draw, or the
     e of a value pair."""
     rng = draw(st.randoms(use_true_random=False))
-    n = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=max_n))
     kind = draw(st.sampled_from(("plain", "hemimetric", "metric", "value_pair")))
     if kind == "value_pair":
         return random_value_pair(rng, n)
@@ -38,6 +46,9 @@ def space_pairs(draw):
 
 
 spaces = space_pairs().map(lambda pair: pair[0])
+# the point-level oracles below are cheap enough for larger spaces, where
+# specialization classes of several points are common
+wide_pairs = space_pairs(max_n=7)
 EXAMPLES = settings(max_examples=80, deadline=None)
 
 
@@ -62,8 +73,10 @@ def test_filter_composition_equals_grid_and_order_forms(pair):
 @given(space_pairs())
 def test_one_directed_completeness_report_serves_both_senses(pair):
     d_space, e_space = pair
-    ctx = AuditContext(d_space, e_space, 12)
-    assert ctx.directed_complete_report == order_directed_complete_oracle(d_space, ctx.cap)
+    ctx = AuditContext(d_space, e_space)
+    rep = ctx.directed_complete_report
+    assert not rep.sampled
+    assert rep.complete == order_directed_complete_oracle(d_space).complete
 
 
 @EXAMPLES
@@ -72,3 +85,65 @@ def test_is_complete_equals_clique_search(space):
     assert is_complete(space) == is_complete_oracle(space)
     join = derive(space, "join")
     assert is_complete(join) == is_complete_oracle(join)
+
+
+@EXAMPLES
+@given(wide_pairs)
+def test_zero_cliques_are_the_submasks_of_the_classes(pair):
+    for space in pair:
+        assert zero_cliques(space) == zero_cliques_oracle(space)
+
+
+@EXAMPLES
+@given(wide_pairs)
+def test_ed_completeness_over_class_representatives(pair):
+    d_space, e_space = pair
+    for first, second in ((d_space, d_space), (derive(d_space, "leq_order"), d_space),
+                          (e_space, d_space), (d_space, e_space)):
+        fast = check_ed_complete(first, second, cap=d_space.n)
+        assert fast.complete == check_ed_complete_oracle(first, second).complete
+
+
+@EXAMPLES
+@given(wide_pairs)
+def test_sup_upgrade_over_class_representatives(pair):
+    d_space, e_space = pair
+    # the search itself, also where the statement's hypothesis fails
+    ctx = AuditContext(d_space, e_space)
+    assert (sup_upgrade_counterexample(ctx) is None) == sup_upgrade_oracle(d_space)
+
+
+# d(0,1) = d(1,0) = d(1,2) = d(2,1) = 0 but d(0,2) = 1: the triangle law
+# fails, and mutual zero distance is not transitive
+NOT_A_DISTANCE = [["0", "0", "1"], ["0", "0", "0"], ["1", "0", "0"]]
+
+
+def test_quotient_forms_refuse_a_space_without_the_triangle_law():
+    sp = space_from_rows(["a", "b", "c"], NOT_A_DISTANCE)
+    assert not sp.validation.is_distance
+    # the point-level forms give answers the class quotient cannot
+    assert zero_cliques_oracle(sp) == [1, 2, 3, 4, 6]
+    assert not check_ed_complete_oracle(sp, sp).complete
+    with pytest.raises(PreconditionError):
+        zero_cliques(sp)
+    with pytest.raises(PreconditionError):
+        check_ed_complete(sp, sp)
+    metric = space_from_rows(["a", "b", "c"], [["0", "1", "1"], ["1", "0", "1"],
+                                                ["1", "1", "0"]])
+    with pytest.raises(PreconditionError):
+        check_ed_complete(sp, metric)
+    with pytest.raises(PreconditionError):
+        audit(metric, AuditOptions(second=sp))
+
+
+def test_audit_rejects_a_second_file_that_is_not_a_distance(capsys, tmp_path):
+    d_file = tmp_path / "d.json"
+    e_file = tmp_path / "e.json"
+    d_file.write_text(json.dumps({"points": ["a", "b", "c"],
+                                  "matrix": [["0", "1", "1"], ["1", "0", "1"],
+                                             ["1", "1", "0"]]}))
+    e_file.write_text(json.dumps({"points": ["a", "b", "c"], "matrix": NOT_A_DISTANCE}))
+    assert main(["audit", str(d_file), "--second-distance", str(e_file)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
