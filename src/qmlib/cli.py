@@ -6,8 +6,8 @@ no timestamps, sorted keys, deterministic instance streams, and
 aggregation in instance order regardless of the worker pool.
 
 Exit codes: 0 success; 1 fact or audit failure; 2 parse/usage error;
-3 precondition failure.  The worker pool size comes from QML_WORKERS
-(default 1, serial).
+3 precondition failure.  The worker pool size comes from QML_WORKERS, a
+positive integer (default 1, serial).
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .derived import derived_functions
-from .extreal import ZERO
 from .family import FamilySpace, family_from_dict
 from .gallery import GALLERY_NAMES, build, verify
 from .generate import instance_stream
 from .nets import PreconditionError
 from .order import suprema
 from .space import FiniteSpace, SpaceError, derive, space_to_dict, validate
-from .theorems import STATEMENTS, AuditContext, AuditOptions, audit
+from .theorems import STATEMENTS, AuditOptions, audit
 from .topology import is_complete
 
 EXIT_OK = 0
@@ -228,22 +227,7 @@ def _order_signature(space: FiniteSpace) -> str:
 
 def _instance_payload(args) -> dict:
     i, kind, space, second, statements = args
-    opts = AuditOptions(statements=statements, second=second)
-    e_space = second if second is not None else derive(space, "join")
-    ctx = AuditContext(space, e_space)
-    report = audit(space, opts, ctx=ctx)
-    dfs = ctx.dfs
-    chain_ok = all(
-        dfs.d_Phi(r) <= dfs.d_F(r) <= dfs.d_low(r)
-        for r in (ZERO,) + dfs.d_F.cuts)
-    degenerate_ok = dfs.d_F == dfs.d_low
-    dphi_strict = dfs.d_Phi != dfs.d_F
-    # open-question counterexample candidate: composed-shape instance with
-    # both hypotheses holding but completeness failing
-    mainq = False
-    if kind == "value_pair":
-        odc = ctx.directed_complete_report.complete
-        mainq = bool(odc and ctx.e_complete and not ctx.complete)
+    report = audit(space, AuditOptions(statements=statements, second=second))
     # two-distance statements satisfied with e distinct from the join of d
     nonjoin = False
     if second is not None:
@@ -255,12 +239,8 @@ def _instance_payload(args) -> dict:
         "index": i,
         "kind": kind,
         "entries": [e.to_dict() for e in report.entries],
-        "chain_ok": chain_ok,
-        "degenerate_ok": degenerate_ok,
-        "dphi_strictly_below": dphi_strict,
         "order_sig": _order_signature(space),
         "sups_sig": _sups_signature(space),
-        "mainq_candidate": mainq,
         "nonjoin_two_distance": nonjoin,
     }
 
@@ -277,10 +257,6 @@ def run_random(cfg: RunConfig) -> int:
 
     summary = {}
     failures = []
-    chain_violations = 0
-    degeneracy_violations = 0
-    dphi_separations = 0
-    mainq_candidates = 0
     nonjoin_two_distance = 0
     order_groups: dict = {}
     same_order_different_sups = 0
@@ -300,14 +276,6 @@ def run_random(cfg: RunConfig) -> int:
                     s["failures"] += 1
                     failures.append({"instance": p["index"], "kind": p["kind"],
                                      "entry": e})
-        if not p["chain_ok"]:
-            chain_violations += 1
-        if not p["degenerate_ok"]:
-            degeneracy_violations += 1
-        if p["dphi_strictly_below"]:
-            dphi_separations += 1
-        if p["mainq_candidate"]:
-            mainq_candidates += 1
         if p["nonjoin_two_distance"]:
             nonjoin_two_distance += 1
         prev = order_groups.get(p["order_sig"])
@@ -321,20 +289,15 @@ def run_random(cfg: RunConfig) -> int:
         "instances_audited": len(payloads),
         "summary": dict(sorted(summary.items())),
         "failures": failures,
-        "derived_chain_violations": chain_violations,
-        "finite_degeneracy_violations": degeneracy_violations,
         "searches": {
-            "d_phi_strictly_below_d_F": dphi_separations,
             "same_order_different_sups": same_order_different_sups,
-            "composed_shape_counterexamples": mainq_candidates,
             "two_distance_met_with_nonjoin_e": nonjoin_two_distance,
         },
     }
     payload["content_hash"] = hashlib.sha256(
         canonical_json(payload).encode()).hexdigest()
     _emit(cfg, payload, _render_random_md)
-    bad = bool(failures) or chain_violations or degeneracy_violations
-    return EXIT_FAILURE if bad else EXIT_OK
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 def _render_random_md(p: dict) -> str:
@@ -346,7 +309,6 @@ def _render_random_md(p: dict) -> str:
         lines.append(f"| {stmt} | {s['instances']} | {s['hypotheses_met']} | "
                      f"{s['verified']} | {s['failures']} |")
     lines += ["",
-              f"- derived chain violations: {p['derived_chain_violations']}",
               f"- searches: {json.dumps(p['searches'], sort_keys=True)}",
               f"- content hash: {p['content_hash']}", ""]
     return "\n".join(lines)
@@ -356,6 +318,10 @@ def _render_random_md(p: dict) -> str:
 # report (merge JSON outputs to markdown)
 # ---------------------------------------------------------------------------
 
+_RENDERERS = {"gallery": _render_gallery_md, "audit": _render_audit_md,
+              "random": _render_random_md, "check": _render_check_md}
+
+
 def run_report(cfg: RunConfig) -> int:
     sections = []
     for path in cfg.inputs:
@@ -364,17 +330,18 @@ def run_report(cfg: RunConfig) -> int:
                 data = json.load(fh)
             except json.JSONDecodeError as e:
                 raise SpaceError(f"invalid JSON in {path}: {e}") from None
-        cmd = data.get("command", "unknown")
-        if cmd == "gallery":
-            sections.append(_render_gallery_md(data))
-        elif cmd == "audit":
-            sections.append(_render_audit_md(data))
-        elif cmd == "random":
-            sections.append(_render_random_md(data))
-        elif cmd == "check":
-            sections.append(_render_check_md(data))
-        else:
+        if not isinstance(data, dict):
+            raise SpaceError(f"{path} does not hold a JSON object")
+        cmd = data.get("command")
+        renderer = _RENDERERS.get(cmd) if isinstance(cmd, str) else None
+        if renderer is None:
             sections.append(f"# {path}\n\n```\n{canonical_json(data)}```\n")
+            continue
+        try:
+            sections.append(renderer(data))
+        except (KeyError, TypeError, AttributeError) as e:
+            raise SpaceError(f"{path} is not a well-formed {cmd} report "
+                             f"({type(e).__name__}: {e})") from None
     text = "\n".join(sections)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -440,8 +407,7 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    workers = max(1, int(os.environ.get("QML_WORKERS", "1")))
+def _config_from_args(args, workers: int) -> RunConfig:
     cmd = args.command
     if cmd == "check":
         return RunConfig("check", (args.space_file,), fmt=args.format,
@@ -464,12 +430,17 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    try:
+        workers = _int_at_least(1)(os.environ.get("QML_WORKERS", "1"))
+    except argparse.ArgumentTypeError as e:
+        print(f"error: QML_WORKERS: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    cfg = _config_from_args(args, workers)
     runners = {"check": run_check, "audit": run_audit, "gallery": run_gallery,
                "random": run_random, "report": run_report}
     try:
         return runners[cfg.command](cfg)
-    except (SpaceError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (SpaceError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as e:

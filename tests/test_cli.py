@@ -123,6 +123,19 @@ class TestCheck:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", None], ids=["not-utf8", "a-directory"])
+    def test_unreadable_input_is_one_line_parse_error(self, capsys, tmp_path, content):
+        target = tmp_path / "space.json"
+        if content is None:
+            target.mkdir()
+        else:
+            target.write_bytes(content)
+        rc = main(["check", str(target)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestAudit:
     def test_audit_ok(self, capsys, discrete_file):
         rc, out = run(capsys, ["audit", discrete_file])
@@ -178,8 +191,10 @@ class TestRandom:
         data = json.loads(out)
         assert data["instances_audited"] == 8
         assert data["failures"] == []
-        assert data["derived_chain_violations"] == 0
-        assert "content_hash" in data
+        assert set(data) == {"command", "config", "instances_audited", "summary",
+                             "failures", "searches", "content_hash"}
+        assert set(data["searches"]) == {"same_order_different_sups",
+                                         "two_distance_met_with_nonjoin_e"}
 
     def test_determinism_bytes(self, capsys):
         _, out1 = run(capsys, ["random", "--n", "4", "--count", "6", "--seed", "9"])
@@ -242,6 +257,49 @@ class TestReport:
         bad.write_text("nope")
         rc, _ = run(capsys, ["report", str(bad)])
         assert rc == EXIT_PARSE
+
+    @pytest.mark.parametrize("data", [
+        [1, 2],
+        "random",
+        {"command": "gallery"},
+        {"command": "gallery", "report": {"fixture": "halfopen", "cutoff": 4, "facts": [5]}},
+        {"command": "random", "config": {}},
+        {"command": "random", "config": {"n": 4, "count": 1, "seed": 0}, "summary": [],
+         "searches": {}, "content_hash": "0"},
+        {"command": "audit", "input": "x.json", "report": {"entries": [{}]}},
+        {"command": "check", "input": "x.json", "kind": "finite"},
+    ], ids=["list", "string", "gallery-no-report", "gallery-fact-not-an-object",
+            "random-empty-config", "random-summary-a-list", "audit-empty-entry",
+            "check-no-validation"])
+    def test_malformed_report_is_one_line_parse_error(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["report", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    def test_unknown_command_is_echoed(self, capsys, tmp_path):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"command": ["not", "a", "name"], "x": 1}))
+        rc, out = run(capsys, ["report", str(other)])
+        assert rc == EXIT_OK
+        assert out.startswith(f"# {other}") and '"x": 1' in out
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+    def test_bad_pool_size_is_one_line_parse_error(self, capsys, monkeypatch,
+                                                   discrete_file, value):
+        monkeypatch.setenv("QML_WORKERS", value)
+        rc = main(["check", discrete_file])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "QML_WORKERS" in captured.err
 
 
 class TestCanonicalJson:

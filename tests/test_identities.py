@@ -20,8 +20,9 @@ from qmlib.theorems import (AuditContext, AuditOptions, audit, compose_with_filt
                             sup_upgrade_counterexample)
 from qmlib.topology import is_complete
 
-from tests.oracles import (check_ed_complete_oracle, compose_with_filter_oracle,
-                           compose_with_order, d_F_oracle, d_Phi_oracle,
+from tests.oracles import (check_ed_complete_oracle, companion_oracle,
+                           compose_with_filter_oracle, compose_with_order, d_F_oracle,
+                           d_Phi_oracle, directed_set_with_profiles_oracle,
                            is_complete_oracle, order_directed_complete_oracle,
                            sup_upgrade_oracle, zero_cliques_oracle)
 
@@ -111,6 +112,32 @@ def test_sup_upgrade_over_class_representatives(pair):
     # the search itself, also where the statement's hypothesis fails
     ctx = AuditContext(d_space, e_space)
     assert (sup_upgrade_counterexample(ctx) is None) == sup_upgrade_oracle(d_space)
+
+
+@EXAMPLES
+@given(wide_pairs)
+def test_every_distance_is_directed_complete_in_itself(pair):
+    # a finite directed set's top member is its d-supremum
+    for space in pair:
+        assert check_ed_complete(space, space).complete
+        assert check_ed_complete_oracle(space, space).complete
+
+
+IDENTITY_STATEMENTS = ("ball_functions_coincide", "symmetric_companion",
+                       "two_distance_transfer")
+
+
+@EXAMPLES
+@given(wide_pairs)
+def test_per_class_searches_always_succeed(pair):
+    d_space, e_space = pair
+    ctx = AuditContext(d_space, e_space)
+    for clique in ctx.cliques:
+        assert companion_oracle(d_space, clique)
+        assert directed_set_with_profiles_oracle(d_space, clique)
+    # the audit decides these three statements by identity
+    report = audit(d_space, AuditOptions(statements=IDENTITY_STATEMENTS, second=e_space))
+    assert all(e.conclusion_verified for e in report.entries if not e.vacuous)
 
 
 # d(0,1) = d(1,0) = d(1,2) = d(2,1) = 0 but d(0,2) = 1: the triangle law
