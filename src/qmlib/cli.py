@@ -27,7 +27,8 @@ from .gallery import GALLERY_NAMES, build, verify
 from .generate import instance_stream
 from .nets import PreconditionError
 from .order import suprema
-from .space import FiniteSpace, SpaceError, derive, space_to_dict, validate
+from .space import (FiniteSpace, SpaceError, derive, read_json_object, space_from_dict,
+                    space_to_dict, validate)
 from .theorems import STATEMENTS, AuditOptions, audit
 from .topology import is_complete
 
@@ -75,16 +76,9 @@ def _emit(cfg: RunConfig, payload: dict, renderer) -> None:
 
 
 def _load_any_space(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SpaceError(f"invalid JSON in {path}: {e}") from None
-    if not isinstance(data, dict):
-        raise SpaceError(f"{path} does not hold a JSON object")
+    data = read_json_object(path)
     if "rule" in data:
         return family_from_dict(data)
-    from .space import space_from_dict
     return space_from_dict(data)
 
 
@@ -325,13 +319,7 @@ _RENDERERS = {"gallery": _render_gallery_md, "audit": _render_audit_md,
 def run_report(cfg: RunConfig) -> int:
     sections = []
     for path in cfg.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SpaceError(f"invalid JSON in {path}: {e}") from None
-        if not isinstance(data, dict):
-            raise SpaceError(f"{path} does not hold a JSON object")
+        data = read_json_object(path)
         cmd = data.get("command")
         renderer = _RENDERERS.get(cmd) if isinstance(cmd, str) else None
         if renderer is None:
@@ -440,7 +428,7 @@ def main(argv=None) -> int:
                "random": run_random, "report": run_report}
     try:
         return runners[cfg.command](cfg)
-    except (SpaceError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (SpaceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as e:

@@ -168,13 +168,6 @@ def scale_inf(r: ExtReal) -> ExtReal:
     return r.scale_inf()
 
 
-def ext_sum(values) -> ExtReal:
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total
-
-
 def ext_min(values, default: ExtReal = INF) -> ExtReal:
     """Minimum with ``inf`` as the empty infimum."""
     best = default

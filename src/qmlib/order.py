@@ -79,17 +79,6 @@ def is_directed(space: FiniteSpace, Y, sense: str = "d") -> bool:
                for a, b in itertools.combinations_with_replacement(pts, 2))
 
 
-def directed_oracle(space: FiniteSpace, Y) -> bool:
-    """Exhaustive form of metric directedness over all finite subsets."""
-    pts = sorted(set(Y))
-    for size in range(1, len(pts) + 1):
-        for F in itertools.combinations(pts, size):
-            best = ext_min(ext_max(space.d(f, y) for f in F) for y in pts)
-            if not best.is_zero():
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class EdCompletenessReport:
     complete: bool

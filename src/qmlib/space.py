@@ -232,29 +232,25 @@ def balls_and_holes(space: FiniteSpace, center: str, epsilon: ExtReal) -> BallsA
 def minplus_closure(rows, labels=None) -> FiniteSpace:
     """Largest triangle-law matrix below the input, by min-plus relaxation.
 
-    Repeated sweeps of d[i][j] <- min(d[i][j], d[i][k] + d[k][j]) until a
-    fixpoint; with nonnegative entries at most n sweeps are needed.
+    One in-place Floyd-Warshall pass, k outermost:
+    d[i][j] <- min(d[i][j], d[i][k] + d[k][j]), exact for nonnegative entries.
     """
     work = [list(r) for r in rows]
     n = len(work)
     if any(len(r) != n for r in work):
         raise SpaceError("matrix is not square")
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            col_k = [work[i][k] for i in range(n)]
-            row_k = work[k]
-            for i in range(n):
-                dik = col_k[i]
-                if dik.is_inf:
-                    continue
-                wi = work[i]
-                for j in range(n):
-                    cand = dik + row_k[j]
-                    if cand < wi[j]:
-                        wi[j] = cand
-                        changed = True
+    for k in range(n):
+        col_k = [work[i][k] for i in range(n)]
+        row_k = work[k]
+        for i in range(n):
+            dik = col_k[i]
+            if dik.is_inf:
+                continue
+            wi = work[i]
+            for j in range(n):
+                cand = dik + row_k[j]
+                if cand < wi[j]:
+                    wi[j] = cand
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
     return FiniteSpace(tuple(labels), tuple(tuple(r) for r in work))
@@ -345,10 +341,20 @@ def space_from_dict(data: dict) -> FiniteSpace:
     return space_from_rows(labels, rows)
 
 
-def load_space(path: str) -> FiniteSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+def read_json_object(path: str) -> dict:
+    """The JSON object stored in a file, or a SpaceError naming the file
+    when its bytes are not UTF-8, not JSON, or not a JSON object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SpaceError(f"invalid JSON in {path}: {e}") from None
-    return space_from_dict(data)
+    except UnicodeDecodeError as e:
+        raise SpaceError(f"{path} is not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise SpaceError(f"invalid JSON in {path}: {e}") from None
+    if not isinstance(data, dict):
+        raise SpaceError(f"{path} does not hold a JSON object")
+    return data
+
+
+def load_space(path: str) -> FiniteSpace:
+    return space_from_dict(read_json_object(path))

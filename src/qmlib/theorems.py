@@ -7,9 +7,7 @@ surfaced loudly by the CLI exit code.  Conclusions quantifying over all
 Cauchy sequences are decided by quantifying over zero cliques, which are
 exactly the possible tails.  By the triangle law a zero clique is a
 nonempty subset of one specialization class and every verdict reads it
-only through that class, so the audit runs once per class; likewise
-suprema of a set Y depend only on the classes Y meets, so subset
-searches run over class representatives.
+only through that class, so the audit runs once per class.
 
 Conclusions that a finite-carrier identity fixes are decided by it, not
 searched: ball_functions_coincide (d_F = d_Phi = d_low),
@@ -17,6 +15,11 @@ symmetric_companion and two_distance_transfer (each class of zero
 self-distance is its own witness) and the four completeness criteria
 (every finite space is complete).  Only sup_upgrade,
 complete_implies_directed_complete and cauchy_to_directed search.
+
+sup_upgrade walks no subsets.  For Y below x the triangle law gives
+max_y d(y, z) <= d(x, z), so x is no d-supremum of Y iff Y lies inside
+some B(x, z) = {y below x : d(y, z) < d(x, z)}; upper bounds shrink as Y
+grows, so an order supremum of a nonempty Y inside B is one of B.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
 from .extreal import INF, ExtReal, ext_min
-from .nets import EpSeq, PreconditionError, classify, epseq, submasks
+from .nets import EpSeq, PreconditionError, classify, epseq
 from .order import check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, derive, representatives, threshold_grid
 from .topology import is_complete
@@ -175,15 +178,28 @@ class AuditContext:
 def sup_upgrade_counterexample(ctx: AuditContext) -> list | None:
     """A nonempty Y with an order supremum that is not a d-supremum, or None.
 
-    suprema(Y) reads Y only through the classes it meets, so Y ranges over
-    the nonempty subsets of the class representatives.
+    By the (x, z) reduction of the module docstring, a counterexample
+    exists iff some x is an order supremum of a nonempty
+    B(x, z) = {y : d(y, x) = 0 and d(y, z) < d(x, z)}, and that B is
+    returned.  B and d(x, z) read x and z only through their classes, so
+    both range over the representatives: one ``suprema`` call per
+    distinct B, at most k^2 for k classes.
     """
-    n = ctx.space.n
-    for mask in submasks(ctx.representatives):
-        pts = [i for i in range(n) if mask >> i & 1]
-        res = suprema(ctx.space, pts)
-        if not res.leq_sups <= res.d_sups:
-            return pts
+    space = ctx.space
+    n = space.n
+    reps = [i for i in range(n) if ctx.representatives >> i & 1]
+    order_sups = {}
+    for x in reps:
+        below = [y for y in range(n) if space.zero_down[x] >> y & 1]
+        for z in reps:
+            dxz = space.d(x, z)
+            ball = tuple(y for y in below if space.d(y, z) < dxz)
+            if not ball:
+                continue
+            if ball not in order_sups:
+                order_sups[ball] = suprema(space, ball).leq_sups
+            if space.labels[x] in order_sups[ball]:
+                return list(ball)
     return None
 
 

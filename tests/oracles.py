@@ -16,7 +16,7 @@ tests can pin each production form to them.
 import itertools
 
 from qmlib.derived import StepFn
-from qmlib.extreal import INF, ZERO, ext_min
+from qmlib.extreal import INF, ZERO, ext_max, ext_min
 from qmlib.order import EdCompletenessReport, is_directed, suprema
 from qmlib.space import FiniteSpace, derive, threshold_grid
 from qmlib.topology import CompletenessReport
@@ -102,6 +102,18 @@ def compose_with_order(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpac
     """e composed with the specialization order of d:
     (x, y) -> min over z below y of e(x, z)."""
     return derive(e_space, "compose", derive(d_space, "leq_order"))
+
+
+def directed_oracle(space: FiniteSpace, Y) -> bool:
+    """Metric directedness over every finite subset F of Y: some y in Y
+    has max over F of d(f, y) equal to 0."""
+    pts = sorted(set(Y))
+    for size in range(1, len(pts) + 1):
+        for F in itertools.combinations(pts, size):
+            best = ext_min(ext_max(space.d(f, y) for f in F) for y in pts)
+            if not best.is_zero():
+                return False
+    return True
 
 
 def _point_subsets(n: int):

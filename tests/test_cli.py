@@ -136,6 +136,32 @@ class TestCheck:
         assert len(captured.err.splitlines()) == 1
 
 
+BAD_FILE_CONTENTS = [b"\xff\xfe{}", b"{not json", b"[1, 2]"]
+BAD_FILE_IDS = ["not-utf8", "invalid-json", "not-an-object"]
+
+
+class TestBadFiles:
+    @pytest.mark.parametrize("content", BAD_FILE_CONTENTS, ids=BAD_FILE_IDS)
+    @pytest.mark.parametrize("role", ["check", "audit-main", "audit-second",
+                                      "report-second"])
+    def test_bad_file_is_named_on_stderr(self, capsys, tmp_path, discrete_file,
+                                         role, content):
+        bad = tmp_path / "bad_input.json"
+        bad.write_bytes(content)
+        good_report = tmp_path / "good_report.json"
+        good_report.write_text(json.dumps({"command": "other"}))
+        argv = {"check": ["check", str(bad)],
+                "audit-main": ["audit", str(bad), "--second-distance", discrete_file],
+                "audit-second": ["audit", discrete_file, "--second-distance", str(bad)],
+                "report-second": ["report", str(good_report), str(bad)]}[role]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert str(bad) in captured.err
+
+
 class TestAudit:
     def test_audit_ok(self, capsys, discrete_file):
         rc, out = run(capsys, ["audit", discrete_file])

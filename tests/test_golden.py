@@ -16,6 +16,10 @@ denominators, an 8-point value-based pair (d, e) whose e differs from the
 symmetric join of d, and a 10-point plain distance (one point of nonzero
 self-distance) with specialization classes of 1, 2 and 6 points, on which
 sup_upgrade, symmetric_companion and cauchy_to_directed are non-vacuous.
+A 12-point chain (d(i,j) = 0 if i <= j, else 1) has one class per point,
+so it is the class-rich audit: every statement is non-vacuous on it.  Its
+hash was recorded while sup_upgrade still walked every subset of the class
+representatives, before the (x, z) reduction replaced that walk.
 """
 
 import hashlib
@@ -38,12 +42,14 @@ GOLDEN = [
      "d9e45cd016286ba091f8edbf31f7aece48380526866b4de8afbfd21f49d8755d"),
     (["audit", "plain_n10.json"],
      "7361f69bdf118631458a2974662772f64f980242d1dae2c4a72febd2f16748ac"),
+    (["audit", "chain_n12.json"],
+     "42432f8dadb6b8f869ab832e556d539982f531ca5b476626dfdeb405ed98b554"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
                          ids=["random-seed-0", "random-seed-424242", "check-coprime",
-                              "audit-pair", "audit-plain-classes"])
+                              "audit-pair", "audit-plain-classes", "audit-chain"])
 def test_report_bytes_unchanged(capsys, monkeypatch, argv, digest):
     # reports embed the input path, so run from the data directory
     monkeypatch.chdir(DATA)

@@ -14,7 +14,7 @@ from qmlib.cli import EXIT_PRECONDITION, main
 from qmlib.derived import derived_functions
 from qmlib.generate import random_metric, random_space, random_value_pair
 from qmlib.nets import PreconditionError, zero_cliques
-from qmlib.order import check_ed_complete
+from qmlib.order import check_ed_complete, suprema
 from qmlib.space import derive, space_from_rows
 from qmlib.theorems import (AuditContext, AuditOptions, audit, compose_with_filter,
                             sup_upgrade_counterexample)
@@ -107,11 +107,33 @@ def test_ed_completeness_over_class_representatives(pair):
 
 @EXAMPLES
 @given(wide_pairs)
-def test_sup_upgrade_over_class_representatives(pair):
+def test_sup_upgrade_by_the_xz_reduction(pair):
     d_space, e_space = pair
     # the search itself, also where the statement's hypothesis fails
     ctx = AuditContext(d_space, e_space)
-    assert (sup_upgrade_counterexample(ctx) is None) == sup_upgrade_oracle(d_space)
+    Y = sup_upgrade_counterexample(ctx)
+    assert (Y is None) == sup_upgrade_oracle(d_space)
+    if Y is not None:
+        res = suprema(d_space, Y)
+        assert res.leq_sups - res.d_sups
+
+
+def test_sup_upgrade_on_a_chain_makes_at_most_k_squared_suprema_calls(monkeypatch):
+    # d(i, j) = 0 if i <= j else 1: sixteen one-point classes, and every
+    # order supremum (the top of Y) is a d-supremum
+    n = 16
+    chain = space_from_rows([f"p{i}" for i in range(n)],
+                            [["0" if i <= j else "1" for j in range(n)] for i in range(n)])
+    calls = []
+
+    def counted(space, Y):
+        calls.append(tuple(Y))
+        return suprema(space, Y)
+
+    monkeypatch.setattr("qmlib.theorems.suprema", counted)
+    ctx = AuditContext(chain, derive(chain, "join"))
+    assert sup_upgrade_counterexample(ctx) is None
+    assert 0 < len(calls) <= n * n
 
 
 @EXAMPLES

@@ -8,10 +8,10 @@ import pytest
 from qmlib.extreal import ext_max
 from qmlib.generate import random_metric, random_space
 from qmlib.nets import PreconditionError, epseq
-from qmlib.order import (check_ed_complete, directed_oracle, is_directed,
-                         link_directed_sequence, suprema)
+from qmlib.order import check_ed_complete, is_directed, link_directed_sequence, suprema
 from qmlib.space import derive, space_from_rows
 
+from tests.oracles import directed_oracle
 from tests.test_space import grid_x_one_minus_y
 
 

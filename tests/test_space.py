@@ -6,9 +6,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmlib.extreal import INF, ZERO, ExtReal, ext
-from qmlib.generate import random_space
+from qmlib.generate import VALUE_GRID, random_space
 from qmlib.space import (SpaceError, ThresholdRel, balls_and_holes,
                          derive, load_space, minplus_closure, space_from_dict,
                          space_from_rows, space_to_dict, threshold_grid,
@@ -206,6 +207,19 @@ class TestMinplusClosure:
             assert all(cl.d(i, j) <= rows[i][j] for i in range(n) for j in range(n))
             again = minplus_closure(cl.matrix, cl.labels)
             assert again.matrix == cl.matrix
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=9).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from(VALUE_GRID + (ExtReal(3, 7), ExtReal(5, 11))),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_one_pass_reaches_the_fixpoint(self, rows):
+        cl = minplus_closure(rows).matrix
+        n = len(rows)
+        # entrywise below the input, and one more relaxation changes nothing
+        assert all(cl[i][j] <= rows[i][j] for i in range(n) for j in range(n))
+        assert all(cl[i][j] <= cl[i][k] + cl[k][j]
+                   for i in range(n) for j in range(n) for k in range(n))
 
 
 class TestThresholds:
