@@ -13,12 +13,15 @@ Catalog of rules:
 * ``truncated-difference``       d(x, y) = (value(x) - value(y))+
 * ``order-characteristic``       d(x, y) = 0 if value(x) <= value(y) else inf
 * ``sup-truncated-difference``   d over coordinate vectors, sup of
-  truncated coordinate differences up to a coordinate window
+  truncated coordinate differences over all coordinates
 
 Catalog of value forms for indexed points: ``one_minus_unit``
 (n -> 1 - 1/(n+1), an increasing chain with supremum 1) and ``natural``
 (n -> n).  The ``sup-truncated-difference`` rule uses the built-in
-vector family n -> (inf, ..., inf, 0, 1/(n+1), 1/(n+2), ...).
+vector family n -> (inf, ..., inf, 0, 1/(n+1), 1/(n+2), ...).  Two such
+vectors x_m and x_k agree on every coordinate below min(m, k) (both inf,
+and (inf - inf)+ = 0) and above max(m, k) (both 1/j), so the sup over all
+coordinates is the sup over the finitely many from min(m, k) to max(m, k).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .extreal import INF, ZERO, ExtReal
+from .nets import PreconditionError
 from .space import SpaceError
 
 VALUE_RULES = ("coordinate-projection", "truncated-difference", "order-characteristic")
@@ -35,8 +39,14 @@ RULES = VALUE_RULES + ("sup-truncated-difference",)
 VALUE_FORMS = ("one_minus_unit", "natural")
 # params keys each rule reads; any other key is rejected, not ignored
 VALUE_PARAMS = ("values", "extras")
-VECTOR_PARAMS = ("prefix", "coordinate_cutoff")
+VECTOR_PARAMS = ("prefix",)
 SEQ_KINDS = ("identity", "swap-pairs", "constant", "swap-odd")
+# Largest cutoff a family space or gallery fixture accepts; above it they
+# raise PreconditionError (exit 3) before any work.  The vector rule's
+# certificate is the slowest: it compares every pair of indices over the
+# coordinates between them, cubic in the cutoff.  `qml check` on it took
+# 5.3-7.3 s at cutoff 256 (four runs, 2-vCPU VM, Python 3.11).
+MAX_CUTOFF = 256
 
 
 class CertificateError(AssertionError):
@@ -59,6 +69,7 @@ class FamilySpace:
         if self.cutoff < 4:
             raise SpaceError("cutoff must be at least 4")
         _check_params(self.rule, self.params)
+        check_cutoff_ceiling(self.cutoff)
 
     # -- points ------------------------------------------------------------
 
@@ -72,11 +83,6 @@ class FamilySpace:
 
     def indexed(self, n: int):
         return ("i", n)
-
-    def extra(self, label: str):
-        if label not in self.params.get("extras", {}):
-            raise SpaceError(f"unknown extra point {label!r}")
-        return ("e", label)
 
     def points(self) -> list:
         """All in-window point descriptors: extras first, then indexed."""
@@ -110,10 +116,6 @@ class FamilySpace:
             return 1 - Fraction(1, v + 1)
         return Fraction(v)
 
-    @cached_property
-    def _unit_fractions(self) -> tuple:
-        return (None,) + tuple(ExtReal(1, j) for j in range(1, self.coordinate_cutoff + 1))
-
     def coord(self, pt, j: int) -> ExtReal:
         """Coordinate j of an indexed vector point (sup-trunc-diff rule)."""
         kind, m = pt
@@ -123,11 +125,7 @@ class FamilySpace:
             return INF
         if j == m:
             return ZERO
-        return self._unit_fractions[j] if j <= self.coordinate_cutoff else ExtReal(1, j)
-
-    @property
-    def coordinate_cutoff(self) -> int:
-        return int(self.params.get("coordinate_cutoff", max(64, self.cutoff + 2)))
+        return ExtReal(1, j)
 
     @cached_property
     def _dist_cache(self) -> dict:
@@ -137,20 +135,16 @@ class FamilySpace:
         if self.rule == "coordinate-projection":
             return ExtReal.from_fraction(self.value(q))
         if self.rule == "truncated-difference":
-            diff = self.value(p) - self.value(q)
-            return ExtReal.from_fraction(diff) if diff > 0 else ZERO
+            return _tsub(self.value(p), self.value(q))
         if self.rule == "order-characteristic":
             return ZERO if self.value(p) <= self.value(q) else INF
-        # sup-truncated-difference: the window must cover both indices for
-        # the finite sup to be exact (beyond max(p,q) the coordinates agree).
+        # sup-truncated-difference: outside min..max of the two indices the
+        # coordinates agree, so their truncated differences there are 0.
         hit = self._dist_cache.get((p, q))
         if hit is not None:
             return hit
-        k = self.coordinate_cutoff
-        if max(p[1], q[1]) > k:
-            raise SpaceError("coordinate window too small for these indices")
         best = ZERO
-        for j in range(1, k + 1):
+        for j in range(min(p[1], q[1]), max(p[1], q[1]) + 1):
             v = self.coord(p, j).tsub(self.coord(q, j))
             if best < v:
                 best = v
@@ -184,9 +178,16 @@ def _check_params(rule: str, params) -> None:
             raise SpaceError(f"extra point {label!r}: bad rational {text!r}") from None
     if not isinstance(params.get("prefix", "x"), str):
         raise SpaceError("'prefix' must be a string")
-    window = params.get("coordinate_cutoff", 1)
-    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
-        raise SpaceError(f"coordinate_cutoff {window!r} is not a positive integer")
+
+
+def _tsub(a: Fraction, b: Fraction) -> ExtReal:
+    """Truncated difference (a - b)+ of two rationals."""
+    return ExtReal.from_fraction(a - b) if a > b else ZERO
+
+
+def check_cutoff_ceiling(cutoff: int) -> None:
+    if cutoff > MAX_CUTOFF:
+        raise PreconditionError(f"cutoff {cutoff} exceeds the ceiling {MAX_CUTOFF}")
 
 
 def family_from_dict(data: dict) -> FamilySpace:
@@ -324,7 +325,16 @@ _CERT_CHECKS = {
 
 
 class Analyzer:
-    """Shared certificate bookkeeping for family analyses."""
+    """Certificate bookkeeping, and the answer for claims no certificate covers.
+
+    This base class serves every rule without a certificate: constant
+    sequences are decided from their exact self-distance, and every other
+    claim is undecidable at the cutoff (``None`` claims, or
+    :class:`UndecidableAtCutoff`).  Each subclass overrides only what its
+    certificate decides.
+    """
+
+    CERT: str | None = None
 
     def __init__(self, space: FamilySpace):
         self.space = space
@@ -333,59 +343,117 @@ class Analyzer:
     def cert(self, cert_id: str) -> str:
         ok = self._verified.get(cert_id)
         if ok is None:
-            check = _CERT_CHECKS[cert_id]
-            ok = check(self.space)
+            ok = _CERT_CHECKS[cert_id](self.space)
             self._verified[cert_id] = ok
         if not ok:
             raise CertificateError(f"certificate {cert_id} failed in-window verification")
         return cert_id
+
+    def classify(self, seq: FamilySeq) -> FamilyClasses:
+        """Tri-state net classes of a sequence."""
+        if seq.kind == "constant":
+            p = self.space.point_by_label(seq.point)
+            zero = self.space.dist(p, p).is_zero()
+            claim = Claim(zero, (), "constant sequence: self-distance decides")
+            return FamilyClasses(claim, claim, claim)
+        missing = Claim(None, (), "no certificate for this rule" if self.CERT is None
+                        else f"no certificate for sequence kind {seq.kind}")
+        return FamilyClasses(missing, missing, missing)
+
+    def completeness(self) -> FamilyCompleteness:
+        return FamilyCompleteness(None)
+
+    def limits(self, seq: FamilySeq, target):
+        """Exact (forward, backward, certs) limits of d(x_k, target) and
+        d(target, x_k) along the sequence."""
+        if seq.kind == "constant":
+            p = self.space.point_by_label(seq.point)
+            return self.space.dist(p, target), self.space.dist(target, p), ()
+        raise UndecidableAtCutoff(f"no limit certificate for {self.space.rule}/{seq.kind}")
+
+    def hole_flags(self, seq: FamilySeq):
+        raise UndecidableAtCutoff(f"no limit certificate for {self.space.rule}/{seq.kind}")
+
+    def cauchy_subsequence(self, seq: FamilySeq) -> FamilySeq:
+        """Cauchy subsequence of a pre-Cauchy sequence (itself if the
+        sequence already certifies Cauchy)."""
+        cls = self._pre_cauchy(seq)
+        return seq if cls.cauchy.value else self._extract(seq)
+
+    def subnet_equiv(self, seq: FamilySeq) -> Claim:
+        """Single-topology convergence agrees between a pre-Cauchy sequence
+        and its extracted Cauchy subsequence."""
+        cls = self._pre_cauchy(seq)
+        if cls.cauchy.value:
+            return Claim(True, cls.cauchy.certificates, "subsequence is the sequence itself")
+        sub = self._extract(seq)
+        a, b = self.hole_flags(seq), self.hole_flags(sub)
+        same = all(a[t] == b[t] for t in ("upper_ball", "lower_ball",
+                                          "upper_hole", "lower_hole"))
+        return Claim(same, tuple(a["certificates"]))
+
+    def _pre_cauchy(self, seq: FamilySeq) -> FamilyClasses:
+        cls = self.classify(seq)
+        if cls.pre_cauchy.value is None:
+            raise UndecidableAtCutoff("pre-Cauchy status undecidable at this cutoff")
+        if not cls.pre_cauchy.value:
+            raise PreconditionError("sequence is not pre-Cauchy")
+        return cls
+
+    def _extract(self, seq: FamilySeq) -> FamilySeq:
+        """Cauchy subsequence of a pre-Cauchy sequence that is not Cauchy."""
+        raise UndecidableAtCutoff("no extraction certificate for this rule")
 
 
 class VectorFamilyAnalyzer(Analyzer):
     """The sup-truncated-difference family of all-but-finitely-agreeing
     vectors.  Everything reduces to the verified pairwise closed form."""
 
-    def classify_identity(self) -> FamilyClasses:
-        c = self.cert("fm.pairwise")
+    CERT = "fm.pairwise"
+
+    def classify(self, seq: FamilySeq) -> FamilyClasses:
+        if seq.kind != "identity":
+            return super().classify(seq)
+        c = self.cert(self.CERT)
         # d(x_m, x_k) = 1/k for m < k, so tail sups vanish in the limit:
         # Cauchy, hence pre-Cauchy and reflexive.
         claim = Claim(True, (c,))
         return FamilyClasses(claim, claim, claim)
 
+    def limits(self, seq: FamilySeq, target):
+        if seq.kind != "identity":
+            return super().limits(seq, target)
+        return self.limits_against(target[1])
+
     def limits_against(self, j: int):
         """Exact (forward, backward, certs) limits of the identity sequence
         against x_j: d(x_m, x_j) = inf for all m > j, and d(x_j, x_m) = 1/m
         which tends to 0."""
-        c = self.cert("fm.pairwise")
+        c = self.cert(self.CERT)
         return INF, ZERO, (c,)
 
     def discrete_order(self) -> Claim:
-        c = self.cert("fm.pairwise")
+        c = self.cert(self.CERT)
         # off-diagonal distances are 1/k or inf, never 0, in both directions
         return Claim(True, (c,), "specialization order and symmetric join are discrete")
 
     def trivially_order_directed_complete(self) -> Claim:
-        c = self.cert("fm.pairwise")
+        c = self.cert(self.CERT)
         return Claim(True, (c,), "directed sets are singletons with zero self-distance")
 
     def trivially_join_complete(self) -> Claim:
-        c = self.cert("fm.pairwise")
+        c = self.cert(self.CERT)
         return Claim(True, (c,), "join distance is discrete: Cauchy nets are eventually constant")
 
-    def rejections(self) -> list:
-        c = self.cert("fm.pairwise")
-        out = []
-        for j in range(1, self.space.cutoff + 1):
-            # liminf_m d(x_{j+1}, x_m) = lim 1/m = 0 < inf = d(x_{j+1}, x_j)
-            out.append(CandidateRejection(
-                candidate=self.space.label(self.space.indexed(j)),
-                center=self.space.label(self.space.indexed(j + 1)),
-                topology="lower_hole", limit="0", required="inf"))
-        return out
-
     def completeness(self) -> FamilyCompleteness:
-        return FamilyCompleteness(False, "identity", tuple(self.rejections()),
-                                  (self.cert("fm.pairwise"),))
+        c = self.cert(self.CERT)
+        # liminf_m d(x_{j+1}, x_m) = lim 1/m = 0 < inf = d(x_{j+1}, x_j)
+        rejections = tuple(CandidateRejection(
+            candidate=self.space.label(self.space.indexed(j)),
+            center=self.space.label(self.space.indexed(j + 1)),
+            topology="lower_hole", limit="0", required="inf")
+            for j in range(1, self.space.cutoff + 1))
+        return FamilyCompleteness(False, "identity", rejections, (c,))
 
 
 class ChainAnalyzer(Analyzer):
@@ -403,26 +471,21 @@ class ChainAnalyzer(Analyzer):
             raise SpaceError("chain analysis needs the truncated-difference rule")
         super().__init__(space)
 
-    def _dist(self, a: Fraction, b: Fraction) -> ExtReal:
-        d = a - b
-        return ExtReal.from_fraction(d) if d > 0 else ZERO
-
-    def classify_identity(self) -> FamilyClasses:
+    def classify(self, seq: FamilySeq) -> FamilyClasses:
+        if seq.kind != "identity":
+            return super().classify(seq)
         c = self.cert(self.CERT)
         # the chain is increasing: d(x_m, x_k) = 0 for m <= k, so every
         # tail sup is 0 and the sequence is Cauchy.
         claim = Claim(True, (c,))
         return FamilyClasses(claim, claim, claim)
 
-    def tail_limits_at(self, center_value: Fraction):
-        """Exact (lim d(c, x_n), lim d(x_n, c)) for the chain sequence."""
-        self.cert(self.CERT)
-        toward = self._dist(center_value, Fraction(1))
-        away = self._dist(Fraction(1), center_value)
-        return toward, away
-
-    def candidates(self) -> list:
-        return self.space.points()
+    def limits(self, seq: FamilySeq, target):
+        if seq.kind != "identity":
+            return super().limits(seq, target)
+        c = self.cert(self.CERT)
+        v = self.space.value(target)
+        return _tsub(Fraction(1), v), _tsub(v, Fraction(1)), (c,)
 
     def is_upper_bound_of_chain(self, pt) -> Claim:
         c = self.cert(self.CERT)
@@ -441,21 +504,21 @@ class ChainAnalyzer(Analyzer):
         candidate with value above 1 overshoots.
         """
         c = self.cert(self.CERT)
-        ubs = [pt for pt in self.candidates() if self.is_upper_bound_of_chain(pt).value]
+        ubs = [pt for pt in self.space.points() if self.is_upper_bound_of_chain(pt).value]
         leq_sups = [pt for pt in ubs
-                    if all(self._dist(self.space.value(pt), self.space.value(z)).is_zero()
+                    if all(_tsub(self.space.value(pt), self.space.value(z)).is_zero()
                            for z in ubs)]
         d_sups = []
         evidence = {}
         for pt in ubs:
             v = self.space.value(pt)
             ok = True
-            for z in self.candidates():
+            for z in self.space.points():
                 w = self.space.value(z)
                 # sup over the chain of (value(y) - w)+ equals (1 - w)+ in the
                 # limit; the candidate must match it exactly.
-                need = self._dist(Fraction(1), w)
-                got = self._dist(v, w)
+                need = _tsub(Fraction(1), w)
+                got = _tsub(v, w)
                 if got != need:
                     ok = False
                     evidence[self.space.label(pt)] = {
@@ -467,7 +530,7 @@ class ChainAnalyzer(Analyzer):
         return {
             "leq_sups": sorted(self.space.label(p) for p in leq_sups),
             "d_sups": sorted(self.space.label(p) for p in d_sups),
-            "in_window_sup_to_zero": str(self._dist(
+            "in_window_sup_to_zero": str(_tsub(
                 self.space.value(self.space.indexed(self.space.cutoff)), Fraction(0))),
             "evidence": evidence,
             "certificates": [c],
@@ -482,7 +545,7 @@ class ChainAnalyzer(Analyzer):
         """Exact single/double hole limit points of the chain sequence."""
         c = self.cert(self.CERT)
         lower, upper, double = [], [], []
-        for pt in self.candidates():
+        for pt in self.space.points():
             v = self.space.value(pt)
             lbl = self.space.label(pt)
             # lower hole: (value(c)-1)+ >= (value(c)-v)+ for every point c,
@@ -490,8 +553,8 @@ class ChainAnalyzer(Analyzer):
             lh = v >= 1
             # upper hole: (1-value(c))+ >= (v-value(c))+ for every c; with
             # c = the least extra (or chain bottom) this forces v <= 1.
-            uh = all(self._dist(Fraction(1), self.space.value(z)) >=
-                     self._dist(v, self.space.value(z)) for z in self.candidates())
+            uh = all(_tsub(Fraction(1), self.space.value(z)) >=
+                     _tsub(v, self.space.value(z)) for z in self.space.points())
             if lh:
                 lower.append(lbl)
             if uh:
@@ -513,34 +576,34 @@ class ChainAnalyzer(Analyzer):
         x = self.space.indexed(1)
         vx = self.space.value(x)
         one = ExtReal(1)
-        in_window_ball = [pt for pt in self.candidates()
-                          if self._dist(self.space.value(pt), vx) < one]
-        if any(pt[0] == "i" and pt not in in_window_ball for pt in self.candidates()):
+        in_window_ball = [pt for pt in self.space.points()
+                          if _tsub(self.space.value(pt), vx) < one]
+        if any(pt[0] == "i" and pt not in in_window_ball for pt in self.space.points()):
             raise CertificateError("chain certificate broke: some chain point left the ball")
         # ball values approach 1, so upper bounds must carry value >= 1
-        ubs = [pt for pt in self.candidates() if self.space.value(pt) >= 1]
-        best = min((self._dist(self.space.value(u), vx) for u in ubs), default=INF)
+        ubs = [pt for pt in self.space.points() if self.space.value(pt) >= 1]
+        best = min((_tsub(self.space.value(u), vx) for u in ubs), default=INF)
         return {"x": self.space.label(x), "r": "1", "value": str(best),
                 "exceeds_radius": best > one, "certificates": [c]}
 
     def completeness(self) -> FamilyCompleteness:
         c = self.cert(self.CERT)
         rejections = []
-        for pt in self.candidates():
+        for pt in self.space.points():
             v = self.space.value(pt)
             lbl = self.space.label(pt)
             if v >= 1:
                 # upper-hole failure against the bottom of the chain
-                z = min(self.candidates(), key=lambda p: self.space.value(p))
+                z = min(self.space.points(), key=lambda p: self.space.value(p))
                 rejections.append(CandidateRejection(
                     lbl, self.space.label(z), "upper_hole",
-                    str(self._dist(Fraction(1), self.space.value(z))),
-                    str(self._dist(v, self.space.value(z)))))
+                    str(_tsub(Fraction(1), self.space.value(z))),
+                    str(_tsub(v, self.space.value(z)))))
             else:
                 nxt = self._strictly_above(v)
                 rejections.append(CandidateRejection(
                     lbl, self.space.label(nxt), "lower_hole",
-                    "0", str(self._dist(self.space.value(nxt), v))))
+                    "0", str(_tsub(self.space.value(nxt), v))))
         return FamilyCompleteness(False, "identity", tuple(rejections), (c,))
 
     def _strictly_above(self, v: Fraction):
@@ -563,13 +626,8 @@ class NaturalOrderAnalyzer(Analyzer):
             raise SpaceError("natural-order analysis needs bare naturals")
         super().__init__(space)
 
-    def _seq_value(self, seq: FamilySeq, k: int) -> int:
-        return seq.term(k)[1]
-
     def classify(self, seq: FamilySeq) -> FamilyClasses:
         c = self.cert(self.CERT)
-        if seq.kind == "constant":
-            return FamilyClasses(Claim(True, (c,)), Claim(True, (c,)), Claim(True, (c,)))
         if seq.kind in ("identity", "swap-odd"):
             # strictly increasing values: all three classes hold
             claim = Claim(True, (c,), "values strictly increase")
@@ -586,9 +644,9 @@ class NaturalOrderAnalyzer(Analyzer):
             ok = Claim(True, (c,), "tail values dominate every fixed term")
             return FamilyClasses(ok, ok, Claim(False, (c,),
                                  f"adjacent inversions at {len(witnesses)} odd positions"))
-        raise UndecidableAtCutoff(seq.kind)
+        return super().classify(seq)
 
-    def cauchy_subsequence(self, seq: FamilySeq) -> FamilySeq:
+    def _extract(self, seq: FamilySeq) -> FamilySeq:
         """Increasing-index extraction of a Cauchy subsequence.
 
         Greedy replay of the finite-subset recursion: repeatedly pick the
@@ -596,13 +654,6 @@ class NaturalOrderAnalyzer(Analyzer):
         term; since the tail sups vanish, the bound at step t is 2^-t,
         which for a 0/inf distance means "comparable upward".
         """
-        cls = self.classify(seq)
-        if not cls.pre_cauchy.value:
-            from .nets import PreconditionError
-            raise PreconditionError("sequence is not pre-Cauchy")
-        if cls.cauchy.value:
-            return seq
-        c = self.cert(self.CERT)
         w = seq.window()
         selected = []
         k = 1
@@ -634,23 +685,15 @@ class NaturalOrderAnalyzer(Analyzer):
         # which is what makes both tails eventually constant
         w = seq.window()
         for k in range(1, w + 1):
-            if self._seq_value(seq, k) < k - 1:
+            if seq.term(k)[1] < k - 1:
                 raise CertificateError("sequence values stopped growing")
         n_cands = self.space.cutoff
         every = sorted(self.space.label(self.space.indexed(i)) for i in range(1, n_cands + 1))
         return {"upper_ball": every, "upper_hole": every,
                 "lower_ball": [], "lower_hole": [], "certificates": [c]}
 
-    def subnet_equiv(self, seq: FamilySeq) -> Claim:
-        sub = self.cauchy_subsequence(seq)
-        a = self.hole_flags(seq)
-        b = self.hole_flags(sub)
-        same = all(a[t] == b[t] for t in ("upper_ball", "lower_ball",
-                                          "upper_hole", "lower_hole"))
-        return Claim(same, (self.cert(self.CERT),))
 
-
-def analyzer_for(space: FamilySpace):
+def analyzer_for(space: FamilySpace) -> Analyzer:
     if space.rule == "sup-truncated-difference":
         return VectorFamilyAnalyzer(space)
     if space.rule == "truncated-difference" and \
@@ -658,7 +701,7 @@ def analyzer_for(space: FamilySpace):
         return ChainAnalyzer(space)
     if space.rule == "order-characteristic" and space.params.get("values") == "natural":
         return NaturalOrderAnalyzer(space)
-    return None
+    return Analyzer(space)
 
 
 def classify_family(seq: FamilySeq) -> FamilyClasses:
@@ -668,81 +711,26 @@ def classify_family(seq: FamilySeq) -> FamilyClasses:
     everything else needs a certified analyzer, and absent one every claim
     is undecidable rather than guessed.
     """
-    space = seq.space
-    if seq.kind == "constant":
-        p = space.point_by_label(seq.point)
-        zero = space.dist(p, p).is_zero()
-        claim = Claim(zero, (), "constant sequence: self-distance decides")
-        return FamilyClasses(claim, claim, claim)
-    an = analyzer_for(space)
-    if an is None:
-        missing = Claim(None, (), "no certificate for this rule")
-        return FamilyClasses(missing, missing, missing)
-    if isinstance(an, VectorFamilyAnalyzer) and seq.kind == "identity":
-        return an.classify_identity()
-    if isinstance(an, ChainAnalyzer) and seq.kind == "identity":
-        return an.classify_identity()
-    if isinstance(an, NaturalOrderAnalyzer):
-        return an.classify(seq)
-    missing = Claim(None, (), f"no certificate for sequence kind {seq.kind}")
-    return FamilyClasses(missing, missing, missing)
+    return analyzer_for(seq.space).classify(seq)
 
 
 def cauchy_subsequence_family(seq: FamilySeq) -> FamilySeq:
     """Cauchy subsequence of a pre-Cauchy family sequence (itself if the
     input already certifies Cauchy)."""
-    from .nets import PreconditionError
-    cls = classify_family(seq)
-    if cls.pre_cauchy.value is None:
-        raise UndecidableAtCutoff("pre-Cauchy status undecidable at this cutoff")
-    if not cls.pre_cauchy.value:
-        raise PreconditionError("sequence is not pre-Cauchy")
-    if cls.cauchy.value:
-        return seq
-    an = analyzer_for(seq.space)
-    if isinstance(an, NaturalOrderAnalyzer):
-        return an.cauchy_subsequence(seq)
-    raise UndecidableAtCutoff("no extraction certificate for this rule")
+    return analyzer_for(seq.space).cauchy_subsequence(seq)
 
 
 def family_is_complete(space: FamilySpace) -> FamilyCompleteness:
-    an = analyzer_for(space)
-    if isinstance(an, VectorFamilyAnalyzer):
-        return an.completeness()
-    if isinstance(an, ChainAnalyzer):
-        return an.completeness()
-    return FamilyCompleteness(None)
+    return analyzer_for(space).completeness()
 
 
 def family_limits_against(seq: FamilySeq, target_label: str):
     """Certified (forward, backward, certificates) limits of d(x_k, y) and
     d(y, x_k) for a family sequence against a named point."""
-    space = seq.space
-    target = space.point_by_label(target_label)
-    if seq.kind == "constant":
-        p = space.point_by_label(seq.point)
-        return space.dist(p, target), space.dist(target, p), ()
-    an = analyzer_for(space)
-    if isinstance(an, VectorFamilyAnalyzer) and seq.kind == "identity":
-        return an.limits_against(target[1])
-    if isinstance(an, ChainAnalyzer) and seq.kind == "identity":
-        toward, away = an.tail_limits_at(space.value(target))
-        return away, toward, (an.CERT,)
-    raise UndecidableAtCutoff(f"no limit certificate for {space.rule}/{seq.kind}")
+    return analyzer_for(seq.space).limits(seq, seq.space.point_by_label(target_label))
 
 
 def family_subnet_equiv(seq: FamilySeq) -> Claim:
     """Single-topology convergence agrees between a pre-Cauchy family
     sequence and its extracted Cauchy subsequence."""
-    cls = classify_family(seq)
-    if cls.pre_cauchy.value is None:
-        raise UndecidableAtCutoff("pre-Cauchy status undecidable at this cutoff")
-    if not cls.pre_cauchy.value:
-        from .nets import PreconditionError
-        raise PreconditionError("sequence is not pre-Cauchy")
-    if cls.cauchy.value:
-        return Claim(True, cls.cauchy.certificates, "subsequence is the sequence itself")
-    an = analyzer_for(seq.space)
-    if isinstance(an, NaturalOrderAnalyzer):
-        return an.subnet_equiv(seq)
-    raise UndecidableAtCutoff("no extraction certificate for this rule")
+    return analyzer_for(seq.space).subnet_equiv(seq)

@@ -8,15 +8,17 @@ double-hole limit; and zero cliques, directedness and suprema read a point
 only through its specialization class, so subset enumerations run over
 the T0 quotient.  Each class of zero self-distance is its own symmetric
 companion and its own directed set with the tail's limit profiles, and a
-finite directed set's top member is its d-supremum.  The functions here
-evaluate the uncollapsed definitions, point by point, so the differential
-tests can pin each production form to them.
+finite directed set's top member is its d-supremum.  Two vectors of the
+vector family differ only on the coordinates between their indices, so
+their sup distance needs no others.  The functions here evaluate the
+uncollapsed definitions, point by point, so the differential tests can pin
+each production form to them.
 """
 
 import itertools
 
 from qmlib.derived import StepFn
-from qmlib.extreal import INF, ZERO, ext_max, ext_min
+from qmlib.extreal import INF, ZERO, ExtReal, ext_max, ext_min
 from qmlib.order import EdCompletenessReport, is_directed, suprema
 from qmlib.space import FiniteSpace, derive, threshold_grid
 from qmlib.topology import CompletenessReport
@@ -216,3 +218,12 @@ def directed_set_with_profiles_oracle(space: FiniteSpace, clique) -> bool:
                 all(min(space.d(z, y) for y in Y) == space.d(z, c0) for z in range(n)):
             return True
     return False
+
+
+def fm_dist_oracle(m: int, k: int) -> ExtReal:
+    """d(x_m, x_k) of the vector family x_n = (inf, ..., inf, 0, 1/(n+1),
+    1/(n+2), ...): the sup of the truncated coordinate differences over
+    coordinates 1..max(m, k) + 1, past which the two vectors agree."""
+    def coord(n, j):
+        return INF if j < n else ZERO if j == n else ExtReal(1, j)
+    return ext_max(coord(m, j).tsub(coord(k, j)) for j in range(1, max(m, k) + 2))

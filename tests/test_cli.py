@@ -1,11 +1,13 @@
 """CLI commands, exit codes, file formats, and report determinism."""
 
 import json
+import time
 
 import pytest
 
 from qmlib.cli import (EXIT_FAILURE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                        canonical_json, main)
+from qmlib.family import MAX_CUTOFF, RULES
 
 
 @pytest.fixture
@@ -105,13 +107,15 @@ class TestCheck:
          "params": {"coordinate_cutoff": True}},
         {"rule": "sup-truncated-difference", "cutoff": 8,
          "params": {"extras": {"zz": "1"}}},
+        {"rule": "sup-truncated-difference", "cutoff": 8,
+         "params": {"coordinate_cutoff": 64}},
     ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "cutoff-x", "cutoff-float", "cutoff-text",
             "not-an-object", "matrix-not-a-list", "label-not-a-string",
             "params-not-an-object", "params-a-list", "extras-not-an-object",
             "extra-not-rational", "extra-not-text", "extra-zero-denominator",
             "unknown-value-form", "unknown-param", "param-of-another-rule",
             "prefix-not-a-string", "window-text", "window-float", "window-bool",
-            "extras-on-vector-rule"])
+            "extras-on-vector-rule", "window-integer"])
     def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -134,6 +138,23 @@ class TestCheck:
         captured = capsys.readouterr()
         assert rc == EXIT_PARSE
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_cutoff_above_the_ceiling_is_precondition_error(self, capsys, tmp_path, rule):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"rule": rule, "cutoff": MAX_CUTOFF + 1}))
+        t0 = time.monotonic()
+        rc = main(["check", str(path)])
+        assert time.monotonic() - t0 < 1.0
+        assert rc == EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
+
+    def test_cutoff_at_the_ceiling_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "ceiling.json"
+        path.write_text(json.dumps({"rule": "order-characteristic", "cutoff": MAX_CUTOFF}))
+        rc, out = run(capsys, ["check", str(path)])
+        assert rc == EXIT_OK
+        assert json.loads(out)["space"]["cutoff"] == MAX_CUTOFF
 
 
 BAD_FILE_CONTENTS = [b"\xff\xfe{}", b"{not json", b"[1, 2]"]
@@ -203,6 +224,12 @@ class TestGallery:
         rc, out = run(capsys, ["gallery", "projection", "--cutoff", "4",
                                "--format", "markdown"])
         assert rc == EXIT_OK and out.startswith("# gallery projection")
+
+    def test_cutoff_above_the_ceiling_is_precondition_error(self, capsys):
+        t0 = time.monotonic()
+        rc, out = run(capsys, ["gallery", "projection", "--cutoff", str(MAX_CUTOFF + 1)])
+        assert time.monotonic() - t0 < 1.0
+        assert rc == EXIT_PRECONDITION and out == ""
 
     def test_unknown_fixture_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 
 from qmlib.extreal import INF, ZERO, ext
-from qmlib.family import (CertificateError, ChainAnalyzer, FamilySeq,
+from qmlib.family import (Analyzer, CertificateError, ChainAnalyzer, FamilySeq,
                           FamilySpace, NaturalOrderAnalyzer,
-                          UndecidableAtCutoff, VectorFamilyAnalyzer,
+                          UndecidableAtCutoff, VectorFamilyAnalyzer, analyzer_for,
                           cauchy_subsequence_family, classify_family,
-                          family_is_complete)
+                          family_is_complete, family_limits_against,
+                          family_subnet_equiv)
 from qmlib.nets import PreconditionError
 from qmlib.space import SpaceError
+
+from tests.oracles import fm_dist_oracle
 
 
 def fm_space(cutoff=12):
@@ -34,6 +37,12 @@ class TestVectorFamily:
         assert sp.dist(sp.indexed(7), sp.indexed(3)) == INF
         assert sp.dist(sp.indexed(5), sp.indexed(5)) == ZERO
 
+    def test_dist_matches_the_coordinate_oracle(self):
+        sp = fm_space(30)
+        for m in range(1, 31):
+            for k in range(1, 31):
+                assert sp.dist(sp.indexed(m), sp.indexed(k)) == fm_dist_oracle(m, k)
+
     def test_identity_sequence_cauchy(self):
         cls = classify_family(FamilySeq(fm_space(), "identity"))
         assert cls.cauchy.value is True
@@ -55,11 +64,6 @@ class TestVectorFamily:
         assert r0.candidate == "f1" and r0.center == "f2"
         assert r0.limit == "0" and r0.required == "inf"
         assert r0.topology == "lower_hole"
-
-    def test_coordinate_window_guard(self):
-        sp = FamilySpace("sup-truncated-difference", 8, {"coordinate_cutoff": 6})
-        with pytest.raises(SpaceError):
-            sp.dist(sp.indexed(7), sp.indexed(8))
 
     def test_subsequence_of_cauchy_is_itself(self):
         seq = FamilySeq(fm_space(), "identity")
@@ -187,6 +191,27 @@ class TestTriStateAndCertificates:
         assert cls.cauchy.value is None
         with pytest.raises(UndecidableAtCutoff):
             cauchy_subsequence_family(FamilySeq(sp, "identity"))
+
+    @pytest.mark.parametrize("space, kind, analyzer", [
+        (FamilySpace("coordinate-projection", 8, {"values": "one_minus_unit"}), "identity",
+         Analyzer),
+        (FamilySpace("truncated-difference", 8, {"values": "natural"}), "swap-pairs", Analyzer),
+        (fm_space(8), "swap-pairs", VectorFamilyAnalyzer),
+        (halfopen_space(8), "swap-odd", ChainAnalyzer),
+    ], ids=["uncovered-rule", "uncovered-values", "vector-uncovered-kind",
+            "chain-uncovered-kind"])
+    def test_every_front_door_answers_undecidable(self, space, kind, analyzer):
+        # an uncovered rule gets the base Analyzer; an uncovered kind on a
+        # covered rule falls through to the base class's answers
+        assert type(analyzer_for(space)) is analyzer
+        seq = FamilySeq(space, kind)
+        cls = classify_family(seq)
+        assert (cls.reflexive.value, cls.pre_cauchy.value, cls.cauchy.value) == (None,) * 3
+        for call in (lambda: family_limits_against(seq, space.label(space.indexed(1))),
+                     lambda: cauchy_subsequence_family(seq),
+                     lambda: family_subnet_equiv(seq)):
+            with pytest.raises(UndecidableAtCutoff):
+                call()
 
     def test_no_completeness_claim_without_analyzer(self):
         sp = FamilySpace("coordinate-projection", 8, {"values": "one_minus_unit"})

@@ -3,10 +3,10 @@ check``, ``qml audit --second-distance`` or ``qml report`` ends in an exit
 code of 0, 1, 2 or 3, and never in an exception escaping ``main``.  An
 exit 2 prints exactly one stderr line.
 
-Every integer drawn here stays below 60.  A family file's ``cutoff`` and
-``coordinate_cutoff`` size the work of ``qml check`` (at cutoff 1000 the
-vector rule runs for minutes), so larger values would turn the fuzz into a
-timing test.
+Every integer drawn here stays below 60.  A family file's ``cutoff`` sizes
+the work of ``qml check`` (the vector rule takes seconds near the
+``family.MAX_CUTOFF`` ceiling, above which it exits 3), so larger values
+would turn the fuzz into a timing test.
 """
 
 import contextlib

@@ -20,6 +20,12 @@ A 12-point chain (d(i,j) = 0 if i <= j, else 1) has one class per point,
 so it is the class-rich audit: every statement is non-vacuous on it.  Its
 hash was recorded while sup_upgrade still walked every subset of the class
 representatives, before the (x, z) reduction replaced that walk.
+
+The gallery hashes cover all four fixtures at cutoffs 16 and 50.  The two
+grid fixtures were recorded before the family layer dropped the vector
+rule's coordinate window.  The two family fixtures were recorded after
+their ``valid_distance`` descriptions came to name the triples the check
+covers; those two strings are the only bytes that changed.
 """
 
 import hashlib
@@ -44,12 +50,33 @@ GOLDEN = [
      "7361f69bdf118631458a2974662772f64f980242d1dae2c4a72febd2f16748ac"),
     (["audit", "chain_n12.json"],
      "42432f8dadb6b8f869ab832e556d539982f531ca5b476626dfdeb405ed98b554"),
+    (["gallery", "projection", "--cutoff", "16", "--json"],
+     "fec272e01a86e114ddc41370c0b248a6bed6d515ead352ec1edeaf5fff1ecb3c"),
+    (["gallery", "projection", "--cutoff", "50", "--json"],
+     "e990a69c9810c042c44de79503819a3a621daaba26ba78d218d319840af457d2"),
+    (["gallery", "x_one_minus_y", "--cutoff", "16", "--json"],
+     "8f098fb5b859c1fe766c19165a32db93df4aaa10c16befb996cbcd066cfa7005"),
+    (["gallery", "x_one_minus_y", "--cutoff", "50", "--json"],
+     "ff69208dc748a62aba5d17a112904f615eb9480e599ac130074c6e0958307372"),
+    (["gallery", "halfopen", "--cutoff", "16", "--json"],
+     "96dae891c5892f0ac861ade170d12862cf31c99e1e1f7daaf943c01c1a96f6f8"),
+    (["gallery", "halfopen", "--cutoff", "50", "--json"],
+     "02db7f055db08165aaa7838b4adbd7530700a9337ea722c4fb850a7c5d9ce661"),
+    (["gallery", "fm_counterexample", "--cutoff", "16", "--json"],
+     "fa7298d5375421b027f1cb9b356da19c3a20ee595d1390c84db9b0ae0dcd383a"),
+    (["gallery", "fm_counterexample", "--cutoff", "50", "--json"],
+     "0b8dcf433fdbe88c5367f91b5ccb56cfe78a926feb0d14f2c0f7e7d266a9591b"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
                          ids=["random-seed-0", "random-seed-424242", "check-coprime",
-                              "audit-pair", "audit-plain-classes", "audit-chain"])
+                              "audit-pair", "audit-plain-classes", "audit-chain",
+                              "gallery-projection-16", "gallery-projection-50",
+                              "gallery-x_one_minus_y-16", "gallery-x_one_minus_y-50",
+                              "gallery-halfopen-16", "gallery-halfopen-50",
+                              "gallery-fm_counterexample-16",
+                              "gallery-fm_counterexample-50"])
 def test_report_bytes_unchanged(capsys, monkeypatch, argv, digest):
     # reports embed the input path, so run from the data directory
     monkeypatch.chdir(DATA)

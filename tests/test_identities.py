@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmlib.cli import EXIT_PRECONDITION, main
-from qmlib.derived import derived_functions
+from qmlib.derived import derived_functions, sub_identity
 from qmlib.generate import random_metric, random_space, random_value_pair
-from qmlib.nets import PreconditionError, zero_cliques
+from qmlib.nets import PreconditionError, epseq, zero_cliques
 from qmlib.order import check_ed_complete, suprema
 from qmlib.space import derive, space_from_rows
 from qmlib.theorems import (AuditContext, AuditOptions, audit, compose_with_filter,
-                            sup_upgrade_counterexample)
+                            construct_directed_from_cauchy, sup_upgrade_counterexample)
 from qmlib.topology import is_complete
 
 from tests.oracles import (check_ed_complete_oracle, companion_oracle,
@@ -160,6 +160,23 @@ def test_per_class_searches_always_succeed(pair):
     # the audit decides these three statements by identity
     report = audit(d_space, AuditOptions(statements=IDENTITY_STATEMENTS, second=e_space))
     assert all(e.conclusion_verified for e in report.entries if not e.vacuous)
+
+
+@EXAMPLES
+@given(wide_pairs)
+def test_directed_construction_is_the_least_class_member(pair):
+    # Below the smallest positive value each radius step of the construction
+    # asks for a y at distance 0 from the tail term x that lies below x's
+    # whole up-set: those are exactly x's class, and the search takes its
+    # least member.  So cauchy_to_directed holds by identity.
+    d_space = pair[0]
+    ctx = AuditContext(d_space, pair[1])
+    if not sub_identity(ctx.dfs.d_up):
+        return
+    for clique in ctx.cliques:
+        res = construct_directed_from_cauchy(d_space, epseq([], sorted(clique)), ctx.dfs)
+        assert res.Y == (d_space.labels[min(clique)],)
+        assert res.ok
 
 
 # d(0,1) = d(1,0) = d(1,2) = d(2,1) = 0 but d(0,2) = 1: the triangle law
