@@ -240,13 +240,15 @@ def _instance_payload(args) -> dict:
 
 
 def run_random(cfg: RunConfig) -> int:
-    tasks = [(i, kind, space, second, cfg.theorems)
-             for i, kind, space, second in instance_stream(cfg.seed, cfg.n, cfg.count)]
+    # a generator, so the serial path drops each space (and its caches)
+    # once its payload is built
+    tasks = ((i, kind, space, second, cfg.theorems)
+             for i, kind, space, second in instance_stream(cfg.seed, cfg.n, cfg.count))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             payloads = list(pool.map(_instance_payload, tasks, chunksize=16))
     else:
-        payloads = [_instance_payload(t) for t in tasks]
+        payloads = list(map(_instance_payload, tasks))
     payloads.sort(key=lambda p: p["index"])
 
     summary = {}

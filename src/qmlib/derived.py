@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extreal import INF, ZERO, ExtReal, ext_min
+from .extreal import INF, ZERO, ExtReal
 from .space import FiniteSpace
 
 
@@ -104,44 +104,53 @@ def derived_functions(space: FiniteSpace) -> DerivedFunctions:
 
     Empty candidate sets contribute inf.  The definitional forms of d_F
     and d_Phi are kept as test oracles.
+
+    Both functions run as one ascending sweep over the integer form of the
+    matrix (``FiniteSpace.scaled``): a ball only grows with the radius, so
+    each point's bound is recomputed only when its ball gains a member.
     """
-    n = space.n
-    finite_vals = [v for v in space.distinct_values if not v.is_inf and not v.is_zero()]
-    cuts = tuple(finite_vals) + (INF,)
-    up0 = space.zero_up
-    down0 = space.zero_down
+    rows, back, sentinel = space.scaled
+    cuts = sorted({v for row in rows for v in row if 0 < v < sentinel})
+    cuts.append(sentinel)
+    columns = tuple(zip(*rows))
+    return DerivedFunctions(_ball_bound_fn(rows, space.zero_up, cuts, back),
+                            _ball_bound_fn(columns, space.zero_down, cuts, back))
 
-    def piece_values(r: ExtReal | None):
-        # r=None encodes radius 0 (empty balls)
-        up_worst = ZERO
-        low_worst = ZERO
-        for x in range(n):
-            ball_up_mask = 0
-            ball_low_mask = 0
-            if r is not None:
-                for z in range(n):
-                    if space.d(x, z) < r:
-                        ball_up_mask |= 1 << z
-                    if space.d(z, x) < r:
-                        ball_low_mask |= 1 << z
-            lb = [y for y in range(n) if up0[y] & ball_up_mask == ball_up_mask]
-            up_here = ext_min((space.d(x, y) for y in lb), INF)
-            ub = [y for y in range(n) if down0[y] & ball_low_mask == ball_low_mask]
-            low_here = ext_min((space.d(y, x) for y in ub), INF)
-            if up_worst < up_here:
-                up_worst = up_here
-            if low_worst < low_here:
-                low_worst = low_here
-        return up_worst, low_worst
 
-    z_up, z_low = piece_values(None)
-    ups, lows = [], []
+def _ball_bound_fn(rows, cover, cuts, back) -> StepFn:
+    """Worst over x of the least ``rows[x][y]`` over the y whose ``cover``
+    mask holds the ball {z : rows[x][z] < r}, at radius 0 and at each cut
+    (the last cut is the sentinel, the empty infimum).
+
+    With rows = d and cover = zero_up this is d_up; with rows = the
+    transpose of d and cover = zero_down it is d_low.  Each point walks
+    its row in ascending order, so each ball is built once in total.
+    """
+    n = len(rows)
+    sentinel = cuts[-1]
+
+    def bound(x: int, ball: int) -> int:
+        row = rows[x]
+        return min((row[y] for y in range(n) if cover[y] & ball == ball), default=sentinel)
+
+    orders = [sorted(range(n), key=row.__getitem__) for row in rows]
+    filled = [0] * n      # how much of each ordered row the ball holds
+    balls = [0] * n
+    bounds = [min(row, default=sentinel) for row in rows]   # empty balls
+    at_zero = max(bounds, default=0)
+    values = []
     for cut in cuts:
-        u, l = piece_values(cut)
-        ups.append(u)
-        lows.append(l)
-    return DerivedFunctions(StepFn(z_up, cuts, tuple(ups)),
-                            StepFn(z_low, cuts, tuple(lows)))
+        for x in range(n):
+            row, order, k = rows[x], orders[x], filled[x]
+            if k < n and row[order[k]] < cut:
+                ball = balls[x]
+                while k < n and row[order[k]] < cut:
+                    ball |= 1 << order[k]
+                    k += 1
+                filled[x], balls[x] = k, ball
+                bounds[x] = bound(x, ball)
+        values.append(max(bounds, default=0))
+    return StepFn(back[at_zero], tuple(back[c] for c in cuts), tuple(back[v] for v in values))
 
 
 def _sample_points(f: StepFn, g: StepFn) -> list:

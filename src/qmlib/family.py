@@ -131,6 +131,12 @@ class FamilySpace:
     def _dist_cache(self) -> dict:
         return {}
 
+    @cached_property
+    def _verified(self) -> dict:
+        """Certificate id -> outcome of its in-window check, so each check
+        runs once per space however many analyzers read it."""
+        return {}
+
     def dist(self, p, q) -> ExtReal:
         if self.rule == "coordinate-projection":
             return ExtReal.from_fraction(self.value(q))
@@ -338,13 +344,12 @@ class Analyzer:
 
     def __init__(self, space: FamilySpace):
         self.space = space
-        self._verified: dict = {}
 
     def cert(self, cert_id: str) -> str:
-        ok = self._verified.get(cert_id)
+        verified = self.space._verified
+        ok = verified.get(cert_id)
         if ok is None:
-            ok = _CERT_CHECKS[cert_id](self.space)
-            self._verified[cert_id] = ok
+            ok = verified[cert_id] = _CERT_CHECKS[cert_id](self.space)
         if not ok:
             raise CertificateError(f"certificate {cert_id} failed in-window verification")
         return cert_id
@@ -699,7 +704,8 @@ def analyzer_for(space: FamilySpace) -> Analyzer:
     if space.rule == "truncated-difference" and \
             space.params.get("values", "one_minus_unit") == "one_minus_unit":
         return ChainAnalyzer(space)
-    if space.rule == "order-characteristic" and space.params.get("values") == "natural":
+    if space.rule == "order-characteristic" and space.params.get("values") == "natural" \
+            and not space.params.get("extras"):
         return NaturalOrderAnalyzer(space)
     return Analyzer(space)
 

@@ -14,6 +14,14 @@ from .extreal import ExtReal, ext_max, ext_min
 from .space import FiniteSpace, SpaceError, representatives
 
 
+# Largest specialization class whose zero cliques are listed; a larger
+# one raises PreconditionError (exit 3) before any listing.  A class of k
+# points has 2^k - 1 cliques: an all-zero 20-point file took 0.2 s and
+# 63 MB peak RSS (2-vCPU VM, Python 3.11), and each further point doubles
+# both.
+MAX_CLASS_SIZE = 20
+
+
 class PreconditionError(ValueError):
     """An operation was called outside its stated precondition."""
 
@@ -141,7 +149,8 @@ def zero_cliques(space: FiniteSpace):
     specialization classes (``FiniteSpace.class_masks``) of the points
     with zero self-distance, so the list is built class by class.  The
     classes are first confirmed to partition those points; a space where
-    they do not (the triangle law fails) raises ``PreconditionError``.
+    they do not (the triangle law fails), or with a class above
+    ``MAX_CLASS_SIZE`` points, raises ``PreconditionError``.
     """
     n = space.n
     classes = space.class_masks
@@ -154,6 +163,11 @@ def zero_cliques(space: FiniteSpace):
                 "specialization classes do not partition the zero-self-distance "
                 "points (the triangle law fails)")
     reps = representatives(classes) & core
+    largest = max((classes[i].bit_count() for i in range(n) if reps >> i & 1), default=0)
+    if largest > MAX_CLASS_SIZE:
+        raise PreconditionError(
+            f"a specialization class of {largest} points exceeds the ceiling "
+            f"{MAX_CLASS_SIZE} for listing its zero cliques")
     return sorted(sub for i in range(n) if reps >> i & 1 for sub in submasks(classes[i]))
 
 

@@ -22,7 +22,8 @@ from .topology import convergence
 class SupremumResult:
     d_sups: frozenset
     leq_sups: frozenset
-    # Partition of leq_sups under mutual specialization (x <= y <= x).
+    # Partition of leq_sups under mutual specialization (x <= y <= x): at
+    # most one class, since two least upper bounds lie below each other.
     classes: tuple
 
     def to_dict(self) -> dict:
@@ -32,29 +33,32 @@ class SupremumResult:
 
 
 def suprema(space: FiniteSpace, Y) -> SupremumResult:
-    """d-suprema and order suprema of a nonempty point set (indices)."""
+    """d-suprema and order suprema of a nonempty point set (indices).
+
+    Read off the zero masks and the integer rows of the space: x bounds Y
+    when Y lies inside ``zero_down[x]``, and is a d-supremum when, in
+    addition, its row equals the column-wise max of the rows of Y.
+    """
     pts = sorted(set(Y))
     if not pts:
         raise PreconditionError("Y must be nonempty")
-    n = space.n
-    upper = [x for x in range(n) if all(space.leq(y, x) for y in pts)]
-    upper_set = set(upper)
-    leq_sups = [x for x in upper if all(space.leq(x, z) for z in upper_set)]
-    d_sups = []
-    for x in upper:
-        if all(ext_max(space.d(y, z) for y in pts) == space.d(x, z) for z in range(n)):
-            d_sups.append(x)
-    classes = []
-    seen = set()
-    for x in leq_sups:
-        if x in seen:
-            continue
-        cls = frozenset(z for z in leq_sups if space.leq(x, z) and space.leq(z, x))
-        seen |= cls
-        classes.append(frozenset(space.labels[i] for i in cls))
-    return SupremumResult(frozenset(space.labels[i] for i in d_sups),
-                          frozenset(space.labels[i] for i in leq_sups),
-                          tuple(classes))
+    up0 = space.zero_up
+    down0 = space.zero_down
+    ymask = _mask(pts)
+    upper = [x for x in range(space.n) if down0[x] & ymask == ymask]
+    umask = _mask(upper)
+    leq_sups = [x for x in upper if up0[x] & umask == umask]
+    rows = space.scaled[0]
+    profile = _sup_profile(rows, pts)
+    d_sups = [x for x in upper if list(rows[x]) == profile]
+    leq_labels = frozenset(space.labels[i] for i in leq_sups)
+    return SupremumResult(frozenset(space.labels[i] for i in d_sups), leq_labels,
+                          (leq_labels,) if leq_sups else ())
+
+
+def _mask(pts) -> int:
+    """Bitmask of a list of distinct point indices."""
+    return sum(1 << p for p in pts)
 
 
 def is_directed(space: FiniteSpace, Y, sense: str = "d") -> bool:
@@ -72,9 +76,7 @@ def is_directed(space: FiniteSpace, Y, sense: str = "d") -> bool:
     if not pts:
         raise PreconditionError("Y must be nonempty")
     up0 = space.zero_up
-    ymask = 0
-    for p in pts:
-        ymask |= 1 << p
+    ymask = _mask(pts)
     return all(up0[a] & up0[b] & ymask
                for a, b in itertools.combinations_with_replacement(pts, 2))
 
@@ -135,18 +137,17 @@ def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace,
 
 def _has_d_sup(space: FiniteSpace, pts) -> bool:
     """Existence-only d-supremum test (matches suprema().d_sups != empty)."""
-    n = space.n
     down0 = space.zero_down
-    ymask = 0
-    for p in pts:
-        ymask |= 1 << p
-    profile = [ext_max(space.d(y, z) for y in pts) for z in range(n)]
-    for x in range(n):
-        if down0[x] & ymask != ymask:
-            continue
-        if all(space.d(x, z) == profile[z] for z in range(n)):
-            return True
-    return False
+    ymask = _mask(pts)
+    rows = space.scaled[0]
+    profile = _sup_profile(rows, pts)
+    return any(list(rows[x]) == profile
+               for x in range(space.n) if down0[x] & ymask == ymask)
+
+
+def _sup_profile(rows, pts) -> list:
+    """Row of sup over y in pts of d(y, z), on the integer form of d."""
+    return list(map(max, zip(*[rows[y] for y in pts])))
 
 
 def _sampled_subsets(n: int, rng, samples: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .extreal import INF, ZERO, ExtReal, ext_min
 
@@ -103,6 +104,29 @@ class FiniteSpace:
     def leq(self, i: int, j: int) -> bool:
         """The specialization order: d(i,j) = 0."""
         return self.matrix[i][j].is_zero()
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """The matrix as exact integers: ``(rows, back, sentinel)``.
+
+        Every finite entry is multiplied by the lcm D of the finite
+        denominators, so ``rows`` holds Python ints that order and compare
+        exactly as the entries do.  Infinity becomes ``sentinel``,
+        ``max(2, n) * max_finite + 1``: above every finite entry and every
+        sum of up to n - 1 of them (a min-plus path).  ``back`` maps each
+        int of ``rows``, 0 and ``sentinel`` to its ``ExtReal``.  Inner
+        loops that only compare entries run on this form; values leave it
+        through ``back``.
+        """
+        finite = [v for v in {v for row in self.matrix for v in row} if not v.is_inf]
+        scale = lcm(*(v.den for v in finite))
+        to_int = {v: v.num * (scale // v.den) for v in finite}
+        sentinel = max(2, self.n) * max(to_int.values(), default=0) + 1
+        to_int[INF] = sentinel
+        rows = tuple(tuple(to_int[v] for v in row) for row in self.matrix)
+        back = {0: ZERO, sentinel: INF}
+        back.update((k, v) for v, k in to_int.items())
+        return rows, back, sentinel
 
     @cached_property
     def distinct_values(self) -> tuple:

@@ -12,14 +12,16 @@ finite directed set's top member is its d-supremum.  Two vectors of the
 vector family differ only on the coordinates between their indices, so
 their sup distance needs no others.  The functions here evaluate the
 uncollapsed definitions, point by point, so the differential tests can pin
-each production form to them.
+each production form to them.  ``derived_functions_oracle`` and
+``suprema_oracle`` keep the cut-by-cut and point-by-point ``ExtReal``
+loops that the integer form of the matrix replaced.
 """
 
 import itertools
 
-from qmlib.derived import StepFn
+from qmlib.derived import DerivedFunctions, StepFn
 from qmlib.extreal import INF, ZERO, ExtReal, ext_max, ext_min
-from qmlib.order import EdCompletenessReport, is_directed, suprema
+from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
 from qmlib.space import FiniteSpace, derive, threshold_grid
 from qmlib.topology import CompletenessReport
 
@@ -27,9 +29,71 @@ from qmlib.topology import CompletenessReport
 def _step_over_cuts(space: FiniteSpace, piece) -> StepFn:
     """StepFn on the cuts derived_functions uses, valued by ``piece(r)``
     (r=None for radius 0, where every ball is empty)."""
-    finite_vals = [v for v in space.distinct_values if not v.is_inf and not v.is_zero()]
-    cuts = tuple(finite_vals) + (INF,)
+    cuts = _cuts(space)
     return StepFn(piece(None), cuts, tuple(piece(r) for r in cuts))
+
+
+def _cuts(space: FiniteSpace) -> tuple:
+    """The distinct positive finite matrix values, ascending, then inf."""
+    return tuple(v for v in space.distinct_values if not v.is_inf and not v.is_zero()) + (INF,)
+
+
+def derived_functions_oracle(space: FiniteSpace) -> DerivedFunctions:
+    """d_up and d_low cut by cut on ExtReal entries: at every radius each
+    ball is rebuilt from scratch, its bound candidates listed and the
+    worst bound taken over the points."""
+    n = space.n
+    up0 = space.zero_up
+    down0 = space.zero_down
+
+    def piece_values(r):
+        up_worst = ZERO
+        low_worst = ZERO
+        for x in range(n):
+            ball_up = 0
+            ball_low = 0
+            if r is not None:
+                for z in range(n):
+                    if space.d(x, z) < r:
+                        ball_up |= 1 << z
+                    if space.d(z, x) < r:
+                        ball_low |= 1 << z
+            lb = [y for y in range(n) if up0[y] & ball_up == ball_up]
+            up_here = ext_min((space.d(x, y) for y in lb), INF)
+            ub = [y for y in range(n) if down0[y] & ball_low == ball_low]
+            low_here = ext_min((space.d(y, x) for y in ub), INF)
+            up_worst = ext_max((up_worst, up_here))
+            low_worst = ext_max((low_worst, low_here))
+        return up_worst, low_worst
+
+    cuts = _cuts(space)
+    at_zero = piece_values(None)
+    at_cuts = [piece_values(r) for r in cuts]
+    return DerivedFunctions(*(StepFn(at_zero[k], cuts, tuple(v[k] for v in at_cuts))
+                              for k in (0, 1)))
+
+
+def suprema_oracle(space: FiniteSpace, Y) -> SupremumResult:
+    """d-suprema, order suprema and their classes point by point on
+    ExtReal entries: the order upper bounds x of Y, those below every
+    upper bound, and those with d(x, z) = max over y in Y of d(y, z) for
+    every z."""
+    pts = sorted(set(Y))
+    n = space.n
+    upper = [x for x in range(n) if all(space.leq(y, x) for y in pts)]
+    leq_sups = [x for x in upper if all(space.leq(x, z) for z in upper)]
+    d_sups = [x for x in upper
+              if all(space.d(x, z) == ext_max(space.d(y, z) for y in pts) for z in range(n))]
+    classes = []
+    seen = set()
+    for x in leq_sups:
+        if x in seen:
+            continue
+        cls = {z for z in leq_sups if space.leq(x, z) and space.leq(z, x)}
+        seen |= cls
+        classes.append(frozenset(space.labels[i] for i in cls))
+    return SupremumResult(frozenset(space.labels[i] for i in d_sups),
+                          frozenset(space.labels[i] for i in leq_sups), tuple(classes))
 
 
 def _lower_ball(space: FiniteSpace, x: int, r) -> list:

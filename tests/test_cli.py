@@ -8,6 +8,7 @@ import pytest
 from qmlib.cli import (EXIT_FAILURE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                        canonical_json, main)
 from qmlib.family import MAX_CUTOFF, RULES
+from qmlib.nets import MAX_CLASS_SIZE
 
 
 @pytest.fixture
@@ -155,6 +156,35 @@ class TestCheck:
         rc, out = run(capsys, ["check", str(path)])
         assert rc == EXIT_OK
         assert json.loads(out)["space"]["cutoff"] == MAX_CUTOFF
+
+    def test_natural_values_with_extras_are_undecided(self, capsys, tmp_path):
+        # the natural-order certificate covers bare naturals only
+        path = tmp_path / "naturals.json"
+        path.write_text(json.dumps({"rule": "order-characteristic", "cutoff": 8,
+                                    "params": {"values": "natural", "extras": {"h": "1/3"}}}))
+        rc, out = run(capsys, ["check", str(path)])
+        assert rc == EXIT_OK
+        assert json.loads(out)["completeness"]["complete"] is None
+
+    @staticmethod
+    def _all_zero(tmp_path, n):
+        path = tmp_path / f"zero{n}.json"
+        path.write_text(json.dumps({"points": [f"p{i}" for i in range(n)],
+                                    "matrix": [["0"] * n for _ in range(n)]}))
+        return str(path)
+
+    def test_class_above_the_ceiling_is_precondition_error(self, capsys, tmp_path):
+        path = self._all_zero(tmp_path, MAX_CLASS_SIZE + 1)
+        t0 = time.monotonic()
+        rc = main(["check", path])
+        assert time.monotonic() - t0 < 1.0
+        assert rc == EXIT_PRECONDITION
+        assert capsys.readouterr().out == ""
+
+    def test_class_at_the_ceiling_is_accepted(self, capsys, tmp_path):
+        rc, out = run(capsys, ["check", self._all_zero(tmp_path, MAX_CLASS_SIZE)])
+        assert rc == EXIT_OK
+        assert json.loads(out)["completeness"]["cliques_checked"] == 2 ** MAX_CLASS_SIZE - 1
 
 
 BAD_FILE_CONTENTS = [b"\xff\xfe{}", b"{not json", b"[1, 2]"]

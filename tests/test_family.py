@@ -222,7 +222,7 @@ class TestTriStateAndCertificates:
         # natural-values certificate
         sp = FamilySpace("order-characteristic", 8, {"values": "natural"})
         an = NaturalOrderAnalyzer(sp)
-        an._verified["naturals.values"] = False
+        sp._verified["naturals.values"] = False
         with pytest.raises(CertificateError):
             an.cert("naturals.values")
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qmlib import family
 from qmlib.gallery import GALLERY_NAMES, build, verify
 from qmlib.space import FiniteSpace, SpaceError
 
@@ -25,6 +26,19 @@ class TestBuildAndVerify:
         assert set(small_ids) == set(large_ids)
         for fact_id, passed in small_ids.items():
             assert large_ids[fact_id] == passed
+
+    def test_certificate_checked_once_per_space(self, monkeypatch):
+        # the fixture's own analyzer, family_is_complete and the Cauchy
+        # fact each build an analyzer; the space keeps the one verdict
+        calls = []
+
+        def counting(space):
+            calls.append(space)
+            return family._check_vector_pairwise(space)
+
+        monkeypatch.setitem(family._CERT_CHECKS, "fm.pairwise", counting)
+        assert verify(build("fm_counterexample", 16)).ok
+        assert len(calls) == 1
 
     def test_unknown_name(self):
         with pytest.raises(SpaceError):

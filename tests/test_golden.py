@@ -16,6 +16,12 @@ denominators, an 8-point value-based pair (d, e) whose e differs from the
 symmetric join of d, and a 10-point plain distance (one point of nonzero
 self-distance) with specialization classes of 1, 2 and 6 points, on which
 sup_upgrade, symmetric_companion and cauchy_to_directed are non-vacuous.
+A 15-point hemimetric file, drawn like the ``check_coprime`` benchmark
+inputs (92 distinct values k/p in (1, 2) with p prime from 11 to 97, two
+mutually-zero pairs), pins ``qml check`` where the common denominator is
+a product of many primes; its hash was recorded before
+``derived_functions`` and the d-supremum tests moved to the integer form
+of the matrix.
 A 12-point chain (d(i,j) = 0 if i <= j, else 1) has one class per point,
 so it is the class-rich audit: every statement is non-vacuous on it.  Its
 hash was recorded while sup_upgrade still walked every subset of the class
@@ -44,6 +50,8 @@ GOLDEN = [
      "c7ed45f3187dbf5561de0eed72f0149a97f35f7d8a2587359bf2858a1a0c6fb7"),
     (["check", "coprime_n8.json"],
      "d51905ee5bc62de38fc44fa3761e8bf1059413f73e86562a502a7804fcfc4d3e"),
+    (["check", "coprime_n15.json"],
+     "9b6dff8e73b04312a0c4331ff6269b402f6b8750a4fa08f1c557a4b7591eb7b8"),
     (["audit", "pair_n8_d.json", "--second-distance", "pair_n8_e.json"],
      "d9e45cd016286ba091f8edbf31f7aece48380526866b4de8afbfd21f49d8755d"),
     (["audit", "plain_n10.json"],
@@ -71,7 +79,8 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
                          ids=["random-seed-0", "random-seed-424242", "check-coprime",
-                              "audit-pair", "audit-plain-classes", "audit-chain",
+                              "check-coprime-15", "audit-pair", "audit-plain-classes",
+                              "audit-chain",
                               "gallery-projection-16", "gallery-projection-50",
                               "gallery-x_one_minus_y-16", "gallery-x_one_minus_y-50",
                               "gallery-halfopen-16", "gallery-halfopen-50",

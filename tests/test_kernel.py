@@ -1,0 +1,124 @@
+"""The integer form of a space and the loops that run on it.
+
+``FiniteSpace.scaled`` holds the matrix as exact ints.  ``derived_functions``
+sweeps it once in ascending order, and ``suprema`` and ``_has_d_sup`` test
+d-suprema on its rows (``suprema`` reads the order side off the zero
+masks).  Each is pinned here to an ``ExtReal`` oracle, on
+arbitrary square matrices (non-distances and nonzero diagonals included)
+and on min-plus-closed spaces whose values have pairwise-coprime prime
+denominators, so the common denominator is large.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from qmlib.derived import derived_functions
+from qmlib.extreal import INF, ZERO, ExtReal
+from qmlib.order import _has_d_sup, suprema
+from qmlib.space import minplus_closure, space_from_rows
+
+from tests.oracles import derived_functions_oracle, suprema_oracle
+
+VALUES = tuple(ExtReal.parse(t) for t in ("0", "1/2", "3/7", "5/11", "1", "2", "inf"))
+PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+EXAMPLES = settings(max_examples=150, deadline=None)
+
+
+def _labels(n: int) -> list:
+    return [f"p{i}" for i in range(n)]
+
+
+@st.composite
+def matrices(draw, max_n=7):
+    """Any square matrix over VALUES: the triangle law need not hold."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    row = st.lists(st.sampled_from(VALUES), min_size=n, max_size=n)
+    return space_from_rows(_labels(n), draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def coprime_closed(draw, max_n=7):
+    """The min-plus closure of a matrix of values k/p with p prime, plus
+    some zeros and infinities."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.one_of(
+        st.just(ZERO), st.just(INF),
+        st.builds(lambda p, k: ExtReal(k, p), st.sampled_from(PRIMES),
+                  st.integers(min_value=1, max_value=300)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return minplus_closure(rows)
+
+
+spaces = st.one_of(matrices(), coprime_closed())
+
+
+@st.composite
+def spaces_with_subsets(draw):
+    space = draw(spaces)
+    pts = draw(st.sets(st.integers(min_value=0, max_value=space.n - 1), min_size=1))
+    return space, sorted(pts)
+
+
+@EXAMPLES
+@given(matrices())
+def test_derived_functions_match_the_oracle_on_any_matrix(space):
+    assert derived_functions(space).to_dict() == derived_functions_oracle(space).to_dict()
+
+
+@EXAMPLES
+@given(coprime_closed())
+def test_derived_functions_match_the_oracle_on_coprime_distances(space):
+    assert space.validation.is_distance
+    assert derived_functions(space).to_dict() == derived_functions_oracle(space).to_dict()
+
+
+@EXAMPLES
+@given(spaces_with_subsets())
+def test_suprema_match_the_oracle(case):
+    space, pts = case
+    want = suprema_oracle(space, pts)
+    assert suprema(space, pts) == want
+    assert _has_d_sup(space, pts) == bool(want.d_sups)
+
+
+@EXAMPLES
+@given(spaces)
+def test_scaled_preserves_order_and_inverts_exactly(space):
+    rows, back, sentinel = space.scaled
+    n = space.n
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in cells:
+        assert back[rows[i][j]] == space.d(i, j)
+        assert (rows[i][j] == sentinel) == space.d(i, j).is_inf
+    for a in cells:
+        for b in cells:
+            da, db = space.d(*a), space.d(*b)
+            ra, rb = rows[a[0]][a[1]], rows[b[0]][b[1]]
+            assert (ra < rb) == (da < db)
+            assert (ra == rb) == (da == db)
+    max_finite = max((v for row in rows for v in row if v != sentinel), default=0)
+    assert sentinel > (n - 1) * max_finite
+    assert back[0] == ZERO and back[sentinel] == INF
+
+
+def test_sentinel_survives_the_longest_min_plus_path():
+    # the unit chain 0 -> 1 -> 2 -> 3: the path from 0 to 3 sums n - 1 = 3
+    # steps, which a sentinel of 2 * max_finite + 1 = 3 would read as inf
+    text = [["0" if j == i else "1" if j == i + 1 else "inf" for j in range(4)]
+            for i in range(4)]
+    space = space_from_rows(_labels(4), text)
+    rows, back, sentinel = space.scaled
+    work = [list(r) for r in rows]
+    for k in range(4):
+        for i in range(4):
+            for j in range(4):
+                work[i][j] = min(work[i][j], work[i][k] + work[k][j], sentinel)
+    assert work[0][3] == 3 * rows[0][1] < sentinel
+    assert work[3][0] == sentinel
+    closure = minplus_closure(space.matrix)
+    assert closure.d(0, 3) == ExtReal(3) and closure.d(3, 0) == INF
+
+
+def test_empty_and_constant_spaces():
+    for rows in ([], [["inf"]], [["0", "0"], ["0", "0"]]):
+        space = space_from_rows(_labels(len(rows)), rows)
+        assert derived_functions(space).to_dict() == derived_functions_oracle(space).to_dict()
