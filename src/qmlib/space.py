@@ -164,16 +164,48 @@ def space_from_rows(labels, rows) -> FiniteSpace:
     return FiniteSpace(tuple(labels), matrix)
 
 
+def _below_masks(values) -> list:
+    """Per position j, the bitmask of the positions k with
+    ``values[k] < values[j]``; equal values share one mask."""
+    out = [0] * len(values)
+    below = tie = 0
+    prev = None
+    for j in sorted(range(len(values)), key=values.__getitem__):
+        v = values[j]
+        if v != prev:
+            below |= tie
+            tie = 0
+            prev = v
+        out[j] = below
+        tie |= 1 << j
+    return out
+
+
 def _validate(space: FiniteSpace) -> Validation:
     n = space.n
     m = space.matrix
     violations = []
     is_distance = True
+    # Entries are nonnegative, so d(i,j) > d(i,k) + d(k,j) needs both legs
+    # strictly below d(i,j); every other k satisfies the triangle law as is.
+    # row_below[i][j]: the k with d(i,k) < d(i,j); col_below[j][i]: the k
+    # with d(k,j) < d(i,j).  Their candidates go low to high, so violations
+    # keep their (i, j, k) order.
+    cols = tuple(zip(*m))
+    row_below = [_below_masks(row) for row in m]
+    col_below = [_below_masks(col) for col in cols]
     for i in range(n):
+        row = m[i]
+        below = row_below[i]
         for j in range(n):
-            dij = m[i][j]
-            for k in range(n):
-                if dij > m[i][k] + m[k][j]:
+            cand = below[j] & col_below[j][i]
+            dij = row[j]
+            col = cols[j]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                k = low.bit_length() - 1
+                if row[k] + col[k] < dij:
                     is_distance = False
                     violations.append(
                         ("triangle", space.labels[i], space.labels[k], space.labels[j]))
@@ -258,6 +290,8 @@ def minplus_closure(rows, labels=None) -> FiniteSpace:
 
     One in-place Floyd-Warshall pass, k outermost:
     d[i][j] <- min(d[i][j], d[i][k] + d[k][j]), exact for nonnegative entries.
+    The sum is formed only when both legs lie below d[i][j]; otherwise it
+    is at least d[i][j] and cannot lower it.
     """
     work = [list(r) for r in rows]
     n = len(work)
@@ -272,9 +306,12 @@ def minplus_closure(rows, labels=None) -> FiniteSpace:
                 continue
             wi = work[i]
             for j in range(n):
-                cand = dik + row_k[j]
-                if cand < wi[j]:
-                    wi[j] = cand
+                wij = wi[j]
+                dkj = row_k[j]
+                if dkj < wij and dik < wij:
+                    cand = dik + dkj
+                    if cand < wij:
+                        wi[j] = cand
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
     return FiniteSpace(tuple(labels), tuple(tuple(r) for r in work))

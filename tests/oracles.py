@@ -14,7 +14,11 @@ their sup distance needs no others.  The functions here evaluate the
 uncollapsed definitions, point by point, so the differential tests can pin
 each production form to them.  ``derived_functions_oracle`` and
 ``suprema_oracle`` keep the cut-by-cut and point-by-point ``ExtReal``
-loops that the integer form of the matrix replaced.
+loops that the integer form of the matrix replaced.  Entries are
+nonnegative, so a sum cannot fall below either of its legs:
+``validate_oracle`` and ``minplus_closure_oracle`` keep the triple loops
+that add over every k, where production adds only over the k whose two
+legs both lie strictly below the entry under test.
 """
 
 import itertools
@@ -22,7 +26,7 @@ import itertools
 from qmlib.derived import DerivedFunctions, StepFn
 from qmlib.extreal import INF, ZERO, ExtReal, ext_max, ext_min
 from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
-from qmlib.space import FiniteSpace, derive, threshold_grid
+from qmlib.space import FiniteSpace, SpaceError, Validation, derive, threshold_grid
 from qmlib.topology import CompletenessReport
 
 
@@ -291,3 +295,55 @@ def fm_dist_oracle(m: int, k: int) -> ExtReal:
     def coord(n, j):
         return INF if j < n else ZERO if j == n else ExtReal(1, j)
     return ext_max(coord(m, j).tsub(coord(k, j)) for j in range(1, max(m, k) + 2))
+
+
+def validate_oracle(space: FiniteSpace) -> Validation:
+    """The structural checks with the triangle law tried on every triple."""
+    n = space.n
+    m = space.matrix
+    violations = []
+    is_distance = True
+    for i in range(n):
+        for j in range(n):
+            dij = m[i][j]
+            for k in range(n):
+                if dij > m[i][k] + m[k][j]:
+                    is_distance = False
+                    violations.append(
+                        ("triangle", space.labels[i], space.labels[k], space.labels[j]))
+    is_hemimetric = is_distance
+    for i in range(n):
+        if not m[i][i].is_zero():
+            is_hemimetric = False
+            if is_distance:
+                violations.append(("self_distance", space.labels[i]))
+    is_symmetric = all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+    # A metric additionally separates points: mutual distance 0 forces equality.
+    separated = all(not (m[i][j].is_zero() and m[j][i].is_zero())
+                    for i in range(n) for j in range(n) if i != j)
+    is_metric = is_hemimetric and is_symmetric and separated
+    return Validation(is_distance, is_hemimetric, is_symmetric, is_metric,
+                      tuple(violations))
+
+
+def minplus_closure_oracle(rows, labels=None) -> FiniteSpace:
+    """One in-place Floyd-Warshall pass that forms every sum d[i][k] + d[k][j]."""
+    work = [list(r) for r in rows]
+    n = len(work)
+    if any(len(r) != n for r in work):
+        raise SpaceError("matrix is not square")
+    for k in range(n):
+        col_k = [work[i][k] for i in range(n)]
+        row_k = work[k]
+        for i in range(n):
+            dik = col_k[i]
+            if dik.is_inf:
+                continue
+            wi = work[i]
+            for j in range(n):
+                cand = dik + row_k[j]
+                if cand < wi[j]:
+                    wi[j] = cand
+    if labels is None:
+        labels = tuple(f"p{i}" for i in range(n))
+    return FiniteSpace(tuple(labels), tuple(tuple(r) for r in work))

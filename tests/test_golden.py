@@ -27,11 +27,15 @@ so it is the class-rich audit: every statement is non-vacuous on it.  Its
 hash was recorded while sup_upgrade still walked every subset of the class
 representatives, before the (x, z) reduction replaced that walk.
 
-The gallery hashes cover all four fixtures at cutoffs 16 and 50.  The two
-grid fixtures were recorded before the family layer dropped the vector
-rule's coordinate window.  The two family fixtures were recorded after
-their ``valid_distance`` descriptions came to name the triples the check
-covers; those two strings are the only bytes that changed.
+The gallery hashes cover all four fixtures at cutoffs 16, 50 and 100,
+and the two grid fixtures at cutoff 200.  At 16 and 50 the two grid
+fixtures were recorded before the family layer dropped the vector rule's
+coordinate window, and the two family fixtures after their
+``valid_distance`` descriptions came to name the triples the check
+covers; those two strings are the only bytes that changed.  The cutoff
+100 and 200 hashes were recorded while the triangle check still added
+over every triple, before it came to add only where both legs are
+shorter than the entry they test.
 """
 
 import hashlib
@@ -74,6 +78,18 @@ GOLDEN = [
      "fa7298d5375421b027f1cb9b356da19c3a20ee595d1390c84db9b0ae0dcd383a"),
     (["gallery", "fm_counterexample", "--cutoff", "50", "--json"],
      "0b8dcf433fdbe88c5367f91b5ccb56cfe78a926feb0d14f2c0f7e7d266a9591b"),
+    (["gallery", "projection", "--cutoff", "100", "--json"],
+     "d596a1897b88c1f0bef68ee0c4bcbcf7a45705bd9847ac7865e65ebb85734516"),
+    (["gallery", "x_one_minus_y", "--cutoff", "100", "--json"],
+     "ee61e1a14391a4de3fcdda2687cf4598dace6a5772d2c9d2a06e85e24a65b080"),
+    (["gallery", "halfopen", "--cutoff", "100", "--json"],
+     "4f2edc1a28252355a9e51b7a490387c696118991309c8d70449154c146265b74"),
+    (["gallery", "fm_counterexample", "--cutoff", "100", "--json"],
+     "3dc07589376cc262a0d0037e711c63e6a8a29b14f3e2862e860753feae61bcef"),
+    (["gallery", "projection", "--cutoff", "200", "--json"],
+     "9a729f055b074bbfd5f64b287dba8b10796dd459df1e4f430d87e1fa7c4a4f9f"),
+    (["gallery", "x_one_minus_y", "--cutoff", "200", "--json"],
+     "b231dba9e3cd0a977f1bf54a35afea2074291dfc455a172e4cc9d0f09b729bc7"),
 ]
 
 
@@ -85,7 +101,10 @@ GOLDEN = [
                               "gallery-x_one_minus_y-16", "gallery-x_one_minus_y-50",
                               "gallery-halfopen-16", "gallery-halfopen-50",
                               "gallery-fm_counterexample-16",
-                              "gallery-fm_counterexample-50"])
+                              "gallery-fm_counterexample-50",
+                              "gallery-projection-100", "gallery-x_one_minus_y-100",
+                              "gallery-halfopen-100", "gallery-fm_counterexample-100",
+                              "gallery-projection-200", "gallery-x_one_minus_y-200"])
 def test_report_bytes_unchanged(capsys, monkeypatch, argv, digest):
     # reports embed the input path, so run from the data directory
     monkeypatch.chdir(DATA)

@@ -1,22 +1,29 @@
-"""The integer form of a space and the loops that run on it.
+"""The fast inner loops of a space, each pinned to its oracle.
 
 ``FiniteSpace.scaled`` holds the matrix as exact ints.  ``derived_functions``
 sweeps it once in ascending order, and ``suprema`` and ``_has_d_sup`` test
 d-suprema on its rows (``suprema`` reads the order side off the zero
-masks).  Each is pinned here to an ``ExtReal`` oracle, on
-arbitrary square matrices (non-distances and nonzero diagonals included)
-and on min-plus-closed spaces whose values have pairwise-coprime prime
-denominators, so the common denominator is large.
+masks).  The triangle check of ``validation`` and the relaxation of
+``minplus_closure`` stay on ``ExtReal`` entries but add only where both
+legs lie below the entry they test.  Each is pinned here to an oracle, on
+arbitrary square matrices (non-distances, ties, infinities and nonzero
+diagonals included) and on min-plus-closed spaces whose values have
+pairwise-coprime prime denominators, so the common denominator is large.
 """
 
-from hypothesis import given, settings, strategies as st
+from math import comb
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qmlib.derived import derived_functions
 from qmlib.extreal import INF, ZERO, ExtReal
+from qmlib.gallery import build
 from qmlib.order import _has_d_sup, suprema
-from qmlib.space import minplus_closure, space_from_rows
+from qmlib.space import _validate, minplus_closure, space_from_rows
 
-from tests.oracles import derived_functions_oracle, suprema_oracle
+from tests.oracles import (derived_functions_oracle, minplus_closure_oracle,
+                           suprema_oracle, validate_oracle)
 
 VALUES = tuple(ExtReal.parse(t) for t in ("0", "1/2", "3/7", "5/11", "1", "2", "inf"))
 PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -122,3 +129,49 @@ def test_empty_and_constant_spaces():
     for rows in ([], [["inf"]], [["0", "0"], ["0", "0"]]):
         space = space_from_rows(_labels(len(rows)), rows)
         assert derived_functions(space).to_dict() == derived_functions_oracle(space).to_dict()
+
+
+# eight failing triples, with d(0,0), d(0,1) and d(1,0) each failing
+# through both k = 2 and k = 3, among tied entries in rows and columns
+TIED_FAILURES = space_from_rows(_labels(4), [["1", "2", "0", "1/2"],
+                                             ["inf", "0", "0", "1"],
+                                             ["1/2", "1/2", "0", "1"],
+                                             ["0", "1", "inf", "0"]])
+
+
+@EXAMPLES
+@given(spaces)
+@example(TIED_FAILURES)
+def test_validation_matches_the_oracle(space):
+    # every flag and the violations, in (i, j, k) order
+    assert _validate(space) == validate_oracle(space)
+
+
+@EXAMPLES
+@given(matrices())
+def test_minplus_closure_matches_the_oracle(space):
+    closed = minplus_closure(space.matrix)
+    assert closed == minplus_closure_oracle(space.matrix)
+    assert _validate(closed) == validate_oracle(closed)
+
+
+@pytest.mark.parametrize("cutoff", [16, 64])
+def test_triangle_check_adds_only_where_both_legs_are_shorter(monkeypatch, cutoff):
+    # projection: d(x, y) = y, so d(k, j) < d(i, j) never holds and no sum
+    # is formed; x_one_minus_y: d(x, y) = x(1 - y), so both legs are
+    # shorter exactly when j < k < i.  The full triple loop adds (c + 1)^3.
+    calls = [0]
+    add = ExtReal.__add__
+
+    def counting(a, b):
+        calls[0] += 1
+        return add(a, b)
+
+    for name, want in (("projection", 0), ("x_one_minus_y", comb(cutoff + 1, 3))):
+        space = build(name, cutoff).space
+        calls[0] = 0
+        monkeypatch.setattr(ExtReal, "__add__", counting)
+        result = _validate(space)
+        monkeypatch.setattr(ExtReal, "__add__", add)
+        assert result.is_distance
+        assert calls[0] == want, name
