@@ -18,6 +18,17 @@ from fractions import Fraction
 from math import gcd
 
 
+def check_ascii_numeral(text: str) -> str:
+    """Return ``text`` if it is ASCII with no ``_``, else raise ``ValueError``.
+
+    ``int()`` and ``Fraction()`` alone would read ``"1_0"`` as 10 and an
+    Arabic-Indic three as 3: numeric text is never silently reinterpreted.
+    """
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"{text!r}: numbers take ASCII digits only, without '_'")
+    return text
+
+
 class ExtReal:
     """A nonnegative rational or infinity.
 
@@ -61,6 +72,7 @@ class ExtReal:
         t = text.strip()
         if t in ("inf", "Inf", "INF", "oo"):
             return INF
+        check_ascii_numeral(t)
         if "/" in t:
             p, q = t.split("/", 1)
             num, den = int(p), int(q)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .extreal import INF, ZERO, ExtReal
+from .extreal import INF, ZERO, ExtReal, check_ascii_numeral
 from .nets import PreconditionError
 from .space import SpaceError
 
@@ -179,7 +179,7 @@ def _check_params(rule: str, params) -> None:
         if not isinstance(text, str):
             raise SpaceError(f"extra point {label!r}: value {text!r} is not rational text")
         try:
-            Fraction(text)
+            Fraction(check_ascii_numeral(text))
         except (ValueError, ZeroDivisionError):
             raise SpaceError(f"extra point {label!r}: bad rational {text!r}") from None
     if not isinstance(params.get("prefix", "x"), str):

@@ -362,11 +362,7 @@ def threshold_grid(space: FiniteSpace) -> tuple:
     for v in finite:
         mid_num = v.num * prev.den + prev.num * v.den
         mid_den = 2 * v.den * prev.den
-        mid = ExtReal(mid_num, mid_den)
-        if mid.is_zero():
-            mid = ExtReal(v.num, 2 * v.den)
-        if not mid.is_zero():
-            grid.append(mid)
+        grid.append(ExtReal(mid_num, mid_den))
         grid.append(v)
         prev = v
     if finite:

@@ -1,6 +1,9 @@
 """Audit harness: each completeness statement runs as an exact
 hypothesis-check followed by an exact conclusion-check on an instance.
 
+``STATEMENT_TABLE`` is the one place where a statement's decision lives:
+one row per statement, a ``(hypotheses, decision)`` pair.  ``audit``
+builds the hypotheses, and calls the decision only when all of them hold.
 A statement's entry is *vacuous* when some hypothesis fails; a non-vacuous
 entry with an unverified conclusion is a released-bug signal and is
 surfaced loudly by the CLI exit code.  Conclusions quantifying over all
@@ -9,12 +12,21 @@ exactly the possible tails.  By the triangle law a zero clique is a
 nonempty subset of one specialization class and every verdict reads it
 only through that class, so the audit runs once per class.
 
-Conclusions that a finite-carrier identity fixes are decided by it, not
-searched: ball_functions_coincide (d_F = d_Phi = d_low),
-symmetric_companion and two_distance_transfer (each class of zero
-self-distance is its own witness) and the four completeness criteria
-(every finite space is complete).  Only sup_upgrade,
-complete_implies_directed_complete and cauchy_to_directed search.
+Seven conclusions are fixed by a finite-carrier identity and share the
+decision ``_by_identity``, with no search:
+
+* ball_functions_coincide: d_F and d_Phi are both d_low on a finite
+  carrier.
+* symmetric_companion: the least member c0 of each class of zero
+  self-distance is the companion.  d(c0, c0) = 0, c0 carries the class's
+  forward profile, and d(c, c0) = 0 for every c in the class.
+* two_distance_transfer: a tail class is itself directed, and by the
+  triangle law it reproduces both limit profiles of the sequence.
+* completeness_criterion_1..4: every finite space is complete, the
+  symmetric join and any second distance included.
+
+Only sup_upgrade, complete_implies_directed_complete and
+cauchy_to_directed search.
 
 sup_upgrade walks no subsets.  For Y below x the triangle law gives
 max_y d(y, z) <= d(x, z), so x is no d-supremum of Y iff Y lies inside
@@ -34,20 +46,6 @@ from .nets import EpSeq, PreconditionError, classify, epseq
 from .order import check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, derive, representatives, threshold_grid
 from .topology import is_complete
-
-STATEMENTS = (
-    "sup_upgrade",
-    "complete_implies_directed_complete",
-    "ball_functions_coincide",
-    "symmetric_companion",
-    "two_distance_transfer",
-    "completeness_criterion_1",
-    "completeness_criterion_2",
-    "completeness_criterion_3",
-    "completeness_criterion_4",
-    "cauchy_to_directed",
-)
-
 
 @dataclass(frozen=True)
 class AuditEntry:
@@ -88,13 +86,6 @@ class AuditReport:
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "entries": [e.to_dict() for e in self.entries]}
-
-
-@dataclass(frozen=True)
-class AuditOptions:
-    statements: tuple = STATEMENTS
-    second: FiniteSpace | None = None    # the distance e for two-distance audits
-    include_vacuous: bool = True
 
 
 def compose_with_filter(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpace:
@@ -172,7 +163,7 @@ class AuditContext:
 
 
 # ---------------------------------------------------------------------------
-# Statement implementations: each returns (hypotheses, conclusion, witness).
+# Statement table: each decision returns (conclusion, witness).
 # ---------------------------------------------------------------------------
 
 def sup_upgrade_counterexample(ctx: AuditContext) -> list | None:
@@ -203,118 +194,97 @@ def sup_upgrade_counterexample(ctx: AuditContext) -> list | None:
     return None
 
 
-def _stmt_sup_upgrade(ctx: AuditContext):
-    hyp = {"d_low_leq_identity": leq_identity(ctx.dfs.d_low)}
-    if not all(hyp.values()):
-        return hyp, None, {}
+def _by_identity(ctx: AuditContext):
+    """A conclusion a finite-carrier identity fixes (module docstring)."""
+    return True, {}
+
+
+def _sup_upgrade(ctx: AuditContext):
     pts = sup_upgrade_counterexample(ctx)
-    if pts is not None:
-        return hyp, False, {"Y": sorted(ctx.space.labels[i] for i in pts)}
-    return hyp, True, {}
+    if pts is None:
+        return True, {}
+    return False, {"Y": sorted(ctx.space.labels[i] for i in pts)}
 
 
-def _stmt_complete_implies_dd(ctx: AuditContext):
-    hyp = {"complete": ctx.complete}
-    if not ctx.complete:
-        return hyp, None, {}
+def _complete_implies_dd(ctx: AuditContext):
     rep = ctx.directed_complete_report
-    if rep.complete:
-        return hyp, True, {}
-    return hyp, False, {"Y": list(rep.failing_Y)}
+    return rep.complete, {} if rep.complete else {"Y": list(rep.failing_Y)}
 
 
-def _stmt_ball_functions_coincide(ctx: AuditContext):
-    hyp = {
-        "hemimetric": ctx.space.validation.is_hemimetric,
-        "join_complete": ctx.complete,
-        "d_phi_sub_identity": sub_identity(ctx.dfs.d_Phi),
-    }
-    if not all(hyp.values()):
-        return hyp, None, {}
-    # d_F and d_Phi are both d_low on a finite carrier
-    return hyp, True, {}
-
-
-def _stmt_symmetric_companion(ctx: AuditContext):
-    """Decided by identity: the least member c0 of each class of zero
-    self-distance is the companion.  d(c0, c0) = 0, c0 carries the class's
-    forward profile, and d(c, c0) = 0 for every c in the class."""
-    hyp = {
-        "order_directed_complete": ctx.directed_complete_report.complete,
-        "d_F_leq_identity": leq_identity(ctx.dfs.d_F),
-    }
-    if not all(hyp.values()):
-        return hyp, None, {}
-    return hyp, True, {}
-
-
-def _stmt_two_distance_transfer(ctx: AuditContext):
-    """Decided by identity: a tail class is itself directed, and by the
-    triangle law it reproduces both limit profiles of the sequence."""
+def _cauchy_to_directed(ctx: AuditContext):
     space = ctx.space
-    hyp = {
-        "e_complete": ctx.complete,
-        "e_symmetric": ctx.e_space.validation.is_symmetric,
-        "compose_filter_below_d": dist_subequiv(ctx.filter_composition, space),
-        "d_below_e": dist_subequiv(space, ctx.e_space),
-    }
-    if not all(hyp.values()):
-        return hyp, None, {}
-    return hyp, True, {}
-
-
-def _stmt_completeness_criteria(ctx: AuditContext):
-    """The four sufficient-condition audits, sharing subresults."""
-    hyps = {
-        "completeness_criterion_1": {
-            "order_directed_complete": ctx.directed_complete_report.complete,
-            "d_up_sub_identity": sub_identity(ctx.dfs.d_up)},
-        "completeness_criterion_2": {
-            "order_directed_complete": ctx.directed_complete_report.complete,
-            "join_complete": ctx.complete,
-            "d_F_leq_identity": leq_identity(ctx.dfs.d_F)},
-        "completeness_criterion_3": {
-            "metric_directed_complete": ctx.directed_complete_report.complete,
-            "e_complete": ctx.complete,
-            "filter_chain": ctx.filter_chain},
-        "completeness_criterion_4": {
-            "order_directed_complete": ctx.directed_complete_report.complete,
-            "e_complete": ctx.complete,
-            "e_separable": ctx.e_separable,
-            "filter_chain": ctx.filter_chain},
-    }
-    out = {}
-    for stmt, hyp in hyps.items():
-        if all(hyp.values()):
-            out[stmt] = (hyp, ctx.complete, {} if ctx.complete else {"reason": "incomplete"})
-        else:
-            out[stmt] = (hyp, None, {})
-    return out
-
-
-def _stmt_cauchy_to_directed(ctx: AuditContext):
-    space = ctx.space
-    hyp = {"d_up_sub_identity": sub_identity(ctx.dfs.d_up)}
-    if not all(hyp.values()):
-        return hyp, None, {}
     for clique in ctx.cliques:
-        seq = epseq([], sorted(clique))
-        res = construct_directed_from_cauchy(space, seq, ctx.dfs)
+        res = construct_directed_from_cauchy(space, epseq([], sorted(clique)), ctx.dfs)
         if not res.ok:
-            return hyp, False, {"cycle": sorted(space.labels[i] for i in clique),
-                                "construction": res.to_dict()}
-    return hyp, True, {}
+            return False, {"cycle": sorted(space.labels[i] for i in clique),
+                           "construction": res.to_dict()}
+    return True, {}
+
+
+# statement -> (hypotheses, decision); audit() runs the rows in this order
+STATEMENT_TABLE = {
+    "sup_upgrade": (lambda c: {
+        "d_low_leq_identity": leq_identity(c.dfs.d_low)}, _sup_upgrade),
+    "complete_implies_directed_complete": (lambda c: {
+        "complete": c.complete}, _complete_implies_dd),
+    "ball_functions_coincide": (lambda c: {
+        "hemimetric": c.space.validation.is_hemimetric,
+        "join_complete": c.complete,
+        "d_phi_sub_identity": sub_identity(c.dfs.d_Phi)}, _by_identity),
+    "symmetric_companion": (lambda c: {
+        "order_directed_complete": c.directed_complete_report.complete,
+        "d_F_leq_identity": leq_identity(c.dfs.d_F)}, _by_identity),
+    "two_distance_transfer": (lambda c: {
+        "e_complete": c.complete,
+        "e_symmetric": c.e_space.validation.is_symmetric,
+        "compose_filter_below_d": dist_subequiv(c.filter_composition, c.space),
+        "d_below_e": dist_subequiv(c.space, c.e_space)}, _by_identity),
+    "completeness_criterion_1": (lambda c: {
+        "order_directed_complete": c.directed_complete_report.complete,
+        "d_up_sub_identity": sub_identity(c.dfs.d_up)}, _by_identity),
+    "completeness_criterion_2": (lambda c: {
+        "order_directed_complete": c.directed_complete_report.complete,
+        "join_complete": c.complete,
+        "d_F_leq_identity": leq_identity(c.dfs.d_F)}, _by_identity),
+    "completeness_criterion_3": (lambda c: {
+        "metric_directed_complete": c.directed_complete_report.complete,
+        "e_complete": c.complete,
+        "filter_chain": c.filter_chain}, _by_identity),
+    "completeness_criterion_4": (lambda c: {
+        "order_directed_complete": c.directed_complete_report.complete,
+        "e_complete": c.complete,
+        "e_separable": c.e_separable,
+        "filter_chain": c.filter_chain}, _by_identity),
+    "cauchy_to_directed": (lambda c: {
+        "d_up_sub_identity": sub_identity(c.dfs.d_up)}, _cauchy_to_directed),
+}
+
+STATEMENTS = tuple(STATEMENT_TABLE)
+
+
+@dataclass(frozen=True)
+class AuditOptions:
+    statements: tuple = STATEMENTS
+    second: FiniteSpace | None = None    # the distance e for two-distance audits
+    include_vacuous: bool = True
 
 
 def audit(space: FiniteSpace, options: AuditOptions = AuditOptions(),
           ctx: AuditContext | None = None) -> AuditReport:
-    """Run the selected statement audits on one instance.
+    """Run the selected statement audits on one instance, in table order.
 
     ``options.second`` supplies the distance e for the two-distance
     statements; when absent, the symmetric join of d stands in (the
     canonical symmetric companion).  A prebuilt context may be passed to
-    share subresults with the caller.
+    share subresults with the caller.  A bare string or an unknown name in
+    ``options.statements`` raises ``ValueError``.
     """
+    if isinstance(options.statements, str):
+        raise ValueError("statements must be a sequence of names, not one string")
+    wanted = set(options.statements)
+    unknown = sorted(wanted - set(STATEMENT_TABLE))
+    if unknown:
+        raise ValueError(f"unknown statements: {', '.join(unknown)}")
     if not space.validation.is_distance:
         raise PreconditionError("audit requires a validated distance")
     e_space = options.second if options.second is not None else derive(space, "join")
@@ -325,31 +295,14 @@ def audit(space: FiniteSpace, options: AuditOptions = AuditOptions(),
     if ctx is None:
         ctx = AuditContext(space, e_space)
     entries = []
-
-    def add(stmt, result):
-        hyp, concl, witness = result
-        entries.append(AuditEntry(stmt, hyp, all(hyp.values()), concl, witness))
-
-    wanted = set(options.statements)
-    if "sup_upgrade" in wanted:
-        add("sup_upgrade", _stmt_sup_upgrade(ctx))
-    if "complete_implies_directed_complete" in wanted:
-        add("complete_implies_directed_complete", _stmt_complete_implies_dd(ctx))
-    if "ball_functions_coincide" in wanted:
-        add("ball_functions_coincide", _stmt_ball_functions_coincide(ctx))
-    if "symmetric_companion" in wanted:
-        add("symmetric_companion", _stmt_symmetric_companion(ctx))
-    if "two_distance_transfer" in wanted:
-        add("two_distance_transfer", _stmt_two_distance_transfer(ctx))
-    crit = {s for s in wanted if s.startswith("completeness_criterion_")}
-    if crit:
-        results = _stmt_completeness_criteria(ctx)
-        for stmt in sorted(crit):
-            add(stmt, results[stmt])
-    if "cauchy_to_directed" in wanted:
-        add("cauchy_to_directed", _stmt_cauchy_to_directed(ctx))
-    if not options.include_vacuous:
-        entries = [e for e in entries if not e.vacuous]
+    for stmt, (hypotheses, decide) in STATEMENT_TABLE.items():
+        if stmt not in wanted:
+            continue
+        hyp = hypotheses(ctx)
+        met = all(hyp.values())
+        if met or options.include_vacuous:
+            concl, witness = decide(ctx) if met else (None, {})
+            entries.append(AuditEntry(stmt, hyp, met, concl, witness))
     return AuditReport(tuple(entries))
 
 

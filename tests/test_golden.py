@@ -25,7 +25,10 @@ of the matrix.
 A 12-point chain (d(i,j) = 0 if i <= j, else 1) has one class per point,
 so it is the class-rich audit: every statement is non-vacuous on it.  Its
 hash was recorded while sup_upgrade still walked every subset of the class
-representatives, before the (x, z) reduction replaced that walk.
+representatives, before the (x, z) reduction replaced that walk.  A
+second chain run selects three statements out of table order, one
+completeness criterion alone among them; its hash was recorded while each
+statement still had its own hand-written audit function.
 
 The gallery hashes cover all four fixtures at cutoffs 16, 50 and 100,
 and the two grid fixtures at cutoff 200.  At 16 and 50 the two grid
@@ -62,6 +65,9 @@ GOLDEN = [
      "7361f69bdf118631458a2974662772f64f980242d1dae2c4a72febd2f16748ac"),
     (["audit", "chain_n12.json"],
      "42432f8dadb6b8f869ab832e556d539982f531ca5b476626dfdeb405ed98b554"),
+    (["audit", "chain_n12.json", "--theorems", "cauchy_to_directed",
+      "completeness_criterion_2", "sup_upgrade"],
+     "0c42a0aefce82b7c1c1de5ad59f905c4b5e96442e777ba4f3c695042c5897c77"),
     (["gallery", "projection", "--cutoff", "16", "--json"],
      "fec272e01a86e114ddc41370c0b248a6bed6d515ead352ec1edeaf5fff1ecb3c"),
     (["gallery", "projection", "--cutoff", "50", "--json"],
@@ -96,7 +102,7 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, digest", GOLDEN,
                          ids=["random-seed-0", "random-seed-424242", "check-coprime",
                               "check-coprime-15", "audit-pair", "audit-plain-classes",
-                              "audit-chain",
+                              "audit-chain", "audit-chain-selection",
                               "gallery-projection-16", "gallery-projection-50",
                               "gallery-x_one_minus_y-16", "gallery-x_one_minus_y-50",
                               "gallery-halfopen-16", "gallery-halfopen-50",

@@ -1,5 +1,7 @@
 """Audit harness soundness and the constructive directed-set replay."""
 
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -8,8 +10,8 @@ from qmlib.derived import derived_functions, sub_identity
 from qmlib.generate import instance_stream, random_space, random_value_pair
 from qmlib.nets import PreconditionError, epseq, zero_cliques
 from qmlib.space import space_from_rows
-from qmlib.theorems import (STATEMENTS, AuditOptions, audit,
-                            compose_with_filter, construct_directed_from_cauchy)
+from qmlib.theorems import (STATEMENT_TABLE, STATEMENTS, AuditOptions, _by_identity,
+                            audit, compose_with_filter, construct_directed_from_cauchy)
 
 from tests.oracles import compose_with_order
 
@@ -50,6 +52,14 @@ class TestAuditHarness:
         sp = random_space(rng, 4)
         rep = audit(sp, AuditOptions(statements=("sup_upgrade",)))
         assert [e.statement for e in rep.entries] == ["sup_upgrade"]
+
+    @pytest.mark.parametrize("statements", [("sup_upgrad",), ("sup_upgrade", "nope"),
+                                            "sup_upgrade"],
+                             ids=["misspelt", "one-unknown-of-two", "bare-string"])
+    def test_unknown_statement_is_rejected(self, statements):
+        sp = random_space(Random(104), 4)
+        with pytest.raises(ValueError):
+            audit(sp, AuditOptions(statements=statements))
 
     def test_nonvalidated_space_rejected(self):
         sp = space_from_rows(["a", "b", "c"],
@@ -144,3 +154,21 @@ class TestConstructiveReplay:
         assert not sub_identity(dfs.d_up)
         with pytest.raises(PreconditionError):
             construct_directed_from_cauchy(bad, epseq([], [0]), dfs)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestStatementTable:
+    def test_statements_are_the_table_keys_in_order(self):
+        assert STATEMENTS == tuple(STATEMENT_TABLE)
+
+    def test_identity_rows_match_the_readme(self):
+        # README "Notes on exactness" names the statements decided by identity
+        text = " ".join(README.read_text().split())
+        listed = text.split("Decided by identity", 1)[1].split("Decided by search", 1)[0]
+        named = {w for w in re.findall(r"`(\w+)`", listed) if w in STATEMENT_TABLE}
+        by_identity = {s for s, (_, decide) in STATEMENT_TABLE.items()
+                       if decide is _by_identity}
+        assert by_identity == named
+        assert len(by_identity) == 7
