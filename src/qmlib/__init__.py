@@ -27,9 +27,8 @@ from .order import (SupremumResult, check_ed_complete, is_directed,
                     link_directed_sequence, suprema)
 from .derived import (DerivedFunctions, StepFn, derived_functions,
                       dist_subequiv, leq_identity, sub_identity, subequiv)
-from .formal_balls import (FormalBall, RadiusSeq, ball_identities,
-                           fb_distance, fb_distance_raw, formal_ball,
-                           formal_ball_from_dict, kw_audit, kw_limit)
+from .formal_balls import (FormalBall, RadiusSeq, fb_distance, fb_distance_raw,
+                           formal_ball, formal_ball_from_dict, kw_audit, kw_limit)
 from .theorems import (AuditOptions, AuditReport, STATEMENTS, audit,
                        construct_directed_from_cauchy)
 from .gallery import GALLERY_NAMES, build, verify

@@ -48,14 +48,6 @@ class StepFn:
         """The constant value on the interval just above 0."""
         return self.values[0]
 
-    def is_monotone(self) -> bool:
-        prev = self.at_zero
-        for v in self.values:
-            if v < prev:
-                return False
-            prev = v
-        return True
-
     def to_dict(self) -> dict:
         return {"at_zero": str(self.at_zero),
                 "cuts": [str(c) for c in self.cuts],
@@ -159,15 +151,6 @@ def _sample_points(f: StepFn, g: StepFn) -> list:
     return [ZERO] + sorted(set(f.cuts) | set(g.cuts))
 
 
-def ratio_at(f: StepFn, g: StepFn, r: ExtReal) -> ExtReal:
-    """sup of f over the sublevel set {x : g(x) <= r}."""
-    best = ZERO
-    for x in _sample_points(f, g):
-        if g(x) <= r:
-            best = max(best, f(x))
-    return best
-
-
 def subequiv(f: StepFn, g: StepFn) -> bool:
     """f is uniformly below g: sup{f(x) : g(x) <= r} -> 0 as r -> 0+.
 
@@ -194,15 +177,6 @@ def leq_identity(f: StepFn) -> bool:
             return False
         prev = cut
     return True
-
-
-def weak_threshold_condition(f: StepFn) -> bool:
-    """Some interval (0, b) on which f(r) < r throughout.
-
-    The exact finite reading of "0 is in the closure of the good radii":
-    the first positive piece must carry the value 0.
-    """
-    return f.first_positive_value.is_zero()
 
 
 def dist_subequiv(f_space: FiniteSpace, g_space: FiniteSpace) -> bool:

@@ -18,15 +18,39 @@ from fractions import Fraction
 from math import gcd
 
 
-def check_ascii_numeral(text: str) -> str:
-    """Return ``text`` if it is ASCII with no ``_``, else raise ``ValueError``.
+def parse_rational(text: str, nonpositive: bool = False) -> Fraction:
+    """Read rational text: an integer or ``p/q`` in ASCII digits.
 
-    ``int()`` and ``Fraction()`` alone would read ``"1_0"`` as 10 and an
-    Arabic-Indic three as 3: numeric text is never silently reinterpreted.
+    This is the one grammar for numeric input.  Surrounding whitespace is
+    ignored; a sign, ``_``, an exponent or a decimal point is not read
+    (``int()`` and ``Fraction()`` alone would take ``"+1"``, ``"1_0"``,
+    ``"1e3"``, ``"0.5"`` or an Arabic-Indic three).  With ``nonpositive``
+    a leading ``-`` is allowed and a positive value is refused.  Anything
+    else, including a zero denominator, raises ``ValueError``.
     """
-    if "_" in text or not text.strip().isascii():
-        raise ValueError(f"{text!r}: numbers take ASCII digits only, without '_'")
-    return text
+    return Fraction(*_read_rational(text, nonpositive))
+
+
+def _read_rational(text: str, nonpositive: bool) -> tuple:
+    """``parse_rational`` as an unreduced (numerator, denominator) pair."""
+    if not isinstance(text, str):
+        raise ValueError(f"{text!r} is not rational text")
+    t = text.strip()
+    negative = nonpositive and t.startswith("-")
+    p, slash, q = t[negative:].partition("/")
+    if not (p.isascii() and p.isdigit()
+            and (not slash or q.isascii() and q.isdigit())):
+        sign = "an optional leading '-', " if nonpositive else ""
+        raise ValueError(f"{text!r}: a rational is an integer or p/q with "
+                         f"{sign}ASCII digits only")
+    num, den = int(p), int(q) if slash else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    if negative:
+        num = -num
+    elif nonpositive and num > 0:
+        raise ValueError(f"{text!r} is positive")
+    return num, den
 
 
 class ExtReal:
@@ -64,24 +88,13 @@ class ExtReal:
 
     @classmethod
     def parse(cls, text: str) -> "ExtReal":
-        """Parse the textual encoding: ``"p/q"``, an integer, or ``"inf"``.
+        """Parse the textual encoding: ``"inf"`` or ``parse_rational`` text.
 
-        A zero denominator raises ``SpaceError``; malformed or negative
-        text raises ``ValueError``.
+        Malformed text, a sign and a zero denominator raise ``ValueError``.
         """
-        t = text.strip()
-        if t in ("inf", "Inf", "INF", "oo"):
+        if isinstance(text, str) and text.strip() in ("inf", "Inf", "INF", "oo"):
             return INF
-        check_ascii_numeral(t)
-        if "/" in t:
-            p, q = t.split("/", 1)
-            num, den = int(p), int(q)
-            if den == 0:
-                # ExtReal(num, 0) is the internal infinity; text must say "inf"
-                from .space import SpaceError
-                raise SpaceError(f"zero denominator in {text!r}")
-            return cls(num, den)
-        return cls(int(t))
+        return cls(*_read_rational(text, False))
 
     @property
     def is_inf(self) -> bool:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .extreal import INF, ZERO, ExtReal, check_ascii_numeral
+from .extreal import INF, ZERO, ExtReal, parse_rational
 from .nets import PreconditionError
 from .space import SpaceError
 
@@ -79,7 +79,7 @@ class FamilySpace:
 
     @property
     def extras(self) -> dict:
-        return {k: Fraction(v) for k, v in self.params.get("extras", {}).items()}
+        return {k: parse_rational(v) for k, v in self.params.get("extras", {}).items()}
 
     def indexed(self, n: int):
         return ("i", n)
@@ -176,11 +176,9 @@ def _check_params(rule: str, params) -> None:
     if not isinstance(extras, dict):
         raise SpaceError("'extras' must map point labels to rational text")
     for label, text in extras.items():
-        if not isinstance(text, str):
-            raise SpaceError(f"extra point {label!r}: value {text!r} is not rational text")
         try:
-            Fraction(check_ascii_numeral(text))
-        except (ValueError, ZeroDivisionError):
+            parse_rational(text)
+        except ValueError:
             raise SpaceError(f"extra point {label!r}: bad rational {text!r}") from None
     if not isinstance(params.get("prefix", "x"), str):
         raise SpaceError("'prefix' must be a string")

@@ -2,22 +2,51 @@
 
 A formal ball is a pair (point, radius <= 0) with distance
 (d(x, y) + r - s)+.  The extension is never materialized: everything goes
-through the distance formula, radius grids for enumeration, and exact
-algebraic identities relating closed balls to order cones.
+through the distance formula and radius grids.
+
+``kw_audit`` decides the paper's generalization of the Kostanek-Waszkiewicz
+theorem (the base is complete iff every Cauchy formal-ball sequence has a
+limit iff every directed set of formal balls has a supremum) exactly, by
+three identities on a finite base:
+
+* Cauchy limits, per class.  The tail of a Cauchy formal-ball sequence is
+  a zero clique of the base with a convergent radius sequence.  Members
+  of one specialization class share their rows and columns (triangle
+  law), so every clique inside a class gives the same checks, and
+  ``kw_limit`` is run once per class of zero self-distance and grid
+  radius.  Its limit point x* is a class member, so both liminf
+  comparisons hold with equality for every grid and every radius limit.
+* Directed suprema.  A finite directed set of formal balls has a member
+  above all members (the order is transitive), and every upper bound
+  dominates that member, so it is the supremum.
+* Ball identities, by radius shift.  For t >= 0,
+  (a + r - s)+ <= t iff (a + (r - t) - s)+ = 0, with inf absorbing.  On
+  a hemimetric the shifted balls sit at distance exactly t from their
+  cones' tips, so the lower-ball bound of the extension is below the
+  identity.
+
+The sampled forms of all three sides are test oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import INF, ZERO, ExtReal
-from .nets import EpSeq, PreconditionError, is_zero_clique
-from .space import FiniteSpace, SpaceError
+from .extreal import INF, ZERO, ExtReal, parse_rational
+from .nets import EpSeq, PreconditionError, epseq, is_zero_clique
+from .space import FiniteSpace, SpaceError, representatives
 from .topology import double_hole_limits_of_clique, is_complete
 
 DEFAULT_RADIUS_GRID = (Fraction(0), Fraction(-1, 2), Fraction(-1))
+
+
+def _exact(value, what: str) -> Fraction:
+    """An int or Fraction as a Fraction; a float, a bool or anything else
+    raises ``SpaceError`` (no binary float enters the extension)."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise SpaceError(f"{what} {value!r} is not an exact rational")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -26,7 +55,7 @@ class FormalBall:
     radius: Fraction
 
     def __post_init__(self):
-        if self.radius > 0:
+        if _exact(self.radius, "formal-ball radius") > 0:
             raise SpaceError("formal-ball radii are nonpositive")
 
     def label(self, space: FiniteSpace) -> dict:
@@ -34,7 +63,14 @@ class FormalBall:
 
 
 def formal_ball(space: FiniteSpace, point: str, radius) -> FormalBall:
-    return FormalBall(space.index(point), Fraction(radius))
+    """The ball at ``point``; a text radius is nonpositive ``parse_rational``
+    text such as ``"-1/3"``."""
+    if isinstance(radius, str):
+        try:
+            radius = parse_rational(radius, nonpositive=True)
+        except ValueError as e:
+            raise SpaceError(f"bad formal-ball radius: {e}") from None
+    return FormalBall(space.index(point), _exact(radius, "formal-ball radius"))
 
 
 def formal_ball_from_dict(space: FiniteSpace, data: dict) -> FormalBall:
@@ -64,65 +100,6 @@ def fb_leq(space: FiniteSpace, a: FormalBall, b: FormalBall) -> bool:
 
 
 @dataclass(frozen=True)
-class BallIdentityReport:
-    tuples_checked: int
-    identity_violations: int
-    # sampled "closed balls have extremal bounds at distance exactly t";
-    # None when the base is not a hemimetric (the witnesses then sit at
-    # distance d(x,x) + t instead).
-    d_up_leq_identity: bool | None
-    d_low_leq_identity: bool | None
-
-    @property
-    def ok(self) -> bool:
-        return self.identity_violations == 0
-
-    def to_dict(self) -> dict:
-        return {"tuples_checked": self.tuples_checked,
-                "identity_violations": self.identity_violations,
-                "d_up_leq_identity": self.d_up_leq_identity,
-                "d_low_leq_identity": self.d_low_leq_identity}
-
-
-def _random_radius(rng) -> Fraction:
-    return Fraction(-rng.randrange(0, 9), rng.choice((1, 2, 3, 4)))
-
-
-def ball_identities(space: FiniteSpace, rng, count: int = 200) -> BallIdentityReport:
-    """Verify, on sampled tuples, the three equivalent readings of
-    d((x,r),(y,s)) <= t: shifting the left radius down by t, or the right
-    radius up by t, lands exactly on the order cone.
-
-    When the base is a hemimetric the sampled witnesses also pin the ball
-    bound functions of the extension below the identity: the shifted balls
-    sit at distance exactly t from their cones' tips.
-    """
-    violations = 0
-    hemimetric = space.validation.is_hemimetric
-    up_ok = True if hemimetric else None
-    low_ok = True if hemimetric else None
-    for _ in range(count):
-        x = rng.randrange(space.n)
-        y = rng.randrange(space.n)
-        r = _random_radius(rng)
-        s = _random_radius(rng)
-        t_num = rng.randrange(0, 9)
-        t = Fraction(t_num, rng.choice((1, 2, 4)))
-        lhs = fb_distance_raw(space, x, r, y, s) <= ExtReal.from_fraction(t) \
-            if t >= 0 else False
-        mid = fb_distance_raw(space, x, r - t, y, s).is_zero()
-        rhs = fb_distance_raw(space, x, r, y, t + s).is_zero()
-        if not (lhs == mid == rhs):
-            violations += 1
-        if hemimetric:
-            if fb_distance_raw(space, x, r, x, r - t) != ExtReal.from_fraction(t):
-                up_ok = False
-            if fb_distance_raw(space, y, t + s, y, s) != ExtReal.from_fraction(t):
-                low_ok = False
-    return BallIdentityReport(count, violations, up_ok, low_ok)
-
-
-@dataclass(frozen=True)
 class RadiusSeq:
     """Radius sequences from a closed catalog with exact limits.
 
@@ -137,6 +114,8 @@ class RadiusSeq:
     cycle: tuple = ()
 
     def __post_init__(self):
+        for v in (self.value, self.scale, *self.cycle):
+            _exact(v, f"{self.kind} radius field")
         if self.kind not in ("constant", "harmonic", "periodic"):
             raise SpaceError(f"unknown radius kind {self.kind!r}")
         if self.kind == "periodic" and not self.cycle:
@@ -210,90 +189,50 @@ def kw_limit(space: FiniteSpace, points: EpSeq, radii: RadiusSeq,
 @dataclass(frozen=True)
 class KwAuditReport:
     base_complete: bool
-    cauchy_sequences_checked: int
-    cauchy_sequences_verified: int
-    directed_subsets_checked: int
-    directed_subsets_with_sup: int
+    classes: int
+    classes_verified: int
     chain_d_low_leq_identity: bool | None
     equivalence_confirmed: bool
 
     def to_dict(self) -> dict:
         return {"base_complete": self.base_complete,
-                "cauchy_sequences_checked": self.cauchy_sequences_checked,
-                "cauchy_sequences_verified": self.cauchy_sequences_verified,
-                "directed_subsets_checked": self.directed_subsets_checked,
-                "directed_subsets_with_sup": self.directed_subsets_with_sup,
+                "cauchy_limits": {"method": "exhaustive",
+                                  "enumerated": self.classes, "of": self.classes,
+                                  "verified": self.classes_verified},
+                "directed_sups": {"method": "identity",
+                                  "identity": "finite directed set has a top member"},
+                "ball_identities": {"method": "identity", "identity": "radius shift"},
                 "chain_d_low_leq_identity": self.chain_d_low_leq_identity,
                 "equivalence_confirmed": self.equivalence_confirmed}
 
 
-def _sample_cauchy_fb_sequences(space: FiniteSpace, rng, count: int):
-    from .nets import zero_cliques, epseq
-    cliques = zero_cliques(space)
-    if not cliques:
-        return
-    for _ in range(count):
-        mask = cliques[rng.randrange(len(cliques))]
-        members = [i for i in range(space.n) if mask >> i & 1]
-        rng.shuffle(members)
-        pre = [rng.randrange(space.n)] if rng.random() < 0.5 else []
-        pts = epseq(pre, members)
-        kind = rng.choice(("constant", "harmonic"))
-        if kind == "constant":
-            radii = RadiusSeq("constant", Fraction(-rng.randrange(0, 4), 3))
-        else:
-            radii = RadiusSeq("harmonic", Fraction(0), Fraction(1, rng.choice((1, 2))))
-        yield pts, radii
+def kw_audit(space: FiniteSpace, grid=DEFAULT_RADIUS_GRID) -> KwAuditReport:
+    """Three-way completeness equivalence, decided exactly.
 
-
-def directed_fb_subsets_have_sups(space: FiniteSpace, rng, grid=DEFAULT_RADIUS_GRID,
-                                  samples: int = 200, max_size: int = 4):
-    """Sample order-directed subsets of X x grid and find their suprema.
-
-    A finite directed set has a member above all members (transitivity of
-    the order); that member stays the least upper bound in the whole
-    extension because every upper bound must dominate it.  Returns
-    (checked, with_sup).
+    (1) The base is complete (``is_complete``).
+    (2) Every Cauchy formal-ball sequence has a verified limit.  Its tail
+        lies in one specialization class of zero self-distance, whose
+        members share rows and columns, so ``kw_limit`` runs once per class
+        and constant grid radius, checked against all of X x grid.  The
+        limit point is a class member, so both liminf comparisons hold
+        with equality; the report counts the classes.
+    (3) Every directed subset of X x grid has a supremum: being finite, it
+        has a top member, and every upper bound dominates it.
+    The ball identities hold by radius shift: for t >= 0,
+    (a + r - s)+ <= t iff (a + (r - t) - s)+ = 0, with inf absorbing.  On
+    a hemimetric the lower-ball bound of the extension is below the
+    identity, so ``chain_d_low_leq_identity`` is True there and None on
+    any other base.
     """
-    carrier = [FormalBall(i, u) for i in range(space.n) for u in grid]
-    checked = 0
-    with_sup = 0
-    for _ in range(samples):
-        size = rng.randrange(1, max_size + 1)
-        subset = [carrier[rng.randrange(len(carrier))] for _ in range(size)]
-        subset = list({(b.point, b.radius): b for b in subset}.values())
-        directed = all(
-            any(fb_leq(space, a, c) and fb_leq(space, b, c) for c in subset)
-            for a, b in itertools.combinations_with_replacement(subset, 2))
-        if not directed:
-            continue
-        checked += 1
-        tops = [m for m in subset if all(fb_leq(space, e, m) for e in subset)]
-        if tops:
-            with_sup += 1
-    return checked, with_sup
-
-
-def kw_audit(space: FiniteSpace, rng, grid=DEFAULT_RADIUS_GRID,
-             cauchy_samples: int = 100, subset_samples: int = 200) -> KwAuditReport:
-    """Three-way completeness equivalence at finite scale.
-
-    (1) the base is complete; (2) sampled Cauchy formal-ball sequences all
-    acquire verified limits; (3) sampled directed subsets of the radius
-    grid extension have suprema.  On a finite base all three sides hold,
-    and the chain from (3) back to (2) is re-verified through the sampled
-    lower-ball bound identities.
-    """
-    base = is_complete(space)
-    checked = verified = 0
-    for pts, radii in _sample_cauchy_fb_sequences(space, rng, cauchy_samples):
-        res = kw_limit(space, pts, radii, grid)
-        checked += 1
-        if res.verified:
-            verified += 1
-    d_checked, d_with = directed_fb_subsets_have_sups(space, rng, grid, subset_samples)
-    ids = ball_identities(space, rng, 200)
-    confirmed = (bool(base.complete) and checked == verified
-                 and d_checked == d_with and ids.ok)
-    return KwAuditReport(bool(base.complete), checked, verified,
-                         d_checked, d_with, ids.d_low_leq_identity, confirmed)
+    base = bool(is_complete(space).complete)
+    core = sum(1 << i for i in range(space.n) if space.zero_up[i] >> i & 1)
+    reps = representatives(space.class_masks) & core
+    classes = [[j for j in range(space.n) if space.class_masks[i] >> j & 1]
+               for i in range(space.n) if reps >> i & 1]
+    verified = sum(
+        all(kw_limit(space, epseq([], members), RadiusSeq("constant", u), grid).verified
+            for u in grid)
+        for members in classes)
+    chain = True if space.validation.is_hemimetric else None
+    return KwAuditReport(base, len(classes), verified, chain,
+                         base and verified == len(classes))

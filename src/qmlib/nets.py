@@ -56,10 +56,6 @@ class EpSeq:
             return self.pre[k]
         return self.cycle[(k - len(self.pre)) % len(self.cycle)]
 
-    @property
-    def cycle_set(self) -> frozenset:
-        return frozenset(self.cycle)
-
 
 def epseq(pre, cycle) -> EpSeq:
     pre = tuple(pre)
@@ -82,11 +78,6 @@ def seq_from_dict(space: FiniteSpace, data: dict) -> EpSeq:
         return epseq_from_labels(space, data.get("pre", []), data["cycle"])
     except (KeyError, TypeError):
         raise SpaceError("sequence literal needs a 'cycle' list") from None
-
-
-def seq_to_labels(space: FiniteSpace, seq: EpSeq) -> dict:
-    return {"pre": [space.labels[i] for i in seq.pre],
-            "cycle": [space.labels[i] for i in seq.cycle]}
 
 
 @dataclass(frozen=True)

@@ -374,10 +374,6 @@ def threshold_grid(space: FiniteSpace) -> tuple:
     return tuple(dict.fromkeys(grid))
 
 
-def threshold_relations(space: FiniteSpace) -> tuple:
-    return tuple(ThresholdRel(space, eps) for eps in threshold_grid(space))
-
-
 def space_to_dict(space: FiniteSpace) -> dict:
     return {
         "points": list(space.labels),

@@ -18,13 +18,21 @@ loops that the integer form of the matrix replaced.  Entries are
 nonnegative, so a sum cannot fall below either of its legs:
 ``validate_oracle`` and ``minplus_closure_oracle`` keep the triple loops
 that add over every k, where production adds only over the k whose two
-legs both lie strictly below the entry under test.
+legs both lie strictly below the entry under test.  The formal-ball
+samplers draw Cauchy sequences, directed subsets of X x grid and
+ball-identity tuples at random, where ``kw_audit`` decides each side per
+class or by identity.
 """
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 
 from qmlib.derived import DerivedFunctions, StepFn
 from qmlib.extreal import INF, ZERO, ExtReal, ext_max, ext_min
+from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
+                                fb_distance_raw, fb_leq)
+from qmlib.nets import epseq, zero_cliques
 from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
 from qmlib.space import FiniteSpace, SpaceError, Validation, derive, threshold_grid
 from qmlib.topology import CompletenessReport
@@ -347,3 +355,108 @@ def minplus_closure_oracle(rows, labels=None) -> FiniteSpace:
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
     return FiniteSpace(tuple(labels), tuple(tuple(r) for r in work))
+
+
+def step_is_monotone(f: StepFn) -> bool:
+    """The step function never decreases: at zero, then piece by piece."""
+    prev = f.at_zero
+    for v in f.values:
+        if v < prev:
+            return False
+        prev = v
+    return True
+
+
+@dataclass(frozen=True)
+class BallIdentityReport:
+    tuples_checked: int
+    identity_violations: int
+    # sampled "closed balls have extremal bounds at distance exactly t";
+    # None when the base is not a hemimetric (the witnesses then sit at
+    # distance d(x,x) + t instead).
+    d_up_leq_identity: bool | None
+    d_low_leq_identity: bool | None
+
+    @property
+    def ok(self) -> bool:
+        return self.identity_violations == 0
+
+
+def _random_radius(rng) -> Fraction:
+    return Fraction(-rng.randrange(0, 9), rng.choice((1, 2, 3, 4)))
+
+
+def ball_identities(space: FiniteSpace, rng, count: int = 200) -> BallIdentityReport:
+    """Verify, on sampled tuples, the three equivalent readings of
+    d((x,r),(y,s)) <= t: shifting the left radius down by t, or the right
+    radius up by t, lands exactly on the order cone.
+
+    When the base is a hemimetric the sampled witnesses also pin the ball
+    bound functions of the extension below the identity: the shifted balls
+    sit at distance exactly t from their cones' tips.
+    """
+    violations = 0
+    hemimetric = space.validation.is_hemimetric
+    up_ok = True if hemimetric else None
+    low_ok = True if hemimetric else None
+    for _ in range(count):
+        x = rng.randrange(space.n)
+        y = rng.randrange(space.n)
+        r = _random_radius(rng)
+        s = _random_radius(rng)
+        t = Fraction(rng.randrange(0, 9), rng.choice((1, 2, 4)))
+        lhs = fb_distance_raw(space, x, r, y, s) <= ExtReal.from_fraction(t)
+        mid = fb_distance_raw(space, x, r - t, y, s).is_zero()
+        rhs = fb_distance_raw(space, x, r, y, t + s).is_zero()
+        if not (lhs == mid == rhs):
+            violations += 1
+        if hemimetric:
+            if fb_distance_raw(space, x, r, x, r - t) != ExtReal.from_fraction(t):
+                up_ok = False
+            if fb_distance_raw(space, y, t + s, y, s) != ExtReal.from_fraction(t):
+                low_ok = False
+    return BallIdentityReport(count, violations, up_ok, low_ok)
+
+
+def _sample_cauchy_fb_sequences(space: FiniteSpace, rng, count: int):
+    """Random Cauchy formal-ball sequences: a shuffled zero clique as the
+    point cycle, an optional one-point preperiod, and constant or
+    harmonic radii."""
+    cliques = zero_cliques(space)
+    if not cliques:
+        return
+    for _ in range(count):
+        mask = cliques[rng.randrange(len(cliques))]
+        members = [i for i in range(space.n) if mask >> i & 1]
+        rng.shuffle(members)
+        pre = [rng.randrange(space.n)] if rng.random() < 0.5 else []
+        pts = epseq(pre, members)
+        kind = rng.choice(("constant", "harmonic"))
+        if kind == "constant":
+            radii = RadiusSeq("constant", Fraction(-rng.randrange(0, 4), 3))
+        else:
+            radii = RadiusSeq("harmonic", Fraction(0), Fraction(1, rng.choice((1, 2))))
+        yield pts, radii
+
+
+def directed_fb_subsets_have_sups(space: FiniteSpace, rng, grid=DEFAULT_RADIUS_GRID,
+                                  samples: int = 200, max_size: int = 4):
+    """Sample order-directed subsets of X x grid and find their suprema
+    (a member above all members).  Returns (checked, with_sup)."""
+    carrier = [FormalBall(i, u) for i in range(space.n) for u in grid]
+    checked = 0
+    with_sup = 0
+    for _ in range(samples):
+        size = rng.randrange(1, max_size + 1)
+        subset = [carrier[rng.randrange(len(carrier))] for _ in range(size)]
+        subset = list({(b.point, b.radius): b for b in subset}.values())
+        directed = all(
+            any(fb_leq(space, a, c) and fb_leq(space, b, c) for c in subset)
+            for a, b in itertools.combinations_with_replacement(subset, 2))
+        if not directed:
+            continue
+        checked += 1
+        tops = [m for m in subset if all(fb_leq(space, e, m) for e in subset)]
+        if tops:
+            with_sup += 1
+    return checked, with_sup

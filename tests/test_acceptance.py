@@ -21,9 +21,9 @@ from qmlib.order import is_directed, link_directed_sequence
 from qmlib.theorems import construct_directed_from_cauchy
 from qmlib.topology import (check_hole_characterizations, is_complete,
                             limit_set)
-from qmlib.formal_balls import ball_identities, kw_audit, kw_limit
+from qmlib.formal_balls import kw_audit, kw_limit
 
-from tests.oracles import d_Phi_oracle
+from tests.oracles import _sample_cauchy_fb_sequences, ball_identities, d_Phi_oracle
 from tests.test_nets import classify_oracle
 
 
@@ -194,12 +194,11 @@ def test_criterion_7_formal_ball_audit():
         ids = ball_identities(sp, sub, 20)
         identity_tuples += ids.tuples_checked
         ok = ok and ids.identity_violations == 0
-        from qmlib.formal_balls import _sample_cauchy_fb_sequences
         for pts, radii in _sample_cauchy_fb_sequences(sp, sub, 100):
             res = kw_limit(sp, pts, radii)
             kw_checked += 1
             ok = ok and res.verified
-        rep = kw_audit(sp, sub, cauchy_samples=20, subset_samples=60)
+        rep = kw_audit(sp)
         ok = ok and rep.equivalence_confirmed
     ok = ok and identity_tuples == 1000 and kw_checked == 5000
     report(7, "ball identities exact on 1000 tuples; 5000 sampled Cauchy "

@@ -89,6 +89,8 @@ class TestCheck:
         {"points": ["a", "b"], "matrix": [["0", "1_0"], ["1", "0"]]},
         {"points": ["a", "b"], "matrix": [["0", "\u0663"], ["1", "0"]]},
         {"points": ["a", "b"], "matrix": [["0", "1/\u0663"], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [["0", "-1/-2"], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [["0", "1"], ["+1", "0"]]},
         {"rule": "sup-truncated-difference", "cutoff": "x"},
         {"rule": "sup-truncated-difference", "cutoff": 8.5},
         {"rule": "sup-truncated-difference", "cutoff": "8"},
@@ -103,6 +105,9 @@ class TestCheck:
         {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"zz": "1/0"}}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "1_0"}}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "\u0663"}}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "1e3"}}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "0.5"}}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "-1/2"}}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"values": "odd"}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"colour": "red"}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"prefix": "f"}},
@@ -116,11 +121,12 @@ class TestCheck:
         {"rule": "sup-truncated-difference", "cutoff": 8,
          "params": {"coordinate_cutoff": 64}},
     ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "underscore", "arabic-indic-digit",
-            "arabic-indic-denominator", "cutoff-x", "cutoff-float", "cutoff-text",
+            "arabic-indic-denominator", "signed-fraction", "plus-sign", "cutoff-x", "cutoff-float", "cutoff-text",
             "not-an-object", "matrix-not-a-list", "label-not-a-string",
             "params-not-an-object", "params-a-list", "extras-not-an-object",
             "extra-not-rational", "extra-not-text", "extra-zero-denominator",
-            "extra-underscore", "extra-arabic-indic-digit",
+            "extra-underscore", "extra-arabic-indic-digit", "extra-exponent",
+            "extra-decimal-point", "extra-negative",
             "unknown-value-form", "unknown-param", "param-of-another-rule",
             "prefix-not-a-string", "window-text", "window-float", "window-bool",
             "extras-on-vector-rule", "window-integer"])

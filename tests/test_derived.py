@@ -5,13 +5,12 @@ from random import Random
 import pytest
 
 from qmlib.derived import (StepFn, derived_functions, dist_subequiv,
-                           leq_identity, ratio_at, sub_identity, subequiv,
-                           weak_threshold_condition)
+                           leq_identity, sub_identity, subequiv)
 from qmlib.extreal import INF, ZERO, ext
 from qmlib.generate import random_space, random_value_pair
 from qmlib.space import space_from_rows
 
-from tests.oracles import d_F_oracle, d_Phi_oracle
+from tests.oracles import d_F_oracle, d_Phi_oracle, step_is_monotone
 
 
 def step(at_zero, pairs):
@@ -45,11 +44,12 @@ class TestStepFn:
         assert not leq_identity(step(ext(1, 8), [(INF, ZERO)]))
 
     def test_sub_identity_vs_weak_condition(self):
+        # the weak condition: the first positive piece carries the value 0
         f = step(ext(1, 8), [(ext(1), ZERO), (INF, ext(5))])
-        assert weak_threshold_condition(f)
+        assert f.first_positive_value == ZERO
         assert not sub_identity(f)          # nonzero value at radius 0
         g = step(ZERO, [(ext(1), ZERO), (INF, ext(5))])
-        assert sub_identity(g) and weak_threshold_condition(g)
+        assert sub_identity(g) and g.first_positive_value == ZERO
 
 
 class TestSubequiv:
@@ -59,13 +59,6 @@ class TestSubequiv:
     def test_infinite_function_not_below_identity_like(self):
         top = step(INF, [(INF, INF)])
         assert not subequiv(top, IDENTITY_LIKE)
-
-    def test_ratio_evaluation(self):
-        f = step(ZERO, [(ext(1), ext(2)), (INF, ext(3))])
-        g = IDENTITY_LIKE
-        # where g <= 1/2: arguments up to 1 (g is 0 there, then 1/2 at 1)
-        assert ratio_at(f, g, ext(1, 2)) == ext(2)
-        assert ratio_at(f, g, INF) == ext(3)
 
     def test_derived_function_vs_identity_like(self):
         sp = space_from_rows(["a", "b"], [["0", "1"], ["1", "0"]])
@@ -98,7 +91,7 @@ class TestDerivedFunctions:
             sp = random_space(rng, 5)
             dfs = derived_functions(sp)
             for f in (dfs.d_up, dfs.d_low, dfs.d_F, dfs.d_Phi):
-                assert f.is_monotone()
+                assert step_is_monotone(f)
 
     def test_chain_and_finite_degeneracy(self):
         # d_F and d_Phi are aliases of d_low; their definitional forms

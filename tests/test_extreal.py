@@ -4,7 +4,10 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from qmlib.extreal import INF, ONE, ZERO, ExtReal, add, ext, scale_inf, tsub
+from fractions import Fraction
+
+from qmlib.extreal import (INF, ONE, ZERO, ExtReal, add, ext, parse_rational,
+                           scale_inf, tsub)
 
 
 def rationals():
@@ -47,6 +50,21 @@ class TestBasics:
     def test_parse_format_roundtrip(self):
         for text in ("0", "1/2", "7", "inf", "22/7"):
             assert str(ExtReal.parse(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        "-1/-2", "+1", "-0", "1e3", "0.5", "1_0", "1/", "/2", "1/0", "1 / 2", "\u0663", "", 1])
+    def test_parse_rejects_all_but_digits(self, text):
+        with pytest.raises(ValueError):
+            ExtReal.parse(text)
+
+    def test_parse_rational_grammar(self):
+        assert parse_rational(" 6/4 ") == Fraction(3, 2)
+        assert parse_rational("-2/6", nonpositive=True) == Fraction(-1, 3)
+        assert parse_rational("0", nonpositive=True) == 0
+        for text, nonpositive in (("-1/2", False), ("1/2", True), ("-+1", True),
+                                  ("-1/-2", True), ("-0.5", True), (-1, True)):
+            with pytest.raises(ValueError):
+                parse_rational(text, nonpositive=nonpositive)
 
     def test_total_order(self):
         chain = [ZERO, ext(1, 4), ext(1, 2), ONE, ext(2), INF]

@@ -1,22 +1,52 @@
-"""Formal-ball distance, ball identities, and completeness transfer."""
+"""Formal-ball distance, ball identities, and completeness transfer.
+
+The sampled generators of Cauchy formal-ball sequences, directed subsets
+of X x grid and ball-identity tuples live in ``tests.oracles``; here they
+pin the exact ``kw_audit`` report.
+"""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmlib.extreal import INF, ZERO, ext
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
-                                ball_identities, directed_fb_subsets_have_sups,
                                 fb_distance, fb_distance_raw, fb_leq,
-                                formal_ball, kw_audit, kw_limit)
+                                formal_ball, formal_ball_from_dict, kw_audit,
+                                kw_limit)
 from qmlib.generate import random_space
 from qmlib.nets import PreconditionError, epseq
 from qmlib.space import SpaceError, space_from_rows
 
+from tests.oracles import (_sample_cauchy_fb_sequences, ball_identities,
+                           directed_fb_subsets_have_sups)
+
 
 def two_point(d_ab="1", d_ba="1"):
     return space_from_rows(["a", "b"], [["0", d_ab], [d_ba, "0"]])
+
+
+def zero_self_distance_classes(space):
+    """The specialization classes of the points with d(x, x) = 0, as
+    sorted member lists, read straight off the matrix."""
+    classes = {tuple(j for j in range(space.n)
+                     if space.d(i, j).is_zero() and space.d(j, i).is_zero())
+               for i in range(space.n) if space.d(i, i).is_zero()}
+    return sorted(list(c) for c in classes)
+
+
+@st.composite
+def sampled_spaces(draw):
+    """A random 1-7 point plain or hemimetric space, with the seeded
+    ``Random`` that drew it for the samplers to continue."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_value=1, max_value=7))
+    return random_space(rng, n, hemimetric=draw(st.booleans())), rng
+
+
+RADII = st.fractions(min_value=-3, max_value=0, max_denominator=6)
 
 
 class TestDistance:
@@ -44,11 +74,32 @@ class TestDistance:
             formal_ball(sp, "a", Fraction(1, 2))
 
     def test_literal_roundtrip(self):
-        from qmlib.formal_balls import formal_ball_from_dict
         sp = two_point()
         fb = formal_ball_from_dict(sp, {"point": "a", "radius": "-1/3"})
         assert fb.point == 0 and fb.radius == Fraction(-1, 3)
         assert fb.label(sp) == {"point": "a", "radius": "-1/3"}
+
+    @pytest.mark.parametrize("radius", [
+        "-1e-3", "-0.5", "-1/-2", "--1", "+0", "1/2", "-1/0", "\u0663", -0.1, 0.0, True, None])
+    def test_radius_is_exact_nonpositive_text_or_number(self, radius):
+        with pytest.raises(SpaceError):
+            formal_ball_from_dict(two_point(), {"point": "a", "radius": radius})
+
+    @pytest.mark.parametrize("radius, value", [
+        ("0", Fraction(0)), ("-0", Fraction(0)), (" -2/6 ", Fraction(-1, 3)),
+        (-2, Fraction(-2)), (Fraction(-1, 4), Fraction(-1, 4))])
+    def test_exact_radii_load(self, radius, value):
+        fb = formal_ball_from_dict(two_point(), {"point": "b", "radius": radius})
+        assert fb.radius == value and isinstance(fb.radius, Fraction)
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": "constant", "value": -0.5},
+        {"kind": "harmonic", "scale": 0.5},
+        {"kind": "periodic", "cycle": (Fraction(0), -1.0)},
+        {"kind": "constant", "value": False}])
+    def test_radius_sequences_reject_floats(self, fields):
+        with pytest.raises(SpaceError):
+            RadiusSeq(**fields)
 
     def test_infinite_base_distance(self):
         sp = space_from_rows(["a", "b"], [["0", "inf"], ["1", "0"]])
@@ -155,12 +206,16 @@ class TestKwAudit:
         rng = Random(76)
         for _ in range(6):
             sp = random_space(rng, 5, hemimetric=True)
-            rep = kw_audit(sp, Random(rng.getrandbits(32)),
-                           cauchy_samples=30, subset_samples=60)
-            assert rep.base_complete
-            assert rep.cauchy_sequences_checked == rep.cauchy_sequences_verified
-            assert rep.directed_subsets_checked == rep.directed_subsets_with_sup
-            assert rep.equivalence_confirmed
+            rep = kw_audit(sp).to_dict()
+            assert rep["base_complete"]
+            limits = rep["cauchy_limits"]
+            assert limits["method"] == "exhaustive"
+            assert limits["enumerated"] == limits["of"] == limits["verified"] > 0
+            assert rep["directed_sups"] == {
+                "method": "identity", "identity": "finite directed set has a top member"}
+            assert rep["ball_identities"] == {"method": "identity", "identity": "radius shift"}
+            assert rep["chain_d_low_leq_identity"] is True
+            assert rep["equivalence_confirmed"]
 
     def test_order_chain_grid_sups_match_brute_force(self):
         # three-point order chain a <= b <= c as a 0/inf distance
@@ -171,6 +226,7 @@ class TestKwAudit:
         carrier = [FormalBall(i, u) for i in range(3) for u in DEFAULT_RADIUS_GRID]
         checked, with_sup = directed_fb_subsets_have_sups(sp, rng, samples=300)
         assert checked > 0 and checked == with_sup
+        assert kw_audit(sp).to_dict()["directed_sups"]["method"] == "identity"
         # brute-force least-upper-bound oracle over the grid carrier
         import itertools
         for size in (1, 2, 3):
@@ -183,14 +239,62 @@ class TestKwAudit:
                 tops = [m for m in subset if all(fb_leq(sp, e, m) for e in subset)]
                 assert tops
                 ubs = [u for u in carrier if all(fb_leq(sp, e, u) for e in subset)]
-                minimal_ubs = [u for u in ubs
-                               if all(fb_leq(sp, u, v) or not fb_leq(sp, v, u)
-                                      for v in ubs)]
                 for m in tops:
                     assert all(fb_leq(sp, m, u) for u in ubs)
 
     def test_discrete_metric_singleton_sups(self):
         sp = two_point()
-        rng = Random(78)
-        rep = kw_audit(sp, rng, cauchy_samples=20, subset_samples=50)
+        rep = kw_audit(sp)
         assert rep.equivalence_confirmed
+        assert rep.to_dict()["cauchy_limits"] == {
+            "method": "exhaustive", "enumerated": 2, "of": 2, "verified": 2}
+
+    def test_deterministic_with_a_method_per_side(self):
+        sp = space_from_rows(["a", "b", "c"],
+                             [["0", "0", "1"], ["0", "0", "1"], ["2", "2", "0"]])
+        rep = kw_audit(sp).to_dict()
+        assert rep == kw_audit(sp).to_dict()
+        assert list(rep) == ["base_complete", "cauchy_limits", "directed_sups",
+                             "ball_identities", "chain_d_low_leq_identity",
+                             "equivalence_confirmed"]
+        assert all("method" in v for v in rep.values() if isinstance(v, dict))
+        # {a, b} and {c}: two classes, however many zero cliques {a, b} holds
+        assert rep["cauchy_limits"]["of"] == 2
+
+    def test_no_zero_self_distance_point(self):
+        sp = space_from_rows(["a"], [["1"]])
+        rep = kw_audit(sp)
+        assert rep.to_dict()["cauchy_limits"]["of"] == 0
+        assert rep.chain_d_low_leq_identity is None
+        assert rep.equivalence_confirmed
+
+
+class TestKwAuditAgainstSamplers:
+    @settings(max_examples=60, deadline=None)
+    @given(sampled_spaces())
+    def test_exact_report_agrees_with_the_sampled_oracles(self, case):
+        sp, rng = case
+        rep = kw_audit(sp)
+        classes = len(zero_self_distance_classes(sp))
+        limits = rep.to_dict()["cauchy_limits"]
+        assert limits["enumerated"] == limits["of"] == limits["verified"] == classes
+        for pts, radii in _sample_cauchy_fb_sequences(sp, rng, 20):
+            assert kw_limit(sp, pts, radii).verified
+        checked, with_sup = directed_fb_subsets_have_sups(sp, rng, samples=40)
+        assert checked == with_sup
+        ids = ball_identities(sp, rng, 40)
+        assert ids.ok
+        assert rep.chain_d_low_leq_identity == ids.d_low_leq_identity
+        assert rep.equivalence_confirmed
+
+    @settings(max_examples=40, deadline=None)
+    @given(sampled_spaces(), RADII, st.lists(RADII, min_size=1, max_size=4, unique=True))
+    def test_class_verdict_ignores_radius_limit_and_grid(self, case, r_star, grid):
+        sp, _ = case
+        for members in zero_self_distance_classes(sp):
+            pts = epseq([], members)
+            base = kw_limit(sp, pts, RadiusSeq("constant", Fraction(0)))
+            for radii in (RadiusSeq("constant", r_star), RadiusSeq("harmonic", r_star)):
+                res = kw_limit(sp, pts, radii, tuple(grid))
+                assert res.verified == base.verified is True
+                assert res.limit["point"] == base.limit["point"]

@@ -207,9 +207,9 @@ class TestSeqLimits:
         assert seq.term(0) == 0
 
     def test_sequence_literal_roundtrip(self):
-        from qmlib.nets import seq_from_dict, seq_to_labels
+        from qmlib.nets import seq_from_dict
         sp = space_from_rows(["a", "b", "c"], [["0"] * 3] * 3)
         seq = seq_from_dict(sp, {"pre": ["a"], "cycle": ["b", "c"]})
-        assert seq_to_labels(sp, seq) == {"pre": ["a"], "cycle": ["b", "c"]}
+        assert (seq.pre, seq.cycle) == ((0,), (1, 2))
         with pytest.raises(Exception):
             seq_from_dict(sp, {"pre": ["a"]})

@@ -13,7 +13,7 @@ from qmlib.generate import VALUE_GRID, random_space
 from qmlib.space import (SpaceError, ThresholdRel, balls_and_holes,
                          derive, load_space, minplus_closure, space_from_dict,
                          space_from_rows, space_to_dict, threshold_grid,
-                         threshold_relations, validate)
+                         validate)
 
 
 def projection_space(vals=(Fraction(0), Fraction(1, 2), Fraction(1))):
@@ -227,7 +227,7 @@ class TestThresholds:
         rng = Random(5)
         for _ in range(10):
             sp = random_space(rng, 5)
-            rels = threshold_relations(sp)
+            rels = [ThresholdRel(sp, eps) for eps in threshold_grid(sp)]
             for a, b in zip(rels, rels[1:]):
                 assert a.epsilon < b.epsilon
                 for i in range(5):
