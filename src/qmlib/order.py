@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .extreal import ext_max, ext_min
-from .nets import EpSeq, PreconditionError, classify, submasks
+from .nets import MAX_DIRECTED_CLASSES, EpSeq, PreconditionError, classify, submasks
 from .space import FiniteSpace, representatives
 from .topology import convergence
 
@@ -105,9 +105,10 @@ def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace,
     directedness and the d-suprema of Y depend only on which classes Y
     meets.  Up to ``cap`` points the exhaustive search therefore runs over
     the nonempty subsets of the class representatives, and a failing Y is
-    such a subset.  Beyond the cap a seeded random sample of point subsets
-    is used and the report is flagged as sampled.  Both arguments must
-    satisfy the triangle law.
+    such a subset; more than ``nets.MAX_DIRECTED_CLASSES`` classes raise
+    ``PreconditionError`` before that walk.  Beyond the cap a seeded random
+    sample of point subsets is used and the report is flagged as sampled.
+    Both arguments must satisfy the triangle law.
     """
     if space_e.labels != space_d.labels:
         raise PreconditionError("the two distances must share a point set")
@@ -118,6 +119,10 @@ def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace,
     if n <= cap:
         reps = representatives(a & b for a, b in zip(space_e.class_masks,
                                                      space_d.class_masks))
+        k = reps.bit_count()
+        if k > MAX_DIRECTED_CLASSES:
+            raise PreconditionError(f"{k} classes exceed the ceiling "
+                                    f"{MAX_DIRECTED_CLASSES} for walking the directed subsets")
         subsets = ([i for i in range(n) if mask >> i & 1] for mask in submasks(reps))
         sampled = False
     else:

@@ -10,7 +10,13 @@ the T0 quotient.  Each class of zero self-distance is its own symmetric
 companion and its own directed set with the tail's limit profiles, and a
 finite directed set's top member is its d-supremum.  Two vectors of the
 vector family differ only on the coordinates between their indices, so
-their sup distance needs no others.  The functions here evaluate the
+their sup distance needs no others; ``fm_dist_oracle`` sums every
+coordinate up to one past the larger index, where production computes a
+whole column of distances by one prefix/suffix-max sweep.  On the
+truncated-difference chain, the upper-hole test of a candidate against
+every point reduces to one test against the least-valued point, and the
+successor of a value is one bisection of the increasing chain values:
+the ``chain_*`` oracles keep the per-point loops.  The functions here evaluate the
 uncollapsed definitions, point by point, so the differential tests can pin
 each production form to them.  ``derived_functions_oracle`` and
 ``suprema_oracle`` keep the cut-by-cut and point-by-point ``ExtReal``
@@ -30,6 +36,8 @@ from fractions import Fraction
 
 from qmlib.derived import DerivedFunctions, StepFn
 from qmlib.extreal import INF, ZERO, ExtReal, ext_max, ext_min
+from qmlib.family import (CandidateRejection, CertificateError, FamilyCompleteness,
+                          FamilySpace, _tsub)
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
                                 fb_distance_raw, fb_leq)
 from qmlib.nets import epseq, zero_cliques
@@ -303,6 +311,54 @@ def fm_dist_oracle(m: int, k: int) -> ExtReal:
     def coord(n, j):
         return INF if j < n else ZERO if j == n else ExtReal(1, j)
     return ext_max(coord(m, j).tsub(coord(k, j)) for j in range(1, max(m, k) + 2))
+
+
+CHAIN_CERT = "chain.increasing_below_one"
+
+
+def chain_hole_limit_sets_oracle(space: FamilySpace) -> dict:
+    """``ChainAnalyzer.hole_limit_sets`` with the upper-hole inequality
+    (1 - w)+ >= (v - w)+ tried against the value w of every point."""
+    lower, upper, double = [], [], []
+    for pt in space.points():
+        v = space.value(pt)
+        lbl = space.label(pt)
+        lh = v >= 1
+        uh = all(_tsub(Fraction(1), space.value(z)) >= _tsub(v, space.value(z))
+                 for z in space.points())
+        if lh:
+            lower.append(lbl)
+        if uh:
+            upper.append(lbl)
+        if lh and uh:
+            double.append(lbl)
+    return {"lower_hole": sorted(lower), "upper_hole": sorted(upper),
+            "double_hole": sorted(double), "certificates": [CHAIN_CERT]}
+
+
+def chain_completeness_oracle(space: FamilySpace) -> FamilyCompleteness:
+    """``ChainAnalyzer.completeness`` with each candidate's successor found
+    by scanning the chain from its first point."""
+    def strictly_above(v):
+        for n in range(1, space.cutoff + 2):
+            if space.value(space.indexed(n)) > v:
+                return space.indexed(n)
+        raise CertificateError("chain certificate should provide a larger element")
+
+    rejections = []
+    for pt in space.points():
+        v = space.value(pt)
+        lbl = space.label(pt)
+        if v >= 1:
+            z = min(space.points(), key=lambda p: space.value(p))
+            rejections.append(CandidateRejection(
+                lbl, space.label(z), "upper_hole",
+                str(_tsub(Fraction(1), space.value(z))), str(_tsub(v, space.value(z)))))
+        else:
+            nxt = strictly_above(v)
+            rejections.append(CandidateRejection(
+                lbl, space.label(nxt), "lower_hole", "0", str(_tsub(space.value(nxt), v))))
+    return FamilyCompleteness(False, "identity", tuple(rejections), (CHAIN_CERT,))
 
 
 def validate_oracle(space: FiniteSpace) -> Validation:

@@ -5,10 +5,11 @@ import time
 
 import pytest
 
+from qmlib import order
 from qmlib.cli import (EXIT_FAILURE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                        canonical_json, main)
 from qmlib.family import MAX_CUTOFF, RULES
-from qmlib.nets import MAX_CLASS_SIZE
+from qmlib.nets import MAX_CLASS_SIZE, MAX_DIRECTED_CLASSES
 
 
 @pytest.fixture
@@ -198,6 +199,38 @@ class TestCheck:
         rc, out = run(capsys, ["check", self._all_zero(tmp_path, MAX_CLASS_SIZE)])
         assert rc == EXIT_OK
         assert json.loads(out)["completeness"]["cliques_checked"] == 2 ** MAX_CLASS_SIZE - 1
+
+    @staticmethod
+    def _chain(tmp_path, n):
+        # d(i, j) = 0 if i <= j else 1: one specialization class per point
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(json.dumps({
+            "points": [f"p{i}" for i in range(n)],
+            "matrix": [["0" if i <= j else "1" for j in range(n)] for i in range(n)]}))
+        return str(path)
+
+    @pytest.mark.parametrize("extra, code", [(0, EXIT_OK), (1, EXIT_PRECONDITION)],
+                             ids=["at-the-ceiling", "above-the-ceiling"])
+    def test_directed_subset_walk_ceiling(self, capsys, monkeypatch, tmp_path, extra, code):
+        # the walk itself is stubbed out: only whether it starts is under test
+        walks = []
+
+        def no_walk(mask):
+            walks.append(mask)
+            return iter(())
+
+        monkeypatch.setattr(order, "submasks", no_walk)
+        path = self._chain(tmp_path, MAX_DIRECTED_CLASSES + extra)
+        t0 = time.monotonic()
+        rc = main(["audit", path])
+        captured = capsys.readouterr()
+        assert rc == code
+        if code == EXIT_OK:
+            assert [m.bit_count() for m in walks] == [MAX_DIRECTED_CLASSES]
+        else:
+            assert time.monotonic() - t0 < 1.0
+            assert walks == [] and captured.out == ""
+            assert len(captured.err.splitlines()) == 1
 
 
 BAD_FILE_CONTENTS = [b"\xff\xfe{}", b"{not json", b"[1, 2]"]

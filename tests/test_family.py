@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmlib.extreal import INF, ZERO, ext
+from qmlib.extreal import INF, ZERO, ExtReal, ext
 from qmlib.family import (Analyzer, CertificateError, ChainAnalyzer, FamilySeq,
                           FamilySpace, NaturalOrderAnalyzer,
                           UndecidableAtCutoff, VectorFamilyAnalyzer, analyzer_for,
@@ -14,7 +15,8 @@ from qmlib.family import (Analyzer, CertificateError, ChainAnalyzer, FamilySeq,
 from qmlib.nets import PreconditionError
 from qmlib.space import SpaceError
 
-from tests.oracles import fm_dist_oracle
+from tests.oracles import (chain_completeness_oracle, chain_hole_limit_sets_oracle,
+                           fm_dist_oracle)
 
 
 def fm_space(cutoff=12):
@@ -42,6 +44,34 @@ class TestVectorFamily:
         for m in range(1, 31):
             for k in range(1, 31):
                 assert sp.dist(sp.indexed(m), sp.indexed(k)) == fm_dist_oracle(m, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dist_matches_the_oracle_in_any_query_order(self, data):
+        # queries reach past the window and come in random order, so a
+        # column is sometimes rebuilt longer after it was cached shorter
+        cutoff = data.draw(st.integers(min_value=4, max_value=40))
+        index = st.integers(min_value=1, max_value=cutoff + 3)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=60))
+        sp = fm_space(cutoff)
+        for m, k in pairs:
+            assert sp.dist(sp.indexed(m), sp.indexed(k)) == fm_dist_oracle(m, k)
+
+    @pytest.mark.parametrize("cutoff", [32, 64])
+    def test_pairwise_certificate_is_quadratic(self, monkeypatch, cutoff):
+        # one column sweep per target point: three truncated differences
+        # per coordinate, where summing |m - k| + 1 coordinates for each
+        # pair costs about c^3 / 3
+        calls = []
+        tsub = ExtReal.tsub
+
+        def counted(self, other):
+            calls.append(1)
+            return tsub(self, other)
+
+        monkeypatch.setattr(ExtReal, "tsub", counted)
+        assert VectorFamilyAnalyzer(fm_space(cutoff)).cert("fm.pairwise") == "fm.pairwise"
+        assert 0 < len(calls) <= 4 * cutoff ** 2
 
     def test_identity_sequence_cauchy(self):
         cls = classify_family(FamilySeq(fm_space(), "identity"))
@@ -107,6 +137,33 @@ class TestChain:
         comp = family_is_complete(sp)
         assert comp.complete is False
         assert len(comp.rejections) == len(sp.points())
+
+    def test_extras_are_parsed_once(self):
+        sp = halfopen_space()
+        assert sp.extras is sp.extras
+        assert sp.extras == {"0": Fraction(0), "2": Fraction(2)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=4, max_value=30),
+           st.lists(st.one_of(st.just(Fraction(0)), st.just(Fraction(1)),
+                              st.fractions(min_value=0, max_value=1),
+                              st.fractions(min_value=1, max_value=3)),
+                    max_size=5))
+    def test_holes_and_completeness_match_the_oracles(self, cutoff, values):
+        # extras at 0, below 1 (possibly above the whole window), exactly 1
+        # and above 1
+        sp = FamilySpace("truncated-difference", cutoff, {
+            "values": "one_minus_unit",
+            "extras": {f"e{i}": str(v) for i, v in enumerate(values)}})
+        an = ChainAnalyzer(sp)
+        assert an.hole_limit_sets() == chain_hole_limit_sets_oracle(sp)
+        try:
+            want = chain_completeness_oracle(sp)
+        except CertificateError:
+            with pytest.raises(CertificateError):
+                an.completeness()
+        else:
+            assert an.completeness() == want
 
     def test_constant_sequence_trivial(self):
         sp = halfopen_space()
@@ -218,6 +275,9 @@ class TestTriStateAndCertificates:
         assert family_is_complete(sp).complete is None
 
     def test_certificate_failure_is_loud(self):
+        # the genuine certificates verify, so a broken closed form fails here
+        assert VectorFamilyAnalyzer(fm_space(8)).cert("fm.pairwise") == "fm.pairwise"
+        assert ChainAnalyzer(halfopen_space(8)).cert(ChainAnalyzer.CERT)
         # order-characteristic over the bounded chain values breaks the
         # natural-values certificate
         sp = FamilySpace("order-characteristic", 8, {"values": "natural"})

@@ -30,15 +30,19 @@ second chain run selects three statements out of table order, one
 completeness criterion alone among them; its hash was recorded while each
 statement still had its own hand-written audit function.
 
-The gallery hashes cover all four fixtures at cutoffs 16, 50 and 100,
-and the two grid fixtures at cutoff 200.  At 16 and 50 the two grid
-fixtures were recorded before the family layer dropped the vector rule's
+The gallery hashes cover all four fixtures at cutoffs 16, 50, 100 and
+200.  At 16 and 50 the two grid fixtures were recorded before the family layer dropped the vector rule's
 coordinate window, and the two family fixtures after their
 ``valid_distance`` descriptions came to name the triples the check
 covers; those two strings are the only bytes that changed.  The cutoff
-100 and 200 hashes were recorded while the triangle check still added
-over every triple, before it came to add only where both legs are
-shorter than the entry they test.
+100 hashes and the grid fixtures' 200 hashes were recorded while the
+triangle check still added over every triple, before it came to add only
+where both legs are shorter than the entry they test.  The two family
+fixtures at 200, and ``qml check`` on the vector family at the cutoff
+ceiling 256 (``fm_c256.json``), were recorded while every vector-rule
+distance still summed the coordinates between its two indices and the
+chain's upper-hole test still ran against every point, before the column
+sweep and the least-point test replaced those loops.
 """
 
 import hashlib
@@ -96,6 +100,12 @@ GOLDEN = [
      "9a729f055b074bbfd5f64b287dba8b10796dd459df1e4f430d87e1fa7c4a4f9f"),
     (["gallery", "x_one_minus_y", "--cutoff", "200", "--json"],
      "b231dba9e3cd0a977f1bf54a35afea2074291dfc455a172e4cc9d0f09b729bc7"),
+    (["gallery", "halfopen", "--cutoff", "200", "--json"],
+     "97b1e7c97befecb42fd39fb96f9db6b7a2fecf1f8273a81fb6ed096e37146649"),
+    (["gallery", "fm_counterexample", "--cutoff", "200", "--json"],
+     "7ea5ed0d8d660110f65fe48af69ab2eb5a9e9608ea991576400c12b16c6744da"),
+    (["check", "fm_c256.json"],
+     "43f604660ccb56c3b670d7a5c2e7464c767127fe810b27db3d69a8f8cc5a2323"),
 ]
 
 
@@ -110,7 +120,9 @@ GOLDEN = [
                               "gallery-fm_counterexample-50",
                               "gallery-projection-100", "gallery-x_one_minus_y-100",
                               "gallery-halfopen-100", "gallery-fm_counterexample-100",
-                              "gallery-projection-200", "gallery-x_one_minus_y-200"])
+                              "gallery-projection-200", "gallery-x_one_minus_y-200",
+                              "gallery-halfopen-200", "gallery-fm_counterexample-200",
+                              "check-vector-256"])
 def test_report_bytes_unchanged(capsys, monkeypatch, argv, digest):
     # reports embed the input path, so run from the data directory
     monkeypatch.chdir(DATA)
