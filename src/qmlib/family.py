@@ -642,7 +642,15 @@ class ChainAnalyzer(Analyzer):
                 "exceeds_radius": best > one, "certificates": [c]}
 
     def completeness(self) -> FamilyCompleteness:
+        """Every point rejected as a double-hole limit of the chain, or
+        the undecided verdict when a point of value exactly 1 exists: that
+        point is the chain's double-hole limit (``hole_limit_sets``), so
+        no witness rejects it.  Values above 1 fail the upper hole against
+        the least-valued point, values below 1 the lower hole against the
+        next chain point above them."""
         c = self.cert(self.CERT)
+        if any(self.space.value(pt) == 1 for pt in self.space.points()):
+            return FamilyCompleteness(None)
         # the certificate makes these strictly increasing, so a bisection
         # finds the first chain point above any value
         chain = [self.space.value(self.space.indexed(n))
@@ -652,7 +660,7 @@ class ChainAnalyzer(Analyzer):
         for pt in self.space.points():
             v = self.space.value(pt)
             lbl = self.space.label(pt)
-            if v >= 1:
+            if v > 1:
                 # upper-hole failure against the bottom of the chain
                 rejections.append(CandidateRejection(
                     lbl, self.space.label(z), "upper_hole",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import INF, ExtReal
+from .extreal import INF, ExtReal, parse_rational
 from .family import (ChainAnalyzer, FamilySeq, FamilySpace, VectorFamilyAnalyzer,
                      check_cutoff_ceiling, classify_family, family_is_complete)
 from .nets import classify, epseq
@@ -100,6 +100,15 @@ def _family_triangle_ok(space: FamilySpace) -> bool:
     pts = [pt for pt in space.points() if pt[0] == "e" or pt[1] in idx]
     rows = [[space.dist(p, q) for q in pts] for p in pts]
     return space_from_rows([space.label(p) for p in pts], rows).validation.is_distance
+
+
+def _every_point_witnessed(space: FamilySpace, comp) -> bool:
+    """Each point is rejected exactly once, by a genuine witness: a limit
+    strictly below the distance it would need to reach."""
+    return (sorted(r.candidate for r in comp.rejections)
+            == sorted(space.label(pt) for pt in space.points())
+            and all(parse_rational(r.limit) < parse_rational(r.required)
+                    for r in comp.rejections))
 
 
 def _fmt_bool(b) -> str:
@@ -222,7 +231,7 @@ def _build_halfopen(cutoff: int) -> Fixture:
         Fact("incomplete_with_witnesses",
              "every candidate is rejected as a double-hole limit", "false|all",
              lambda: f"{_fmt_bool(comp.complete)}|"
-                     f"{'all' if len(comp.rejections) == len(space.points()) else 'missing'}"),
+                     f"{'all' if _every_point_witnessed(space, comp) else 'missing'}"),
     )
     return Fixture("halfopen", cutoff, space,
                    {"chain": chain_seq}, facts)

@@ -108,21 +108,19 @@ def classify(space: FiniteSpace, seq: EpSeq) -> NetClasses:
     pre_cauchy: all later positions get close, i.e. the max is 0.
     cauchy: d vanishes on the whole cycle square.  On eventually periodic
     data pre_cauchy and cauchy coincide; both are kept for the record.
+
+    Entries are nonnegative, so a min over the cycle is 0 iff ``zero_up[i]``
+    meets the cycle's mask, and a max is 0 iff that mask lies inside
+    ``zero_up[i]``; neither test needs the triangle law.
     """
     check_ids(space, seq)
-    cyc = seq.cycle
-    reflexive = True
-    pre_cauchy = True
-    cauchy = True
-    for i in cyc:
-        row_min = ext_min(space.d(i, j) for j in cyc)
-        row_max = ext_max(space.d(i, j) for j in cyc)
-        if not row_min.is_zero():
-            reflexive = False
-        if not row_max.is_zero():
-            pre_cauchy = False
-            cauchy = False
-    return NetClasses(reflexive, pre_cauchy, cauchy)
+    up0 = space.zero_up
+    cycle = 0
+    for i in seq.cycle:
+        cycle |= 1 << i
+    reflexive = all(up0[i] & cycle for i in seq.cycle)
+    cauchy = all(cycle & ~up0[i] == 0 for i in seq.cycle)
+    return NetClasses(reflexive, cauchy, cauchy)
 
 
 def is_zero_clique(space: FiniteSpace, points) -> bool:

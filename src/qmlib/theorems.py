@@ -43,7 +43,7 @@ from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
 from .extreal import INF, ExtReal, ext_min
 from .nets import EpSeq, PreconditionError, classify, epseq
-from .order import check_ed_complete, is_directed, suprema
+from .order import _sup_profile, check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, derive, representatives, threshold_grid
 from .topology import is_complete
 
@@ -98,9 +98,10 @@ def compose_with_filter(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpa
     """
     n = d_space.n
     eps = threshold_grid(d_space)[0]
+    # the relation {z : d(z, y) < eps} once per y: n^2 compares, not n^3
+    below = [[z for z in range(n) if d_space.d(z, y) < eps] for y in range(n)]
     rows = tuple(
-        tuple(ext_min((e_space.d(x, z) for z in range(n) if d_space.d(z, y) < eps), INF)
-              for y in range(n))
+        tuple(ext_min((e_space.d(x, z) for z in zs), INF) for zs in below)
         for x in range(n))
     return FiniteSpace(d_space.labels, rows)
 
@@ -147,9 +148,9 @@ class AuditContext:
 
     @cached_property
     def e_separable(self) -> bool:
-        n = self.space.n
-        return all(ext_min(self.e_space.d(x, y) for y in range(n)).is_zero()
-                   for x in range(n))
+        """Every point is at e-distance 0 from some point (entries are
+        nonnegative, so a row's min is 0 iff its zero mask is nonempty)."""
+        return all(self.e_space.zero_up)
 
     @cached_property
     def filter_composition(self) -> FiniteSpace:
@@ -178,13 +179,14 @@ def sup_upgrade_counterexample(ctx: AuditContext) -> list | None:
     """
     space = ctx.space
     n = space.n
+    rows = space.scaled[0]
     reps = [i for i in range(n) if ctx.representatives >> i & 1]
     order_sups = {}
     for x in reps:
         below = [y for y in range(n) if space.zero_down[x] >> y & 1]
         for z in reps:
-            dxz = space.d(x, z)
-            ball = tuple(y for y in below if space.d(y, z) < dxz)
+            dxz = rows[x][z]
+            ball = tuple(y for y in below if rows[y][z] < dxz)
             if not ball:
                 continue
             if ball not in order_sups:
@@ -335,11 +337,12 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
     order-directed set with the same forward and backward limit data.
 
     Radii halve from just below the smallest positive matrix value, so all
-    radius constraints collapse to exact zero-distance constraints after
-    the first step; each step exhaustively searches for a point bounding
-    the ball around the current tail term from below while staying at
-    distance zero from it.  Search exhaustion would contradict the ball
-    bound hypothesis and raises.
+    radius constraints collapse to exact zero-distance constraints: the
+    ball of radius 2r around the current tail term is its ``zero_up`` mask,
+    and each step takes the least point of that mask whose own mask holds
+    the whole ball (a lower bound of the ball at distance zero from the
+    term).  Search exhaustion would contradict the ball bound hypothesis
+    and raises.  The limit data are compared on the integer rows.
     """
     cls = classify(space, seq)
     if not cls.cauchy:
@@ -349,36 +352,29 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
     if not sub_identity(dfs.d_up):
         raise PreconditionError("upper-ball bound function is not uniformly below identity")
     n = space.n
-    positive = [v for v in space.distinct_values if not v.is_zero() and not v.is_inf]
-    v_min = positive[0] if positive else ExtReal(1)
+    up0 = space.zero_up
+    rows, back, sentinel = space.scaled
+    least = min((v for row in rows for v in row if 0 < v < sentinel), default=None)
+    v_min = back[least] if least is not None else ExtReal(1)
     cyc = seq.cycle
     p = len(cyc)
     ys = []
     radii = []
-    r_prev = ExtReal(v_min.num, 2 * v_min.den)       # r_1 = v_min / 2
+    r = ExtReal(v_min.num, 2 * v_min.den)       # r_1 = v_min / 2
     for step in range(p + 2):
-        r_cur = ExtReal(r_prev.num, 2 * r_prev.den)  # halving schedule
-        radii.append(r_cur)
-        x_f = cyc[step % p]
-        two_r = r_cur + r_cur
-        ball = [z for z in range(n) if space.d(x_f, z) < two_r]
-        found = None
-        for y in range(n):
-            if space.d(x_f, y) < r_prev and all(space.leq(y, z) for z in ball):
-                found = y
-                break
+        r = ExtReal(r.num, 2 * r.den)           # halving schedule
+        radii.append(r)
+        ball = up0[cyc[step % p]]
+        found = next((y for y in range(n) if ball >> y & 1 and ball & ~up0[y] == 0), None)
         if found is None:
             raise PreconditionError(
                 f"ball bound hypothesis violated: no witness at step {step} (bug signal)")
         if found not in ys:
             ys.append(found)
-        r_prev = r_cur
     directed = is_directed(space, ys, "leq")
     c0 = cyc[0]
-    forward_match = all(
-        max(space.d(y, z) for y in ys) == space.d(c0, z) for z in range(n))
-    backward_match = all(
-        min(space.d(z, y) for y in ys) == space.d(z, c0) for z in range(n))
+    forward_match = _sup_profile(rows, ys) == list(rows[c0])
+    backward_match = all(min(row[y] for y in ys) == row[c0] for row in rows)
     return DirectedConstruction(tuple(space.labels[i] for i in ys),
                                 directed, forward_match, backward_match,
                                 tuple(radii))

@@ -24,7 +24,13 @@ loops that the integer form of the matrix replaced.  Entries are
 nonnegative, so a sum cannot fall below either of its legs:
 ``validate_oracle`` and ``minplus_closure_oracle`` keep the triple loops
 that add over every k, where production adds only over the k whose two
-legs both lie strictly below the entry under test.  The formal-ball
+legs both lie strictly below the entry under test.  The sweep's
+per-instance checks read the zero masks and the integer rows:
+``sups_signature_items``, ``net_classes_oracle``,
+``dist_subequiv_oracle``, ``separable_oracle``,
+``sup_upgrade_counterexample_oracle`` and
+``construct_directed_from_cauchy_oracle`` keep the ``suprema`` loop and
+the ExtReal scans they replaced.  The formal-ball
 samplers draw Cauchy sequences, directed subsets of X x grid and
 ball-identity tuples at random, where ``kw_audit`` decides each side per
 class or by identity.
@@ -34,15 +40,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qmlib.derived import DerivedFunctions, StepFn
+from qmlib.derived import DerivedFunctions, StepFn, sub_identity
 from qmlib.extreal import INF, ZERO, ExtReal, ext_max, ext_min
 from qmlib.family import (CandidateRejection, CertificateError, FamilyCompleteness,
                           FamilySpace, _tsub)
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
                                 fb_distance_raw, fb_leq)
-from qmlib.nets import epseq, zero_cliques
+from qmlib.nets import NetClasses, PreconditionError, check_ids, epseq, zero_cliques
 from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
 from qmlib.space import FiniteSpace, SpaceError, Validation, derive, threshold_grid
+from qmlib.theorems import DirectedConstruction
 from qmlib.topology import CompletenessReport
 
 
@@ -254,6 +261,105 @@ def sup_upgrade_oracle(space: FiniteSpace) -> bool:
     return True
 
 
+def sup_upgrade_counterexample_oracle(space: FiniteSpace, representatives: int):
+    """``theorems.sup_upgrade_counterexample`` with each ball
+    B(x, z) = {y below x : d(y, z) < d(x, z)} built on ExtReal entries."""
+    n = space.n
+    reps = [i for i in range(n) if representatives >> i & 1]
+    order_sups = {}
+    for x in reps:
+        below = [y for y in range(n) if space.zero_down[x] >> y & 1]
+        for z in reps:
+            dxz = space.d(x, z)
+            ball = tuple(y for y in below if space.d(y, z) < dxz)
+            if not ball:
+                continue
+            if ball not in order_sups:
+                order_sups[ball] = suprema(space, ball).leq_sups
+            if space.labels[x] in order_sups[ball]:
+                return list(ball)
+    return None
+
+
+def sups_signature_items(space: FiniteSpace) -> list:
+    """The item list ``cli._sups_signature`` hashes, by one ``suprema`` call
+    per singleton and per pair of points."""
+    items = []
+    for size in (1, 2):
+        for pts in itertools.combinations(range(space.n), size):
+            items.append([list(pts), sorted(suprema(space, list(pts)).d_sups)])
+    return items
+
+
+def net_classes_oracle(space: FiniteSpace, seq) -> NetClasses:
+    """The three net classes by the min and max of each cycle row of d,
+    on ExtReal entries."""
+    check_ids(space, seq)
+    reflexive = cauchy = True
+    for i in seq.cycle:
+        if not ext_min(space.d(i, j) for j in seq.cycle).is_zero():
+            reflexive = False
+        if not ext_max(space.d(i, j) for j in seq.cycle).is_zero():
+            cauchy = False
+    return NetClasses(reflexive, cauchy, cauchy)
+
+
+def dist_subequiv_oracle(f_space: FiniteSpace, g_space: FiniteSpace) -> bool:
+    """g(x, y) = 0 forces f(x, y) = 0, entry by entry."""
+    n = f_space.n
+    return all(f_space.d(i, j).is_zero()
+               for i in range(n) for j in range(n) if g_space.d(i, j).is_zero())
+
+
+def separable_oracle(space: FiniteSpace) -> bool:
+    """Every row of d has minimum 0, on ExtReal entries."""
+    n = space.n
+    return all(ext_min(space.d(x, y) for y in range(n)).is_zero() for x in range(n))
+
+
+def construct_directed_from_cauchy_oracle(space: FiniteSpace, seq, dfs) -> DirectedConstruction:
+    """``theorems.construct_directed_from_cauchy`` with every radius
+    constraint tested on ExtReal entries: the ball {z : d(x_f, z) < 2r}
+    and the witness d(x_f, y) < r_prev with y below the whole ball."""
+    if not net_classes_oracle(space, seq).cauchy:
+        raise PreconditionError("sequence is not Cauchy")
+    if not sub_identity(dfs.d_up):
+        raise PreconditionError("upper-ball bound function is not uniformly below identity")
+    n = space.n
+    positive = [v for v in space.distinct_values if not v.is_zero() and not v.is_inf]
+    v_min = positive[0] if positive else ExtReal(1)
+    cyc = seq.cycle
+    p = len(cyc)
+    ys = []
+    radii = []
+    r_prev = ExtReal(v_min.num, 2 * v_min.den)
+    for step in range(p + 2):
+        r_cur = ExtReal(r_prev.num, 2 * r_prev.den)
+        radii.append(r_cur)
+        x_f = cyc[step % p]
+        two_r = r_cur + r_cur
+        ball = [z for z in range(n) if space.d(x_f, z) < two_r]
+        found = None
+        for y in range(n):
+            if space.d(x_f, y) < r_prev and all(space.leq(y, z) for z in ball):
+                found = y
+                break
+        if found is None:
+            raise PreconditionError(
+                f"ball bound hypothesis violated: no witness at step {step} (bug signal)")
+        if found not in ys:
+            ys.append(found)
+        r_prev = r_cur
+    directed = is_directed(space, ys, "leq")
+    c0 = cyc[0]
+    forward_match = all(
+        max(space.d(y, z) for y in ys) == space.d(c0, z) for z in range(n))
+    backward_match = all(
+        min(space.d(z, y) for y in ys) == space.d(z, c0) for z in range(n))
+    return DirectedConstruction(tuple(space.labels[i] for i in ys),
+                                directed, forward_match, backward_match, tuple(radii))
+
+
 def is_complete_oracle(space: FiniteSpace) -> CompletenessReport:
     """Completeness by searching every zero clique for a double-hole limit."""
     n = space.n
@@ -338,18 +444,21 @@ def chain_hole_limit_sets_oracle(space: FamilySpace) -> dict:
 
 def chain_completeness_oracle(space: FamilySpace) -> FamilyCompleteness:
     """``ChainAnalyzer.completeness`` with each candidate's successor found
-    by scanning the chain from its first point."""
+    by scanning the chain from its first point.  A point of value exactly
+    1 is the chain's double-hole limit, so the verdict is then undecided."""
     def strictly_above(v):
         for n in range(1, space.cutoff + 2):
             if space.value(space.indexed(n)) > v:
                 return space.indexed(n)
         raise CertificateError("chain certificate should provide a larger element")
 
+    if any(space.value(pt) == 1 for pt in space.points()):
+        return FamilyCompleteness(None)
     rejections = []
     for pt in space.points():
         v = space.value(pt)
         lbl = space.label(pt)
-        if v >= 1:
+        if v > 1:
             z = min(space.points(), key=lambda p: space.value(p))
             rejections.append(CandidateRejection(
                 lbl, space.label(z), "upper_hole",

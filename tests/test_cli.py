@@ -180,6 +180,18 @@ class TestCheck:
         assert rc == EXIT_OK
         assert json.loads(out)["completeness"]["complete"] is None
 
+    def test_chain_with_a_value_one_point_is_undecided(self, capsys, tmp_path):
+        # the point of value 1 is the chain's double-hole limit: no witness
+        # rejects it, so the verdict is undecided and names no rejection
+        path = tmp_path / "chain_one.json"
+        path.write_text(json.dumps({"rule": "truncated-difference", "cutoff": 8,
+                                    "params": {"values": "one_minus_unit",
+                                               "extras": {"0": "0", "1": "1"}}}))
+        rc, out = run(capsys, ["check", str(path)])
+        assert rc == EXIT_OK
+        comp = json.loads(out)["completeness"]
+        assert comp["complete"] is None and comp["rejections"] == []
+
     @staticmethod
     def _all_zero(tmp_path, n):
         path = tmp_path / f"zero{n}.json"

@@ -165,6 +165,18 @@ class TestChain:
         else:
             assert an.completeness() == want
 
+    def test_value_one_point_is_the_limit_not_a_rejection(self):
+        sp = FamilySpace("truncated-difference", 8,
+                         {"values": "one_minus_unit", "extras": {"0": "0", "1": "1"}})
+        an = ChainAnalyzer(sp)
+        assert an.hole_limit_sets()["double_hole"] == ["1"]
+        assert an.completeness().complete is None
+        assert an.completeness().rejections == ()
+        # without it, every rejection is a genuine witness: limit < required
+        comp = ChainAnalyzer(halfopen_space()).completeness()
+        assert comp.complete is False
+        assert all(Fraction(r.limit) < Fraction(r.required) for r in comp.rejections)
+
     def test_constant_sequence_trivial(self):
         sp = halfopen_space()
         cls = classify_family(FamilySeq(sp, "constant", point="2"))

@@ -3,6 +3,7 @@
 import pytest
 
 from qmlib import family
+from qmlib.family import CandidateRejection, ChainAnalyzer, FamilyCompleteness
 from qmlib.gallery import GALLERY_NAMES, build, verify
 from qmlib.space import FiniteSpace, SpaceError
 
@@ -69,3 +70,17 @@ class TestFixtureShapes:
         rep = verify(build("halfopen", 10)).to_dict()
         ids = {f["id"] for f in rep["facts"]}
         assert {"order_sup", "no_metric_sup", "lower_ball_bound_gap"} <= ids
+
+    def test_halfopen_rejections_must_be_witnesses(self, monkeypatch):
+        # one rejection per point, but each with limit == required: the
+        # count matches, yet no rejection is a witness
+        def hollow(an):
+            return FamilyCompleteness(False, "identity", tuple(
+                CandidateRejection(an.space.label(pt), an.space.label(pt),
+                                   "lower_hole", "0", "0")
+                for pt in an.space.points()))
+
+        monkeypatch.setattr(ChainAnalyzer, "completeness", hollow)
+        rep = verify(build("halfopen", 10))
+        fact = next(e for e in rep.entries if e["id"] == "incomplete_with_witnesses")
+        assert not fact["pass"] and fact["actual"] == "false|missing"

@@ -10,7 +10,10 @@ were re-recorded once, when the sweep dropped the four fields those
 identities fix (derived_chain_violations, finite_degeneracy_violations,
 searches.d_phi_strictly_below_d_F and
 searches.composed_shape_counterexamples): the new bytes are the earlier
-report minus those keys, with content_hash recomputed.  The input files are fixed
+report minus those keys, with content_hash recomputed.  The n = 8 sweep
+was recorded while ``_sups_signature``, ``classify``, ``dist_subequiv``,
+the directed construction and the filter composition still scanned ExtReal
+entries, before they moved to the zero masks and integer rows.  The input files are fixed
 fixtures under ``tests/data``: an 8-point distance with pairwise-coprime
 denominators, an 8-point value-based pair (d, e) whose e differs from the
 symmetric join of d, and a 10-point plain distance (one point of nonzero
@@ -59,6 +62,8 @@ GOLDEN = [
      "c4eec92e1f964acce331e04756055944995231d90321a8d964ae47267137dc0f"),
     (["random", "--n", "6", "--count", "32", "--seed", "424242"],
      "c7ed45f3187dbf5561de0eed72f0149a97f35f7d8a2587359bf2858a1a0c6fb7"),
+    (["random", "--n", "8", "--count", "32", "--seed", "1"],
+     "2cb2f69cd892b91e571f11df9a71bab45277c59d677ef71e01432e6fe34f56b3"),
     (["check", "coprime_n8.json"],
      "d51905ee5bc62de38fc44fa3761e8bf1059413f73e86562a502a7804fcfc4d3e"),
     (["check", "coprime_n15.json"],
@@ -110,7 +115,8 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN,
-                         ids=["random-seed-0", "random-seed-424242", "check-coprime",
+                         ids=["random-seed-0", "random-seed-424242", "random-n8",
+                              "check-coprime",
                               "check-coprime-15", "audit-pair", "audit-plain-classes",
                               "audit-chain", "audit-chain-selection",
                               "gallery-projection-16", "gallery-projection-50",
