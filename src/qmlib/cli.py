@@ -6,8 +6,9 @@ no timestamps, sorted keys, deterministic instance streams, and
 aggregation in instance order regardless of the worker pool.
 
 Exit codes: 0 success; 1 fact or audit failure; 2 parse/usage error;
-3 precondition failure.  The worker pool size comes from QML_WORKERS, a
-positive integer (default 1, serial).
+3 precondition failure.  The worker pool size comes from QML_WORKERS, an
+integer from 1 to ``MAX_WORKERS`` (default 1, serial); the random sweep
+starts no more workers than it has chunks of ``POOL_CHUNK`` instances.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+
+# QML_WORKERS ceiling; a fork pool launches every worker at its first submit
+MAX_WORKERS = 64
+# instances per task sent to a pool worker
+POOL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -258,9 +264,10 @@ def run_random(cfg: RunConfig) -> int:
     # once its payload is built
     tasks = ((i, kind, space, second, cfg.theorems)
              for i, kind, space, second in instance_stream(cfg.seed, cfg.n, cfg.count))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            payloads = list(pool.map(_instance_payload, tasks, chunksize=16))
+    workers = min(cfg.workers, -(-cfg.count // POOL_CHUNK))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            payloads = list(pool.map(_instance_payload, tasks, chunksize=POOL_CHUNK))
     else:
         payloads = list(map(_instance_payload, tasks))
     payloads.sort(key=lambda p: p["index"])
@@ -436,6 +443,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         workers = _int_at_least(1)(os.environ.get("QML_WORKERS", "1"))
+        if workers > MAX_WORKERS:
+            raise argparse.ArgumentTypeError(
+                f"{workers} is above the maximum {MAX_WORKERS}")
     except argparse.ArgumentTypeError as e:
         print(f"error: QML_WORKERS: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -10,6 +10,14 @@ conventions that matter downstream are fixed here once:
 * scaling by infinity sends 0 to 0 and everything else to ``inf``.
 
 All operations are exact; floats never appear.
+
+Every value is built through ``ExtReal.__init__``, which reduces it to
+lowest terms; nothing constructs an instance around it (no
+``object.__new__``), so a count of ``__init__`` calls counts every value
+made.  ``__init__`` writes the two slots through their descriptors.
+Addition and the order take two values of one denominator (infinity's
+``den == 0`` included) without cross-multiplying, and ``<=``, ``>`` and
+``>=`` compare directly rather than through ``==`` and ``<``.
 """
 
 from __future__ import annotations
@@ -65,16 +73,16 @@ class ExtReal:
 
     def __init__(self, num: int, den: int = 1):
         if den == 0:
-            object.__setattr__(self, "num", 1)
-            object.__setattr__(self, "den", 0)
+            _set_num(self, 1)
+            _set_den(self, 0)
             return
         if den < 0:
             num, den = -num, -den
         if num < 0:
             raise ValueError(f"negative value {num}/{den} is not a distance")
         g = gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        _set_num(self, num // g)
+        _set_den(self, den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtReal is immutable")
@@ -106,10 +114,12 @@ class ExtReal:
         return Fraction(self.num, self.den)
 
     def __add__(self, other: "ExtReal") -> "ExtReal":
-        if self.den == 0 or other.den == 0:
+        d, e = self.den, other.den
+        if d == e:
+            return ExtReal(self.num + other.num, d) if d else INF
+        if d == 0 or e == 0:
             return INF
-        return ExtReal(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        return ExtReal(self.num * e + other.num * d, d * e)
 
     def tsub(self, other: "ExtReal") -> "ExtReal":
         """Truncated subtraction ``(self - other)+``.
@@ -138,21 +148,39 @@ class ExtReal:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
+    # Lowest terms make equal denominators compare on numerators alone;
+    # otherwise infinity (den == 0) decides, then cross-multiplication.
     def __lt__(self, other: "ExtReal") -> bool:
-        if self.den == 0:
-            return False
-        if other.den == 0:
-            return True
-        return self.num * other.den < other.num * self.den
+        d, e = self.den, other.den
+        if d == e:
+            return d != 0 and self.num < other.num
+        if d == 0 or e == 0:
+            return e == 0
+        return self.num * e < other.num * d
 
     def __le__(self, other: "ExtReal") -> bool:
-        return self == other or self < other
+        d, e = self.den, other.den
+        if d == e:
+            return d == 0 or self.num <= other.num
+        if d == 0 or e == 0:
+            return e == 0
+        return self.num * e <= other.num * d
 
     def __gt__(self, other: "ExtReal") -> bool:
-        return other < self
+        d, e = self.den, other.den
+        if d == e:
+            return d != 0 and self.num > other.num
+        if d == 0 or e == 0:
+            return d == 0
+        return self.num * e > other.num * d
 
     def __ge__(self, other: "ExtReal") -> bool:
-        return other <= self
+        d, e = self.den, other.den
+        if d == e:
+            return d == 0 or self.num >= other.num
+        if d == 0 or e == 0:
+            return d == 0
+        return self.num * e >= other.num * d
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -170,6 +198,9 @@ class ExtReal:
     def is_zero(self) -> bool:
         return self.den != 0 and self.num == 0
 
+
+_set_num = ExtReal.num.__set__
+_set_den = ExtReal.den.__set__
 
 ZERO = ExtReal(0)
 ONE = ExtReal(1)

@@ -83,10 +83,11 @@ class GalleryReport:
 
 
 def _grid_space(cutoff: int, dist) -> FiniteSpace:
-    vals = [Fraction(k, cutoff) for k in range(cutoff + 1)]
-    labels = [str(v) for v in vals]
-    rows = [[dist(a, b) for b in vals] for a in vals]
-    return space_from_rows(labels, rows)
+    """The grid k/cutoff, k = 0..cutoff, with ``dist(a, b)`` an ``ExtReal``
+    built from the two grid numerators ``a`` and ``b``."""
+    ks = range(cutoff + 1)
+    labels = [str(Fraction(k, cutoff)) for k in ks]
+    return space_from_rows(labels, [[dist(a, b) for b in ks] for a in ks])
 
 
 def _family_triangle_ok(space: FamilySpace) -> bool:
@@ -132,7 +133,7 @@ def build(name: str, cutoff: int) -> Fixture:
 
 
 def _build_projection(cutoff: int) -> Fixture:
-    space = _grid_space(cutoff, lambda a, b: ExtReal.from_fraction(b))
+    space = _grid_space(cutoff, lambda a, b: ExtReal(b, cutoff))
     zero = space.index("0")
     mid_val = Fraction(max(1, cutoff // 2), cutoff)
     mid = space.index(str(mid_val))
@@ -170,8 +171,9 @@ def _build_projection(cutoff: int) -> Fixture:
 
 
 def _build_x_one_minus_y(cutoff: int) -> Fixture:
-    space = _grid_space(
-        cutoff, lambda a, b: ExtReal.from_fraction(a * (1 - b)))
+    c = cutoff
+    # (a/c)(1 - b/c) = a(c - b)/c^2
+    space = _grid_space(c, lambda a, b: ExtReal(a * (c - b), c * c))
     k0 = max(1, cutoff // 2)
     v0 = Fraction(k0, cutoff)
     mid = space.index(str(v0))

@@ -48,7 +48,8 @@ from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
                                 fb_distance_raw, fb_leq)
 from qmlib.nets import NetClasses, PreconditionError, check_ids, epseq, zero_cliques
 from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
-from qmlib.space import FiniteSpace, SpaceError, Validation, derive, threshold_grid
+from qmlib.space import (FiniteSpace, SpaceError, Validation, derive, space_from_rows,
+                         threshold_grid)
 from qmlib.theorems import DirectedConstruction
 from qmlib.topology import CompletenessReport
 
@@ -625,3 +626,18 @@ def directed_fb_subsets_have_sups(space: FiniteSpace, rng, grid=DEFAULT_RADIUS_G
         if tops:
             with_sup += 1
     return checked, with_sup
+
+
+GRID_DISTANCES = {
+    "projection": lambda a, b: b,
+    "x_one_minus_y": lambda a, b: a * (1 - b),
+}
+
+
+def grid_space_oracle(name: str, cutoff: int) -> FiniteSpace:
+    """A grid fixture's space on the values k/cutoff, each entry computed
+    as a ``Fraction`` and each label the value's text."""
+    dist = GRID_DISTANCES[name]
+    vals = [Fraction(k, cutoff) for k in range(cutoff + 1)]
+    rows = [[ExtReal.from_fraction(dist(a, b)) for b in vals] for a in vals]
+    return space_from_rows([str(v) for v in vals], rows)

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from qmlib import order
-from qmlib.cli import (EXIT_FAILURE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
+from qmlib import cli, order
+from qmlib.cli import (EXIT_FAILURE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, MAX_WORKERS,
                        canonical_json, main)
 from qmlib.family import MAX_CUTOFF, RULES
 from qmlib.nets import MAX_CLASS_SIZE, MAX_DIRECTED_CLASSES
@@ -371,12 +371,13 @@ class TestRandom:
         assert json.loads(out)["instances_audited"] == 0
 
     def test_worker_pool_matches_serial(self, capsys, tmp_path, monkeypatch):
+        # 20 instances make two chunks, so two workers both start
         serial = tmp_path / "serial.json"
         pooled = tmp_path / "pooled.json"
-        run(capsys, ["random", "--n", "4", "--count", "12", "--seed", "3",
+        run(capsys, ["random", "--n", "4", "--count", "20", "--seed", "3",
                      "--out", str(serial)])
         monkeypatch.setenv("QML_WORKERS", "2")
-        run(capsys, ["random", "--n", "4", "--count", "12", "--seed", "3",
+        run(capsys, ["random", "--n", "4", "--count", "20", "--seed", "3",
                      "--out", str(pooled)])
         assert serial.read_bytes() == pooled.read_bytes()
 
@@ -430,7 +431,50 @@ class TestReport:
         assert out.startswith(f"# {other}") and '"x": 1' in out
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is
+    asked for and maps in this process, so no worker is started."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
 class TestWorkers:
+    @pytest.mark.parametrize("workers, count, size", [
+        (MAX_WORKERS, 16, None), (MAX_WORKERS, 40, 3), (2, 128, 2), (4, 17, 2),
+        (3, 0, None), (1, 64, None)])
+    def test_pool_size_is_capped_by_the_chunk_count(self, capsys, monkeypatch,
+                                                    workers, count, size):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setenv("QML_WORKERS", str(workers))
+        rc, _ = run(capsys, ["random", "--n", "2", "--count", str(count)])
+        assert rc == EXIT_OK
+        assert RecordingPool.sizes == ([] if size is None else [size])
+
+    def test_pool_size_above_the_ceiling_is_one_line_parse_error(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setenv("QML_WORKERS", str(MAX_WORKERS + 1))
+        rc = main(["random", "--n", "2", "--count", "16"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "QML_WORKERS" in captured.err and str(MAX_WORKERS) in captured.err
+        assert RecordingPool.sizes == []
+
     @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
     def test_bad_pool_size_is_one_line_parse_error(self, capsys, monkeypatch,
                                                    discrete_file, value):

@@ -1,10 +1,13 @@
 """Exact arithmetic laws for the extended nonnegative rationals."""
 
+import operator
+import pickle
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from hypothesis import given, strategies as st
-
-from fractions import Fraction
 
 from qmlib.extreal import (INF, ONE, ZERO, ExtReal, add, ext, parse_rational,
                            scale_inf, tsub)
@@ -109,3 +112,92 @@ class TestLaws:
     def test_tsub_bounded_by_minuend(self, a, b):
         if not a.is_inf:
             assert tsub(a, b) <= a
+
+
+# Few, small denominators, so even independent draws often share one.
+DENS = (1, 2, 3, 4, 6, 12, 60)
+
+
+def _over(den):
+    """Values k/den already in lowest terms, so every draw keeps ``den``."""
+    return st.integers(min_value=0, max_value=500).filter(
+        lambda k: gcd(k, den) == 1).map(lambda k: ExtReal(k, den))
+
+
+@st.composite
+def ext_pairs(draw):
+    """Two values, sharing their reduced denominator about half the time;
+    either side may be inf."""
+    if draw(st.booleans()):
+        den = draw(st.sampled_from(DENS))
+        a, b = draw(_over(den)), draw(_over(den))
+    else:
+        a, b = (draw(st.sampled_from(DENS).flatmap(_over)) for _ in range(2))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        a = INF
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        b = INF
+    return a, b
+
+
+def _key(x):
+    """The Fraction reading of a value, ordered with inf above every rational."""
+    return (1, Fraction(0)) if x.is_inf else (0, x.as_fraction())
+
+
+def _from_key(key):
+    return INF if key[0] else ExtReal.from_fraction(key[1])
+
+
+def _assert_reduced(x):
+    assert type(x.num) is int and type(x.den) is int
+    if x.is_inf:
+        assert (x.num, x.den) == (1, 0)
+    else:
+        assert x.den >= 1 and gcd(x.num, x.den) == 1
+
+
+class TestAgainstFraction:
+    """Sums, truncated differences, the order and hashing, pinned to
+    ``Fraction`` with an explicit top; equal-denominator pairs run the
+    fast paths."""
+
+    @given(ext_pairs())
+    def test_add_and_tsub(self, pair):
+        a, b = pair
+        (ia, fa), (ib, fb) = _key(a), _key(b)
+        total = a + b
+        assert total == _from_key((1, 0) if ia or ib else (0, fa + fb))
+        diff = a.tsub(b)
+        assert diff == (ZERO if ib else INF if ia else
+                        ExtReal.from_fraction(max(fa - fb, Fraction(0))))
+        _assert_reduced(total)
+        _assert_reduced(diff)
+
+    @given(ext_pairs())
+    def test_comparisons(self, pair):
+        a, b = pair
+        for op in (operator.lt, operator.le, operator.gt, operator.ge,
+                   operator.eq, operator.ne):
+            assert op(a, b) == op(_key(a), _key(b)), op.__name__
+
+    @given(ext_pairs())
+    def test_hash_follows_equality(self, pair):
+        a, b = pair
+        if a == b:
+            assert hash(a) == hash(b)
+        assert hash(a) == hash(_from_key(_key(a)))
+
+    @given(ext_pairs())
+    def test_pickle_round_trip_and_immutability(self, pair):
+        for x in pair:
+            _assert_reduced(x)
+            back = pickle.loads(pickle.dumps(x))
+            assert type(back) is ExtReal and back == x
+            assert (back.num, back.den) == (x.num, x.den)
+            with pytest.raises(AttributeError):
+                x.num = 2
+            with pytest.raises(AttributeError):
+                x.den = 2
+            with pytest.raises(AttributeError):
+                x.other = 0

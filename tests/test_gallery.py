@@ -7,6 +7,8 @@ from qmlib.family import CandidateRejection, ChainAnalyzer, FamilyCompleteness
 from qmlib.gallery import GALLERY_NAMES, build, verify
 from qmlib.space import FiniteSpace, SpaceError
 
+from tests.oracles import GRID_DISTANCES, grid_space_oracle
+
 
 SMALL = {"projection": 4, "x_one_minus_y": 4, "halfopen": 8, "fm_counterexample": 8}
 
@@ -48,6 +50,17 @@ class TestBuildAndVerify:
     def test_cutoff_floor(self):
         with pytest.raises(SpaceError):
             build("projection", 3)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_DISTANCES))
+def test_grid_fixtures_match_their_fraction_oracle(name):
+    # the grids are built from integer numerators; labels and every entry
+    # must equal the Fraction definitions
+    for cutoff in range(4, 41):
+        got = build(name, cutoff).space
+        want = grid_space_oracle(name, cutoff)
+        assert got.labels == want.labels, cutoff
+        assert got.matrix == want.matrix, cutoff
 
 
 class TestFixtureShapes:

@@ -45,7 +45,10 @@ fixtures at 200, and ``qml check`` on the vector family at the cutoff
 ceiling 256 (``fm_c256.json``), were recorded while every vector-rule
 distance still summed the coordinates between its two indices and the
 chain's upper-hole test still ran against every point, before the column
-sweep and the least-point test replaced those loops.
+sweep and the least-point test replaced those loops.  The grid fixtures
+at the prime cutoffs 97 and 101, where no grid value but 0 and 1 reduces,
+were recorded while each grid entry was still computed as a ``Fraction``,
+before the grids came to be built from integer numerators.
 """
 
 import hashlib
@@ -111,6 +114,14 @@ GOLDEN = [
      "7ea5ed0d8d660110f65fe48af69ab2eb5a9e9608ea991576400c12b16c6744da"),
     (["check", "fm_c256.json"],
      "43f604660ccb56c3b670d7a5c2e7464c767127fe810b27db3d69a8f8cc5a2323"),
+    (["gallery", "projection", "--cutoff", "97", "--json"],
+     "c5002e8274f1cad1051e02b5348df00d6afdcfd962f1be86a47c2ce7dd99e116"),
+    (["gallery", "x_one_minus_y", "--cutoff", "97", "--json"],
+     "80b023d4b3567019d9ba91df49e49561f19ebdbdc50787819412f9e53d69bc35"),
+    (["gallery", "projection", "--cutoff", "101", "--json"],
+     "0d73805a15d9f2fff22bbbdbf2f9aa3d5bba82afd6d2a59c41b39375282dd07a"),
+    (["gallery", "x_one_minus_y", "--cutoff", "101", "--json"],
+     "c42c03cc05b3c964f131b61c136cd56ab9d224bd8fa3c750753e19a90d522379"),
 ]
 
 
@@ -128,7 +139,9 @@ GOLDEN = [
                               "gallery-halfopen-100", "gallery-fm_counterexample-100",
                               "gallery-projection-200", "gallery-x_one_minus_y-200",
                               "gallery-halfopen-200", "gallery-fm_counterexample-200",
-                              "check-vector-256"])
+                              "check-vector-256",
+                              "gallery-projection-97", "gallery-x_one_minus_y-97",
+                              "gallery-projection-101", "gallery-x_one_minus_y-101"])
 def test_report_bytes_unchanged(capsys, monkeypatch, argv, digest):
     # reports embed the input path, so run from the data directory
     monkeypatch.chdir(DATA)

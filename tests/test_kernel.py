@@ -175,3 +175,22 @@ def test_triangle_check_adds_only_where_both_legs_are_shorter(monkeypatch, cutof
         monkeypatch.setattr(ExtReal, "__add__", add)
         assert result.is_distance
         assert calls[0] == want, name
+
+
+@pytest.mark.parametrize("cutoff", [16, 64])
+def test_every_value_is_built_through_init(monkeypatch, cutoff):
+    # x_one_minus_y builds one value per grid entry, and its triangle check
+    # one per sum over the C(c + 1, 3) triples with j < k < i; a value made
+    # around ExtReal.__init__ would go missing from this count
+    calls = [0]
+    init = ExtReal.__init__
+
+    def counting(self, *args):
+        calls[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(ExtReal, "__init__", counting)
+    result = _validate(build("x_one_minus_y", cutoff).space)
+    monkeypatch.setattr(ExtReal, "__init__", init)
+    assert result.is_distance
+    assert calls[0] == (cutoff + 1) ** 2 + comb(cutoff + 1, 3)
