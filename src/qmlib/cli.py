@@ -367,20 +367,32 @@ def run_report(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low`` (else exit 2)."""
+    """argparse type: an integer no smaller than ``low`` (else exit 2).
+
+    The text is ASCII digits, ``extreal.parse_rational``'s grammar in
+    integer form: a sign, ``_``, ``p/q`` or a non-ASCII digit is refused.
+    """
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        digits = text.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {text!r}: ASCII digits only")
+        value = int(digits)
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
         return value
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qml",
         description="Exact audits of non-symmetric distance spaces")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -401,14 +413,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p_gal = sub.add_parser("gallery", help="build and verify a named fixture")
     p_gal.add_argument("name", choices=GALLERY_NAMES)
-    p_gal.add_argument("--cutoff", type=int, default=50)
+    p_gal.add_argument("--cutoff", type=_int_at_least(0), default=50)
     p_gal.add_argument("--json", action="store_true", help="force JSON output")
     common(p_gal)
 
     p_rand = sub.add_parser("random", help="seeded random audit sweep")
     p_rand.add_argument("--n", type=_int_at_least(1), default=6)
     p_rand.add_argument("--count", type=_int_at_least(0), default=1000)
-    p_rand.add_argument("--seed", type=int, default=0)
+    p_rand.add_argument("--seed", type=_int_at_least(0), default=0)
     p_rand.add_argument("--theorems", nargs="+", choices=STATEMENTS, default=None)
     common(p_rand)
 

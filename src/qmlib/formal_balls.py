@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .extreal import INF, ZERO, ExtReal, parse_rational
-from .nets import EpSeq, PreconditionError, epseq, is_zero_clique
-from .space import FiniteSpace, SpaceError, representatives
-from .topology import double_hole_limits_of_clique, is_complete
+from .nets import EpSeq, PreconditionError, classify, epseq, zero_classes
+from .space import FiniteSpace, SpaceError
+from .topology import is_complete
 
 DEFAULT_RADIUS_GRID = (Fraction(0), Fraction(-1, 2), Fraction(-1))
 
@@ -156,22 +156,25 @@ def kw_limit(space: FiniteSpace, points: EpSeq, radii: RadiusSeq,
     """Limit of a Cauchy formal-ball sequence: radius limit paired with a
     double-hole limit of the point part.
 
-    Verification checks the two double-hole liminf inequalities exactly
-    against every center in X x grid, using the cycle structure of the
-    point part and the certified radius limit.
+    The base must be a validated distance: then the tail of a Cauchy point
+    part lies in one specialization class of zero self-distance, its
+    double-hole limits are exactly that class (triangle law), and x* is
+    the class's least member.  Verification checks the two double-hole
+    liminf inequalities exactly against every center in X x grid, using
+    the cycle structure of the point part and the certified radius limit.
     """
+    if not space.validation.is_distance:
+        raise PreconditionError("formal-ball limits require a validated distance")
     r_star = radii.limit()
     if r_star is None:
         return KwLimitResult(None, False, undecidable=True,
                              note="radii not convergent at cutoff")
     if r_star > 0:
         raise SpaceError("radius limit must stay nonpositive")
-    if not is_zero_clique(space, points.cycle):
+    if not classify(space, points).cauchy:
         raise PreconditionError("point part is not Cauchy in the extension")
-    limits = double_hole_limits_of_clique(space, sorted(set(points.cycle)))
-    if not limits:
-        return KwLimitResult(None, False, note="no double-hole limit in the base")
-    x_star = limits[0]
+    tail_class = space.class_masks[min(points.cycle)]
+    x_star = (tail_class & -tail_class).bit_length() - 1
     verified = True
     cyc = sorted(set(points.cycle))
     for c in range(space.n):
@@ -225,10 +228,7 @@ def kw_audit(space: FiniteSpace, grid=DEFAULT_RADIUS_GRID) -> KwAuditReport:
     any other base.
     """
     base = bool(is_complete(space).complete)
-    core = sum(1 << i for i in range(space.n) if space.zero_up[i] >> i & 1)
-    reps = representatives(space.class_masks) & core
-    classes = [[j for j in range(space.n) if space.class_masks[i] >> j & 1]
-               for i in range(space.n) if reps >> i & 1]
+    classes = [[j for j in range(space.n) if cls >> j & 1] for cls in zero_classes(space)]
     verified = sum(
         all(kw_limit(space, epseq([], members), RadiusSeq("constant", u), grid).verified
             for u in grid)

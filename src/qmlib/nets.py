@@ -79,11 +79,15 @@ def epseq_from_labels(space: FiniteSpace, pre, cycle) -> EpSeq:
 
 
 def seq_from_dict(space: FiniteSpace, data: dict) -> EpSeq:
-    """Parse the sequence literal {"pre": [...], "cycle": [...]}."""
-    try:
-        return epseq_from_labels(space, data.get("pre", []), data["cycle"])
-    except (KeyError, TypeError):
-        raise SpaceError("sequence literal needs a 'cycle' list") from None
+    """Parse the sequence literal {"pre": [...], "cycle": [...]}: an object
+    whose ``cycle`` and optional ``pre`` are lists of point labels.  Any
+    other shape raises ``SpaceError``."""
+    if not isinstance(data, dict) or "cycle" not in data:
+        raise SpaceError("sequence literal needs a 'cycle' list")
+    parts = data.get("pre", []), data["cycle"]
+    if not all(isinstance(p, list) and all(isinstance(x, str) for x in p) for p in parts):
+        raise SpaceError("'pre' and 'cycle' must be lists of point labels")
+    return epseq_from_labels(space, *parts)
 
 
 @dataclass(frozen=True)
@@ -123,12 +127,6 @@ def classify(space: FiniteSpace, seq: EpSeq) -> NetClasses:
     return NetClasses(reflexive, cauchy, cauchy)
 
 
-def is_zero_clique(space: FiniteSpace, points) -> bool:
-    """d vanishes on points x points (the tail shape of a Cauchy sequence)."""
-    pts = list(points)
-    return all(space.d(i, j).is_zero() for i in pts for j in pts)
-
-
 def submasks(mask: int):
     """Every nonempty submask of ``mask``, in increasing order."""
     sub = mask & -mask
@@ -137,15 +135,15 @@ def submasks(mask: int):
         sub = (sub - mask) & mask
 
 
-def zero_cliques(space: FiniteSpace):
-    """All nonempty subsets on which d vanishes, as sorted bitmasks.
+def zero_classes(space: FiniteSpace) -> list:
+    """The specialization classes of the points of zero self-distance, one
+    bitmask each, ordered by least member.
 
-    By the triangle law these are exactly the nonempty subsets of the
-    specialization classes (``FiniteSpace.class_masks``) of the points
-    with zero self-distance, so the list is built class by class.  The
-    classes are first confirmed to partition those points; a space where
-    they do not (the triangle law fails), or with a class above
-    ``MAX_CLASS_SIZE`` points, raises ``PreconditionError``.
+    These are the Cauchy tails: by the triangle law a nonempty set on
+    which d vanishes is a subset of one of them, and its double-hole limits
+    are that class.  The classes are first confirmed to partition those
+    points; a space where they do not (the triangle law fails) raises
+    ``PreconditionError``.
     """
     n = space.n
     classes = space.class_masks
@@ -158,12 +156,21 @@ def zero_cliques(space: FiniteSpace):
                 "specialization classes do not partition the zero-self-distance "
                 "points (the triangle law fails)")
     reps = representatives(classes) & core
-    largest = max((classes[i].bit_count() for i in range(n) if reps >> i & 1), default=0)
+    return [classes[i] for i in range(n) if reps >> i & 1]
+
+
+def zero_cliques(space: FiniteSpace):
+    """All nonempty subsets on which d vanishes, as sorted bitmasks: the
+    nonempty submasks of ``zero_classes``.  A class above
+    ``MAX_CLASS_SIZE`` points raises ``PreconditionError``.
+    """
+    classes = zero_classes(space)
+    largest = max((cls.bit_count() for cls in classes), default=0)
     if largest > MAX_CLASS_SIZE:
         raise PreconditionError(
             f"a specialization class of {largest} points exceeds the ceiling "
             f"{MAX_CLASS_SIZE} for listing its zero cliques")
-    return sorted(sub for i in range(n) if reps >> i & 1 for sub in submasks(classes[i]))
+    return sorted(sub for cls in classes for sub in submasks(cls))
 
 
 def cauchy_subsequence(space: FiniteSpace, seq: EpSeq) -> EpSeq:

@@ -61,8 +61,8 @@ def _mask(pts) -> int:
     return sum(1 << p for p in pts)
 
 
-def is_directed(space: FiniteSpace, Y, sense: str = "d") -> bool:
-    """Directedness of a nonempty set, in the metric or order sense.
+def is_directed(space: FiniteSpace, Y) -> bool:
+    """Directedness of a nonempty set, in the metric and the order sense.
 
     The metric sense quantifies over pairs only; by the triangle law that
     already covers all finite subsets (the exhaustive version is the test
@@ -70,8 +70,6 @@ def is_directed(space: FiniteSpace, Y, sense: str = "d") -> bool:
     metric sense reduces to the same common-upper-bound-in-Y test as the
     order sense; the two notions only diverge on infinite carriers.
     """
-    if sense not in ("d", "leq"):
-        raise ValueError(f"unknown sense {sense!r}")
     pts = sorted(set(Y))
     if not pts:
         raise PreconditionError("Y must be nonempty")
@@ -86,58 +84,44 @@ class EdCompletenessReport:
     complete: bool
     failing_Y: tuple | None = None
     subsets_checked: int = 0
-    sampled: bool = False
 
     def to_dict(self) -> dict:
         return {"complete": self.complete,
                 "failing_Y": list(self.failing_Y) if self.failing_Y else None,
-                "subsets_checked": self.subsets_checked,
-                "sampled": self.sampled}
+                "subsets_checked": self.subsets_checked}
 
 
-def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace,
-                      cap: int = 12, rng=None, samples: int = 2000) -> EdCompletenessReport:
+def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace) -> EdCompletenessReport:
     """Every e-directed subset has a d-supremum.
 
     Both verdicts read a point only through its class under the two
     distances together (``space_e.class_masks[i] & space_d.class_masks[i]``):
     by the triangle law its members share their e- and d-profiles, so e-
     directedness and the d-suprema of Y depend only on which classes Y
-    meets.  Up to ``cap`` points the exhaustive search therefore runs over
-    the nonempty subsets of the class representatives, and a failing Y is
-    such a subset; more than ``nets.MAX_DIRECTED_CLASSES`` classes raise
-    ``PreconditionError`` before that walk.  Beyond the cap a seeded random
-    sample of point subsets is used and the report is flagged as sampled.
-    Both arguments must satisfy the triangle law.
+    meets.  The search therefore runs over the nonempty subsets of the
+    class representatives, and a failing Y is such a subset; more than
+    ``nets.MAX_DIRECTED_CLASSES`` classes raise ``PreconditionError``
+    before that walk.  Both arguments must satisfy the triangle law.
     """
     if space_e.labels != space_d.labels:
         raise PreconditionError("the two distances must share a point set")
     if not (space_e.validation.is_distance and space_d.validation.is_distance):
         raise PreconditionError("directed completeness requires two validated distances")
+    reps = representatives(a & b for a, b in zip(space_e.class_masks, space_d.class_masks))
+    k = reps.bit_count()
+    if k > MAX_DIRECTED_CLASSES:
+        raise PreconditionError(f"{k} classes exceed the ceiling "
+                                f"{MAX_DIRECTED_CLASSES} for walking the directed subsets")
     n = space_d.n
     checked = 0
-    if n <= cap:
-        reps = representatives(a & b for a, b in zip(space_e.class_masks,
-                                                     space_d.class_masks))
-        k = reps.bit_count()
-        if k > MAX_DIRECTED_CLASSES:
-            raise PreconditionError(f"{k} classes exceed the ceiling "
-                                    f"{MAX_DIRECTED_CLASSES} for walking the directed subsets")
-        subsets = ([i for i in range(n) if mask >> i & 1] for mask in submasks(reps))
-        sampled = False
-    else:
-        if rng is None:
-            raise PreconditionError(f"{n} points exceeds the cap {cap}; pass rng for sampled mode")
-        subsets = _sampled_subsets(n, rng, samples)
-        sampled = True
-    for pts in subsets:
-        if not is_directed(space_e, pts, "d"):
+    for mask in submasks(reps):
+        pts = [i for i in range(n) if mask >> i & 1]
+        if not is_directed(space_e, pts):
             continue
         checked += 1
         if not _has_d_sup(space_d, pts):
-            return EdCompletenessReport(False, tuple(space_d.labels[i] for i in pts),
-                                        checked, sampled)
-    return EdCompletenessReport(True, None, checked, sampled)
+            return EdCompletenessReport(False, tuple(space_d.labels[i] for i in pts), checked)
+    return EdCompletenessReport(True, None, checked)
 
 
 def _has_d_sup(space: FiniteSpace, pts) -> bool:
@@ -153,13 +137,6 @@ def _has_d_sup(space: FiniteSpace, pts) -> bool:
 def _sup_profile(rows, pts) -> list:
     """Row of sup over y in pts of d(y, z), on the integer form of d."""
     return list(map(max, zip(*[rows[y] for y in pts])))
-
-
-def _sampled_subsets(n: int, rng, samples: int):
-    for _ in range(samples):
-        bits = rng.getrandbits(n)
-        if bits:
-            yield [i for i in range(n) if bits >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -218,7 +195,7 @@ def link_directed_sequence(space: FiniteSpace, Y, seq: EpSeq) -> DirectedSequenc
             if lhs7 != rhs7:
                 violations.append((lbl, "double_hole_vs_d_sup"))
     tail_equiv = None
-    if is_directed(space, pts, "d") and classify(space, seq).pre_cauchy:
+    if is_directed(space, pts) and classify(space, seq).pre_cauchy:
         lhs = y_leq_seq
         rhs = all(
             # backward limit of the sequence at z, constant on a Cauchy cycle

@@ -42,7 +42,7 @@ from functools import cached_property
 from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
 from .extreal import INF, ExtReal, ext_min
-from .nets import EpSeq, PreconditionError, classify, epseq
+from .nets import EpSeq, PreconditionError, classify, epseq, zero_classes
 from .order import _sup_profile, check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, derive, representatives, threshold_grid
 from .topology import is_complete
@@ -127,9 +127,7 @@ class AuditContext:
         """One member list per specialization class of zero self-distance:
         the possible Cauchy tails up to the choice of a nonempty subset."""
         n = self.space.n
-        return [[j for j in range(n) if cls >> j & 1]
-                for i, cls in enumerate(self.space.class_masks)
-                if self.representatives >> i & 1 and self.space.leq(i, i)]
+        return [[j for j in range(n) if cls >> j & 1] for cls in zero_classes(self.space)]
 
     @cached_property
     def complete(self) -> bool:
@@ -144,7 +142,7 @@ class AuditContext:
         One report serves both senses: the order-as-distance of d has the
         same zero pattern as d, and directedness only reads that pattern.
         """
-        return check_ed_complete(self.space, self.space, cap=self.space.n)
+        return check_ed_complete(self.space, self.space)
 
     @cached_property
     def e_separable(self) -> bool:
@@ -371,7 +369,7 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
                 f"ball bound hypothesis violated: no witness at step {step} (bug signal)")
         if found not in ys:
             ys.append(found)
-    directed = is_directed(space, ys, "leq")
+    directed = is_directed(space, ys)
     c0 = cyc[0]
     forward_match = _sup_profile(rows, ys) == list(rows[c0])
     backward_match = all(min(row[y] for y in ys) == row[c0] for row in rows)

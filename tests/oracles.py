@@ -30,7 +30,12 @@ per-instance checks read the zero masks and the integer rows:
 ``dist_subequiv_oracle``, ``separable_oracle``,
 ``sup_upgrade_counterexample_oracle`` and
 ``construct_directed_from_cauchy_oracle`` keep the ``suprema`` loop and
-the ExtReal scans they replaced.  The formal-ball
+the ExtReal scans they replaced.  The Cauchy tails are the classes of
+zero self-distance: ``zero_class_members_oracle`` lists them per class
+representative, ``double_hole_limits_oracle`` scans every point for the
+double-hole limits of a tail where ``kw_limit`` takes the tail's class,
+and ``pre_cauchy_subnet_equiv_oracle`` compares a pre-Cauchy sequence
+with its extracted subsequence flag by flag.  The formal-ball
 samplers draw Cauchy sequences, directed subsets of X x grid and
 ball-identity tuples at random, where ``kw_audit`` decides each side per
 class or by identity.
@@ -46,12 +51,13 @@ from qmlib.family import (CandidateRejection, CertificateError, FamilyCompletene
                           FamilySpace, _tsub)
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
                                 fb_distance_raw, fb_leq)
-from qmlib.nets import NetClasses, PreconditionError, check_ids, epseq, zero_cliques
+from qmlib.nets import (NetClasses, PreconditionError, cauchy_subsequence, check_ids,
+                        epseq, zero_cliques)
 from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
-from qmlib.space import (FiniteSpace, SpaceError, Validation, derive, space_from_rows,
-                         threshold_grid)
+from qmlib.space import (FiniteSpace, SpaceError, Validation, derive, representatives,
+                         space_from_rows, threshold_grid)
 from qmlib.theorems import DirectedConstruction
-from qmlib.topology import CompletenessReport
+from qmlib.topology import CompletenessReport, convergence
 
 
 def _step_over_cuts(space: FiniteSpace, piece) -> StepFn:
@@ -234,12 +240,45 @@ def zero_cliques_oracle(space: FiniteSpace) -> list:
     return out
 
 
+def zero_class_members_oracle(space: FiniteSpace) -> list:
+    """One member list per specialization class whose representative (least
+    member) has zero self-distance, read per representative."""
+    n = space.n
+    reps = representatives(space.class_masks)
+    return [[j for j in range(n) if cls >> j & 1]
+            for i, cls in enumerate(space.class_masks)
+            if reps >> i & 1 and space.leq(i, i)]
+
+
+def double_hole_limits_oracle(space: FiniteSpace, clique) -> list:
+    """Double-hole limit points of any Cauchy sequence with the given tail.
+
+    All tail members are mutually at distance 0, so by the triangle law
+    d(c, z) agrees across members and the liminf tests collapse to one
+    member c0; every point is scanned against it on ExtReal entries.
+    """
+    c0 = list(clique)[0]
+    n = space.n
+    return [x for x in range(n)
+            if all(space.d(x, z) <= space.d(c0, z) and space.d(z, x) <= space.d(z, c0)
+                   for z in range(n))]
+
+
+def pre_cauchy_subnet_equiv_oracle(space: FiniteSpace, seq) -> bool:
+    """The four ball and hole flags of a pre-Cauchy sequence and of its
+    extracted Cauchy subsequence agree at every point."""
+    sub = cauchy_subsequence(space, seq)
+    return all(convergence(space, seq, x).flag(t) == convergence(space, sub, x).flag(t)
+               for x in range(space.n)
+               for t in ("upper_ball", "lower_ball", "upper_hole", "lower_hole"))
+
+
 def check_ed_complete_oracle(space_e: FiniteSpace, space_d: FiniteSpace) -> EdCompletenessReport:
     """Every e-directed subset has a d-supremum, tried on every nonempty
     subset of the points."""
     checked = 0
     for pts in _point_subsets(space_d.n):
-        if not is_directed(space_e, pts, "d"):
+        if not is_directed(space_e, pts):
             continue
         checked += 1
         if not suprema(space_d, pts).d_sups:
@@ -351,7 +390,7 @@ def construct_directed_from_cauchy_oracle(space: FiniteSpace, seq, dfs) -> Direc
         if found not in ys:
             ys.append(found)
         r_prev = r_cur
-    directed = is_directed(space, ys, "leq")
+    directed = is_directed(space, ys)
     c0 = cyc[0]
     forward_match = all(
         max(space.d(y, z) for y in ys) == space.d(c0, z) for z in range(n))
@@ -368,12 +407,7 @@ def is_complete_oracle(space: FiniteSpace) -> CompletenessReport:
     for mask in zero_cliques_oracle(space):
         checked += 1
         members = [i for i in range(n) if mask >> i & 1]
-        c0 = members[0]
-        found = any(
-            all(space.d(x, z) <= space.d(c0, z) and space.d(z, x) <= space.d(z, c0)
-                for z in range(n))
-            for x in range(n))
-        if not found:
+        if not double_hole_limits_oracle(space, members):
             return CompletenessReport(False, tuple(space.labels[i] for i in members),
                                       checked)
     return CompletenessReport(True, None, checked)

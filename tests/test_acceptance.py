@@ -142,7 +142,7 @@ def test_criterion_5_directed_sequence_links():
         for size in (1, 2, 3, 4):
             for pts in itertools.combinations(range(6), size):
                 Y = list(pts)
-                if not is_directed(sp, Y, "d"):
+                if not is_directed(sp, Y):
                     continue
                 tops = [y for y in Y if all(sp.d(a, y).is_zero() for a in Y)]
                 for top in tops:

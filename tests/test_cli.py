@@ -354,15 +354,23 @@ class TestRandom:
         assert rc == EXIT_OK and out == ""
         assert json.loads(target.read_text())["command"] == "random"
 
-    @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-1"], ["--count", "-3"],
-                                      ["--n", "x"]],
-                             ids=["n-0", "n-negative", "count-negative", "n-not-an-int"])
+    # integers are ASCII digits only: no sign, "_", p/q or non-ASCII digit
+    @pytest.mark.parametrize("argv", [
+        ["random", "--n", "0"], ["random", "--n", "-1"], ["random", "--count", "-3"],
+        ["random", "--n", "x"], ["random", "--n", "\u0663"], ["random", "--count", "1_0"],
+        ["random", "--count", "+1"], ["random", "--n", "4/2"], ["random", "--seed", "-5"],
+        ["random", "--seed", "+5"], ["gallery", "halfopen", "--cutoff", "1_6"],
+        ["gallery", "halfopen", "--cutoff", "-8"], ["gallery", "halfopen", "--cutoff", "16/2"]],
+        ids=["n-0", "n-negative", "count-negative", "n-not-an-int", "n-arabic-indic",
+             "count-underscore", "count-plus", "n-fraction", "seed-negative", "seed-plus",
+             "cutoff-underscore", "cutoff-negative", "cutoff-fraction"])
     def test_bad_size_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["random", "--seed", "1"] + argv)
+            main(argv)
         assert exc.value.code == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
 
     def test_zero_count_is_an_empty_sweep(self, capsys):
@@ -475,7 +483,8 @@ class TestWorkers:
         assert "QML_WORKERS" in captured.err and str(MAX_WORKERS) in captured.err
         assert RecordingPool.sizes == []
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", "", "+1", "1_0", "2/1",
+                                       "\u0661"])
     def test_bad_pool_size_is_one_line_parse_error(self, capsys, monkeypatch,
                                                    discrete_file, value):
         monkeypatch.setenv("QML_WORKERS", value)

@@ -6,25 +6,29 @@ hemimetrics and metrics, and value-based two-distance pairs.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qmlib.cli import EXIT_PRECONDITION, main
 from qmlib.derived import derived_functions, sub_identity
 from qmlib.generate import random_metric, random_space, random_value_pair
-from qmlib.nets import PreconditionError, epseq, zero_cliques
+from qmlib.formal_balls import RadiusSeq, kw_limit
+from qmlib.nets import PreconditionError, classify, epseq, submasks, zero_classes, zero_cliques
 from qmlib.order import check_ed_complete, suprema
 from qmlib.space import derive, space_from_rows
 from qmlib.theorems import (AuditContext, AuditOptions, audit, compose_with_filter,
                             construct_directed_from_cauchy, sup_upgrade_counterexample)
-from qmlib.topology import is_complete
+from qmlib.topology import is_complete, pre_cauchy_subnet_equiv
 
 from tests.oracles import (check_ed_complete_oracle, companion_oracle,
                            compose_with_filter_oracle, compose_with_order, d_F_oracle,
                            d_Phi_oracle, directed_set_with_profiles_oracle,
-                           is_complete_oracle, order_directed_complete_oracle,
-                           sup_upgrade_oracle, zero_cliques_oracle)
+                           double_hole_limits_oracle, is_complete_oracle,
+                           order_directed_complete_oracle, pre_cauchy_subnet_equiv_oracle,
+                           sup_upgrade_oracle, zero_class_members_oracle,
+                           zero_cliques_oracle)
 
 
 @st.composite
@@ -76,7 +80,6 @@ def test_one_directed_completeness_report_serves_both_senses(pair):
     d_space, e_space = pair
     ctx = AuditContext(d_space, e_space)
     rep = ctx.directed_complete_report
-    assert not rep.sampled
     assert rep.complete == order_directed_complete_oracle(d_space).complete
 
 
@@ -97,11 +100,71 @@ def test_zero_cliques_are_the_submasks_of_the_classes(pair):
 
 @EXAMPLES
 @given(wide_pairs)
+def test_the_zero_classes_are_the_cauchy_tails(pair):
+    for space in pair:
+        classes = zero_classes(space)
+        assert classes == sorted(classes, key=lambda cls: cls & -cls)
+        assert sorted(sub for cls in classes for sub in submasks(cls)) \
+            == zero_cliques_oracle(space)
+        assert AuditContext(space, space).cliques == zero_class_members_oracle(space)
+
+
+@EXAMPLES
+@given(wide_pairs)
+def test_kw_limit_takes_the_least_double_hole_limit_of_the_tail(pair):
+    for space in pair:
+        for mask in zero_cliques(space):
+            members = [i for i in range(space.n) if mask >> i & 1]
+            res = kw_limit(space, epseq([], members[::-1]),
+                           RadiusSeq("constant", Fraction(-1, 2)))
+            limits = double_hole_limits_oracle(space, members)
+            x_star = space.index(res.limit["point"])
+            assert x_star == limits[0]
+            assert space.class_masks[x_star] == sum(1 << x for x in limits)
+            assert res.verified
+
+
+@st.composite
+def non_distances(draw, max_n=4):
+    """A 2-4 point matrix over {0, 1, 2, inf} that fails the triangle law,
+    with a point of zero self-distance for a one-point Cauchy tail."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    rows = [[draw(st.sampled_from(("0", "1", "2", "inf"))) for _ in range(n)]
+            for _ in range(n)]
+    rows[0][0] = "0"
+    space = space_from_rows([f"p{i}" for i in range(n)], rows)
+    assume(not space.validation.is_distance)
+    return space
+
+
+@EXAMPLES
+@given(non_distances())
+def test_kw_limit_refuses_a_non_distance(space):
+    with pytest.raises(PreconditionError):
+        kw_limit(space, epseq([], [0]), RadiusSeq("constant", Fraction(0)))
+
+
+@EXAMPLES
+@given(spaces, st.data())
+def test_subnet_equivalence_by_identity(space, data):
+    ids = st.integers(min_value=0, max_value=space.n - 1)
+    seq = epseq(data.draw(st.lists(ids, max_size=2)),
+                data.draw(st.lists(ids, min_size=1, max_size=3)))
+    if classify(space, seq).pre_cauchy:
+        assert pre_cauchy_subnet_equiv(space, seq) == pre_cauchy_subnet_equiv_oracle(space, seq)
+    else:
+        for decide in (pre_cauchy_subnet_equiv, pre_cauchy_subnet_equiv_oracle):
+            with pytest.raises(PreconditionError):
+                decide(space, seq)
+
+
+@EXAMPLES
+@given(wide_pairs)
 def test_ed_completeness_over_class_representatives(pair):
     d_space, e_space = pair
     for first, second in ((d_space, d_space), (derive(d_space, "leq_order"), d_space),
                           (e_space, d_space), (d_space, e_space)):
-        fast = check_ed_complete(first, second, cap=d_space.n)
+        fast = check_ed_complete(first, second)
         assert fast.complete == check_ed_complete_oracle(first, second).complete
 
 

@@ -10,7 +10,7 @@ from qmlib.generate import random_space
 from qmlib.nets import (EpSeq, PreconditionError, cauchy_subsequence, classify,
                         epseq, epseq_from_labels, net_distance,
                         seq_limits_against)
-from qmlib.space import space_from_rows
+from qmlib.space import SpaceError, space_from_rows
 
 
 def unrolled_tail_stats(space, seq, fn):
@@ -213,3 +213,16 @@ class TestSeqLimits:
         assert (seq.pre, seq.cycle) == ((0,), (1, 2))
         with pytest.raises(Exception):
             seq_from_dict(sp, {"pre": ["a"]})
+
+    @pytest.mark.parametrize("data", [
+        {"cycle": "ab"}, {"pre": "a", "cycle": ["b"]}, ["a", "b"], "cycle", None,
+        {"cycle": [0, 1]}, {"cycle": [["a"]]}, {"pre": {"a": 1}, "cycle": ["a"]},
+        {"pre": ["a"]}, {"cycle": []}, {"cycle": ["z"]},
+    ], ids=["cycle-a-string", "pre-a-string", "a-list", "a-string", "null",
+            "integer-labels", "nested-list", "pre-an-object", "no-cycle", "empty-cycle",
+            "unknown-label"])
+    def test_malformed_sequence_literal_is_a_space_error(self, data):
+        from qmlib.nets import seq_from_dict
+        sp = space_from_rows(["a", "b", "c"], [["0"] * 3] * 3)
+        with pytest.raises(SpaceError):
+            seq_from_dict(sp, data)

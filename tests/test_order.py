@@ -70,16 +70,15 @@ class TestSuprema:
 class TestDirected:
     def test_singleton(self):
         sp = space_from_rows(["a"], [["0"]])
-        assert is_directed(sp, [0], "d")
-        assert is_directed(sp, [0], "leq")
+        assert is_directed(sp, [0])
 
     def test_metric_pair_not_directed(self):
         sp = space_from_rows(["a", "b"], [["0", "1"], ["1", "0"]])
-        assert not is_directed(sp, [0, 1], "d")
+        assert not is_directed(sp, [0, 1])
 
     def test_nonreflexive_singleton_not_directed(self):
         sp = grid_x_one_minus_y()
-        assert not is_directed(sp, [sp.index("1/2")], "d")
+        assert not is_directed(sp, [sp.index("1/2")])
 
     def test_matches_exhaustive_oracle(self):
         rng = Random(44)
@@ -87,7 +86,7 @@ class TestDirected:
             sp = random_space(rng, 5)
             for size in (1, 2, 3, 4):
                 for pts in itertools.combinations(range(5), size):
-                    assert is_directed(sp, list(pts), "d") == \
+                    assert is_directed(sp, list(pts)) == \
                         directed_oracle(sp, list(pts))
 
     def test_directed_minimizer_is_metric_sup(self):
@@ -100,18 +99,13 @@ class TestDirected:
             for size in (1, 2, 3):
                 for pts in itertools.combinations(range(5), size):
                     Y = list(pts)
-                    if not is_directed(sp, Y, "d"):
+                    if not is_directed(sp, Y):
                         continue
                     hits += 1
                     y0 = min(Y, key=lambda y: (ext_max(sp.d(a, y) for a in Y), y))
                     assert ext_max(sp.d(a, y0) for a in Y).is_zero()
                     assert sp.labels[y0] in suprema(sp, Y).d_sups
         assert hits > 30
-
-    def test_unknown_sense(self):
-        sp = space_from_rows(["a"], [["0"]])
-        with pytest.raises(ValueError):
-            is_directed(sp, [0], "weird")
 
 
 class TestEdComplete:
@@ -134,7 +128,7 @@ class TestEdComplete:
             sp = random_metric(rng, 5)
             for size in (2, 3):
                 for pts in itertools.combinations(range(5), size):
-                    assert not is_directed(sp, list(pts), "d")
+                    assert not is_directed(sp, list(pts))
             assert check_ed_complete(sp, sp).complete
 
     def test_incomplete_pair_found(self):
@@ -147,19 +141,6 @@ class TestEdComplete:
         rep = check_ed_complete(e_space, d_space)
         assert not rep.complete
         assert rep.failing_Y == ("1/2",)
-
-    def test_sampled_mode_flagged(self):
-        rng = Random(48)
-        sp = random_space(rng, 5)
-        rep = check_ed_complete(sp, sp, cap=3, rng=Random(1), samples=200)
-        assert rep.sampled
-        assert rep.complete
-
-    def test_cap_exceeded_without_rng(self):
-        rng = Random(49)
-        sp = random_space(rng, 5)
-        with pytest.raises(PreconditionError):
-            check_ed_complete(sp, sp, cap=3)
 
 
 class TestLinkDirectedSequence:
@@ -174,7 +155,7 @@ class TestLinkDirectedSequence:
             sp = random_space(rng, 5)
             for size in (1, 2, 3, 4):
                 for pts in itertools.combinations(range(5), size):
-                    if not is_directed(sp, list(pts), "d"):
+                    if not is_directed(sp, list(pts)):
                         continue
                     tops = [y for y in pts if all(sp.d(a, y).is_zero() for a in pts)]
                     for top in tops:

@@ -2,10 +2,8 @@
 
 Every verdict in ``qmlib`` is decided exactly, by identity, reduction or
 exhaustive search.  The only functions that may take an ``rng`` are the
-seeded instance generators in ``generate`` and the sampled mode of
-``order.check_ed_complete`` (with its helper), whose reports say
-``sampled``.  This test reads the source, so a new sampler anywhere else
-fails it before it can reach a report.
+seeded instance generators in ``generate``.  This test reads the source,
+so a new sampler anywhere else fails it before it can reach a report.
 """
 
 import ast
@@ -14,7 +12,6 @@ from pathlib import Path
 import qmlib
 
 SAMPLING_MODULE = "generate"
-SAMPLED_MODE = {("order", "check_ed_complete"), ("order", "_sampled_subsets")}
 
 
 def _functions():
@@ -29,12 +26,11 @@ def _functions():
                 yield path.stem, node.name, params
 
 
-def test_only_generators_and_the_sampled_mode_take_an_rng():
+def test_only_generators_take_an_rng():
     takers = {(mod, name) for mod, name, params in _functions() if "rng" in params}
-    outside = sorted(t for t in takers - SAMPLED_MODE if t[0] != SAMPLING_MODULE)
+    outside = sorted(t for t in takers if t[0] != SAMPLING_MODULE)
     assert outside == [], f"functions outside the sampling scope take an rng: {outside}"
-    # the allowance names functions that exist and still need it
-    assert SAMPLED_MODE <= takers
+    assert takers, "the generators take an rng"
 
 
 def test_random_is_imported_only_by_the_generators():
