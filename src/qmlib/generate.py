@@ -5,19 +5,23 @@ cliques and thick order structure are what exercise the completeness
 logic), then a min-plus closure enforces the triangle law.  Value-based
 pairs realize the composition of a metric with an order: the truncated
 difference of point values together with their absolute difference.
+Point values are quarter steps, so both distances of a pair are read from
+one table of quarters and no value is built per instance.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
 from .extreal import INF, ZERO, ExtReal
-from .space import FiniteSpace, minplus_closure, space_from_rows
+from .space import FiniteSpace, minplus_closure
 
 VALUE_GRID = (ZERO, ExtReal(1, 4), ExtReal(1, 2), ExtReal(1), ExtReal(2), INF)
 POSITIVE_GRID = (ExtReal(1, 4), ExtReal(1, 2), ExtReal(1), ExtReal(2))
-RATIONAL_GRID = tuple(Fraction(k, 4) for k in range(0, 13))
+# a point value k/4 is drawn as its step k; QUARTERS[k] = k/4 covers every
+# entry of a pair, up to e's 2 * 12 quarters
+VALUE_STEPS = tuple(range(13))
+QUARTERS = tuple(ExtReal(k, 4) for k in range(25))
 
 
 def random_space(rng: Random, n: int, hemimetric: bool = False) -> FiniteSpace:
@@ -47,18 +51,18 @@ def random_metric(rng: Random, n: int) -> FiniteSpace:
 def random_value_pair(rng: Random, n: int):
     """A two-distance instance (d, e) of composed order-metric shape.
 
-    Points carry rational values v; d(x,y) = (v_x - v_y)+ and
+    Points carry values v = k/4 with k in 0..12; d(x,y) = (v_x - v_y)+ and
     e(x,y) = s|v_x - v_y| for a scale s in {1, 2}.  Then e is a symmetric
     hemimetric, d arises from e composed with the value order, and the
     filter chain hypotheses hold non-vacuously; s = 2 separates e from the
     symmetric join of d.
     """
-    vals = [rng.choice(RATIONAL_GRID) for _ in range(n)]
+    steps = [rng.choice(VALUE_STEPS) for _ in range(n)]
     scale = rng.choice((1, 1, 2))
-    labels = [f"p{i}" for i in range(n)]
-    d_rows = [[ExtReal.from_fraction(max(a - b, Fraction(0))) for b in vals] for a in vals]
-    e_rows = [[ExtReal.from_fraction(scale * abs(a - b)) for b in vals] for a in vals]
-    return space_from_rows(labels, d_rows), space_from_rows(labels, e_rows)
+    labels = tuple(f"p{i}" for i in range(n))
+    d_rows = tuple(tuple(QUARTERS[a - b if a > b else 0] for b in steps) for a in steps)
+    e_rows = tuple(tuple(QUARTERS[scale * abs(a - b)] for b in steps) for a in steps)
+    return FiniteSpace(labels, d_rows), FiniteSpace(labels, e_rows)
 
 
 def instance_stream(seed: int, n: int, count: int):

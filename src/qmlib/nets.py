@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extreal import ExtReal, ext_max, ext_min
-from .space import FiniteSpace, SpaceError, representatives
+from .space import FiniteSpace, SpaceError
 
 
 # Largest specialization class whose zero cliques are listed; a larger
@@ -135,7 +135,7 @@ def submasks(mask: int):
         sub = (sub - mask) & mask
 
 
-def zero_classes(space: FiniteSpace) -> list:
+def zero_classes(space: FiniteSpace) -> tuple:
     """The specialization classes of the points of zero self-distance, one
     bitmask each, ordered by least member.
 
@@ -143,20 +143,15 @@ def zero_classes(space: FiniteSpace) -> list:
     which d vanishes is a subset of one of them, and its double-hole limits
     are that class.  The classes are first confirmed to partition those
     points; a space where they do not (the triangle law fails) raises
-    ``PreconditionError``.
+    ``PreconditionError``.  The tuple and the check are computed once per
+    space (``FiniteSpace.zero_classes``).
     """
-    n = space.n
-    classes = space.class_masks
-    core = sum(1 << i for i in range(n) if space.zero_up[i] >> i & 1)
-    for i in range(n):
-        cls = classes[i]
-        if core >> i & 1 and (cls & ~core or any(
-                classes[j] != cls for j in range(n) if cls >> j & 1)):
-            raise PreconditionError(
-                "specialization classes do not partition the zero-self-distance "
-                "points (the triangle law fails)")
-    reps = representatives(classes) & core
-    return [classes[i] for i in range(n) if reps >> i & 1]
+    classes = space.zero_classes
+    if classes is None:
+        raise PreconditionError(
+            "specialization classes do not partition the zero-self-distance "
+            "points (the triangle law fails)")
+    return classes
 
 
 def zero_cliques(space: FiniteSpace):

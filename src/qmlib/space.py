@@ -101,6 +101,25 @@ class FiniteSpace:
         return tuple((u & w) | 1 << i
                      for i, (u, w) in enumerate(zip(self.zero_up, self.zero_down)))
 
+    @cached_property
+    def zero_classes(self) -> tuple | None:
+        """The specialization classes of the points of zero self-distance,
+        one bitmask each, ordered by least member; None when those classes
+        do not partition these points (the triangle law fails).
+
+        ``nets.zero_classes`` reads this and raises on None.
+        """
+        n = self.n
+        classes = self.class_masks
+        core = sum(1 << i for i in range(n) if self.zero_up[i] >> i & 1)
+        for i in range(n):
+            cls = classes[i]
+            if core >> i & 1 and (cls & ~core or any(
+                    classes[j] != cls for j in range(n) if cls >> j & 1)):
+                return None
+        reps = representatives(classes) & core
+        return tuple(classes[i] for i in range(n) if reps >> i & 1)
+
     def leq(self, i: int, j: int) -> bool:
         """The specialization order: d(i,j) = 0."""
         return self.matrix[i][j].is_zero()
@@ -224,6 +243,23 @@ def _validate(space: FiniteSpace) -> Validation:
                       tuple(violations))
 
 
+def _join_validation(space: FiniteSpace) -> Validation:
+    """The validation of the symmetric join of a validated distance, read
+    off the distance's own.
+
+    The join max(d(x,y), d(y,x)) satisfies the triangle law whenever d
+    does, is symmetric, and keeps d's diagonal, so it is a hemimetric iff
+    d is and its violations are d's ``self_distance`` entries (d has no
+    triangle ones).  Its zero entries off the diagonal are the pairs at
+    mutual d-distance 0, so it separates points iff every specialization
+    class of d is a single point.
+    """
+    v = space.validation
+    separated = all(cls == 1 << i for i, cls in enumerate(space.class_masks))
+    return Validation(True, v.is_hemimetric, True, v.is_hemimetric and separated,
+                      v.violations)
+
+
 def validate(space: FiniteSpace) -> Validation:
     """Triangle-law and shape flags for a space (cached on the instance)."""
     return space.validation
@@ -234,7 +270,8 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
 
     ``compose`` is the min-plus composition with ``other`` over the shared
     point set; its result need not satisfy the triangle law, so callers
-    should consult ``validation`` on the result.
+    should consult ``validation`` on the result.  The join of a distance
+    comes with its ``validation`` already set (``_join_validation``).
     """
     n = space.n
     m = space.matrix
@@ -242,6 +279,11 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
         rows = tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
     elif which == "join":
         rows = tuple(tuple(max(m[i][j], m[j][i]) for j in range(n)) for i in range(n))
+        joined = FiniteSpace(space.labels, rows)
+        if space.validation.is_distance:
+            # the instance is frozen: fill the slot the cached_property reads
+            joined.__dict__["validation"] = _join_validation(space)
+        return joined
     elif which == "leq_order":
         rows = tuple(tuple(m[i][j].scale_inf() for j in range(n)) for i in range(n))
     elif which == "compose":

@@ -24,7 +24,11 @@ loops that the integer form of the matrix replaced.  Entries are
 nonnegative, so a sum cannot fall below either of its legs:
 ``validate_oracle`` and ``minplus_closure_oracle`` keep the triple loops
 that add over every k, where production adds only over the k whose two
-legs both lie strictly below the entry under test.  The sweep's
+legs both lie strictly below the entry under test.  The symmetric join of
+a validated distance takes its validation from the distance's own;
+``join_validation_oracle`` validates the join from scratch.  Value pairs
+are read from a table of quarter steps; ``random_value_pair_oracle``
+builds every entry through ``Fraction`` arithmetic.  The sweep's
 per-instance checks read the zero masks and the integer rows:
 ``sups_signature_items``, ``net_classes_oracle``,
 ``dist_subequiv_oracle``, ``separable_oracle``,
@@ -54,8 +58,8 @@ from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
 from qmlib.nets import (NetClasses, PreconditionError, cauchy_subsequence, check_ids,
                         epseq, zero_cliques)
 from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
-from qmlib.space import (FiniteSpace, SpaceError, Validation, derive, representatives,
-                         space_from_rows, threshold_grid)
+from qmlib.space import (FiniteSpace, SpaceError, Validation, _validate, derive,
+                         representatives, space_from_rows, threshold_grid)
 from qmlib.theorems import DirectedConstruction
 from qmlib.topology import CompletenessReport, convergence
 
@@ -532,6 +536,27 @@ def validate_oracle(space: FiniteSpace) -> Validation:
     is_metric = is_hemimetric and is_symmetric and separated
     return Validation(is_distance, is_hemimetric, is_symmetric, is_metric,
                       tuple(violations))
+
+
+def join_validation_oracle(space: FiniteSpace) -> Validation:
+    """``_validate`` run on the symmetric join of ``space``, rebuilt as a
+    plain space that carries no precomputed validation."""
+    return _validate(FiniteSpace(space.labels, derive(space, "join").matrix))
+
+
+RATIONAL_GRID = tuple(Fraction(k, 4) for k in range(0, 13))
+
+
+def random_value_pair_oracle(rng, n: int):
+    """The value pair built entry by entry from ``Fraction`` point values:
+    d(x,y) = (v_x - v_y)+ and e(x,y) = s|v_x - v_y|, each entry converted
+    to an ``ExtReal``."""
+    vals = [rng.choice(RATIONAL_GRID) for _ in range(n)]
+    scale = rng.choice((1, 1, 2))
+    labels = [f"p{i}" for i in range(n)]
+    d_rows = [[ExtReal.from_fraction(max(a - b, Fraction(0))) for b in vals] for a in vals]
+    e_rows = [[ExtReal.from_fraction(scale * abs(a - b)) for b in vals] for a in vals]
+    return space_from_rows(labels, d_rows), space_from_rows(labels, e_rows)
 
 
 def minplus_closure_oracle(rows, labels=None) -> FiniteSpace:

@@ -1,0 +1,134 @@
+"""The sweep's per-instance shortcuts, each pinned to its oracle.
+
+``random_value_pair`` reads both distances of a pair from a table of
+quarter steps; ``random_value_pair_oracle`` builds every entry through
+``Fraction`` arithmetic from the same draws.  The symmetric join of a
+validated distance takes its ``validation`` from the distance's own;
+``join_validation_oracle`` runs ``_validate`` on the join rebuilt as a
+plain space.  ``nets.zero_classes`` lists the classes once per space and
+still refuses a space whose classes do not partition on every call.
+"""
+
+from pathlib import Path
+from random import Random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from qmlib.extreal import INF, ZERO, ExtReal
+from qmlib.generate import random_metric, random_space, random_value_pair
+from qmlib.nets import PreconditionError, zero_classes
+from qmlib.space import derive, load_space, minplus_closure, space_from_rows
+
+from tests.oracles import join_validation_oracle, random_value_pair_oracle
+
+DATA = Path(__file__).resolve().parent / "data"
+# every matrix file; fm_c256.json is a family rule, which has no join
+MATRIX_FILES = sorted(p for p in DATA.glob("*.json") if p.name != "fm_c256.json")
+VALUES = (ZERO, ExtReal(1, 4), ExtReal(1, 2), ExtReal(1), ExtReal(2), INF)
+EXAMPLES = settings(max_examples=150, deadline=None)
+sizes = st.integers(min_value=1, max_value=8)
+
+
+def _exact(space) -> tuple:
+    return tuple(tuple((v.num, v.den) for v in row) for row in space.matrix)
+
+
+def _labels(n: int) -> list:
+    return [f"p{i}" for i in range(n)]
+
+
+@st.composite
+def any_matrix(draw):
+    """Any square matrix over VALUES: the triangle law need not hold."""
+    n = draw(sizes)
+    row = st.lists(st.sampled_from(VALUES), min_size=n, max_size=n)
+    return space_from_rows(_labels(n), draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def distances(draw):
+    """The sweep's generated distances, a value pair's d and e, and the
+    min-plus closure of any matrix (nonzero diagonals included)."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(sizes)
+    kind = draw(st.sampled_from(("plain", "hemimetric", "metric", "pair_d", "pair_e",
+                                 "closure")))
+    if kind == "metric":
+        return random_metric(rng, n)
+    if kind in ("pair_d", "pair_e"):
+        return random_value_pair(rng, n)[kind == "pair_e"]
+    if kind == "closure":
+        return minplus_closure(draw(any_matrix()).matrix)
+    return random_space(rng, n, hemimetric=kind == "hemimetric")
+
+
+@EXAMPLES
+@given(st.integers(min_value=0, max_value=2 ** 63 - 1), sizes)
+def test_value_pair_matches_the_fraction_oracle(seed, n):
+    fast_rng, slow_rng = Random(seed), Random(seed)
+    fast = random_value_pair(fast_rng, n)
+    slow = random_value_pair_oracle(slow_rng, n)
+    for got, want in zip(fast, slow):
+        assert got.labels == want.labels
+        assert _exact(got) == _exact(want)
+    assert fast_rng.getstate() == slow_rng.getstate()
+
+
+@EXAMPLES
+@given(distances())
+def test_join_validation_matches_validate(space):
+    assert space.validation.is_distance
+    joined = derive(space, "join")
+    assert "validation" in joined.__dict__
+    assert joined.validation == join_validation_oracle(space)
+
+
+@pytest.mark.parametrize("path", MATRIX_FILES, ids=lambda p: p.name)
+def test_join_validation_matches_validate_on_every_data_file(path):
+    space = load_space(str(path))
+    assert space.validation.is_distance
+    assert derive(space, "join").validation == join_validation_oracle(space)
+
+
+def test_join_validation_covers_each_flag():
+    """Distances whose joins fail hemimetricity, separation, or neither."""
+    cases = {
+        "not hemimetric": [["1", "1"], ["1", "1"]],
+        "not separated": [["0", "0"], ["0", "0"]],
+        "metric": [["0", "1/2"], ["0", "0"]],
+    }
+    seen = set()
+    for rows in cases.values():
+        space = space_from_rows(_labels(2), rows)
+        joined = derive(space, "join")
+        assert "validation" in joined.__dict__
+        got = joined.validation
+        assert got == join_validation_oracle(space)
+        seen.add((got.is_hemimetric, got.is_metric, bool(got.violations)))
+    assert seen == {(False, False, True), (True, False, False), (True, True, False)}
+
+
+@EXAMPLES
+@given(any_matrix())
+def test_join_of_a_non_distance_is_validated_in_full(space):
+    assume(not space.validation.is_distance)
+    joined = derive(space, "join")
+    assert "validation" not in joined.__dict__
+    assert joined.validation == join_validation_oracle(space)
+
+
+@EXAMPLES
+@given(distances())
+def test_zero_classes_are_listed_once_per_space(space):
+    first = zero_classes(space)
+    assert "zero_classes" in space.__dict__
+    assert zero_classes(space) is first is space.zero_classes
+
+
+def test_a_non_partition_raises_on_every_call():
+    # 0 is at mutual distance 0 from 1 and from 2, but d(1,2) = 1
+    space = space_from_rows(_labels(3), [["0", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]])
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            zero_classes(space)
