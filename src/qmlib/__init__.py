@@ -9,10 +9,10 @@ completeness statements connecting all of these, everything in exact
 rational arithmetic.
 """
 
-from .extreal import INF, ONE, ZERO, ExtReal, add, ext, scale_inf, tsub
-from .space import (FiniteSpace, SpaceError, ThresholdRel, Validation,
-                    balls_and_holes, derive, load_space, minplus_closure,
-                    space_from_rows, threshold_grid, validate)
+from .extreal import INF, ONE, ZERO, ExtReal
+from .space import (FiniteSpace, SpaceError, Validation, balls_and_holes,
+                    derive, load_space, minplus_closure, space_from_rows,
+                    threshold_grid)
 from .nets import (EpSeq, NetClasses, PreconditionError, cauchy_subsequence,
                    classify, epseq, epseq_from_labels, net_distance,
                    seq_from_dict, seq_limits_against)
@@ -26,10 +26,10 @@ from .topology import (ConvergenceReport, check_hole_characterizations,
 from .order import (SupremumResult, check_ed_complete, is_directed,
                     link_directed_sequence, suprema)
 from .derived import (DerivedFunctions, StepFn, derived_functions,
-                      dist_subequiv, leq_identity, sub_identity, subequiv)
+                      dist_subequiv, leq_identity, sub_identity)
 from .formal_balls import (FormalBall, RadiusSeq, fb_distance, fb_distance_raw,
                            formal_ball, formal_ball_from_dict, kw_audit, kw_limit)
-from .theorems import (AuditOptions, AuditReport, STATEMENTS, audit,
+from .theorems import (AuditReport, STATEMENTS, audit,
                        construct_directed_from_cauchy)
 from .gallery import GALLERY_NAMES, build, verify
 

@@ -28,8 +28,8 @@ from .gallery import GALLERY_NAMES, build, verify
 from .generate import instance_stream
 from .nets import PreconditionError
 from .space import (FiniteSpace, SpaceError, derive, read_json_object, space_from_dict,
-                    space_to_dict, validate)
-from .theorems import STATEMENTS, AuditOptions, audit
+                    space_to_dict)
+from .theorems import STATEMENTS, audit
 from .topology import is_complete
 
 EXIT_OK = 0
@@ -105,7 +105,7 @@ def run_check(cfg: RunConfig) -> int:
         }
         _emit(cfg, payload, _render_check_md)
         return EXIT_OK
-    v = validate(space)
+    v = space.validation
     payload = {
         "command": "check",
         "input": cfg.inputs[0],
@@ -157,8 +157,7 @@ def run_audit(cfg: RunConfig) -> int:
         second = _load_any_space(cfg.second)
         if isinstance(second, FamilySpace):
             raise PreconditionError("the second distance must be a finite space")
-    opts = AuditOptions(statements=cfg.theorems, second=second)
-    report = audit(space, opts)
+    report = audit(space, cfg.theorems, second)
     payload = {
         "command": "audit",
         "input": cfg.inputs[0],
@@ -241,7 +240,7 @@ def _order_signature(space: FiniteSpace) -> str:
 
 def _instance_payload(args) -> dict:
     i, kind, space, second, statements = args
-    report = audit(space, AuditOptions(statements=statements, second=second))
+    report = audit(space, statements, second)
     # two-distance statements satisfied with e distinct from the join of d
     nonjoin = False
     if second is not None:

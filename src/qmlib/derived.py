@@ -145,22 +145,6 @@ def _ball_bound_fn(rows, cover, cuts, back) -> StepFn:
     return StepFn(back[at_zero], tuple(back[c] for c in cuts), tuple(back[v] for v in values))
 
 
-def _sample_points(f: StepFn, g: StepFn) -> list:
-    """Arguments covering every constancy piece of f and g: zero plus the
-    right endpoint of each merged piece."""
-    return [ZERO] + sorted(set(f.cuts) | set(g.cuts))
-
-
-def subequiv(f: StepFn, g: StepFn) -> bool:
-    """f is uniformly below g: sup{f(x) : g(x) <= r} -> 0 as r -> 0+.
-
-    Step data makes the limit exact: below the smallest positive value of
-    g the sublevel set is frozen at {g = 0}, so the limit is the sup of f
-    there.
-    """
-    return all(f(x).is_zero() for x in _sample_points(f, g) if g(x).is_zero())
-
-
 def sub_identity(f: StepFn) -> bool:
     """f is uniformly below the identity: lim_{r->0+} sup_{[0,r]} f = 0."""
     return f.at_zero.is_zero() and f.first_positive_value.is_zero()

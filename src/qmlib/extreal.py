@@ -207,23 +207,6 @@ ONE = ExtReal(1)
 INF = ExtReal(1, 0)
 
 
-def ext(num: int, den: int = 1) -> ExtReal:
-    """Shorthand constructor used all over the tests and fixtures."""
-    return ExtReal(num, den)
-
-
-def add(a: ExtReal, b: ExtReal) -> ExtReal:
-    return a + b
-
-
-def tsub(a: ExtReal, b: ExtReal) -> ExtReal:
-    return a.tsub(b)
-
-
-def scale_inf(r: ExtReal) -> ExtReal:
-    return r.scale_inf()
-
-
 def ext_min(values, default: ExtReal = INF) -> ExtReal:
     """Minimum with ``inf`` as the empty infimum."""
     best = default

@@ -79,6 +79,14 @@ class FamilySpace:
             raise SpaceError("cutoff must be at least 4")
         _check_params(self.rule, self.params)
         check_cutoff_ceiling(self.cutoff)
+        # an extra may not take the label of x_1..x_{cutoff+1}: each label
+        # names one point, including the one past the window
+        if self.extras:
+            for n in range(1, self.cutoff + 2):
+                label = self.label(self.indexed(n))
+                if label in self.extras:
+                    raise SpaceError(f"extra point {label!r} has the label of "
+                                     f"indexed point {n}")
 
     # -- points ------------------------------------------------------------
 

@@ -95,10 +95,6 @@ def fb_distance(space: FiniteSpace, a: FormalBall, b: FormalBall) -> ExtReal:
     return fb_distance_raw(space, a.point, a.radius, b.point, b.radius)
 
 
-def fb_leq(space: FiniteSpace, a: FormalBall, b: FormalBall) -> bool:
-    return fb_distance(space, a, b).is_zero()
-
-
 @dataclass(frozen=True)
 class RadiusSeq:
     """Radius sequences from a closed catalog with exact limits.

@@ -38,7 +38,6 @@ from .nets import classify, epseq
 from .space import FiniteSpace, SpaceError, balls_and_holes, space_from_rows
 from .topology import convergence
 
-GALLERY_NAMES = ("projection", "x_one_minus_y", "halfopen", "fm_counterexample")
 # the family fixtures' triangle check covers the indices up to this one
 # and the last two
 TRIANGLE_INDICES = 16
@@ -121,15 +120,9 @@ def build(name: str, cutoff: int) -> Fixture:
     if cutoff < 4:
         raise SpaceError("cutoff must be at least 4")
     check_cutoff_ceiling(cutoff)
-    if name == "projection":
-        return _build_projection(cutoff)
-    if name == "x_one_minus_y":
-        return _build_x_one_minus_y(cutoff)
-    if name == "halfopen":
-        return _build_halfopen(cutoff)
-    if name == "fm_counterexample":
-        return _build_fm(cutoff)
-    raise SpaceError(f"unknown fixture {name!r}; choose from {GALLERY_NAMES}")
+    if name not in _BUILDERS:
+        raise SpaceError(f"unknown fixture {name!r}; choose from {GALLERY_NAMES}")
+    return _BUILDERS[name](cutoff)
 
 
 def _build_projection(cutoff: int) -> Fixture:
@@ -311,6 +304,12 @@ def _build_fm(cutoff: int) -> Fixture:
              else "not-replicated"),
     )
     return Fixture("fm_counterexample", cutoff, space, {"fm": seq}, facts)
+
+
+# fixture name -> builder, in gallery order
+_BUILDERS = {"projection": _build_projection, "x_one_minus_y": _build_x_one_minus_y,
+             "halfopen": _build_halfopen, "fm_counterexample": _build_fm}
+GALLERY_NAMES = tuple(_BUILDERS)
 
 
 def verify(fixture: Fixture) -> GalleryReport:

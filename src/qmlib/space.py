@@ -260,11 +260,6 @@ def _join_validation(space: FiniteSpace) -> Validation:
                       v.violations)
 
 
-def validate(space: FiniteSpace) -> Validation:
-    """Triangle-law and shape flags for a space (cached on the instance)."""
-    return space.validation
-
-
 def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> FiniteSpace:
     """Derived space: ``opposite``, ``join``, ``leq_order`` or ``compose``.
 
@@ -357,38 +352,6 @@ def minplus_closure(rows, labels=None) -> FiniteSpace:
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
     return FiniteSpace(tuple(labels), tuple(tuple(r) for r in work))
-
-
-@dataclass(frozen=True)
-class ThresholdRel:
-    """The relation x < y at scale epsilon: d(x,y) < epsilon.
-
-    These relations generate the whole filter of uniform relations of the
-    space: every member of the filter contains one of them, so monotone
-    quantifications over the filter reduce to the finite grid below.
-    """
-
-    space: FiniteSpace
-    epsilon: ExtReal
-
-    def __post_init__(self):
-        if not ZERO < self.epsilon:
-            raise SpaceError("threshold radii are positive")
-
-    def holds(self, i: int, j: int) -> bool:
-        return self.space.d(i, j) < self.epsilon
-
-    @cached_property
-    def masks(self) -> tuple:
-        n = self.space.n
-        out = []
-        for i in range(n):
-            m = 0
-            for j in range(n):
-                if self.space.d(i, j) < self.epsilon:
-                    m |= 1 << j
-            out.append(m)
-        return tuple(out)
 
 
 def threshold_grid(space: FiniteSpace) -> tuple:

@@ -262,47 +262,37 @@ STATEMENT_TABLE = {
 STATEMENTS = tuple(STATEMENT_TABLE)
 
 
-@dataclass(frozen=True)
-class AuditOptions:
-    statements: tuple = STATEMENTS
-    second: FiniteSpace | None = None    # the distance e for two-distance audits
-    include_vacuous: bool = True
-
-
-def audit(space: FiniteSpace, options: AuditOptions = AuditOptions(),
-          ctx: AuditContext | None = None) -> AuditReport:
+def audit(space: FiniteSpace, statements=STATEMENTS,
+          second: FiniteSpace | None = None) -> AuditReport:
     """Run the selected statement audits on one instance, in table order.
 
-    ``options.second`` supplies the distance e for the two-distance
-    statements; when absent, the symmetric join of d stands in (the
-    canonical symmetric companion).  A prebuilt context may be passed to
-    share subresults with the caller.  A bare string or an unknown name in
-    ``options.statements`` raises ``ValueError``.
+    ``second`` supplies the distance e for the two-distance statements;
+    when absent, the symmetric join of d stands in (the canonical
+    symmetric companion).  Vacuous entries are kept.  A bare string or an
+    unknown name in ``statements`` raises ``ValueError``.
     """
-    if isinstance(options.statements, str):
+    if isinstance(statements, str):
         raise ValueError("statements must be a sequence of names, not one string")
-    wanted = set(options.statements)
+    wanted = set(statements)
     unknown = sorted(wanted - set(STATEMENT_TABLE))
     if unknown:
         raise ValueError(f"unknown statements: {', '.join(unknown)}")
     if not space.validation.is_distance:
         raise PreconditionError("audit requires a validated distance")
-    e_space = options.second if options.second is not None else derive(space, "join")
+    e_space = second if second is not None else derive(space, "join")
     if e_space.labels != space.labels:
         raise PreconditionError("second distance must share the point set")
     if not e_space.validation.is_distance:
         raise PreconditionError("second distance fails the triangle law")
-    if ctx is None:
-        ctx = AuditContext(space, e_space)
+    ctx = AuditContext(space, e_space)
     entries = []
     for stmt, (hypotheses, decide) in STATEMENT_TABLE.items():
         if stmt not in wanted:
             continue
         hyp = hypotheses(ctx)
         met = all(hyp.values())
-        if met or options.include_vacuous:
-            concl, witness = decide(ctx) if met else (None, {})
-            entries.append(AuditEntry(stmt, hyp, met, concl, witness))
+        concl, witness = decide(ctx) if met else (None, {})
+        entries.append(AuditEntry(stmt, hyp, met, concl, witness))
     return AuditReport(tuple(entries))
 
 

@@ -42,7 +42,11 @@ and ``pre_cauchy_subnet_equiv_oracle`` compares a pre-Cauchy sequence
 with its extracted subsequence flag by flag.  The formal-ball
 samplers draw Cauchy sequences, directed subsets of X x grid and
 ball-identity tuples at random, where ``kw_audit`` decides each side per
-class or by identity.
+class or by identity; ``fb_leq`` is the order of formal balls they read.
+``ThresholdRel`` is one generator {d < eps} of the relation filter, and
+``subequiv`` compares two step functions through their sublevel sets,
+where production compares two distances on their zero masks
+(``dist_subequiv``).
 """
 
 import itertools
@@ -54,7 +58,7 @@ from qmlib.extreal import INF, ZERO, ExtReal, ext_max, ext_min
 from qmlib.family import (CandidateRejection, CertificateError, FamilyCompleteness,
                           FamilySpace, _tsub)
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
-                                fb_distance_raw, fb_leq)
+                                fb_distance, fb_distance_raw)
 from qmlib.nets import (NetClasses, PreconditionError, cauchy_subsequence, check_ids,
                         epseq, zero_cliques)
 from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
@@ -179,6 +183,31 @@ def d_Phi_oracle(space: FiniteSpace) -> StepFn:
         return worst
 
     return _step_over_cuts(space, piece)
+
+
+@dataclass(frozen=True)
+class ThresholdRel:
+    """The relation x < y at scale epsilon: d(x,y) < epsilon.
+
+    These relations generate the whole filter of uniform relations of the
+    space: every member of the filter contains one of them, so monotone
+    quantifications over the filter reduce to ``threshold_grid``.
+    """
+
+    space: FiniteSpace
+    epsilon: ExtReal
+
+    def __post_init__(self):
+        if not ZERO < self.epsilon:
+            raise SpaceError("threshold radii are positive")
+
+    def holds(self, i: int, j: int) -> bool:
+        return self.space.d(i, j) < self.epsilon
+
+    @property
+    def masks(self) -> tuple:
+        n = self.space.n
+        return tuple(sum(1 << j for j in range(n) if self.holds(i, j)) for i in range(n))
 
 
 def compose_with_filter_oracle(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpace:
@@ -590,6 +619,23 @@ def step_is_monotone(f: StepFn) -> bool:
             return False
         prev = v
     return True
+
+
+def subequiv(f: StepFn, g: StepFn) -> bool:
+    """f is uniformly below g: sup{f(x) : g(x) <= r} -> 0 as r -> 0+.
+
+    Step data makes the limit exact: below the smallest positive value of
+    g the sublevel set is frozen at {g = 0}, so the limit is the sup of f
+    there.  Zero and the right endpoint of each merged piece of f and g
+    cover every constancy piece.
+    """
+    points = [ZERO] + sorted(set(f.cuts) | set(g.cuts))
+    return all(f(x).is_zero() for x in points if g(x).is_zero())
+
+
+def fb_leq(space: FiniteSpace, a: FormalBall, b: FormalBall) -> bool:
+    """The order of formal balls: distance 0 from a to b."""
+    return fb_distance(space, a, b).is_zero()
 
 
 @dataclass(frozen=True)

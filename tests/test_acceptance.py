@@ -12,7 +12,7 @@ from random import Random
 
 from qmlib.cli import main as cli_main
 from qmlib.derived import derived_functions, sub_identity
-from qmlib.extreal import ZERO, ext
+from qmlib.extreal import ZERO, ExtReal
 from qmlib.family import ChainAnalyzer, FamilySeq, VectorFamilyAnalyzer, classify_family
 from qmlib.gallery import build, verify
 from qmlib.generate import instance_stream, random_space
@@ -51,7 +51,7 @@ def test_criterion_2_fm_counterexample():
     fixture = build("fm_counterexample", 50)
     space = fixture.space
     ok = all(
-        space.dist(space.indexed(m), space.indexed(k)) == ext(1, k)
+        space.dist(space.indexed(m), space.indexed(k)) == ExtReal(1, k)
         and space.dist(space.indexed(k), space.indexed(m)).is_inf
         for m in range(1, 51) for k in range(m + 1, 51))
     ok = ok and classify_family(FamilySeq(space, "identity")).cauchy.value is True

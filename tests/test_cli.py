@@ -121,6 +121,10 @@ class TestCheck:
          "params": {"extras": {"zz": "1"}}},
         {"rule": "sup-truncated-difference", "cutoff": 8,
          "params": {"coordinate_cutoff": 64}},
+        {"rule": "truncated-difference", "cutoff": 6, "params": {"extras": {"1/2": "2"}}},
+        {"rule": "truncated-difference", "cutoff": 6, "params": {"extras": {"7/8": "0"}}},
+        {"rule": "order-characteristic", "cutoff": 8,
+         "params": {"values": "natural", "extras": {"3": "1/2"}}},
     ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "underscore", "arabic-indic-digit",
             "arabic-indic-denominator", "signed-fraction", "plus-sign", "cutoff-x", "cutoff-float", "cutoff-text",
             "not-an-object", "matrix-not-a-list", "label-not-a-string",
@@ -130,7 +134,8 @@ class TestCheck:
             "extra-decimal-point", "extra-negative",
             "unknown-value-form", "unknown-param", "param-of-another-rule",
             "prefix-not-a-string", "window-text", "window-float", "window-bool",
-            "extras-on-vector-rule", "window-integer"])
+            "extras-on-vector-rule", "window-integer", "extra-takes-a-label",
+            "extra-takes-the-label-past-the-window", "extra-takes-a-natural-label"])
     def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))

@@ -5,12 +5,12 @@ from random import Random
 import pytest
 
 from qmlib.derived import (StepFn, derived_functions, dist_subequiv,
-                           leq_identity, sub_identity, subequiv)
-from qmlib.extreal import INF, ZERO, ext
+                           leq_identity, sub_identity)
+from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.generate import random_space, random_value_pair
 from qmlib.space import space_from_rows
 
-from tests.oracles import d_F_oracle, d_Phi_oracle, step_is_monotone
+from tests.oracles import d_F_oracle, d_Phi_oracle, step_is_monotone, subequiv
 
 
 def step(at_zero, pairs):
@@ -18,37 +18,37 @@ def step(at_zero, pairs):
     return StepFn(at_zero, tuple(cuts), tuple(vals))
 
 
-IDENTITY_LIKE = step(ZERO, [(ext(1, 2), ZERO), (ext(1), ext(1, 2)),
-                            (ext(2), ext(1)), (INF, ext(2))])
+IDENTITY_LIKE = step(ZERO, [(ExtReal(1, 2), ZERO), (ExtReal(1), ExtReal(1, 2)),
+                            (ExtReal(2), ExtReal(1)), (INF, ExtReal(2))])
 
 
 class TestStepFn:
     def test_evaluation_right_closed(self):
-        f = step(ZERO, [(ext(1), ext(1, 4)), (INF, ext(3))])
+        f = step(ZERO, [(ExtReal(1), ExtReal(1, 4)), (INF, ExtReal(3))])
         assert f(ZERO) == ZERO
-        assert f(ext(1, 2)) == ext(1, 4)
-        assert f(ext(1)) == ext(1, 4)
-        assert f(ext(3, 2)) == ext(3)
-        assert f(INF) == ext(3)
+        assert f(ExtReal(1, 2)) == ExtReal(1, 4)
+        assert f(ExtReal(1)) == ExtReal(1, 4)
+        assert f(ExtReal(3, 2)) == ExtReal(3)
+        assert f(INF) == ExtReal(3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            StepFn(ZERO, (ext(1),), (ZERO,))  # last cut must be inf
+            StepFn(ZERO, (ExtReal(1),), (ZERO,))  # last cut must be inf
         with pytest.raises(ValueError):
-            StepFn(ZERO, (ext(1), ext(1), INF), (ZERO, ZERO, ZERO))
+            StepFn(ZERO, (ExtReal(1), ExtReal(1), INF), (ZERO, ZERO, ZERO))
 
     def test_leq_identity_semantics(self):
-        assert leq_identity(step(ZERO, [(ext(1), ZERO), (INF, ext(1))]))
+        assert leq_identity(step(ZERO, [(ExtReal(1), ZERO), (INF, ExtReal(1))]))
         # value on (0, 1] must be 0 to sit below every r in the piece
-        assert not leq_identity(step(ZERO, [(ext(1), ext(1, 2)), (INF, ext(1))]))
-        assert not leq_identity(step(ext(1, 8), [(INF, ZERO)]))
+        assert not leq_identity(step(ZERO, [(ExtReal(1), ExtReal(1, 2)), (INF, ExtReal(1))]))
+        assert not leq_identity(step(ExtReal(1, 8), [(INF, ZERO)]))
 
     def test_sub_identity_vs_weak_condition(self):
         # the weak condition: the first positive piece carries the value 0
-        f = step(ext(1, 8), [(ext(1), ZERO), (INF, ext(5))])
+        f = step(ExtReal(1, 8), [(ExtReal(1), ZERO), (INF, ExtReal(5))])
         assert f.first_positive_value == ZERO
         assert not sub_identity(f)          # nonzero value at radius 0
-        g = step(ZERO, [(ext(1), ZERO), (INF, ext(5))])
+        g = step(ZERO, [(ExtReal(1), ZERO), (INF, ExtReal(5))])
         assert sub_identity(g) and g.first_positive_value == ZERO
 
 
@@ -72,7 +72,7 @@ class TestDerivedFunctions:
         dfs = derived_functions(sp)
         # below radius 1 the order cone under a ball is the point itself;
         # beyond radius 1 the whole space has no common lower bound
-        assert dfs.d_up.cuts == (ext(1), INF)
+        assert dfs.d_up.cuts == (ExtReal(1), INF)
         assert dfs.d_up.values == (ZERO, INF)
         assert sub_identity(dfs.d_up)
         assert not leq_identity(dfs.d_up)

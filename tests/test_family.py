@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmlib.extreal import INF, ZERO, ExtReal, ext
+from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.family import (Analyzer, CertificateError, ChainAnalyzer, FamilySeq,
                           FamilySpace, NaturalOrderAnalyzer,
                           UndecidableAtCutoff, VectorFamilyAnalyzer, analyzer_for,
@@ -35,7 +35,7 @@ def naturals_space(cutoff=12):
 class TestVectorFamily:
     def test_pairwise_values(self):
         sp = fm_space()
-        assert sp.dist(sp.indexed(3), sp.indexed(7)) == ext(1, 7)
+        assert sp.dist(sp.indexed(3), sp.indexed(7)) == ExtReal(1, 7)
         assert sp.dist(sp.indexed(7), sp.indexed(3)) == INF
         assert sp.dist(sp.indexed(5), sp.indexed(5)) == ZERO
 
@@ -236,16 +236,16 @@ class TestFamilyLimits:
         from qmlib.family import family_limits_against
         sp = halfopen_space()
         fwd, bwd, _ = family_limits_against(FamilySeq(sp, "identity"), "0")
-        assert fwd == ext(1) and bwd == ZERO
+        assert fwd == ExtReal(1) and bwd == ZERO
         fwd2, bwd2, _ = family_limits_against(FamilySeq(sp, "identity"), "2")
-        assert fwd2 == ZERO and bwd2 == ext(1)
+        assert fwd2 == ZERO and bwd2 == ExtReal(1)
 
     def test_constant_limits_against(self):
         from qmlib.family import family_limits_against
         sp = halfopen_space()
         fwd, bwd, _ = family_limits_against(
             FamilySeq(sp, "constant", point="2"), "0")
-        assert fwd == ext(2) and bwd == ZERO
+        assert fwd == ExtReal(2) and bwd == ZERO
 
     def test_subnet_equiv_dispatch(self):
         from qmlib.topology import pre_cauchy_subnet_equiv

@@ -11,17 +11,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmlib.extreal import INF, ZERO, ext
+from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
-                                fb_distance, fb_distance_raw, fb_leq,
-                                formal_ball, formal_ball_from_dict, kw_audit,
-                                kw_limit)
+                                fb_distance, fb_distance_raw, formal_ball,
+                                formal_ball_from_dict, kw_audit, kw_limit)
 from qmlib.generate import random_space
 from qmlib.nets import PreconditionError, epseq
 from qmlib.space import SpaceError, space_from_rows
 
 from tests.oracles import (_sample_cauchy_fb_sequences, ball_identities,
-                           directed_fb_subsets_have_sups)
+                           directed_fb_subsets_have_sups, fb_leq)
 
 
 def two_point(d_ab="1", d_ba="1"):
@@ -53,7 +52,7 @@ class TestDistance:
     def test_embedding_at_zero_radius(self):
         sp = two_point()
         assert fb_distance(sp, formal_ball(sp, "a", 0),
-                           formal_ball(sp, "b", 0)) == ext(1)
+                           formal_ball(sp, "b", 0)) == ExtReal(1)
 
     def test_radius_absorbs_distance(self):
         sp = two_point()
@@ -66,7 +65,7 @@ class TestDistance:
         sp = two_point()
         a = formal_ball(sp, "a", Fraction(-1, 2))
         b = formal_ball(sp, "a", Fraction(-1))
-        assert fb_distance(sp, a, b) == ext(1, 2)
+        assert fb_distance(sp, a, b) == ExtReal(1, 2)
 
     def test_positive_radius_rejected(self):
         sp = two_point()

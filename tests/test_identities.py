@@ -18,7 +18,7 @@ from qmlib.formal_balls import RadiusSeq, kw_limit
 from qmlib.nets import PreconditionError, classify, epseq, submasks, zero_classes, zero_cliques
 from qmlib.order import check_ed_complete, suprema
 from qmlib.space import derive, space_from_rows
-from qmlib.theorems import (AuditContext, AuditOptions, audit, compose_with_filter,
+from qmlib.theorems import (AuditContext, audit, compose_with_filter,
                             construct_directed_from_cauchy, sup_upgrade_counterexample)
 from qmlib.topology import is_complete, pre_cauchy_subnet_equiv
 
@@ -221,7 +221,7 @@ def test_per_class_searches_always_succeed(pair):
         assert companion_oracle(d_space, clique)
         assert directed_set_with_profiles_oracle(d_space, clique)
     # the audit decides these three statements by identity
-    report = audit(d_space, AuditOptions(statements=IDENTITY_STATEMENTS, second=e_space))
+    report = audit(d_space, IDENTITY_STATEMENTS, e_space)
     assert all(e.conclusion_verified for e in report.entries if not e.vacuous)
 
 
@@ -262,7 +262,7 @@ def test_quotient_forms_refuse_a_space_without_the_triangle_law():
     with pytest.raises(PreconditionError):
         check_ed_complete(sp, metric)
     with pytest.raises(PreconditionError):
-        audit(metric, AuditOptions(second=sp))
+        audit(metric, second=sp)
 
 
 def test_audit_rejects_a_second_file_that_is_not_a_distance(capsys, tmp_path):

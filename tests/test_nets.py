@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from qmlib.extreal import ZERO, ext, ext_max, ext_min
+from qmlib.extreal import ZERO, ExtReal, ext_max, ext_min
 from qmlib.generate import random_space
 from qmlib.nets import (EpSeq, PreconditionError, cauchy_subsequence, classify,
                         epseq, epseq_from_labels, net_distance,
@@ -143,13 +143,13 @@ class TestCauchySubsequence:
 class TestNetDistance:
     def test_constants(self):
         sp = space_from_rows(["a", "b"], [["0", "1"], ["1", "0"]])
-        assert net_distance(sp, epseq([], [0]), epseq([], [1])) == ext(1)
+        assert net_distance(sp, epseq([], [0]), epseq([], [1])) == ExtReal(1)
 
     def test_cycle_example(self):
         sp = space_from_rows(["a", "b"], [["0", "1"], ["1", "0"]])
         s = epseq([], [0, 1])
         t = epseq([], [0])
-        assert net_distance(sp, s, t) == ext(1)
+        assert net_distance(sp, s, t) == ExtReal(1)
 
     def test_reflexivity_iff_zero_self_distance(self):
         rng = Random(13)
@@ -176,7 +176,7 @@ class TestSeqLimits:
     def test_constant_sequence(self):
         sp = space_from_rows(["a", "b"], [["0", "1/2"], ["2", "0"]])
         lims = seq_limits_against(sp, epseq([], [0]), 1)
-        assert lims.forward == ext(1, 2) and lims.backward == ext(2)
+        assert lims.forward == ExtReal(1, 2) and lims.backward == ExtReal(2)
 
     def test_cauchy_cycle_forces_constant_values(self):
         rng = Random(15)

@@ -8,12 +8,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmlib.extreal import INF, ZERO, ExtReal, ext
+from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.generate import VALUE_GRID, random_space
-from qmlib.space import (SpaceError, ThresholdRel, balls_and_holes,
-                         derive, load_space, minplus_closure, space_from_dict,
-                         space_from_rows, space_to_dict, threshold_grid,
-                         validate)
+from qmlib.space import (SpaceError, balls_and_holes, derive, load_space,
+                         minplus_closure, space_from_dict, space_from_rows,
+                         space_to_dict, threshold_grid)
+
+from tests.oracles import ThresholdRel
 
 
 def projection_space(vals=(Fraction(0), Fraction(1, 2), Fraction(1))):
@@ -29,11 +30,11 @@ def grid_x_one_minus_y(vals=(Fraction(0), Fraction(1, 2), Fraction(1))):
 class TestValidate:
     def test_discrete_metric(self):
         sp = space_from_rows(["a", "b"], [["0", "1"], ["1", "0"]])
-        v = validate(sp)
+        v = sp.validation
         assert v.is_distance and v.is_hemimetric and v.is_symmetric and v.is_metric
 
     def test_projection_distance_not_hemimetric(self):
-        v = validate(projection_space())
+        v = projection_space().validation
         assert v.is_distance
         assert not v.is_hemimetric
         assert ("self_distance", "1/2") in v.violations
@@ -44,14 +45,14 @@ class TestValidate:
         ok = all(sp.d(i, j) <= sp.d(i, k) + sp.d(k, j)
                  for i in range(3) for j in range(3) for k in range(3))
         assert ok
-        v = validate(sp)
+        v = sp.validation
         assert v.is_distance and not v.is_hemimetric
-        assert sp.d(1, 1) == ext(1, 4)
+        assert sp.d(1, 1) == ExtReal(1, 4)
 
     def test_triangle_violation_reported(self):
         sp = space_from_rows(["a", "b", "c"],
                              [["0", "5", "1"], ["1", "0", "inf"], ["inf", "1", "0"]])
-        v = validate(sp)
+        v = sp.validation
         assert not v.is_distance
         assert ("triangle", "a", "c", "b") in v.violations
 
@@ -119,12 +120,12 @@ class TestDerive:
 class TestBallsAndHoles:
     def test_discrete_isolated(self):
         sp = space_from_rows(["a", "b"], [["0", "1"], ["1", "0"]])
-        b = balls_and_holes(sp, "a", ext(1, 2))
+        b = balls_and_holes(sp, "a", ExtReal(1, 2))
         assert b.upper_ball == {"a"}
 
     def test_projection_upper_ball(self):
         sp = projection_space()
-        b = balls_and_holes(sp, "0", ext(3, 4))
+        b = balls_and_holes(sp, "0", ExtReal(3, 4))
         assert b.upper_ball == {"0", "1/2"}
 
     def test_infinite_radius_hole_empty(self):
@@ -136,7 +137,7 @@ class TestBallsAndHoles:
     def test_unknown_center(self):
         sp = projection_space()
         with pytest.raises(SpaceError):
-            balls_and_holes(sp, "nope", ext(1))
+            balls_and_holes(sp, "nope", ExtReal(1))
 
     def test_zero_radius_rejected(self):
         sp = projection_space()
@@ -174,11 +175,11 @@ class TestMinplusClosure:
         assert cl.matrix == sp.matrix
 
     def test_third_point_shortcut(self):
-        rows = [[ext(0), ext(5), ext(1)],
-                [ext(1), ext(0), INF],
-                [INF, ext(1), ext(0)]]
+        rows = [[ExtReal(0), ExtReal(5), ExtReal(1)],
+                [ExtReal(1), ExtReal(0), INF],
+                [INF, ExtReal(1), ExtReal(0)]]
         cl = minplus_closure(rows)
-        assert cl.d(0, 1) == ext(2)
+        assert cl.d(0, 1) == ExtReal(2)
 
     def test_all_inf_off_diagonal(self):
         rows = [[ZERO, INF], [INF, ZERO]]

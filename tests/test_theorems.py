@@ -10,7 +10,7 @@ from qmlib.derived import derived_functions, sub_identity
 from qmlib.generate import instance_stream, random_space, random_value_pair
 from qmlib.nets import PreconditionError, epseq, zero_cliques
 from qmlib.space import space_from_rows
-from qmlib.theorems import (STATEMENT_TABLE, STATEMENTS, AuditOptions, _by_identity,
+from qmlib.theorems import (STATEMENT_TABLE, STATEMENTS, _by_identity,
                             audit, compose_with_filter, construct_directed_from_cauchy)
 
 from tests.oracles import compose_with_order
@@ -21,37 +21,36 @@ class TestAuditHarness:
     def test_soundness_sweep(self):
         failures = []
         for i, kind, space, second in instance_stream(seed=101, n=5, count=120):
-            rep = audit(space, AuditOptions(second=second))
+            rep = audit(space, second=second)
             failures.extend(rep.failures)
         assert failures == []
 
     def test_every_statement_gets_nonvacuous_instances(self):
         met = {s: 0 for s in STATEMENTS}
         for i, kind, space, second in instance_stream(seed=102, n=5, count=80):
-            rep = audit(space, AuditOptions(second=second))
+            rep = audit(space, second=second)
             for e in rep.entries:
                 if e.hypotheses_met:
                     met[e.statement] += 1
         assert all(v > 0 for v in met.values()), met
 
-    def test_vacuous_filter_is_monotone(self):
-        # dropping vacuous entries never changes a non-vacuous verdict
-        rng = Random(103)
-        for _ in range(10):
-            sp = random_space(rng, 5)
-            full = audit(sp, AuditOptions(include_vacuous=True))
-            slim = audit(sp, AuditOptions(include_vacuous=False))
-            kept = {e.statement: e for e in slim.entries}
-            for e in full.entries:
-                if not e.vacuous:
-                    other = kept[e.statement]
-                    assert other.conclusion_verified == e.conclusion_verified
-
     def test_statement_selector(self):
         rng = Random(104)
         sp = random_space(rng, 4)
-        rep = audit(sp, AuditOptions(statements=("sup_upgrade",)))
+        rep = audit(sp, ("sup_upgrade",))
         assert [e.statement for e in rep.entries] == ["sup_upgrade"]
+        # any subset, in any order, gives the full report's entries for it
+        # in table order, vacuous ones included
+        shuffled = vacuous = 0
+        for i, kind, space, second in instance_stream(seed=104, n=5, count=20):
+            full = audit(space, second=second).entries
+            for _ in range(3):
+                chosen = rng.sample(STATEMENTS, rng.randrange(1, len(STATEMENTS) + 1))
+                shuffled += chosen != sorted(chosen, key=STATEMENTS.index)
+                entries = audit(space, chosen, second).entries
+                assert entries == tuple(e for e in full if e.statement in chosen)
+                vacuous += sum(e.vacuous for e in entries)
+        assert shuffled and vacuous
 
     @pytest.mark.parametrize("statements", [("sup_upgrad",), ("sup_upgrade", "nope"),
                                             "sup_upgrade"],
@@ -59,7 +58,7 @@ class TestAuditHarness:
     def test_unknown_statement_is_rejected(self, statements):
         sp = random_space(Random(104), 4)
         with pytest.raises(ValueError):
-            audit(sp, AuditOptions(statements=statements))
+            audit(sp, statements)
 
     def test_nonvalidated_space_rejected(self):
         sp = space_from_rows(["a", "b", "c"],
@@ -72,7 +71,7 @@ class TestAuditHarness:
         hits = 0
         for _ in range(20):
             d_space, e_space = random_value_pair(rng, 5)
-            rep = audit(d_space, AuditOptions(second=e_space))
+            rep = audit(d_space, second=e_space)
             by_name = {e.statement: e for e in rep.entries}
             entry = by_name["completeness_criterion_3"]
             if entry.hypotheses_met:

@@ -3,7 +3,7 @@
 import itertools
 from random import Random
 
-from qmlib.extreal import INF, ZERO, ext
+from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.generate import random_space
 from qmlib.nets import classify, epseq, zero_cliques
 from qmlib.order import suprema
@@ -48,7 +48,7 @@ class TestConvergence:
         assert rep.upper_hole and rep.lower_ball
         assert not rep.lower_hole
         center, lhs, rhs = rep.witnesses["lower_hole"]
-        assert center == "0" and lhs == ZERO and rhs == ext(1, 2)
+        assert center == "0" and lhs == ZERO and rhs == ExtReal(1, 2)
         assert not rep.double_hole
 
     def test_cauchy_cycle_double_hole(self):
