@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .derived import derived_functions
 from .family import FamilySpace, family_from_dict
@@ -43,41 +42,24 @@ MAX_WORKERS = 64
 POOL_CHUNK = 16
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    inputs: tuple = ()
-    seed: int = 0
-    count: int = 100
-    n: int = 6
-    cutoff: int = 50
-    fmt: str = "json"
-    theorems: tuple = STATEMENTS
-    second: str | None = None
-    out: str | None = None
-    workers: int = 1
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "inputs": list(self.inputs),
-                "seed": self.seed, "count": self.count, "n": self.n,
-                "cutoff": self.cutoff, "format": self.fmt,
-                "theorems": list(self.theorems), "second": self.second}
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(cfg: RunConfig, payload: dict, renderer) -> None:
-    if cfg.fmt == "markdown":
-        text = renderer(payload)
-    else:
-        text = canonical_json(payload)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _write(out: str | None, text: str) -> None:
+    """Write to the file ``out``, or to stdout when it is None."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload: dict, renderer, fmt: str | None = None) -> None:
+    """Write ``payload`` as ``fmt`` (default ``--format``): canonical JSON,
+    or markdown through ``renderer``."""
+    markdown = (fmt or args.format) == "markdown"
+    _write(args.out, renderer(payload) if markdown else canonical_json(payload))
 
 
 def _load_any_space(path: str):
@@ -91,24 +73,24 @@ def _load_any_space(path: str):
 # check
 # ---------------------------------------------------------------------------
 
-def run_check(cfg: RunConfig) -> int:
-    space = _load_any_space(cfg.inputs[0])
+def run_check(args) -> int:
+    space = _load_any_space(args.space_file)
     if isinstance(space, FamilySpace):
         comp = is_complete(space)
         payload = {
             "command": "check",
-            "input": cfg.inputs[0],
+            "input": args.space_file,
             "kind": "family",
             "space": space.to_dict(),
             "completeness": comp.to_dict(),
             "derived": None,
         }
-        _emit(cfg, payload, _render_check_md)
+        _emit(args, payload, _render_check_md)
         return EXIT_OK
     v = space.validation
     payload = {
         "command": "check",
-        "input": cfg.inputs[0],
+        "input": args.space_file,
         "kind": "finite",
         "space": space_to_dict(space),
         "validation": {
@@ -121,7 +103,7 @@ def run_check(cfg: RunConfig) -> int:
         "derived": derived_functions(space).to_dict() if v.is_distance else None,
         "completeness": is_complete(space).to_dict() if v.is_distance else None,
     }
-    _emit(cfg, payload, _render_check_md)
+    _emit(args, payload, _render_check_md)
     return EXIT_OK if v.is_distance else EXIT_FAILURE
 
 
@@ -146,25 +128,25 @@ def _render_check_md(p: dict) -> str:
 # audit
 # ---------------------------------------------------------------------------
 
-def run_audit(cfg: RunConfig) -> int:
-    space = _load_any_space(cfg.inputs[0])
+def run_audit(args) -> int:
+    space = _load_any_space(args.space_file)
     if isinstance(space, FamilySpace):
         raise PreconditionError(
             "audit runs on finite space files; use the gallery command for "
             "finitely presented fixtures")
     second = None
-    if cfg.second:
-        second = _load_any_space(cfg.second)
+    if args.second_distance:
+        second = _load_any_space(args.second_distance)
         if isinstance(second, FamilySpace):
             raise PreconditionError("the second distance must be a finite space")
-    report = audit(space, cfg.theorems, second)
+    report = audit(space, args.theorems, second)
     payload = {
         "command": "audit",
-        "input": cfg.inputs[0],
-        "second": cfg.second,
+        "input": args.space_file,
+        "second": args.second_distance,
         "report": report.to_dict(),
     }
-    _emit(cfg, payload, _render_audit_md)
+    _emit(args, payload, _render_audit_md)
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
@@ -184,12 +166,10 @@ def _render_audit_md(p: dict) -> str:
 # gallery
 # ---------------------------------------------------------------------------
 
-def run_gallery(cfg: RunConfig) -> int:
-    name = cfg.inputs[0]
-    fixture = build(name, cfg.cutoff)
-    report = verify(fixture)
+def run_gallery(args) -> int:
+    report = verify(build(args.name, args.cutoff))
     payload = {"command": "gallery", "report": report.to_dict()}
-    _emit(cfg, payload, _render_gallery_md)
+    _emit(args, payload, _render_gallery_md, "json" if args.json else None)
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
@@ -258,12 +238,12 @@ def _instance_payload(args) -> dict:
     }
 
 
-def run_random(cfg: RunConfig) -> int:
+def run_random(args) -> int:
     # a generator, so the serial path drops each space (and its caches)
     # once its payload is built
-    tasks = ((i, kind, space, second, cfg.theorems)
-             for i, kind, space, second in instance_stream(cfg.seed, cfg.n, cfg.count))
-    workers = min(cfg.workers, -(-cfg.count // POOL_CHUNK))
+    tasks = ((i, kind, space, second, args.theorems)
+             for i, kind, space, second in instance_stream(args.seed, args.n, args.count))
+    workers = min(args.workers, -(-args.count // POOL_CHUNK))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads = list(pool.map(_instance_payload, tasks, chunksize=POOL_CHUNK))
@@ -301,7 +281,11 @@ def run_random(cfg: RunConfig) -> int:
 
     payload = {
         "command": "random",
-        "config": cfg.to_dict(),
+        # no sweep reads inputs, cutoff or second: they stay constant keys
+        "config": {"command": "random", "inputs": [], "seed": args.seed,
+                   "count": args.count, "n": args.n, "cutoff": 50,
+                   "format": args.format, "theorems": list(args.theorems),
+                   "second": None},
         "instances_audited": len(payloads),
         "summary": dict(sorted(summary.items())),
         "failures": failures,
@@ -312,7 +296,7 @@ def run_random(cfg: RunConfig) -> int:
     }
     payload["content_hash"] = hashlib.sha256(
         canonical_json(payload).encode()).hexdigest()
-    _emit(cfg, payload, _render_random_md)
+    _emit(args, payload, _render_random_md)
     return EXIT_FAILURE if failures else EXIT_OK
 
 
@@ -338,9 +322,9 @@ _RENDERERS = {"gallery": _render_gallery_md, "audit": _render_audit_md,
               "random": _render_random_md, "check": _render_check_md}
 
 
-def run_report(cfg: RunConfig) -> int:
+def run_report(args) -> int:
     sections = []
-    for path in cfg.inputs:
+    for path in args.files:
         data = read_json_object(path)
         cmd = data.get("command")
         renderer = _RENDERERS.get(cmd) if isinstance(cmd, str) else None
@@ -352,12 +336,7 @@ def run_report(cfg: RunConfig) -> int:
         except (KeyError, TypeError, AttributeError) as e:
             raise SpaceError(f"{path} is not a well-formed {cmd} report "
                              f"({type(e).__name__}: {e})") from None
-    text = "\n".join(sections)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(sections))
     return EXIT_OK
 
 
@@ -403,51 +382,35 @@ def _parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="validate a space file and derive its functions")
     p_check.add_argument("space_file")
     common(p_check)
+    p_check.set_defaults(run=run_check)
 
     p_audit = sub.add_parser("audit", help="run theorem audits on a space file")
     p_audit.add_argument("space_file")
-    p_audit.add_argument("--theorems", nargs="+", choices=STATEMENTS, default=None)
+    p_audit.add_argument("--theorems", nargs="+", choices=STATEMENTS, default=STATEMENTS)
     p_audit.add_argument("--second-distance", default=None)
     common(p_audit)
+    p_audit.set_defaults(run=run_audit)
 
     p_gal = sub.add_parser("gallery", help="build and verify a named fixture")
     p_gal.add_argument("name", choices=GALLERY_NAMES)
     p_gal.add_argument("--cutoff", type=_int_at_least(0), default=50)
     p_gal.add_argument("--json", action="store_true", help="force JSON output")
     common(p_gal)
+    p_gal.set_defaults(run=run_gallery)
 
     p_rand = sub.add_parser("random", help="seeded random audit sweep")
     p_rand.add_argument("--n", type=_int_at_least(1), default=6)
     p_rand.add_argument("--count", type=_int_at_least(0), default=1000)
     p_rand.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_rand.add_argument("--theorems", nargs="+", choices=STATEMENTS, default=None)
+    p_rand.add_argument("--theorems", nargs="+", choices=STATEMENTS, default=STATEMENTS)
     common(p_rand)
+    p_rand.set_defaults(run=run_random)
 
     p_rep = sub.add_parser("report", help="merge prior JSON outputs to markdown")
     p_rep.add_argument("files", nargs="+")
     p_rep.add_argument("--out", default=None)
+    p_rep.set_defaults(run=run_report)
     return ap
-
-
-def _config_from_args(args, workers: int) -> RunConfig:
-    cmd = args.command
-    if cmd == "check":
-        return RunConfig("check", (args.space_file,), fmt=args.format,
-                         out=args.out, workers=workers)
-    if cmd == "audit":
-        return RunConfig("audit", (args.space_file,), fmt=args.format,
-                         theorems=tuple(args.theorems) if args.theorems else STATEMENTS,
-                         second=args.second_distance, out=args.out, workers=workers)
-    if cmd == "gallery":
-        fmt = "json" if args.json else args.format
-        return RunConfig("gallery", (args.name,), cutoff=args.cutoff,
-                         fmt=fmt, out=args.out, workers=workers)
-    if cmd == "random":
-        return RunConfig("random", (), seed=args.seed, count=args.count, n=args.n,
-                         fmt=args.format,
-                         theorems=tuple(args.theorems) if args.theorems else STATEMENTS,
-                         out=args.out, workers=workers)
-    return RunConfig("report", tuple(args.files), out=args.out, workers=workers)
 
 
 def main(argv=None) -> int:
@@ -460,11 +423,9 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as e:
         print(f"error: QML_WORKERS: {e}", file=sys.stderr)
         return EXIT_PARSE
-    cfg = _config_from_args(args, workers)
-    runners = {"check": run_check, "audit": run_audit, "gallery": run_gallery,
-               "random": run_random, "report": run_report}
+    args.workers = workers
     try:
-        return runners[cfg.command](cfg)
+        return args.run(args)
     except (SpaceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -32,13 +32,11 @@ pairs of the ``fm.pairwise`` certificate cost O(c^2) in all.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .extreal import INF, ZERO, ExtReal, parse_rational
+from .extreal import INF, ONE, ZERO, ExtReal, parse_rational
 from .nets import PreconditionError
 from .space import SpaceError
 
@@ -79,14 +77,13 @@ class FamilySpace:
             raise SpaceError("cutoff must be at least 4")
         _check_params(self.rule, self.params)
         check_cutoff_ceiling(self.cutoff)
-        # an extra may not take the label of x_1..x_{cutoff+1}: each label
-        # names one point, including the one past the window
-        if self.extras:
-            for n in range(1, self.cutoff + 2):
-                label = self.label(self.indexed(n))
-                if label in self.extras:
-                    raise SpaceError(f"extra point {label!r} has the label of "
-                                     f"indexed point {n}")
+        # an extra may not take the label of any x_n: each label names one
+        # point, and a witness may name an x_n past the window
+        for label in self.params.get("extras", {}):
+            n = self.index_of(label)
+            if n is not None:
+                raise SpaceError(f"extra point {label!r} has the label of "
+                                 f"indexed point {n}")
 
     # -- points ------------------------------------------------------------
 
@@ -96,7 +93,9 @@ class FamilySpace:
 
     @cached_property
     def extras(self) -> dict:
-        return {k: parse_rational(v) for k, v in self.params.get("extras", {}).items()}
+        # ``_check_params`` has read every value as rational text, so no
+        # extra is infinite
+        return {k: ExtReal.parse(v) for k, v in self.params.get("extras", {}).items()}
 
     def indexed(self, n: int):
         return ("i", n)
@@ -115,23 +114,44 @@ class FamilySpace:
             return str(self.value(pt))
         return f"{self.prefix}{v}"
 
+    def index_of(self, label: str) -> int | None:
+        """The n whose x_n has this label, or None.
+
+        The label of x_n is ``n/(n+1)``, ``n`` or ``prefix + n``, so n is
+        read from the label's digits and accepted only if x_n's label is
+        the label itself (``"03/4"`` and ``"3/5"`` name no point).  A label
+        too long for ``int`` and ``str`` names none either.
+        """
+        if self.rule in VALUE_RULES:
+            digits = label.partition("/")[0]
+        else:
+            digits = label[len(self.prefix):] if label.startswith(self.prefix) else ""
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            n = int(digits)
+            return n if n >= 1 and self.label(self.indexed(n)) == label else None
+        except ValueError:
+            return None
+
     def point_by_label(self, label: str):
-        for pt in self.points():
-            if self.label(pt) == label:
-                return pt
-        raise SpaceError(f"unknown point {label!r}")
+        if label in self.params.get("extras", {}):
+            return ("e", label)
+        n = self.index_of(label)
+        if n is None or n > self.cutoff:
+            raise SpaceError(f"unknown point {label!r}")
+        return self.indexed(n)
 
     # -- values and distances ----------------------------------------------
 
-    def value(self, pt) -> Fraction:
-        """Rational value of a point (value-based rules only)."""
+    def value(self, pt) -> ExtReal:
+        """Exact value of a point (value-based rules only)."""
         kind, v = pt
         if kind == "e":
             return self.extras[v]
-        form = self.params.get("values", "one_minus_unit")
-        if form == "one_minus_unit":
-            return 1 - Fraction(1, v + 1)
-        return Fraction(v)
+        if self.params.get("values", "one_minus_unit") == "one_minus_unit":
+            return ExtReal(v, v + 1)
+        return ExtReal(v)
 
     def coord(self, pt, j: int) -> ExtReal:
         """Coordinate j of an indexed vector point (sup-trunc-diff rule)."""
@@ -155,9 +175,9 @@ class FamilySpace:
 
     def dist(self, p, q) -> ExtReal:
         if self.rule == "coordinate-projection":
-            return ExtReal.from_fraction(self.value(q))
+            return self.value(q)
         if self.rule == "truncated-difference":
-            return _tsub(self.value(p), self.value(q))
+            return self.value(p).tsub(self.value(q))
         if self.rule == "order-characteristic":
             return ZERO if self.value(p) <= self.value(q) else INF
         # sup-truncated-difference: one cached column per target point
@@ -225,11 +245,6 @@ def _vector_index(pt) -> int:
     if kind != "i":
         raise SpaceError("vector rules have no extra points")
     return m
-
-
-def _tsub(a: Fraction, b: Fraction) -> ExtReal:
-    """Truncated difference (a - b)+ of two rationals."""
-    return ExtReal.from_fraction(a - b) if a > b else ZERO
 
 
 def check_cutoff_ceiling(cutoff: int) -> None:
@@ -365,11 +380,11 @@ def _check_vector_pairwise(space: FamilySpace) -> bool:
 def _check_chain_increasing(space: FamilySpace) -> bool:
     """Indexed values strictly increase and stay below 1."""
     vals = [space.value(space.indexed(n)) for n in range(1, space.cutoff + 2)]
-    return all(a < b for a, b in zip(vals, vals[1:])) and all(v < 1 for v in vals)
+    return all(a < b for a, b in zip(vals, vals[1:])) and all(v < ONE for v in vals)
 
 
 def _check_natural_values(space: FamilySpace) -> bool:
-    return all(space.value(space.indexed(n)) == n for n in range(1, space.cutoff + 2))
+    return all(space.value(space.indexed(n)) == ExtReal(n) for n in range(1, space.cutoff + 2))
 
 
 _CERT_CHECKS = {
@@ -539,15 +554,7 @@ class ChainAnalyzer(Analyzer):
             return super().limits(seq, target)
         c = self.cert(self.CERT)
         v = self.space.value(target)
-        return _tsub(Fraction(1), v), _tsub(v, Fraction(1)), (c,)
-
-    def is_upper_bound_of_chain(self, pt) -> Claim:
-        c = self.cert(self.CERT)
-        v = self.space.value(pt)
-        if v >= 1:
-            return Claim(True, (c,))
-        # some in-window or next chain point already exceeds v
-        return Claim(False, (c,), "chain values approach 1")
+        return ONE.tsub(v), v.tsub(ONE), (c,)
 
     def chain_suprema(self):
         """Order suprema and metric suprema of the whole chain.
@@ -558,34 +565,28 @@ class ChainAnalyzer(Analyzer):
         candidate with value above 1 overshoots.
         """
         c = self.cert(self.CERT)
-        ubs = [pt for pt in self.space.points() if self.is_upper_bound_of_chain(pt).value]
-        leq_sups = [pt for pt in ubs
-                    if all(_tsub(self.space.value(pt), self.space.value(z)).is_zero()
-                           for z in ubs)]
+        value, label = self.space.value, self.space.label
+        ubs = [pt for pt in self.space.points() if value(pt) >= ONE]
+        leq_sups = [pt for pt in ubs if all(value(pt) <= value(z) for z in ubs)]
         d_sups = []
         evidence = {}
         for pt in ubs:
-            v = self.space.value(pt)
-            ok = True
+            v = value(pt)
             for z in self.space.points():
-                w = self.space.value(z)
+                w = value(z)
                 # sup over the chain of (value(y) - w)+ equals (1 - w)+ in the
                 # limit; the candidate must match it exactly.
-                need = _tsub(Fraction(1), w)
-                got = _tsub(v, w)
+                need, got = ONE.tsub(w), v.tsub(w)
                 if got != need:
-                    ok = False
-                    evidence[self.space.label(pt)] = {
-                        "z": self.space.label(z),
-                        "chain_sup": str(need), "candidate": str(got)}
+                    evidence[label(pt)] = {"z": label(z), "chain_sup": str(need),
+                                           "candidate": str(got)}
                     break
-            if ok:
+            else:
                 d_sups.append(pt)
         return {
-            "leq_sups": sorted(self.space.label(p) for p in leq_sups),
-            "d_sups": sorted(self.space.label(p) for p in d_sups),
-            "in_window_sup_to_zero": str(_tsub(
-                self.space.value(self.space.indexed(self.space.cutoff)), Fraction(0))),
+            "leq_sups": sorted(label(p) for p in leq_sups),
+            "d_sups": sorted(label(p) for p in d_sups),
+            "in_window_sup_to_zero": str(value(self.space.indexed(self.space.cutoff))),
             "evidence": evidence,
             "certificates": [c],
         }
@@ -616,8 +617,8 @@ class ChainAnalyzer(Analyzer):
             lbl = self.space.label(pt)
             # lower hole: (value(c)-1)+ >= (value(c)-v)+ for every point c,
             # including tail chain points; fails iff v < 1.
-            lh = v >= 1
-            uh = _tsub(Fraction(1), w) >= _tsub(v, w)
+            lh = v >= ONE
+            uh = ONE.tsub(w) >= v.tsub(w)
             if lh:
                 lower.append(lbl)
             if uh:
@@ -636,18 +637,16 @@ class ChainAnalyzer(Analyzer):
         at least 1; the nearest sits at distance 2 - value(chain_1) > 1.
         """
         c = self.cert(self.CERT)
+        value = self.space.value
         x = self.space.indexed(1)
-        vx = self.space.value(x)
-        one = ExtReal(1)
-        in_window_ball = [pt for pt in self.space.points()
-                          if _tsub(self.space.value(pt), vx) < one]
-        if any(pt[0] == "i" and pt not in in_window_ball for pt in self.space.points()):
+        vx = value(x)
+        if any(pt[0] == "i" and value(pt).tsub(vx) >= ONE for pt in self.space.points()):
             raise CertificateError("chain certificate broke: some chain point left the ball")
         # ball values approach 1, so upper bounds must carry value >= 1
-        ubs = [pt for pt in self.space.points() if self.space.value(pt) >= 1]
-        best = min((_tsub(self.space.value(u), vx) for u in ubs), default=INF)
+        best = min((value(u).tsub(vx) for u in self.space.points() if value(u) >= ONE),
+                   default=INF)
         return {"x": self.space.label(x), "r": "1", "value": str(best),
-                "exceeds_radius": best > one, "certificates": [c]}
+                "exceeds_radius": best > ONE, "certificates": [c]}
 
     def completeness(self) -> FamilyCompleteness:
         """Every point rejected as a double-hole limit of the chain, or
@@ -655,33 +654,28 @@ class ChainAnalyzer(Analyzer):
         point is the chain's double-hole limit (``hole_limit_sets``), so
         no witness rejects it.  Values above 1 fail the upper hole against
         the least-valued point, values below 1 the lower hole against the
-        next chain point above them."""
+        next chain point above them.
+
+        For v = p/q < 1, x_n = n/(n+1) > v exactly when n(q - p) > p, so
+        the first chain point above v is x_n with n = q // (q - p), inside
+        the window or past it."""
         c = self.cert(self.CERT)
-        if any(self.space.value(pt) == 1 for pt in self.space.points()):
+        value, label = self.space.value, self.space.label
+        if any(value(pt) == ONE for pt in self.space.points()):
             return FamilyCompleteness(None)
-        # the certificate makes these strictly increasing, so a bisection
-        # finds the first chain point above any value
-        chain = [self.space.value(self.space.indexed(n))
-                 for n in range(1, self.space.cutoff + 2)]
         z = self._least_point()
+        w = value(z)
         rejections = []
         for pt in self.space.points():
-            v = self.space.value(pt)
-            lbl = self.space.label(pt)
-            if v > 1:
+            v = value(pt)
+            if v > ONE:
                 # upper-hole failure against the bottom of the chain
                 rejections.append(CandidateRejection(
-                    lbl, self.space.label(z), "upper_hole",
-                    str(_tsub(Fraction(1), self.space.value(z))),
-                    str(_tsub(v, self.space.value(z)))))
+                    label(pt), label(z), "upper_hole", str(ONE.tsub(w)), str(v.tsub(w))))
             else:
-                n = bisect_right(chain, v)
-                if n == len(chain):
-                    raise CertificateError("chain certificate should provide a larger element")
-                nxt = self.space.indexed(n + 1)
+                nxt = self.space.indexed(v.den // (v.den - v.num))
                 rejections.append(CandidateRejection(
-                    lbl, self.space.label(nxt), "lower_hole",
-                    "0", str(_tsub(chain[n], v))))
+                    label(pt), label(nxt), "lower_hole", "0", str(value(nxt).tsub(v))))
         return FamilyCompleteness(False, "identity", tuple(rejections), (c,))
 
     def _least_point(self):

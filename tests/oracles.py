@@ -15,8 +15,9 @@ coordinate up to one past the larger index, where production computes a
 whole column of distances by one prefix/suffix-max sweep.  On the
 truncated-difference chain, the upper-hole test of a candidate against
 every point reduces to one test against the least-valued point, and the
-successor of a value is one bisection of the increasing chain values:
-the ``chain_*`` oracles keep the per-point loops.  The functions here evaluate the
+successor x_n of a value v < 1 has the closed form n = floor(1/(1 - v)):
+the ``chain_*`` oracles keep the per-point loops and search the chain
+values for the successor.  The functions here evaluate the
 uncollapsed definitions, point by point, so the differential tests can pin
 each production form to them.  ``derived_functions_oracle`` and
 ``suprema_oracle`` keep the cut-by-cut and point-by-point ``ExtReal``
@@ -54,9 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qmlib.derived import DerivedFunctions, StepFn, sub_identity
-from qmlib.extreal import INF, ZERO, ExtReal, ext_max, ext_min
-from qmlib.family import (CandidateRejection, CertificateError, FamilyCompleteness,
-                          FamilySpace, _tsub)
+from qmlib.extreal import INF, ONE, ZERO, ExtReal, ext_max, ext_min
+from qmlib.family import CandidateRejection, FamilyCompleteness, FamilySpace
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
                                 fb_distance, fb_distance_raw)
 from qmlib.nets import (NetClasses, PreconditionError, cauchy_subsequence, check_ids,
@@ -497,8 +497,8 @@ def chain_hole_limit_sets_oracle(space: FamilySpace) -> dict:
     for pt in space.points():
         v = space.value(pt)
         lbl = space.label(pt)
-        lh = v >= 1
-        uh = all(_tsub(Fraction(1), space.value(z)) >= _tsub(v, space.value(z))
+        lh = v >= ONE
+        uh = all(ONE.tsub(space.value(z)) >= v.tsub(space.value(z))
                  for z in space.points())
         if lh:
             lower.append(lbl)
@@ -512,29 +512,38 @@ def chain_hole_limit_sets_oracle(space: FamilySpace) -> dict:
 
 def chain_completeness_oracle(space: FamilySpace) -> FamilyCompleteness:
     """``ChainAnalyzer.completeness`` with each candidate's successor found
-    by scanning the chain from its first point.  A point of value exactly
-    1 is the chain's double-hole limit, so the verdict is then undecided."""
+    by searching the chain values from its first point, past the window
+    where needed, where production reads it off the closed form.  The
+    chain rises to 1, so it passes a value below 1; a value within 1/N of
+    1 is passed only near x_N, so the search doubles its step and then
+    halves it, comparing values only.  A point of value exactly 1 is the
+    chain's double-hole limit, so the verdict is then undecided."""
     def strictly_above(v):
-        for n in range(1, space.cutoff + 2):
-            if space.value(space.indexed(n)) > v:
-                return space.indexed(n)
-        raise CertificateError("chain certificate should provide a larger element")
+        def above(n):
+            return space.value(space.indexed(n)) > v
+        lo, hi = 0, 1       # invariant: x_lo <= v (or lo == 0) and x_hi > v
+        while not above(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        return space.indexed(hi)
 
-    if any(space.value(pt) == 1 for pt in space.points()):
+    if any(space.value(pt) == ONE for pt in space.points()):
         return FamilyCompleteness(None)
     rejections = []
     for pt in space.points():
         v = space.value(pt)
         lbl = space.label(pt)
-        if v > 1:
+        if v > ONE:
             z = min(space.points(), key=lambda p: space.value(p))
             rejections.append(CandidateRejection(
                 lbl, space.label(z), "upper_hole",
-                str(_tsub(Fraction(1), space.value(z))), str(_tsub(v, space.value(z)))))
+                str(ONE.tsub(space.value(z))), str(v.tsub(space.value(z)))))
         else:
             nxt = strictly_above(v)
             rejections.append(CandidateRejection(
-                lbl, space.label(nxt), "lower_hole", "0", str(_tsub(space.value(nxt), v))))
+                lbl, space.label(nxt), "lower_hole", "0", str(space.value(nxt).tsub(v))))
     return FamilyCompleteness(False, "identity", tuple(rejections), (CHAIN_CERT,))
 
 

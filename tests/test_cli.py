@@ -123,6 +123,7 @@ class TestCheck:
          "params": {"coordinate_cutoff": 64}},
         {"rule": "truncated-difference", "cutoff": 6, "params": {"extras": {"1/2": "2"}}},
         {"rule": "truncated-difference", "cutoff": 6, "params": {"extras": {"7/8": "0"}}},
+        {"rule": "truncated-difference", "cutoff": 4, "params": {"extras": {"9/10": "0"}}},
         {"rule": "order-characteristic", "cutoff": 8,
          "params": {"values": "natural", "extras": {"3": "1/2"}}},
     ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "underscore", "arabic-indic-digit",
@@ -135,7 +136,8 @@ class TestCheck:
             "unknown-value-form", "unknown-param", "param-of-another-rule",
             "prefix-not-a-string", "window-text", "window-float", "window-bool",
             "extras-on-vector-rule", "window-integer", "extra-takes-a-label",
-            "extra-takes-the-label-past-the-window", "extra-takes-a-natural-label"])
+            "extra-takes-the-label-past-the-window", "extra-takes-a-label-far-past-the-window",
+            "extra-takes-a-natural-label"])
     def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -196,6 +198,18 @@ class TestCheck:
         assert rc == EXIT_OK
         comp = json.loads(out)["completeness"]
         assert comp["complete"] is None and comp["rejections"] == []
+
+    def test_chain_successor_past_the_window(self, capsys, tmp_path):
+        # 13/14 lies between x_5 = 5/6 and 1: its successor is x_14 = 14/15
+        path = tmp_path / "chain_far.json"
+        path.write_text(json.dumps({"rule": "truncated-difference", "cutoff": 4,
+                                    "params": {"extras": {"e": "13/14"}}}))
+        rc, out = run(capsys, ["check", str(path)])
+        assert rc == EXIT_OK
+        comp = json.loads(out)["completeness"]
+        assert comp["complete"] is False
+        assert comp["rejections"][0] == {"candidate": "e", "center": "14/15", "limit": "0",
+                                         "required": "1/210", "topology": "lower_hole"}
 
     @staticmethod
     def _all_zero(tmp_path, n):

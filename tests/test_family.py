@@ -103,8 +103,8 @@ class TestVectorFamily:
 class TestChain:
     def test_chain_values(self):
         sp = halfopen_space()
-        assert sp.value(sp.indexed(1)) == Fraction(1, 2)
-        assert sp.value(sp.indexed(3)) == Fraction(3, 4)
+        assert sp.value(sp.indexed(1)) == ExtReal(1, 2)
+        assert sp.value(sp.indexed(3)) == ExtReal(3, 4)
         assert sp.label(sp.indexed(1)) == "1/2"
 
     def test_chain_cauchy(self):
@@ -141,7 +141,7 @@ class TestChain:
     def test_extras_are_parsed_once(self):
         sp = halfopen_space()
         assert sp.extras is sp.extras
-        assert sp.extras == {"0": Fraction(0), "2": Fraction(2)}
+        assert sp.extras == {"0": ZERO, "2": ExtReal(2)}
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=4, max_value=30),
@@ -157,13 +157,18 @@ class TestChain:
             "extras": {f"e{i}": str(v) for i, v in enumerate(values)}})
         an = ChainAnalyzer(sp)
         assert an.hole_limit_sets() == chain_hole_limit_sets_oracle(sp)
-        try:
-            want = chain_completeness_oracle(sp)
-        except CertificateError:
-            with pytest.raises(CertificateError):
-                an.completeness()
-        else:
-            assert an.completeness() == want
+        assert an.completeness() == chain_completeness_oracle(sp)
+
+    @pytest.mark.parametrize("value, center, required", [
+        ("13/14", "14/15", "1/210"), ("4/5", "5/6", "1/30"), ("0", "1/2", "1/2"),
+        ("999/1000", "1000/1001", "1/1001000"), ("1/2", "2/3", "1/6")])
+    def test_successor_past_the_window(self, value, center, required):
+        # x_n = n/(n+1) is the first chain point above v at n = floor(1/(1 - v)),
+        # inside the window or past it
+        sp = FamilySpace("truncated-difference", 4, {"extras": {"e": value}})
+        rej = ChainAnalyzer(sp).completeness().rejections[0]
+        assert (rej.candidate, rej.center, rej.topology, rej.limit, rej.required) \
+            == ("e", center, "lower_hole", "0", required)
 
     def test_value_one_point_is_the_limit_not_a_rejection(self):
         sp = FamilySpace("truncated-difference", 8,
@@ -297,6 +302,34 @@ class TestTriStateAndCertificates:
         sp._verified["naturals.values"] = False
         with pytest.raises(CertificateError):
             an.cert("naturals.values")
+
+    @pytest.mark.parametrize("space", [
+        halfopen_space(), naturals_space(), fm_space(),
+        FamilySpace("coordinate-projection", 5, {"values": "natural"})],
+        ids=["fraction", "natural", "prefix", "natural-projection"])
+    def test_index_of_reads_the_label(self, space):
+        for n in (1, 2, 3, 9, 10, 99, 100, 12345):
+            assert space.index_of(space.label(space.indexed(n))) == n
+        for label in ("03/4", "3/5", "x03", "", "0", "0/1", "f03", "f0", "f", "1/2/3",
+                      "\u0663/4", "\u0663", "f\u0663", "-1", "+1"):
+            assert space.index_of(label) is None
+        for label in space.params.get("extras", {}):
+            assert space.index_of(label) is None
+
+    def test_point_by_label_reads_the_window(self):
+        sp = halfopen_space(8)
+        assert sp.point_by_label("2") == ("e", "2")
+        assert sp.point_by_label("8/9") == sp.indexed(8)
+        for label in ("9/10", "08/9", "nope"):
+            with pytest.raises(SpaceError):
+                sp.point_by_label(label)
+
+    def test_overlong_label_names_no_point(self):
+        # too long for int(); an extra of that label is just an extra
+        label = "9" * 5000 + "/1"
+        assert halfopen_space().index_of(label) is None
+        sp = FamilySpace("truncated-difference", 4, {"extras": {label: "2"}})
+        assert sp.point_by_label(label) == ("e", label)
 
     def test_rule_validation(self):
         with pytest.raises(SpaceError):

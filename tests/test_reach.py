@@ -61,3 +61,18 @@ def test_library_api_is_exported_and_unreached():
     assert all(hasattr(qmlib, name) for name in LIBRARY_API)
     # a name the package reaches needs no exception
     assert LIBRARY_API.isdisjoint(_names_used())
+
+
+# ``Fraction`` stays at the edges: the input grammar, the nonpositive
+# formal-ball radii and the gallery's grid labels.  Every distance is an
+# ``ExtReal``.
+FRACTION_MODULES = {"extreal", "formal_balls", "gallery"}
+
+
+def test_only_the_edges_import_fractions():
+    importers = sorted(
+        path.stem for path, tree in _modules()
+        if any(isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+               for node in ast.walk(tree)))
+    assert importers == sorted(FRACTION_MODULES)

@@ -1,10 +1,14 @@
-"""``scripts/bench_trajectory.py`` turns perfbench reports into one entry."""
+"""``scripts/bench_trajectory.py`` turns perfbench reports into one entry,
+and every entry of the committed ``BENCH_trajectory.json`` is either
+measured or names its source."""
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_trajectory.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_trajectory.py"
 METRICS = ["items_per_s", "call_p50_s", "peak_rss_mb", "setup_s"]
 
 
@@ -52,3 +56,25 @@ def test_the_output_digest_reads_a_fixed_prefix_by_index():
     long["calls"].reverse()
     assert bt.outputs_digest(long["calls"]) == bt.outputs_digest(short["calls"])
     assert bt.outputs_digest(long["calls"])[0] == bt.OUTPUT_PREFIX
+
+
+def test_committed_entries_are_measured_or_sourced():
+    # a measured entry carries the checkout's HEAD and its env block; a
+    # backfilled one names where its numbers come from, with null for
+    # every field that source does not state
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in bench["workloads"]}
+    entries = json.loads((ROOT / "BENCH_trajectory.json").read_text(encoding="utf-8"))
+    assert entries
+    for entry in entries:
+        measured = entry.get("head") is not None and entry.get("env") is not None
+        sourced = isinstance(entry.get("source"), str) and entry["source"] != ""
+        assert measured != sourced, entry["pr"]
+        assert entry["side"] in ("parent", "change")
+        assert entry["workloads"] and set(entry["workloads"]) <= workloads
+        for record in entry["workloads"].values():
+            assert set(record["metrics"]) == set(METRICS)
+            values = [v for v in record["metrics"].values() if v is not None]
+            assert values and all(v > 0 for v in values)
+            if measured:
+                assert len(values) == len(METRICS) and record["outputs_sha256"]
