@@ -22,6 +22,7 @@ Addition and the order take two values of one denominator (infinity's
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -34,7 +35,10 @@ def parse_rational(text: str, nonpositive: bool = False) -> Fraction:
     (``int()`` and ``Fraction()`` alone would take ``"+1"``, ``"1_0"``,
     ``"1e3"``, ``"0.5"`` or an Arabic-Indic three).  With ``nonpositive``
     a leading ``-`` is allowed and a positive value is refused.  Anything
-    else, including a zero denominator, raises ``ValueError``.
+    else, including a zero denominator, raises ``ValueError``.  So does an
+    integer of more than half the digits Python prints
+    (``sys.get_int_max_str_digits()``): results print as text, and a sum of
+    two products of input integers must stay printable.
     """
     return Fraction(*_read_rational(text, nonpositive))
 
@@ -51,6 +55,12 @@ def _read_rational(text: str, nonpositive: bool) -> tuple:
         sign = "an optional leading '-', " if nonpositive else ""
         raise ValueError(f"{text!r}: a rational is an integer or p/q with "
                          f"{sign}ASCII digits only")
+    if len(t) > 319:   # Python's least nonzero limit is 640, so no cap is below 319
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: no limit
+        digits = max(len(p), len(q))
+        if limit and digits > (limit - 1) // 2:   # one digit spare for a sum's carry
+            raise ValueError(f"a rational of {digits} digits: at most "
+                             f"{(limit - 1) // 2} digits per integer")
     num, den = int(p), int(q) if slash else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")

@@ -234,8 +234,8 @@ def _check_params(rule: str, params) -> None:
     for label, text in extras.items():
         try:
             parse_rational(text)
-        except ValueError:
-            raise SpaceError(f"extra point {label!r}: bad rational {text!r}") from None
+        except ValueError as e:
+            raise SpaceError(f"extra point {label!r}: {e}") from None
     if not isinstance(params.get("prefix", "x"), str):
         raise SpaceError("'prefix' must be a string")
 

@@ -23,7 +23,8 @@ MAX_CLASS_SIZE = 20
 # Largest number k of classes (under the two distances together) whose
 # 2^k - 1 unions ``order.check_ed_complete`` walks; more raise
 # PreconditionError (exit 3) before the walk.  On the k-point chain
-# `qml audit` took 1.4 s at k = 16, 3.2 s at 17 and 7.1 s at 18 (2-vCPU
+# (d(i, j) = 0 if i <= j else 1) `qml audit` took 1.3 s at k = 16, 2.6 s
+# at 17 and 5.2 s at 18, with the ceiling raised for the last two (2-vCPU
 # VM, Python 3.11).
 MAX_DIRECTED_CLASSES = 16
 

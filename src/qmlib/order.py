@@ -9,7 +9,6 @@ gap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .extreal import ext_max, ext_min
@@ -50,7 +49,7 @@ def suprema(space: FiniteSpace, Y) -> SupremumResult:
     leq_sups = [x for x in upper if up0[x] & umask == umask]
     rows = space.scaled[0]
     profile = _sup_profile(rows, pts)
-    d_sups = [x for x in upper if list(rows[x]) == profile]
+    d_sups = [x for x in upper if rows[x] == profile]
     leq_labels = frozenset(space.labels[i] for i in leq_sups)
     return SupremumResult(frozenset(space.labels[i] for i in d_sups), leq_labels,
                           (leq_labels,) if leq_sups else ())
@@ -64,19 +63,22 @@ def _mask(pts) -> int:
 def is_directed(space: FiniteSpace, Y) -> bool:
     """Directedness of a nonempty set, in the metric and the order sense.
 
-    The metric sense quantifies over pairs only; by the triangle law that
-    already covers all finite subsets (the exhaustive version is the test
-    oracle).  On a finite carrier the pairwise infimum is attained, so the
-    metric sense reduces to the same common-upper-bound-in-Y test as the
-    order sense; the two notions only diverge on infinite carriers.
+    Y is directed iff it has a top member: some y in Y with d(f, y) = 0
+    for every f in Y, i.e. ``Y & AND over f in Y of zero_up[f]`` is
+    nonzero.  The metric sense asks, for every finite F inside Y, for a y
+    in Y with max over F of d(f, y) = 0 (the test oracle); F = Y is the
+    strongest case, so the two agree on every matrix, with or without the
+    triangle law.  On a finite carrier the order sense asks the same.
     """
-    pts = sorted(set(Y))
-    if not pts:
-        raise PreconditionError("Y must be nonempty")
     up0 = space.zero_up
-    ymask = _mask(pts)
-    return all(up0[a] & up0[b] & ymask
-               for a, b in itertools.combinations_with_replacement(pts, 2))
+    ymask = 0
+    common = -1
+    for y in Y:
+        ymask |= 1 << y
+        common &= up0[y]
+    if not ymask:
+        raise PreconditionError("Y must be nonempty")
+    return common & ymask != 0
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,15 @@ def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace) -> EdCompleten
     distances together (``space_e.class_masks[i] & space_d.class_masks[i]``):
     by the triangle law its members share their e- and d-profiles, so e-
     directedness and the d-suprema of Y depend only on which classes Y
-    meets.  The search therefore runs over the nonempty subsets of the
-    class representatives, and a failing Y is such a subset; more than
-    ``nets.MAX_DIRECTED_CLASSES`` classes raise ``PreconditionError``
-    before that walk.  Both arguments must satisfy the triangle law.
+    meets.  The walk therefore runs over the nonempty submasks of the
+    class representatives, in increasing order, and a failing Y is such a
+    subset; more than ``nets.MAX_DIRECTED_CLASSES`` classes raise
+    ``PreconditionError`` before it starts.  Each step peels the points
+    off the submask's low bits and asks ``is_directed`` for a top member
+    of Y under e (one zero-mask AND per point); a directed Y is counted in
+    ``subsets_checked`` and needs an upper bound x (Y inside
+    ``zero_down[x]``) whose integer d-row is the column-wise max of Y's.
+    Both arguments must satisfy the triangle law.
     """
     if space_e.labels != space_d.labels:
         raise PreconditionError("the two distances must share a point set")
@@ -112,31 +119,35 @@ def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace) -> EdCompleten
     if k > MAX_DIRECTED_CLASSES:
         raise PreconditionError(f"{k} classes exceed the ceiling "
                                 f"{MAX_DIRECTED_CLASSES} for walking the directed subsets")
-    n = space_d.n
     checked = 0
     for mask in submasks(reps):
-        pts = [i for i in range(n) if mask >> i & 1]
+        pts = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            pts.append(low.bit_length() - 1)
+            rest ^= low
         if not is_directed(space_e, pts):
             continue
         checked += 1
-        if not _has_d_sup(space_d, pts):
+        if not _has_d_sup(space_d, mask, pts):
             return EdCompletenessReport(False, tuple(space_d.labels[i] for i in pts), checked)
     return EdCompletenessReport(True, None, checked)
 
 
-def _has_d_sup(space: FiniteSpace, pts) -> bool:
-    """Existence-only d-supremum test (matches suprema().d_sups != empty)."""
+def _has_d_sup(space: FiniteSpace, ymask: int, pts) -> bool:
+    """Existence-only d-supremum test (matches suprema().d_sups != empty)
+    for the points ``pts`` of the mask ``ymask``."""
     down0 = space.zero_down
-    ymask = _mask(pts)
     rows = space.scaled[0]
     profile = _sup_profile(rows, pts)
-    return any(list(rows[x]) == profile
+    return any(rows[x] == profile
                for x in range(space.n) if down0[x] & ymask == ymask)
 
 
-def _sup_profile(rows, pts) -> list:
+def _sup_profile(rows, pts) -> tuple:
     """Row of sup over y in pts of d(y, z), on the integer form of d."""
-    return list(map(max, zip(*[rows[y] for y in pts])))
+    return tuple(map(max, zip(*[rows[y] for y in pts])))
 
 
 @dataclass(frozen=True)

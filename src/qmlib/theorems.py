@@ -41,7 +41,7 @@ from functools import cached_property
 
 from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
-from .extreal import INF, ExtReal, ext_min
+from .extreal import ExtReal
 from .nets import EpSeq, PreconditionError, classify, epseq, zero_classes
 from .order import _sup_profile, check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, derive, representatives, threshold_grid
@@ -94,15 +94,18 @@ def compose_with_filter(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpa
 
     The generators are nested, so the sup is attained at the smallest one,
     {d = 0}: this is e composed with the specialization order of d.  The
-    definitional form over the whole threshold grid is a test oracle.
+    minima run on e's integer rows (``FiniteSpace.scaled``, an empty
+    relation giving the sentinel, i.e. inf).  The definitional form over
+    the whole threshold grid is a test oracle.
     """
     n = d_space.n
     eps = threshold_grid(d_space)[0]
     # the relation {z : d(z, y) < eps} once per y: n^2 compares, not n^3
     below = [[z for z in range(n) if d_space.d(z, y) < eps] for y in range(n)]
+    e_rows, back, sentinel = e_space.scaled
     rows = tuple(
-        tuple(ext_min((e_space.d(x, z) for z in zs), INF) for zs in below)
-        for x in range(n))
+        tuple(back[min((row[z] for z in zs), default=sentinel)] for zs in below)
+        for row in e_rows)
     return FiniteSpace(d_space.labels, rows)
 
 
@@ -361,7 +364,7 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
             ys.append(found)
     directed = is_directed(space, ys)
     c0 = cyc[0]
-    forward_match = _sup_profile(rows, ys) == list(rows[c0])
+    forward_match = _sup_profile(rows, ys) == rows[c0]
     backward_match = all(min(row[y] for y in ys) == row[c0] for row in rows)
     return DirectedConstruction(tuple(space.labels[i] for i in ys),
                                 directed, forward_match, backward_match,

@@ -126,6 +126,8 @@ class TestCheck:
         {"rule": "truncated-difference", "cutoff": 4, "params": {"extras": {"9/10": "0"}}},
         {"rule": "order-characteristic", "cutoff": 8,
          "params": {"values": "natural", "extras": {"3": "1/2"}}},
+        {"rule": "truncated-difference", "cutoff": 4,
+         "params": {"extras": {"u": f"{10**2999 + 1}/{10**2999}", "v": f"1/{3 * 10**2999 + 1}"}}},
     ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "underscore", "arabic-indic-digit",
             "arabic-indic-denominator", "signed-fraction", "plus-sign", "cutoff-x", "cutoff-float", "cutoff-text",
             "not-an-object", "matrix-not-a-list", "label-not-a-string",
@@ -137,7 +139,7 @@ class TestCheck:
             "prefix-not-a-string", "window-text", "window-float", "window-bool",
             "extras-on-vector-rule", "window-integer", "extra-takes-a-label",
             "extra-takes-the-label-past-the-window", "extra-takes-a-label-far-past-the-window",
-            "extra-takes-a-natural-label"])
+            "extra-takes-a-natural-label", "extras-of-3000-digits"])
     def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))

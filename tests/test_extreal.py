@@ -2,6 +2,7 @@
 
 import operator
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -58,6 +59,17 @@ class TestBasics:
     def test_parse_rejects_all_but_digits(self, text):
         with pytest.raises(ValueError):
             ExtReal.parse(text)
+
+    def test_parse_refuses_integers_whose_products_cannot_print(self, monkeypatch):
+        # the least limit Python allows: 319 digits per integer, so a sum of
+        # two products has at most 639
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+        most = "9" * 319
+        assert ExtReal.parse(f"{most}/{int(most) - 1}") == ExtReal(int(most), int(most) - 1)
+        assert parse_rational(f"-{most}", nonpositive=True) == -int(most)
+        for text in ("1" + "0" * 319, f"1/{most}0", "0" * 320):
+            with pytest.raises(ValueError, match="at most 319 digits"):
+                ExtReal.parse(text)
 
     def test_parse_rational_grammar(self):
         assert parse_rational(" 6/4 ") == Fraction(3, 2)

@@ -1,0 +1,64 @@
+"""The mutant gate: each fast path's oracle test must kill a named mutation.
+
+A row is a source file of ``qmlib``, an exact old text that occurs there
+once, its replacement, and the test (module, class or single test) that
+must fail on the mutated copy.  The mutation is applied to a copy of
+``src/qmlib`` under ``tmp_path``, never in place, and the test runs in a
+fresh interpreter with ``PYTHONPATH`` set to the copy.  A row whose old
+text has moved or been duplicated fails loudly instead of passing.
+
+The exit status must be 1 (tests ran, and some failed): a copy that does
+not import gives a collection error, which is status 2, so it cannot pass
+for a killed mutant.  A new fast path adds its own row; a mutation that
+no test can tell apart from the original (an equivalent mutant) gets no
+row, and its reason goes in the change that adds the fast path.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file, old text, new text, killing test)
+MUTANTS = {
+    "is-directed-union-of-ups": (
+        "order.py", "common &= up0[y]", "common |= up0[y]",
+        "tests/test_order.py::TestDirected"),
+    "has-d-sup-any-overlap-bounds": (
+        "order.py", "down0[x] & ymask == ymask)", "down0[x] & ymask != 0)",
+        "tests/test_kernel.py::test_suprema_match_the_oracle"),
+    "filter-composition-empty-min-is-zero": (
+        "theorems.py", "default=sentinel", "default=0",
+        "tests/test_identities.py::test_filter_composition_equals_grid_and_order_forms"),
+    "chain-successor-from-numerator": (
+        "family.py", "v.den // (v.den - v.num)", "v.num // (v.den - v.num)",
+        "tests/test_family.py::TestChain"),
+    "sup-upgrade-ball-closed": (
+        "theorems.py", "rows[y][z] < dxz", "rows[y][z] <= dxz",
+        "tests/test_theorems.py"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_killed(name, tmp_path):
+    filename, old, new, target = MUTANTS[name]
+    copy = tmp_path / "qmlib"
+    shutil.copytree(ROOT / "src" / "qmlib", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = copy / filename
+    text = source.read_text()
+    assert text.count(old) == 1, f"{name}: {old!r} must occur once in {filename}"
+    source.write_text(text.replace(old, new))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         str(ROOT / target)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True, text=True, timeout=300)
+    tail = "\n".join(run.stdout.splitlines()[-5:])
+    assert run.returncode == 1, f"{name} survived {target} (exit {run.returncode}):\n{tail}"
+

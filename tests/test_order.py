@@ -4,6 +4,7 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmlib.extreal import ext_max
 from qmlib.generate import random_metric, random_space
@@ -88,6 +89,33 @@ class TestDirected:
                 for pts in itertools.combinations(range(5), size):
                     assert is_directed(sp, list(pts)) == \
                         directed_oracle(sp, list(pts))
+
+    def test_zero_three_cycle_is_not_directed(self):
+        # every pair has a common upper bound inside Y, but no member bounds
+        # all three: the pairwise test would call Y directed
+        sp = space_from_rows(["a", "b", "c"],
+                             [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]])
+        assert not sp.validation.is_distance
+        assert not directed_oracle(sp, [0, 1, 2])
+        assert not is_directed(sp, [0, 1, 2])
+        assert not is_directed(sp, iter([2, 0, 1, 0]))
+        assert is_directed(sp, [0, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))))
+    def test_matches_exhaustive_oracle_on_any_zero_pattern(self, case):
+        # arbitrary zero patterns: no triangle law, nonzero diagonals
+        zeros, pts = case
+        rows = [["0" if z else "1" for z in row] for row in zeros]
+        sp = space_from_rows([f"p{i}" for i in range(len(rows))], rows)
+        assert is_directed(sp, sorted(pts)) == directed_oracle(sp, sorted(pts))
+
+    def test_empty_rejected(self):
+        sp = space_from_rows(["a"], [["0"]])
+        with pytest.raises(PreconditionError):
+            is_directed(sp, [])
 
     def test_directed_minimizer_is_metric_sup(self):
         # the member minimizing the worst distance from Y reaches 0 and is
