@@ -14,6 +14,7 @@ starts no more workers than it has chunks of ``POOL_CHUNK`` instances.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -369,7 +370,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built at the first ``main`` call.
+
+    Each ``parse_args`` returns a fresh namespace; the parser holds only
+    the ``run_*`` functions and its type closures, so reusing it changes
+    no output.
+    """
     ap = _Parser(
         prog="qml",
         description="Exact audits of non-symmetric distance spaces")

@@ -74,8 +74,8 @@ class DerivedFunctions:
         return self.d_low
 
     def to_dict(self) -> dict:
-        return {"d_up": self.d_up.to_dict(), "d_low": self.d_low.to_dict(),
-                "d_F": self.d_F.to_dict(), "d_Phi": self.d_Phi.to_dict()}
+        low = self.d_low.to_dict()
+        return {"d_up": self.d_up.to_dict(), "d_low": low, "d_F": low, "d_Phi": low}
 
 
 def derived_functions(space: FiniteSpace) -> DerivedFunctions:
@@ -99,49 +99,62 @@ def derived_functions(space: FiniteSpace) -> DerivedFunctions:
 
     Both functions run as one ascending sweep over the integer form of the
     matrix (``FiniteSpace.scaled``): a ball only grows with the radius, so
-    each point's bound is recomputed only when its ball gains a member.
+    each entry joins its row's ball at one cut, and each point's bound
+    only grows.
     """
     rows, back, sentinel = space.scaled
     cuts = sorted({v for row in rows for v in row if 0 < v < sentinel})
     cuts.append(sentinel)
     columns = tuple(zip(*rows))
-    return DerivedFunctions(_ball_bound_fn(rows, space.zero_up, cuts, back),
-                            _ball_bound_fn(columns, space.zero_down, cuts, back))
+    return DerivedFunctions(_ball_bound_fn(rows, space.zero_down, cuts, back),
+                            _ball_bound_fn(columns, space.zero_up, cuts, back))
 
 
-def _ball_bound_fn(rows, cover, cuts, back) -> StepFn:
-    """Worst over x of the least ``rows[x][y]`` over the y whose ``cover``
-    mask holds the ball {z : rows[x][z] < r}, at radius 0 and at each cut
-    (the last cut is the sentinel, the empty infimum).
+def _ball_bound_fn(rows, held, cuts, back) -> StepFn:
+    """Worst over x of the least ``rows[x][y]`` over the admissible y, the
+    y whose cover holds the ball {z : rows[x][z] < r}, at radius 0 and at
+    each cut (the last cut is the sentinel, the empty infimum).
 
-    With rows = d and cover = zero_up this is d_up; with rows = the
-    transpose of d and cover = zero_down it is d_low.  Each point walks
-    its row in ascending order, so each ball is built once in total.
+    ``held[z]`` is the mask of the y whose cover holds z, so the
+    admissible y of a ball are the meet of ``held`` over its members.
+    With rows = d and held = zero_down (the cover is zero_up) this is
+    d_up; with rows = the transpose of d and held = zero_up (the cover is
+    zero_down) it is d_low.
+
+    Each entry (x, z) below the sentinel is an event at the cut where z
+    joins x's ball: an entry 0 at the first cut, and v > 0 at the cut
+    after v.  It narrows ``ok[x]``, and x's bound is the entry of the
+    first y of its ascending row still in ``ok[x]``; that pointer only
+    moves forward, so the sweep costs O(n^2) after the row sorts.  Bounds
+    only grow, so the worst one is a running max.
     """
     n = len(rows)
     sentinel = cuts[-1]
-
-    def bound(x: int, ball: int) -> int:
-        row = rows[x]
-        return min((row[y] for y in range(n) if cover[y] & ball == ball), default=sentinel)
-
+    joins = {v: i for i, v in enumerate(cuts, 1)}
+    joins[0] = 0
+    events = [[] for _ in cuts]
+    for x, row in enumerate(rows):
+        for z, v in enumerate(row):
+            if v < sentinel:
+                events[joins[v]].append((x, z))
     orders = [sorted(range(n), key=row.__getitem__) for row in rows]
-    filled = [0] * n      # how much of each ordered row the ball holds
-    balls = [0] * n
-    bounds = [min(row, default=sentinel) for row in rows]   # empty balls
-    at_zero = max(bounds, default=0)
+    ok = [(1 << n) - 1] * n
+    first = [0] * n       # position in orders[x] of x's first admissible y
+    worst = at_zero = max((min(row) for row in rows), default=0)   # empty balls
     values = []
-    for cut in cuts:
-        for x in range(n):
-            row, order, k = rows[x], orders[x], filled[x]
-            if k < n and row[order[k]] < cut:
-                ball = balls[x]
-                while k < n and row[order[k]] < cut:
-                    ball |= 1 << order[k]
+    for bucket in events:
+        for x, z in bucket:
+            mask = ok[x] = ok[x] & held[z]
+            order, k = orders[x], first[x]
+            if k < n and not mask >> order[k] & 1:
+                k += 1
+                while k < n and not mask >> order[k] & 1:
                     k += 1
-                filled[x], balls[x] = k, ball
-                bounds[x] = bound(x, ball)
-        values.append(max(bounds, default=0))
+                first[x] = k
+                bound = rows[x][order[k]] if k < n else sentinel
+                if bound > worst:
+                    worst = bound
+        values.append(worst)
     return StepFn(back[at_zero], tuple(back[c] for c in cuts), tuple(back[v] for v in values))
 
 

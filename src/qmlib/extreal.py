@@ -46,14 +46,14 @@ def parse_rational(text: str, nonpositive: bool = False) -> Fraction:
 def _read_rational(text: str, nonpositive: bool) -> tuple:
     """``parse_rational`` as an unreduced (numerator, denominator) pair."""
     if not isinstance(text, str):
-        raise ValueError(f"{text!r} is not rational text")
+        raise ValueError(f"{_shown(text)} is not rational text")
     t = text.strip()
     negative = nonpositive and t.startswith("-")
     p, slash, q = t[negative:].partition("/")
     if not (p.isascii() and p.isdigit()
             and (not slash or q.isascii() and q.isdigit())):
         sign = "an optional leading '-', " if nonpositive else ""
-        raise ValueError(f"{text!r}: a rational is an integer or p/q with "
+        raise ValueError(f"{_shown(text)}: a rational is an integer or p/q with "
                          f"{sign}ASCII digits only")
     if len(t) > 319:   # Python's least nonzero limit is 640, so no cap is below 319
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: no limit
@@ -63,12 +63,18 @@ def _read_rational(text: str, nonpositive: bool) -> tuple:
                              f"{(limit - 1) // 2} digits per integer")
     num, den = int(p), int(q) if slash else 1
     if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {_shown(text)}")
     if negative:
         num = -num
     elif nonpositive and num > 0:
-        raise ValueError(f"{text!r} is positive")
+        raise ValueError(f"{_shown(text)} is positive")
     return num, den
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut to its start when long."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
 
 
 class ExtReal:

@@ -162,25 +162,37 @@ def representatives(class_masks) -> int:
     return sum(1 << i for i, cls in enumerate(class_masks) if cls & -cls == 1 << i)
 
 
+def _entry(v) -> ExtReal:
+    """One matrix entry as an ``ExtReal``, or ``ValueError``."""
+    if isinstance(v, ExtReal):
+        return v
+    if isinstance(v, (bool, float)):
+        raise ValueError(f"{type(v).__name__} entries are not distances; "
+                         "write an integer or p/q text")
+    return ExtReal.parse(str(v))
+
+
 def space_from_rows(labels, rows) -> FiniteSpace:
     """Build a space from label list and rows of ExtReal/str/int entries.
 
-    Any other entry (a bool, a float, negative or non-numeric text, a zero
-    denominator) raises ``SpaceError`` instead of being reinterpreted.
+    An int is read as its decimal text, so it meets the digit cap of
+    ``extreal.parse_rational`` as the same digits in a string do.  Any
+    other entry (a bool, a float, negative or non-numeric text, a zero
+    denominator) raises ``SpaceError`` naming its row and column instead
+    of being reinterpreted; the message shows at most the start of the
+    entry.
     """
-    def conv(v):
-        if isinstance(v, ExtReal):
-            return v
-        if isinstance(v, bool):
-            raise SpaceError(f"bad matrix entry {v!r}: booleans are not distances")
+    matrix = []
+    for i, row in enumerate(rows):
         try:
-            if isinstance(v, int):
-                return ExtReal(v)
-            return ExtReal.parse(str(v))
-        except ValueError as e:
-            raise SpaceError(f"bad matrix entry {v!r}: {e}") from None
-    matrix = tuple(tuple(conv(v) for v in row) for row in rows)
-    return FiniteSpace(tuple(labels), matrix)
+            matrix.append(tuple(map(_entry, row)))
+        except ValueError:
+            for j, v in enumerate(row):   # the first bad entry names the error
+                try:
+                    _entry(v)
+                except ValueError as e:
+                    raise SpaceError(f"bad matrix entry at row {i}, column {j}: {e}") from None
+    return FiniteSpace(tuple(labels), tuple(matrix))
 
 
 def _below_masks(values) -> list:
@@ -401,7 +413,9 @@ def space_from_dict(data: dict) -> FiniteSpace:
 
 def read_json_object(path: str) -> dict:
     """The JSON object stored in a file, or a SpaceError naming the file
-    when its bytes are not UTF-8, not JSON, or not a JSON object."""
+    when its bytes are not UTF-8, not JSON (an integer Python cannot read
+    and nesting past the recursion limit included), or not a JSON
+    object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -409,6 +423,10 @@ def read_json_object(path: str) -> dict:
         raise SpaceError(f"{path} is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise SpaceError(f"invalid JSON in {path}: {e}") from None
+    except ValueError as e:   # an integer past Python's int-to-str digit limit
+        raise SpaceError(f"unreadable number in {path}: {str(e).partition(';')[0]}") from None
+    except RecursionError:
+        raise SpaceError(f"{path} nests JSON arrays or objects too deeply") from None
     if not isinstance(data, dict):
         raise SpaceError(f"{path} does not hold a JSON object")
     return data

@@ -1,7 +1,11 @@
 """CLI commands, exit codes, file formats, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,8 @@ class TestCheck:
          "params": {"values": "natural", "extras": {"3": "1/2"}}},
         {"rule": "truncated-difference", "cutoff": 4,
          "params": {"extras": {"u": f"{10**2999 + 1}/{10**2999}", "v": f"1/{3 * 10**2999 + 1}"}}},
+        {"points": ["a", "b"], "matrix": [["0", "1/" + "7" * 3000], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [["0", "x" * 3000], ["1", "0"]]},
     ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "underscore", "arabic-indic-digit",
             "arabic-indic-denominator", "signed-fraction", "plus-sign", "cutoff-x", "cutoff-float", "cutoff-text",
             "not-an-object", "matrix-not-a-list", "label-not-a-string",
@@ -139,7 +145,8 @@ class TestCheck:
             "prefix-not-a-string", "window-text", "window-float", "window-bool",
             "extras-on-vector-rule", "window-integer", "extra-takes-a-label",
             "extra-takes-the-label-past-the-window", "extra-takes-a-label-far-past-the-window",
-            "extra-takes-a-natural-label", "extras-of-3000-digits"])
+            "extra-takes-a-natural-label", "extras-of-3000-digits", "entry-of-3000-digits",
+            "entry-of-3000-letters"])
     def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -148,10 +155,28 @@ class TestCheck:
         assert rc == EXIT_PARSE
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+        assert len(captured.err) < 200
         assert "Traceback" not in captured.err
 
+    # a JSON number has one reading: an integer is its decimal text, and a
+    # float (an exponent, a decimal point, Infinity) is never an entry
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    @pytest.mark.parametrize("entry", ["7" * 4000, "1e400", "Infinity", "0.5", "7" * 5000],
+                             ids=["integer-of-4000-digits", "float-overflow", "infinity",
+                                  "decimal-point", "integer-past-the-json-limit"])
+    def test_json_number_is_read_as_its_text(self, capsys, tmp_path, command, entry):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"points": ["a", "b"], "matrix": [[0, %s], [1, 0]]}' % entry)
+        rc = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert len(captured.err) < 200 + len(str(bad))
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", None], ids=["not-utf8", "a-directory"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", None,
+                                         b'{"points": ' + b"[" * 100000 + b"]" * 100000 + b"}"],
+                             ids=["not-utf8", "a-directory", "nested-too-deeply"])
     def test_unreadable_input_is_one_line_parse_error(self, capsys, tmp_path, content):
         target = tmp_path / "space.json"
         if content is None:
@@ -515,6 +540,33 @@ class TestWorkers:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "QML_WORKERS" in captured.err
+
+
+class TestParserReuse:
+    """One process builds its parser once; every call must still answer as
+    a fresh process does."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, discrete_file):
+        argvs = [["audit", discrete_file, "--theorems", "sup_upgrade", "symmetric_companion"],
+                 ["random", "--n", "0"],
+                 ["audit", discrete_file],
+                 ["check", discrete_file],
+                 ["random", "--n", "3", "--count", "3", "--seed", "2"]]
+        cli._parser.cache_clear()
+        in_process = []
+        for argv in argvs:
+            try:
+                rc = main(argv)
+            except SystemExit as e:
+                rc = e.code
+            in_process.append((rc, capsys.readouterr().out))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, (rc, out) in zip(argvs, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "qmlib.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert (rc, out) == (fresh.returncode, fresh.stdout), argv
+        assert cli._parser.cache_info().misses == 1
 
 
 class TestCanonicalJson:

@@ -1,7 +1,10 @@
 """The fast inner loops of a space, each pinned to its oracle.
 
 ``FiniteSpace.scaled`` holds the matrix as exact ints.  ``derived_functions``
-sweeps it once in ascending order, and ``suprema`` and ``_has_d_sup`` test
+sweeps it once in ascending order, one event per entry at the cut where
+the entry joins its row's ball (each event narrows that row's admissible
+bounds by one mask AND, and a forward-only pointer into the sorted row
+reads the bound), and ``suprema`` and ``_has_d_sup`` test
 d-suprema on its rows (``suprema`` reads the order side off the zero
 masks).  The triangle check of ``validation`` and the relaxation of
 ``minplus_closure`` stay on ``ExtReal`` entries but add only where both

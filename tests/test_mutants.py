@@ -38,6 +38,12 @@ MUTANTS = {
     "chain-successor-from-numerator": (
         "family.py", "v.den // (v.den - v.num)", "v.num // (v.den - v.num)",
         "tests/test_family.py::TestChain"),
+    "ball-bound-union-of-holders": (
+        "derived.py", "ok[x] & held[z]", "ok[x] | held[z]",
+        "tests/test_kernel.py::test_derived_functions_match_the_oracle_on_any_matrix"),
+    "ball-bound-joins-at-its-own-cut": (
+        "derived.py", "enumerate(cuts, 1)", "enumerate(cuts)",
+        "tests/test_kernel.py::test_derived_functions_match_the_oracle_on_any_matrix"),
     "sup-upgrade-ball-closed": (
         "theorems.py", "rows[y][z] < dxz", "rows[y][z] <= dxz",
         "tests/test_theorems.py"),
