@@ -348,7 +348,7 @@ def run_report(args) -> int:
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low`` (else exit 2).
 
-    The text is ASCII digits, ``extreal.parse_rational``'s grammar in
+    The text is ASCII digits, ``ExtReal.parse``'s grammar in
     integer form: a sign, ``_``, ``p/q`` or a non-ASCII digit is refused.
     """
     def parse(text: str) -> int:

@@ -23,52 +23,7 @@ Addition and the order take two values of one denominator (infinity's
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import gcd
-
-
-def parse_rational(text: str, nonpositive: bool = False) -> Fraction:
-    """Read rational text: an integer or ``p/q`` in ASCII digits.
-
-    This is the one grammar for numeric input.  Surrounding whitespace is
-    ignored; a sign, ``_``, an exponent or a decimal point is not read
-    (``int()`` and ``Fraction()`` alone would take ``"+1"``, ``"1_0"``,
-    ``"1e3"``, ``"0.5"`` or an Arabic-Indic three).  With ``nonpositive``
-    a leading ``-`` is allowed and a positive value is refused.  Anything
-    else, including a zero denominator, raises ``ValueError``.  So does an
-    integer of more than half the digits Python prints
-    (``sys.get_int_max_str_digits()``): results print as text, and a sum of
-    two products of input integers must stay printable.
-    """
-    return Fraction(*_read_rational(text, nonpositive))
-
-
-def _read_rational(text: str, nonpositive: bool) -> tuple:
-    """``parse_rational`` as an unreduced (numerator, denominator) pair."""
-    if not isinstance(text, str):
-        raise ValueError(f"{_shown(text)} is not rational text")
-    t = text.strip()
-    negative = nonpositive and t.startswith("-")
-    p, slash, q = t[negative:].partition("/")
-    if not (p.isascii() and p.isdigit()
-            and (not slash or q.isascii() and q.isdigit())):
-        sign = "an optional leading '-', " if nonpositive else ""
-        raise ValueError(f"{_shown(text)}: a rational is an integer or p/q with "
-                         f"{sign}ASCII digits only")
-    if len(t) > 319:   # Python's least nonzero limit is 640, so no cap is below 319
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: no limit
-        digits = max(len(p), len(q))
-        if limit and digits > (limit - 1) // 2:   # one digit spare for a sum's carry
-            raise ValueError(f"a rational of {digits} digits: at most "
-                             f"{(limit - 1) // 2} digits per integer")
-    num, den = int(p), int(q) if slash else 1
-    if den == 0:
-        raise ValueError(f"zero denominator in {_shown(text)}")
-    if negative:
-        num = -num
-    elif nonpositive and num > 0:
-        raise ValueError(f"{_shown(text)} is positive")
-    return num, den
 
 
 def _shown(value) -> str:
@@ -107,27 +62,43 @@ class ExtReal:
         return (ExtReal, (self.num, self.den))
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> "ExtReal":
-        return cls(f.numerator, f.denominator)
-
-    @classmethod
     def parse(cls, text: str) -> "ExtReal":
-        """Parse the textual encoding: ``"inf"`` or ``parse_rational`` text.
+        """Read ``"inf"`` or rational text: an integer or ``p/q`` in ASCII
+        digits.
 
-        Malformed text, a sign and a zero denominator raise ``ValueError``.
+        This is the one grammar for numeric input.  Surrounding whitespace
+        is ignored; a sign, ``_``, an exponent, a decimal point or a
+        non-ASCII digit is not read (``int()`` alone would take ``"+1"``,
+        ``"1_0"`` or an Arabic-Indic three).  Anything else, including a
+        zero denominator, raises ``ValueError``.  So does an integer of
+        more than half the digits Python prints
+        (``sys.get_int_max_str_digits()``): results print as text, and a
+        sum of two products of input integers must stay printable.
         """
-        if isinstance(text, str) and text.strip() in ("inf", "Inf", "INF", "oo"):
+        if not isinstance(text, str):
+            raise ValueError(f"{_shown(text)} is not rational text")
+        t = text.strip()
+        if t in ("inf", "Inf", "INF", "oo"):
             return INF
-        return cls(*_read_rational(text, False))
+        p, slash, q = t.partition("/")
+        if not (p.isascii() and p.isdigit()
+                and (not slash or q.isascii() and q.isdigit())):
+            raise ValueError(f"{_shown(text)}: a rational is an integer or p/q with "
+                             "ASCII digits only")
+        if len(t) > 319:   # Python's least nonzero limit is 640, so no cap is below 319
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()   # 0: no limit
+            digits = max(len(p), len(q))
+            if limit and digits > (limit - 1) // 2:   # one digit spare for a sum's carry
+                raise ValueError(f"a rational of {digits} digits: at most "
+                                 f"{(limit - 1) // 2} digits per integer")
+        den = int(q) if slash else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in {_shown(text)}")
+        return cls(int(p), den)
 
     @property
     def is_inf(self) -> bool:
         return self.den == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.den == 0:
-            raise ValueError("infinity has no Fraction form")
-        return Fraction(self.num, self.den)
 
     def __add__(self, other: "ExtReal") -> "ExtReal":
         d, e = self.den, other.den

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
-from .extreal import INF, ONE, ZERO, ExtReal, parse_rational
+from .extreal import INF, ONE, ZERO, ExtReal
 from .nets import PreconditionError
 from .space import SpaceError
 
@@ -233,9 +233,11 @@ def _check_params(rule: str, params) -> None:
         raise SpaceError("'extras' must map point labels to rational text")
     for label, text in extras.items():
         try:
-            parse_rational(text)
+            value = ExtReal.parse(text)
         except ValueError as e:
             raise SpaceError(f"extra point {label!r}: {e}") from None
+        if value.is_inf:
+            raise SpaceError(f"extra point {label!r}: infinity is not a rational")
     if not isinstance(params.get("prefix", "x"), str):
         raise SpaceError("'prefix' must be a string")
 

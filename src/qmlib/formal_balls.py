@@ -1,8 +1,9 @@
-"""Formal balls: the extension of a space by nonpositive radii.
+"""Formal balls: the extension of a space by nonnegative radii.
 
-A formal ball is a pair (point, radius <= 0) with distance
-(d(x, y) + r - s)+.  The extension is never materialized: everything goes
-through the distance formula and radius grids.
+A formal ball is a pair (point, radius >= 0) with distance
+(d(x, y) - r + s)+, the Edalat-Heckmann formal-ball model.  Radii are
+finite ``ExtReal`` values.  The extension is never materialized:
+everything goes through the distance formula and radius grids.
 
 ``kw_audit`` decides the paper's generalization of the Kostanek-Waszkiewicz
 theorem (the base is complete iff every Cauchy formal-ball sequence has a
@@ -20,7 +21,7 @@ three identities on a finite base:
   above all members (the order is transitive), and every upper bound
   dominates that member, so it is the supremum.
 * Ball identities, by radius shift.  For t >= 0,
-  (a + r - s)+ <= t iff (a + (r - t) - s)+ = 0, with inf absorbing.  On
+  (a - r + s)+ <= t iff (a - (r + t) + s)+ = 0, with inf absorbing.  On
   a hemimetric the shifted balls sit at distance exactly t from their
   cones' tips, so the lower-ball bound of the extension is below the
   identity.
@@ -31,64 +32,58 @@ The sampled forms of all three sides are test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .extreal import INF, ZERO, ExtReal, parse_rational
+from .extreal import ONE, ZERO, ExtReal
 from .nets import EpSeq, PreconditionError, classify, epseq, zero_classes
 from .space import FiniteSpace, SpaceError
 from .topology import is_complete
 
-DEFAULT_RADIUS_GRID = (Fraction(0), Fraction(-1, 2), Fraction(-1))
+DEFAULT_RADIUS_GRID = (ZERO, ExtReal(1, 2), ONE)
 
 
-def _exact(value, what: str) -> Fraction:
-    """An int or Fraction as a Fraction; a float, a bool or anything else
-    raises ``SpaceError`` (no binary float enters the extension)."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise SpaceError(f"{what} {value!r} is not an exact rational")
-    return Fraction(value)
+def _finite(value, what: str) -> None:
+    """Refuse anything but a finite ``ExtReal`` (infinity, a float, a bool
+    or another number type) with ``SpaceError``."""
+    if not isinstance(value, ExtReal) or value.is_inf:
+        raise SpaceError(f"{what} {value!r} is not a finite ExtReal")
 
 
 @dataclass(frozen=True)
 class FormalBall:
     point: int
-    radius: Fraction
+    radius: ExtReal
 
     def __post_init__(self):
-        if _exact(self.radius, "formal-ball radius") > 0:
-            raise SpaceError("formal-ball radii are nonpositive")
+        _finite(self.radius, "formal-ball radius")
 
     def label(self, space: FiniteSpace) -> dict:
         return {"point": space.labels[self.point], "radius": str(self.radius)}
 
 
 def formal_ball(space: FiniteSpace, point: str, radius) -> FormalBall:
-    """The ball at ``point``; a text radius is nonpositive ``parse_rational``
-    text such as ``"-1/3"``."""
-    if isinstance(radius, str):
+    """The ball at ``point``.  A radius is an ``ExtReal`` or rational text
+    such as ``"1/3"``, and an int is read as its decimal text, as matrix
+    entries are; signed text such as ``"-1/3"`` is refused."""
+    if isinstance(radius, str) or type(radius) is int:
         try:
-            radius = parse_rational(radius, nonpositive=True)
+            radius = ExtReal.parse(str(radius))
         except ValueError as e:
             raise SpaceError(f"bad formal-ball radius: {e}") from None
-    return FormalBall(space.index(point), _exact(radius, "formal-ball radius"))
+    return FormalBall(space.index(point), radius)
 
 
 def formal_ball_from_dict(space: FiniteSpace, data: dict) -> FormalBall:
-    """Parse the literal {"point": "a", "radius": "-1/3"}."""
+    """Parse the literal {"point": "a", "radius": "1/3"}."""
     try:
         return formal_ball(space, data["point"], data["radius"])
     except (KeyError, TypeError):
         raise SpaceError("formal ball literal needs 'point' and 'radius'") from None
 
 
-def fb_distance_raw(space: FiniteSpace, x: int, r: Fraction,
-                    y: int, s: Fraction) -> ExtReal:
-    """(d(x,y) + r - s)+ for arbitrary rational radii."""
-    base = space.d(x, y)
-    if base.is_inf:
-        return INF
-    total = base.as_fraction() + r - s
-    return ExtReal.from_fraction(total) if total > 0 else ZERO
+def fb_distance_raw(space: FiniteSpace, x: int, r: ExtReal,
+                    y: int, s: ExtReal) -> ExtReal:
+    """(d(x,y) - r + s)+ for finite radii r and s, as (d(x,y) + s) - r."""
+    return (space.d(x, y) + s).tsub(r)
 
 
 def fb_distance(space: FiniteSpace, a: FormalBall, b: FormalBall) -> ExtReal:
@@ -99,34 +94,35 @@ def fb_distance(space: FiniteSpace, a: FormalBall, b: FormalBall) -> ExtReal:
 class RadiusSeq:
     """Radius sequences from a closed catalog with exact limits.
 
-    ``constant``: r_k = value.  ``harmonic``: r_k = value - scale/k, which
-    converges to ``value`` from below.  ``periodic``: cycles through the
-    given rationals; convergent only when the cycle is constant.
+    ``constant``: r_k = value.  ``harmonic``: r_k = value + scale/k, which
+    converges to ``value`` from above.  ``periodic``: cycles through the
+    given radii; convergent only when the cycle is constant.  Every field
+    is a finite ``ExtReal``.
     """
 
     kind: str
-    value: Fraction = Fraction(0)
-    scale: Fraction = Fraction(1)
+    value: ExtReal = ZERO
+    scale: ExtReal = ONE
     cycle: tuple = ()
 
     def __post_init__(self):
         for v in (self.value, self.scale, *self.cycle):
-            _exact(v, f"{self.kind} radius field")
+            _finite(v, f"{self.kind} radius field")
         if self.kind not in ("constant", "harmonic", "periodic"):
             raise SpaceError(f"unknown radius kind {self.kind!r}")
         if self.kind == "periodic" and not self.cycle:
             raise SpaceError("periodic radii need a cycle")
-        if self.kind == "harmonic" and self.scale <= 0:
+        if self.kind == "harmonic" and self.scale.is_zero():
             raise SpaceError("harmonic radii need a positive scale")
 
-    def term(self, k: int) -> Fraction:
+    def term(self, k: int) -> ExtReal:
         if self.kind == "constant":
             return self.value
         if self.kind == "harmonic":
-            return self.value - self.scale / k
+            return self.value + ExtReal(self.scale.num, self.scale.den * k)
         return self.cycle[(k - 1) % len(self.cycle)]
 
-    def limit(self) -> Fraction | None:
+    def limit(self) -> ExtReal | None:
         if self.kind == "constant":
             return self.value
         if self.kind == "harmonic":
@@ -165,8 +161,6 @@ def kw_limit(space: FiniteSpace, points: EpSeq, radii: RadiusSeq,
     if r_star is None:
         return KwLimitResult(None, False, undecidable=True,
                              note="radii not convergent at cutoff")
-    if r_star > 0:
-        raise SpaceError("radius limit must stay nonpositive")
     if not classify(space, points).cauchy:
         raise PreconditionError("point part is not Cauchy in the extension")
     tail_class = space.class_masks[min(points.cycle)]
@@ -218,7 +212,7 @@ def kw_audit(space: FiniteSpace, grid=DEFAULT_RADIUS_GRID) -> KwAuditReport:
     (3) Every directed subset of X x grid has a supremum: being finite, it
         has a top member, and every upper bound dominates it.
     The ball identities hold by radius shift: for t >= 0,
-    (a + r - s)+ <= t iff (a + (r - t) - s)+ = 0, with inf absorbing.  On
+    (a - r + s)+ <= t iff (a - (r + t) + s)+ = 0, with inf absorbing.  On
     a hemimetric the lower-ball bound of the extension is below the
     identity, so ``chain_d_low_leq_identity`` is True there and None on
     any other base.

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import INF, ExtReal, parse_rational
+from .extreal import INF, ExtReal
 from .family import (ChainAnalyzer, FamilySeq, FamilySpace, VectorFamilyAnalyzer,
                      check_cutoff_ceiling, classify_family, family_is_complete)
 from .nets import classify, epseq
@@ -107,7 +107,7 @@ def _every_point_witnessed(space: FamilySpace, comp) -> bool:
     strictly below the distance it would need to reach."""
     return (sorted(r.candidate for r in comp.rejections)
             == sorted(space.label(pt) for pt in space.points())
-            and all(parse_rational(r.limit) < parse_rational(r.required)
+            and all(ExtReal.parse(r.limit) < ExtReal.parse(r.required)
                     for r in comp.rejections))
 
 
@@ -177,7 +177,7 @@ def _build_x_one_minus_y(cutoff: int) -> Fixture:
              lambda: _fmt_bool(space.validation.is_hemimetric)),
         Fact("mid_self_distance",
              f"self-distance of {v0} is {v0}(1-{v0})", str(v0 * (1 - v0)),
-             lambda: str(space.d(mid, mid).as_fraction())),
+             lambda: str(space.d(mid, mid))),
     )
     return Fixture("x_one_minus_y", cutoff, space, {}, facts)
 

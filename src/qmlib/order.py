@@ -93,28 +93,26 @@ class EdCompletenessReport:
                 "subsets_checked": self.subsets_checked}
 
 
-def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace) -> EdCompletenessReport:
-    """Every e-directed subset has a d-supremum.
+def check_ed_complete(space: FiniteSpace) -> EdCompletenessReport:
+    """Every directed subset has a d-supremum.
 
-    Both verdicts read a point only through its class under the two
-    distances together (``space_e.class_masks[i] & space_d.class_masks[i]``):
-    by the triangle law its members share their e- and d-profiles, so e-
-    directedness and the d-suprema of Y depend only on which classes Y
-    meets.  The walk therefore runs over the nonempty submasks of the
-    class representatives, in increasing order, and a failing Y is such a
-    subset; more than ``nets.MAX_DIRECTED_CLASSES`` classes raise
-    ``PreconditionError`` before it starts.  Each step peels the points
-    off the submask's low bits and asks ``is_directed`` for a top member
-    of Y under e (one zero-mask AND per point); a directed Y is counted in
-    ``subsets_checked`` and needs an upper bound x (Y inside
-    ``zero_down[x]``) whose integer d-row is the column-wise max of Y's.
-    Both arguments must satisfy the triangle law.
+    Both verdicts read a point only through its specialization class
+    (``space.class_masks``): by the triangle law its members share their
+    rows and columns, so directedness and the d-suprema of Y depend only
+    on which classes Y meets.  The walk therefore runs over the nonempty
+    submasks of the class representatives, in increasing order, and a
+    failing Y is such a subset; more than ``nets.MAX_DIRECTED_CLASSES``
+    classes raise ``PreconditionError`` before it starts.  Each step
+    peels the points off the submask's low bits and asks ``is_directed``
+    for a top member of Y (one zero-mask AND per point); a directed Y is
+    counted in ``subsets_checked`` and needs an upper bound x (Y inside
+    ``zero_down[x]``) whose integer row is the column-wise max of Y's.
+    The space must satisfy the triangle law.  Directedness under a second
+    distance e is a test oracle.
     """
-    if space_e.labels != space_d.labels:
-        raise PreconditionError("the two distances must share a point set")
-    if not (space_e.validation.is_distance and space_d.validation.is_distance):
-        raise PreconditionError("directed completeness requires two validated distances")
-    reps = representatives(a & b for a, b in zip(space_e.class_masks, space_d.class_masks))
+    if not space.validation.is_distance:
+        raise PreconditionError("directed completeness requires a validated distance")
+    reps = representatives(space.class_masks)
     k = reps.bit_count()
     if k > MAX_DIRECTED_CLASSES:
         raise PreconditionError(f"{k} classes exceed the ceiling "
@@ -127,11 +125,11 @@ def check_ed_complete(space_e: FiniteSpace, space_d: FiniteSpace) -> EdCompleten
             low = rest & -rest
             pts.append(low.bit_length() - 1)
             rest ^= low
-        if not is_directed(space_e, pts):
+        if not is_directed(space, pts):
             continue
         checked += 1
-        if not _has_d_sup(space_d, mask, pts):
-            return EdCompletenessReport(False, tuple(space_d.labels[i] for i in pts), checked)
+        if not _has_d_sup(space, mask, pts):
+            return EdCompletenessReport(False, tuple(space.labels[i] for i in pts), checked)
     return EdCompletenessReport(True, None, checked)
 
 

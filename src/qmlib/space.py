@@ -176,7 +176,7 @@ def space_from_rows(labels, rows) -> FiniteSpace:
     """Build a space from label list and rows of ExtReal/str/int entries.
 
     An int is read as its decimal text, so it meets the digit cap of
-    ``extreal.parse_rational`` as the same digits in a string do.  Any
+    ``ExtReal.parse`` as the same digits in a string do.  Any
     other entry (a bool, a float, negative or non-numeric text, a zero
     denominator) raises ``SpaceError`` naming its row and column instead
     of being reinterpreted; the message shows at most the start of the

@@ -41,7 +41,7 @@ from functools import cached_property
 
 from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
-from .extreal import ExtReal
+from .extreal import ONE, ExtReal
 from .nets import EpSeq, PreconditionError, classify, epseq, zero_classes
 from .order import _sup_profile, check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, derive, representatives, threshold_grid
@@ -145,7 +145,7 @@ class AuditContext:
         One report serves both senses: the order-as-distance of d has the
         same zero pattern as d, and directedness only reads that pattern.
         """
-        return check_ed_complete(self.space, self.space)
+        return check_ed_complete(self.space)
 
     @cached_property
     def e_separable(self) -> bool:
@@ -344,9 +344,9 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
         raise PreconditionError("upper-ball bound function is not uniformly below identity")
     n = space.n
     up0 = space.zero_up
-    rows, back, sentinel = space.scaled
-    least = min((v for row in rows for v in row if 0 < v < sentinel), default=None)
-    v_min = back[least] if least is not None else ExtReal(1)
+    rows = space.scaled[0]
+    least = dfs.d_up.cuts[0]      # the least positive entry, or inf when there is none
+    v_min = ONE if least.is_inf else least
     cyc = seq.cycle
     p = len(cyc)
     ys = []

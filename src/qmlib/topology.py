@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .extreal import ext_max, ext_min
+from .family import family_is_complete, family_subnet_equiv
 from .nets import (EpSeq, PreconditionError, cauchy_subsequence, check_ids, classify,
                    zero_cliques)
 from .space import FiniteSpace
@@ -161,7 +162,6 @@ def is_complete(space) -> CompletenessReport:
     per-candidate witnesses.
     """
     if not isinstance(space, FiniteSpace):
-        from .family import family_is_complete
         return family_is_complete(space)
     return CompletenessReport(True, None, len(zero_cliques(space)))
 
@@ -176,7 +176,6 @@ def pre_cauchy_subnet_equiv(space, seq) -> bool:
     sequences route to their certified analyzer.
     """
     if not isinstance(seq, EpSeq):
-        from .family import family_subnet_equiv
         return bool(family_subnet_equiv(seq).value)
     cauchy_subsequence(space, seq)
     return True

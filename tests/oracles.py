@@ -43,7 +43,10 @@ and ``pre_cauchy_subnet_equiv_oracle`` compares a pre-Cauchy sequence
 with its extracted subsequence flag by flag.  The formal-ball
 samplers draw Cauchy sequences, directed subsets of X x grid and
 ball-identity tuples at random, where ``kw_audit`` decides each side per
-class or by identity; ``fb_leq`` is the order of formal balls they read.
+class or by identity; ``fb_leq`` is the order of formal balls they read,
+and ``signed_fb_distance_oracle`` keeps the nonpositive-radius formula
+(d(x, y) + r - s)+ on signed ``Fraction`` radii, which
+``fb_distance_raw`` equals at the radii (-r, -s).
 ``ThresholdRel`` is one generator {d < eps} of the relation filter, and
 ``subequiv`` compares two step functions through their sublevel sets,
 where production compares two distances on their zero masks
@@ -585,6 +588,11 @@ def join_validation_oracle(space: FiniteSpace) -> Validation:
 RATIONAL_GRID = tuple(Fraction(k, 4) for k in range(0, 13))
 
 
+def _ext(value: Fraction) -> ExtReal:
+    """A nonnegative ``Fraction`` as an ``ExtReal``."""
+    return ExtReal(value.numerator, value.denominator)
+
+
 def random_value_pair_oracle(rng, n: int):
     """The value pair built entry by entry from ``Fraction`` point values:
     d(x,y) = (v_x - v_y)+ and e(x,y) = s|v_x - v_y|, each entry converted
@@ -592,8 +600,8 @@ def random_value_pair_oracle(rng, n: int):
     vals = [rng.choice(RATIONAL_GRID) for _ in range(n)]
     scale = rng.choice((1, 1, 2))
     labels = [f"p{i}" for i in range(n)]
-    d_rows = [[ExtReal.from_fraction(max(a - b, Fraction(0))) for b in vals] for a in vals]
-    e_rows = [[ExtReal.from_fraction(scale * abs(a - b)) for b in vals] for a in vals]
+    d_rows = [[_ext(max(a - b, Fraction(0))) for b in vals] for a in vals]
+    e_rows = [[_ext(scale * abs(a - b)) for b in vals] for a in vals]
     return space_from_rows(labels, d_rows), space_from_rows(labels, e_rows)
 
 
@@ -647,6 +655,18 @@ def fb_leq(space: FiniteSpace, a: FormalBall, b: FormalBall) -> bool:
     return fb_distance(space, a, b).is_zero()
 
 
+def signed_fb_distance_oracle(space: FiniteSpace, x: int, r: Fraction,
+                              y: int, s: Fraction) -> ExtReal:
+    """(d(x,y) + r - s)+ on signed ``Fraction`` radii: the nonpositive-radius
+    form of the formal-ball distance, which ``fb_distance_raw`` computes at
+    the radii (-r, -s)."""
+    base = space.d(x, y)
+    if base.is_inf:
+        return INF
+    total = Fraction(base.num, base.den) + r - s
+    return _ext(total) if total > 0 else ZERO
+
+
 @dataclass(frozen=True)
 class BallIdentityReport:
     tuples_checked: int
@@ -662,14 +682,14 @@ class BallIdentityReport:
         return self.identity_violations == 0
 
 
-def _random_radius(rng) -> Fraction:
-    return Fraction(-rng.randrange(0, 9), rng.choice((1, 2, 3, 4)))
+def _random_radius(rng) -> ExtReal:
+    return ExtReal(rng.randrange(0, 9), rng.choice((1, 2, 3, 4)))
 
 
 def ball_identities(space: FiniteSpace, rng, count: int = 200) -> BallIdentityReport:
     """Verify, on sampled tuples, the three equivalent readings of
-    d((x,r),(y,s)) <= t: shifting the left radius down by t, or the right
-    radius up by t, lands exactly on the order cone.
+    d((x,r),(y,s)) <= t: shifting the left radius up by t, or the right
+    radius down by t where t <= s, lands exactly on the order cone.
 
     When the base is a hemimetric the sampled witnesses also pin the ball
     bound functions of the extension below the identity: the shifted balls
@@ -684,16 +704,18 @@ def ball_identities(space: FiniteSpace, rng, count: int = 200) -> BallIdentityRe
         y = rng.randrange(space.n)
         r = _random_radius(rng)
         s = _random_radius(rng)
-        t = Fraction(rng.randrange(0, 9), rng.choice((1, 2, 4)))
-        lhs = fb_distance_raw(space, x, r, y, s) <= ExtReal.from_fraction(t)
-        mid = fb_distance_raw(space, x, r - t, y, s).is_zero()
-        rhs = fb_distance_raw(space, x, r, y, t + s).is_zero()
+        t = ExtReal(rng.randrange(0, 9), rng.choice((1, 2, 4)))
+        lhs = fb_distance_raw(space, x, r, y, s) <= t
+        mid = fb_distance_raw(space, x, r + t, y, s).is_zero()
+        # a radius is nonnegative, so the right shift needs t <= s
+        shifted = t <= s
+        rhs = fb_distance_raw(space, x, r, y, s.tsub(t)).is_zero() if shifted else mid
         if not (lhs == mid == rhs):
             violations += 1
         if hemimetric:
-            if fb_distance_raw(space, x, r, x, r - t) != ExtReal.from_fraction(t):
+            if fb_distance_raw(space, x, r, x, r + t) != t:
                 up_ok = False
-            if fb_distance_raw(space, y, t + s, y, s) != ExtReal.from_fraction(t):
+            if shifted and fb_distance_raw(space, y, s.tsub(t), y, s) != t:
                 low_ok = False
     return BallIdentityReport(count, violations, up_ok, low_ok)
 
@@ -713,9 +735,9 @@ def _sample_cauchy_fb_sequences(space: FiniteSpace, rng, count: int):
         pts = epseq(pre, members)
         kind = rng.choice(("constant", "harmonic"))
         if kind == "constant":
-            radii = RadiusSeq("constant", Fraction(-rng.randrange(0, 4), 3))
+            radii = RadiusSeq("constant", ExtReal(rng.randrange(0, 4), 3))
         else:
-            radii = RadiusSeq("harmonic", Fraction(0), Fraction(1, rng.choice((1, 2))))
+            radii = RadiusSeq("harmonic", ZERO, ExtReal(1, rng.choice((1, 2))))
         yield pts, radii
 
 
@@ -753,5 +775,5 @@ def grid_space_oracle(name: str, cutoff: int) -> FiniteSpace:
     as a ``Fraction`` and each label the value's text."""
     dist = GRID_DISTANCES[name]
     vals = [Fraction(k, cutoff) for k in range(cutoff + 1)]
-    rows = [[ExtReal.from_fraction(dist(a, b)) for b in vals] for a in vals]
+    rows = [[_ext(dist(a, b)) for b in vals] for a in vals]
     return space_from_rows([str(v) for v in vals], rows)

@@ -113,6 +113,7 @@ class TestCheck:
         {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "1e3"}}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "0.5"}}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "-1/2"}}},
+        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "inf"}}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"values": "odd"}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"colour": "red"}},
         {"rule": "order-characteristic", "cutoff": 8, "params": {"prefix": "f"}},
@@ -140,7 +141,7 @@ class TestCheck:
             "params-not-an-object", "params-a-list", "extras-not-an-object",
             "extra-not-rational", "extra-not-text", "extra-zero-denominator",
             "extra-underscore", "extra-arabic-indic-digit", "extra-exponent",
-            "extra-decimal-point", "extra-negative",
+            "extra-decimal-point", "extra-negative", "extra-infinite",
             "unknown-value-form", "unknown-param", "param-of-another-rule",
             "prefix-not-a-string", "window-text", "window-float", "window-bool",
             "extras-on-vector-rule", "window-integer", "extra-takes-a-label",

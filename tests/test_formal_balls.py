@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmlib.extreal import INF, ZERO, ExtReal
+from qmlib.extreal import INF, ONE, ZERO, ExtReal
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
                                 fb_distance, fb_distance_raw, formal_ball,
                                 formal_ball_from_dict, kw_audit, kw_limit)
@@ -20,7 +20,8 @@ from qmlib.nets import PreconditionError, epseq
 from qmlib.space import SpaceError, space_from_rows
 
 from tests.oracles import (_sample_cauchy_fb_sequences, ball_identities,
-                           directed_fb_subsets_have_sups, fb_leq)
+                           directed_fb_subsets_have_sups, fb_leq,
+                           signed_fb_distance_oracle)
 
 
 def two_point(d_ab="1", d_ba="1"):
@@ -45,7 +46,8 @@ def sampled_spaces(draw):
     return random_space(rng, n, hemimetric=draw(st.booleans())), rng
 
 
-RADII = st.fractions(min_value=-3, max_value=0, max_denominator=6)
+RADII = st.fractions(min_value=0, max_value=3, max_denominator=6).map(
+    lambda f: ExtReal(*f.as_integer_ratio()))
 
 
 class TestDistance:
@@ -56,53 +58,69 @@ class TestDistance:
 
     def test_radius_absorbs_distance(self):
         sp = two_point()
-        a = formal_ball(sp, "a", Fraction(-1))
+        a = formal_ball(sp, "a", 1)
         b = formal_ball(sp, "b", 0)
         assert fb_distance(sp, a, b) == ZERO
         assert fb_leq(sp, a, b)
 
     def test_same_point_radius_gap(self):
         sp = two_point()
-        a = formal_ball(sp, "a", Fraction(-1, 2))
-        b = formal_ball(sp, "a", Fraction(-1))
+        a = formal_ball(sp, "a", "1/2")
+        b = formal_ball(sp, "a", ONE)
         assert fb_distance(sp, a, b) == ExtReal(1, 2)
 
     def test_positive_radius_rejected(self):
+        # a radius is an ExtReal or text, so a Fraction is refused at any
+        # sign: no second number type enters the extension
         sp = two_point()
         with pytest.raises(SpaceError):
             formal_ball(sp, "a", Fraction(1, 2))
 
     def test_literal_roundtrip(self):
         sp = two_point()
-        fb = formal_ball_from_dict(sp, {"point": "a", "radius": "-1/3"})
-        assert fb.point == 0 and fb.radius == Fraction(-1, 3)
-        assert fb.label(sp) == {"point": "a", "radius": "-1/3"}
+        fb = formal_ball_from_dict(sp, {"point": "a", "radius": "1/3"})
+        assert fb.point == 0 and fb.radius == ExtReal(1, 3)
+        assert fb.label(sp) == {"point": "a", "radius": "1/3"}
 
+    # the nonpositive literals of the signed convention, text or number,
+    # are refused rather than reinterpreted, as is every inexact form
     @pytest.mark.parametrize("radius", [
-        "-1e-3", "-0.5", "-1/-2", "--1", "+0", "1/2", "-1/0", "\u0663", -0.1, 0.0, True, None])
+        "-1e-3", "-0.5", "-1/-2", "--1", "+0", "-1/0", "\u0663", -0.1, 0.0, True, None,
+        "-1/3", "-0", " -2/6 ", -2, Fraction(-1, 4), "inf", INF])
     def test_radius_is_exact_nonpositive_text_or_number(self, radius):
         with pytest.raises(SpaceError):
             formal_ball_from_dict(two_point(), {"point": "a", "radius": radius})
 
     @pytest.mark.parametrize("radius, value", [
-        ("0", Fraction(0)), ("-0", Fraction(0)), (" -2/6 ", Fraction(-1, 3)),
-        (-2, Fraction(-2)), (Fraction(-1, 4), Fraction(-1, 4))])
+        ("0", ZERO), ("1/2", ExtReal(1, 2)), (" 2/6 ", ExtReal(1, 3)),
+        (2, ExtReal(2)), (ExtReal(1, 4), ExtReal(1, 4))])
     def test_exact_radii_load(self, radius, value):
         fb = formal_ball_from_dict(two_point(), {"point": "b", "radius": radius})
-        assert fb.radius == value and isinstance(fb.radius, Fraction)
+        assert fb.radius == value and isinstance(fb.radius, ExtReal)
 
     @pytest.mark.parametrize("fields", [
         {"kind": "constant", "value": -0.5},
         {"kind": "harmonic", "scale": 0.5},
-        {"kind": "periodic", "cycle": (Fraction(0), -1.0)},
-        {"kind": "constant", "value": False}])
+        {"kind": "periodic", "cycle": (ZERO, 1.0)},
+        {"kind": "constant", "value": False},
+        {"kind": "constant", "value": Fraction(1, 2)},
+        {"kind": "harmonic", "value": INF}])
     def test_radius_sequences_reject_floats(self, fields):
         with pytest.raises(SpaceError):
             RadiusSeq(**fields)
 
+    @given(sampled_spaces(), RADII, RADII)
+    def test_distance_is_the_signed_formula_at_negated_radii(self, case, r, s):
+        sp, _ = case
+        neg_r, neg_s = Fraction(-r.num, r.den), Fraction(-s.num, s.den)
+        for x in range(sp.n):
+            for y in range(sp.n):
+                assert (fb_distance_raw(sp, x, r, y, s)
+                        == signed_fb_distance_oracle(sp, x, neg_r, y, neg_s))
+
     def test_infinite_base_distance(self):
         sp = space_from_rows(["a", "b"], [["0", "inf"], ["1", "0"]])
-        assert fb_distance_raw(sp, 0, Fraction(-5), 1, Fraction(0)) == INF
+        assert fb_distance_raw(sp, 0, ExtReal(5), 1, ZERO) == INF
 
     def test_triangle_law_inherited(self):
         rng = Random(71)
@@ -110,7 +128,7 @@ class TestDistance:
             sp = random_space(rng, 4)
             for _ in range(50):
                 pts = [rng.randrange(4) for _ in range(3)]
-                rads = [Fraction(-rng.randrange(0, 5), 2) for _ in range(3)]
+                rads = [ExtReal(rng.randrange(0, 5), 2) for _ in range(3)]
                 d_ac = fb_distance_raw(sp, pts[0], rads[0], pts[2], rads[2])
                 d_ab = fb_distance_raw(sp, pts[0], rads[0], pts[1], rads[1])
                 d_bc = fb_distance_raw(sp, pts[1], rads[1], pts[2], rads[2])
@@ -122,7 +140,7 @@ class TestDistance:
             sp = random_space(rng, 4)
             for i in range(4):
                 for j in range(4):
-                    assert fb_distance_raw(sp, i, Fraction(0), j, Fraction(0)) == sp.d(i, j)
+                    assert fb_distance_raw(sp, i, ZERO, j, ZERO) == sp.d(i, j)
 
     def test_order_characterization(self):
         rng = Random(73)
@@ -130,13 +148,12 @@ class TestDistance:
             sp = random_space(rng, 4)
             for _ in range(40):
                 x, y = rng.randrange(4), rng.randrange(4)
-                r = Fraction(-rng.randrange(0, 5), 2)
-                s = Fraction(-rng.randrange(0, 5), 2)
-                lhs = fb_distance_raw(sp, x, r, y, s).is_zero()
-                gap = s - r
-                rhs = (not sp.d(x, y).is_inf
-                       and sp.d(x, y).as_fraction() <= gap) or \
-                      (sp.d(x, y).is_zero() and gap >= 0)
+                r = Fraction(rng.randrange(0, 5), 2)
+                s = Fraction(rng.randrange(0, 5), 2)
+                lhs = fb_distance_raw(sp, x, ExtReal(*r.as_integer_ratio()),
+                                      y, ExtReal(*s.as_integer_ratio())).is_zero()
+                d = sp.d(x, y)
+                rhs = not d.is_inf and Fraction(d.num, d.den) <= r - s
                 assert lhs == rhs
 
 
@@ -166,38 +183,38 @@ class TestBallIdentities:
 class TestKwLimit:
     def test_constant_sequence(self):
         sp = two_point()
-        res = kw_limit(sp, epseq([], [0]), RadiusSeq("constant", Fraction(-1, 3)))
-        assert res.limit == {"point": "a", "radius": "-1/3"}
+        res = kw_limit(sp, epseq([], [0]), RadiusSeq("constant", ExtReal(1, 3)))
+        assert res.limit == {"point": "a", "radius": "1/3"}
         assert res.verified
 
     def test_harmonic_radii(self):
         sp = two_point()
-        res = kw_limit(sp, epseq([], [0]), RadiusSeq("harmonic", Fraction(0)))
+        res = kw_limit(sp, epseq([], [0]), RadiusSeq("harmonic", ZERO))
         assert res.limit == {"point": "a", "radius": "0"}
         assert res.verified
 
     def test_zero_clique_cycle(self):
         sp = space_from_rows(["a", "b", "c"],
                              [["0", "0", "1"], ["0", "0", "1"], ["2", "2", "0"]])
-        res = kw_limit(sp, epseq([], [0, 1]), RadiusSeq("harmonic", Fraction(0)))
+        res = kw_limit(sp, epseq([], [0, 1]), RadiusSeq("harmonic", ZERO))
         assert res.verified
         assert res.limit["point"] in ("a", "b") and res.limit["radius"] == "0"
 
     def test_non_cauchy_points_rejected(self):
         sp = two_point()
         with pytest.raises(PreconditionError):
-            kw_limit(sp, epseq([], [0, 1]), RadiusSeq("constant", Fraction(0)))
+            kw_limit(sp, epseq([], [0, 1]), RadiusSeq("constant", ZERO))
 
     def test_oscillating_radii_undecidable(self):
         sp = two_point()
         res = kw_limit(sp, epseq([], [0]),
-                       RadiusSeq("periodic", cycle=(Fraction(0), Fraction(-1))))
+                       RadiusSeq("periodic", cycle=(ZERO, ONE)))
         assert res.undecidable and not res.verified
 
     def test_radius_sequence_terms(self):
-        r = RadiusSeq("harmonic", Fraction(0), Fraction(1, 2))
-        assert r.term(1) == Fraction(-1, 2) and r.term(2) == Fraction(-1, 4)
-        assert r.limit() == Fraction(0)
+        r = RadiusSeq("harmonic", ZERO, ExtReal(1, 2))
+        assert r.term(1) == ExtReal(1, 2) and r.term(2) == ExtReal(1, 4)
+        assert r.limit() == ZERO
 
 
 class TestKwAudit:
@@ -292,7 +309,7 @@ class TestKwAuditAgainstSamplers:
         sp, _ = case
         for members in zero_self_distance_classes(sp):
             pts = epseq([], members)
-            base = kw_limit(sp, pts, RadiusSeq("constant", Fraction(0)))
+            base = kw_limit(sp, pts, RadiusSeq("constant", ZERO))
             for radii in (RadiusSeq("constant", r_star), RadiusSeq("harmonic", r_star)):
                 res = kw_limit(sp, pts, radii, tuple(grid))
                 assert res.verified == base.verified is True

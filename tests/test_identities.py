@@ -6,18 +6,18 @@ hemimetrics and metrics, and value-based two-distance pairs.
 """
 
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmlib.cli import EXIT_PRECONDITION, main
 from qmlib.derived import derived_functions, sub_identity
+from qmlib.extreal import ZERO, ExtReal
 from qmlib.generate import random_metric, random_space, random_value_pair
 from qmlib.formal_balls import RadiusSeq, kw_limit
 from qmlib.nets import PreconditionError, classify, epseq, submasks, zero_classes, zero_cliques
 from qmlib.order import check_ed_complete, suprema
-from qmlib.space import derive, space_from_rows
+from qmlib.space import derive, representatives, space_from_rows
 from qmlib.theorems import (AuditContext, audit, compose_with_filter,
                             construct_directed_from_cauchy, sup_upgrade_counterexample)
 from qmlib.topology import is_complete, pre_cauchy_subnet_equiv
@@ -116,7 +116,7 @@ def test_kw_limit_takes_the_least_double_hole_limit_of_the_tail(pair):
         for mask in zero_cliques(space):
             members = [i for i in range(space.n) if mask >> i & 1]
             res = kw_limit(space, epseq([], members[::-1]),
-                           RadiusSeq("constant", Fraction(-1, 2)))
+                           RadiusSeq("constant", ExtReal(1, 2)))
             limits = double_hole_limits_oracle(space, members)
             x_star = space.index(res.limit["point"])
             assert x_star == limits[0]
@@ -141,7 +141,7 @@ def non_distances(draw, max_n=4):
 @given(non_distances())
 def test_kw_limit_refuses_a_non_distance(space):
     with pytest.raises(PreconditionError):
-        kw_limit(space, epseq([], [0]), RadiusSeq("constant", Fraction(0)))
+        kw_limit(space, epseq([], [0]), RadiusSeq("constant", ZERO))
 
 
 @EXAMPLES
@@ -158,14 +158,26 @@ def test_subnet_equivalence_by_identity(space, data):
                 decide(space, seq)
 
 
+def _restricted(space, pts):
+    """The subspace on the points ``pts``."""
+    return space_from_rows([space.labels[i] for i in pts],
+                           [[space.d(i, j) for j in pts] for i in pts])
+
+
 @EXAMPLES
 @given(wide_pairs)
 def test_ed_completeness_over_class_representatives(pair):
     d_space, e_space = pair
-    for first, second in ((d_space, d_space), (derive(d_space, "leq_order"), d_space),
-                          (e_space, d_space), (d_space, e_space)):
-        fast = check_ed_complete(first, second)
-        assert fast.complete == check_ed_complete_oracle(first, second).complete
+    # the order-as-distance of d has the zero pattern of d
+    assert (check_ed_complete(d_space).complete
+            == order_directed_complete_oracle(d_space).complete)
+    # under two distances a point is read through its class under both, so
+    # the point walk gives the same verdict on the joint representatives
+    for first, second in ((e_space, d_space), (d_space, e_space)):
+        joint = representatives(a & b for a, b in zip(first.class_masks, second.class_masks))
+        reps = [i for i in range(d_space.n) if joint >> i & 1]
+        assert (check_ed_complete_oracle(_restricted(first, reps), _restricted(second, reps))
+                .complete == check_ed_complete_oracle(first, second).complete)
 
 
 @EXAMPLES
@@ -204,7 +216,7 @@ def test_sup_upgrade_on_a_chain_makes_at_most_k_squared_suprema_calls(monkeypatc
 def test_every_distance_is_directed_complete_in_itself(pair):
     # a finite directed set's top member is its d-supremum
     for space in pair:
-        assert check_ed_complete(space, space).complete
+        assert check_ed_complete(space).complete
         assert check_ed_complete_oracle(space, space).complete
 
 
@@ -256,11 +268,9 @@ def test_quotient_forms_refuse_a_space_without_the_triangle_law():
     with pytest.raises(PreconditionError):
         zero_cliques(sp)
     with pytest.raises(PreconditionError):
-        check_ed_complete(sp, sp)
+        check_ed_complete(sp)
     metric = space_from_rows(["a", "b", "c"], [["0", "1", "1"], ["1", "0", "1"],
                                                 ["1", "1", "0"]])
-    with pytest.raises(PreconditionError):
-        check_ed_complete(sp, metric)
     with pytest.raises(PreconditionError):
         audit(metric, second=sp)
 

@@ -4,8 +4,10 @@ A row is a source file of ``qmlib``, an exact old text that occurs there
 once, its replacement, and the test (module, class or single test) that
 must fail on the mutated copy.  The mutation is applied to a copy of
 ``src/qmlib`` under ``tmp_path``, never in place, and the test runs in a
-fresh interpreter with ``PYTHONPATH`` set to the copy.  A row whose old
-text has moved or been duplicated fails loudly instead of passing.
+fresh interpreter with ``PYTHONPATH`` set to the copy, under the
+``mutant`` hypothesis profile of ``tests/conftest.py``: one failing
+example kills the mutant, so the child does not shrink it.  A row whose
+old text has moved or been duplicated fails loudly instead of passing.
 
 The exit status must be 1 (tests ran, and some failed): a copy that does
 not import gives a collection error, which is status 2, so it cannot pass
@@ -47,6 +49,22 @@ MUTANTS = {
     "sup-upgrade-ball-closed": (
         "theorems.py", "rows[y][z] < dxz", "rows[y][z] <= dxz",
         "tests/test_theorems.py"),
+    "formal-ball-radii-swapped": (
+        "formal_balls.py", "(space.d(x, y) + s).tsub(r)", "(space.d(x, y) + r).tsub(s)",
+        "tests/test_formal_balls.py::TestDistance::test_same_point_radius_gap"),
+    "witness-limit-may-equal-required": (
+        "gallery.py", "ExtReal.parse(r.limit) < ExtReal.parse(r.required)",
+        "ExtReal.parse(r.limit) <= ExtReal.parse(r.required)",
+        "tests/test_gallery.py::TestFixtureShapes::test_halfopen_rejections_must_be_witnesses"),
+    "below-masks-ties-see-each-other": (
+        "space.py", "if v != prev:", "if True:",
+        "tests/test_kernel.py::test_triangle_check_adds_only_where_both_legs_are_shorter"),
+    "extreal-same-denominator-lt-inclusive": (
+        "extreal.py", "d != 0 and self.num < other.num", "d != 0 and self.num <= other.num",
+        "tests/test_extreal.py::TestBasics::test_total_order"),
+    "zero-classes-partition-unchecked": (
+        "space.py", "if core >> i & 1 and (cls & ~core", "if False and (cls & ~core",
+        "tests/test_instances.py::test_a_non_partition_raises_on_every_call"),
 }
 
 
@@ -62,7 +80,7 @@ def test_mutant_is_killed(name, tmp_path):
     source.write_text(text.replace(old, new))
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         str(ROOT / target)],
+         "--hypothesis-profile=mutant", str(ROOT / target)],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
         capture_output=True, text=True, timeout=300)
     tail = "\n".join(run.stdout.splitlines()[-5:])

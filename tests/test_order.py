@@ -1,4 +1,4 @@
-"""Suprema in both senses, directedness, e-d-completeness, sequence links."""
+"""Suprema in both senses, directedness, directed completeness, sequence links."""
 
 import itertools
 from random import Random
@@ -12,7 +12,7 @@ from qmlib.nets import PreconditionError, epseq
 from qmlib.order import check_ed_complete, is_directed, link_directed_sequence, suprema
 from qmlib.space import derive, space_from_rows
 
-from tests.oracles import directed_oracle
+from tests.oracles import check_ed_complete_oracle, directed_oracle
 from tests.test_space import grid_x_one_minus_y
 
 
@@ -141,14 +141,14 @@ class TestEdComplete:
         rng = Random(45)
         for _ in range(20):
             sp = random_space(rng, 5)
-            assert check_ed_complete(sp, sp).complete
+            assert check_ed_complete(sp).complete
 
     def test_order_as_first_distance_complete(self):
         rng = Random(46)
         for _ in range(15):
             sp = random_space(rng, 5)
             lo = derive(sp, "leq_order")
-            assert check_ed_complete(lo, sp).complete
+            assert check_ed_complete_oracle(lo, sp).complete
 
     def test_metric_directed_sets_are_singletons(self):
         rng = Random(47)
@@ -157,7 +157,7 @@ class TestEdComplete:
             for size in (2, 3):
                 for pts in itertools.combinations(range(5), size):
                     assert not is_directed(sp, list(pts))
-            assert check_ed_complete(sp, sp).complete
+            assert check_ed_complete(sp).complete
 
     def test_incomplete_pair_found(self):
         # discrete order on the x(1-y) grid: singletons are e-directed but
@@ -166,7 +166,7 @@ class TestEdComplete:
         e_space = space_from_rows(d_space.labels,
                                   [["0" if i == j else "inf" for j in range(3)]
                                    for i in range(3)])
-        rep = check_ed_complete(e_space, d_space)
+        rep = check_ed_complete_oracle(e_space, d_space)
         assert not rep.complete
         assert rep.failing_Y == ("1/2",)
 

@@ -63,10 +63,10 @@ def test_library_api_is_exported_and_unreached():
     assert LIBRARY_API.isdisjoint(_names_used())
 
 
-# ``Fraction`` stays at the edges: the input grammar, the nonpositive
-# formal-ball radii and the gallery's grid labels.  Every distance is an
-# ``ExtReal``.
-FRACTION_MODULES = {"extreal", "formal_balls", "gallery"}
+# ``Fraction`` stays only in the gallery, whose expected values are a
+# second arithmetic that the ``ExtReal`` results are checked against.
+# Every distance and every formal-ball radius is an ``ExtReal``.
+FRACTION_MODULES = {"gallery"}
 
 
 def test_only_the_edges_import_fractions():

@@ -18,12 +18,12 @@ from tests.oracles import ThresholdRel
 
 
 def projection_space(vals=(Fraction(0), Fraction(1, 2), Fraction(1))):
-    rows = [[ExtReal.from_fraction(b) for b in vals] for _ in vals]
+    rows = [[str(b) for b in vals] for _ in vals]
     return space_from_rows([str(v) for v in vals], rows)
 
 
 def grid_x_one_minus_y(vals=(Fraction(0), Fraction(1, 2), Fraction(1))):
-    rows = [[ExtReal.from_fraction(a * (1 - b)) for b in vals] for a in vals]
+    rows = [[str(a * (1 - b)) for b in vals] for a in vals]
     return space_from_rows([str(v) for v in vals], rows)
 
 
