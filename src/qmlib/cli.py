@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import os
@@ -196,6 +195,9 @@ def _sups_signature(space: FiniteSpace) -> str:
     rows of Y.  With the points grouped by row, each singleton and pair
     costs one dict lookup and one mask test, with no ``suprema`` call.
     """
+    # hashlib is imported by the sweep's three hashes only, so that no
+    # other command loads it
+    import hashlib
     n = space.n
     labels = space.labels
     rows = space.scaled[0]
@@ -215,6 +217,7 @@ def _sups_signature(space: FiniteSpace) -> str:
 
 
 def _order_signature(space: FiniteSpace) -> str:
+    import hashlib
     return hashlib.sha256(json.dumps(
         [space.n, list(space.zero_up)]).encode()).hexdigest()
 
@@ -295,6 +298,7 @@ def run_random(args) -> int:
             "two_distance_met_with_nonjoin_e": nonjoin_two_distance,
         },
     }
+    import hashlib
     payload["content_hash"] = hashlib.sha256(
         canonical_json(payload).encode()).hexdigest()
     _emit(args, payload, _render_random_md)

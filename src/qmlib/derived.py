@@ -13,27 +13,29 @@ at infinity.  This matches closed-threshold semantics of sup over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .extreal import INF, ZERO, ExtReal
 from .space import FiniteSpace
 
 
-@dataclass(frozen=True)
-class StepFn:
-    """Piecewise constant nondecreasing-or-not function on [0, inf]."""
+class StepFn(namedtuple("StepFn", "at_zero cuts values")):
+    """Piecewise constant nondecreasing-or-not function on [0, inf].
 
-    at_zero: ExtReal
-    cuts: tuple      # ascending, last is inf
-    values: tuple    # value on (cuts[i-1], cuts[i]]
+    ``cuts`` ascend and end at inf; ``values[i]`` holds on
+    (cuts[i-1], cuts[i]].
+    """
 
-    def __post_init__(self):
-        if len(self.cuts) != len(self.values) or not self.cuts:
+    __slots__ = ()
+
+    def __new__(cls, at_zero, cuts, values):
+        if len(cuts) != len(values) or not cuts:
             raise ValueError("cuts and values must align and be nonempty")
-        if self.cuts[-1] != INF:
+        if cuts[-1] != INF:
             raise ValueError("last cut must be inf")
-        if any(not (self.cuts[i] < self.cuts[i + 1]) for i in range(len(self.cuts) - 1)):
+        if any(not (cuts[i] < cuts[i + 1]) for i in range(len(cuts) - 1)):
             raise ValueError("cuts must be strictly ascending")
+        return tuple.__new__(cls, (at_zero, cuts, values))
 
     def __call__(self, r: ExtReal) -> ExtReal:
         if r.is_zero():
@@ -54,16 +56,14 @@ class StepFn:
                 "values": [str(v) for v in self.values]}
 
 
-@dataclass(frozen=True)
-class DerivedFunctions:
+class DerivedFunctions(namedtuple("DerivedFunctions", "d_up d_low")):
     """The four ball-bound functions.
 
     On a finite carrier d_F and d_Phi coincide with d_low (see
     :func:`derived_functions`), so they are read-only aliases of it.
     """
 
-    d_up: StepFn
-    d_low: StepFn
+    __slots__ = ()
 
     @property
     def d_F(self) -> StepFn:

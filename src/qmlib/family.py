@@ -32,7 +32,7 @@ pairs of the ``fm.pairwise`` certificate cost O(c^2) in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 
@@ -64,13 +64,23 @@ class UndecidableAtCutoff(ValueError):
     """No certificate covers the requested claim for this rule/sequence."""
 
 
-@dataclass(frozen=True, eq=False)
-class FamilySpace:
-    rule: str
-    cutoff: int
-    params: dict = field(default_factory=dict)
+# FamilySpace's ``params`` when none is given: a new empty dict each time
+_NO_PARAMS = object()
 
-    def __post_init__(self):
+
+class FamilySpace(namedtuple("FamilySpace", "rule cutoff params")):
+    """A family rule truncated at ``cutoff``, with its ``params`` object.
+
+    Equality is identity, as each space owns its caches.  Instances keep
+    a ``__dict__`` (no ``__slots__``) for the cached properties below.
+    """
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __new__(cls, rule, cutoff, params=_NO_PARAMS):
+        self = tuple.__new__(cls, (rule, cutoff, {} if params is _NO_PARAMS else params))
         if self.rule not in RULES:
             raise SpaceError(f"unknown family rule {self.rule!r}")
         if self.cutoff < 4:
@@ -84,6 +94,7 @@ class FamilySpace:
             if n is not None:
                 raise SpaceError(f"extra point {label!r} has the label of "
                                  f"indexed point {n}")
+        return self
 
     # -- points ------------------------------------------------------------
 
@@ -266,19 +277,22 @@ def family_from_dict(data: dict) -> FamilySpace:
     return FamilySpace(rule, cutoff, params)
 
 
-@dataclass(frozen=True, eq=False)
-class FamilySeq:
-    """Catalog-form sequence k -> point over a family space (k >= 1)."""
+class FamilySeq(namedtuple("FamilySeq", "space kind point")):
+    """Catalog-form sequence k -> point over a family space (k >= 1);
+    ``point`` is the label of a constant sequence's point.  Equality is
+    identity, as for ``FamilySpace``."""
 
-    space: FamilySpace
-    kind: str
-    point: str | None = None  # for kind "constant": a point label
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.kind not in SEQ_KINDS:
-            raise SpaceError(f"unknown sequence kind {self.kind!r}")
-        if self.kind == "constant" and self.point is None:
+    def __new__(cls, space, kind, point=None):
+        if kind not in SEQ_KINDS:
+            raise SpaceError(f"unknown sequence kind {kind!r}")
+        if kind == "constant" and point is None:
             raise SpaceError("constant sequences need a point")
+        return tuple.__new__(cls, (space, kind, point))
 
     def term(self, k: int):
         if k < 1:
@@ -300,35 +314,28 @@ class FamilySeq:
         return n
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(namedtuple("Claim", "value certificates note", defaults=((), ""))):
     """Tri-state verdict: True/False with certificates, or None (undecidable)."""
 
-    value: bool | None
-    certificates: tuple = ()
-    note: str = ""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"value": self.value, "certificates": list(self.certificates),
                 "note": self.note}
 
 
-@dataclass(frozen=True)
-class FamilyClasses:
-    reflexive: Claim
-    pre_cauchy: Claim
-    cauchy: Claim
+class FamilyClasses(namedtuple("FamilyClasses", "reflexive pre_cauchy cauchy")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CandidateRejection:
-    """Finite witness that a candidate point is not a double-hole limit."""
+class CandidateRejection(namedtuple("CandidateRejection",
+                                    "candidate center topology limit required")):
+    """Finite witness that a candidate point is not a double-hole limit:
+    the ``topology`` whose hole inequality fails at ``center``, the exact
+    liminf ``limit`` along the sequence and the distance ``required`` that
+    the liminf would need to reach."""
 
-    candidate: str
-    center: str
-    topology: str       # which hole inequality fails
-    limit: str          # exact liminf along the sequence
-    required: str       # the distance the liminf would need to reach
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"candidate": self.candidate, "center": self.center,
@@ -336,14 +343,12 @@ class CandidateRejection:
                 "required": self.required}
 
 
-@dataclass(frozen=True)
-class FamilyCompleteness:
+class FamilyCompleteness(namedtuple("FamilyCompleteness",
+                                    "complete seq_kind rejections certificates",
+                                    defaults=(None, (), ()))):
     """Never claims completeness: False with witnesses, or None."""
 
-    complete: bool | None
-    seq_kind: str | None = None
-    rejections: tuple = ()
-    certificates: tuple = ()
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"complete": self.complete, "seq_kind": self.seq_kind,

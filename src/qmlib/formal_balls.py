@@ -31,7 +31,7 @@ The sampled forms of all three sides are test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .extreal import ONE, ZERO, ExtReal
 from .nets import EpSeq, PreconditionError, classify, epseq, zero_classes
@@ -48,13 +48,12 @@ def _finite(value, what: str) -> None:
         raise SpaceError(f"{what} {value!r} is not a finite ExtReal")
 
 
-@dataclass(frozen=True)
-class FormalBall:
-    point: int
-    radius: ExtReal
+class FormalBall(namedtuple("FormalBall", "point radius")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _finite(self.radius, "formal-ball radius")
+    def __new__(cls, point, radius):
+        _finite(radius, "formal-ball radius")
+        return tuple.__new__(cls, (point, radius))
 
     def label(self, space: FiniteSpace) -> dict:
         return {"point": space.labels[self.point], "radius": str(self.radius)}
@@ -90,8 +89,7 @@ def fb_distance(space: FiniteSpace, a: FormalBall, b: FormalBall) -> ExtReal:
     return fb_distance_raw(space, a.point, a.radius, b.point, b.radius)
 
 
-@dataclass(frozen=True)
-class RadiusSeq:
+class RadiusSeq(namedtuple("RadiusSeq", "kind value scale cycle")):
     """Radius sequences from a closed catalog with exact limits.
 
     ``constant``: r_k = value.  ``harmonic``: r_k = value + scale/k, which
@@ -100,20 +98,18 @@ class RadiusSeq:
     is a finite ``ExtReal``.
     """
 
-    kind: str
-    value: ExtReal = ZERO
-    scale: ExtReal = ONE
-    cycle: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.value, self.scale, *self.cycle):
-            _finite(v, f"{self.kind} radius field")
-        if self.kind not in ("constant", "harmonic", "periodic"):
-            raise SpaceError(f"unknown radius kind {self.kind!r}")
-        if self.kind == "periodic" and not self.cycle:
+    def __new__(cls, kind, value=ZERO, scale=ONE, cycle=()):
+        for v in (value, scale, *cycle):
+            _finite(v, f"{kind} radius field")
+        if kind not in ("constant", "harmonic", "periodic"):
+            raise SpaceError(f"unknown radius kind {kind!r}")
+        if kind == "periodic" and not cycle:
             raise SpaceError("periodic radii need a cycle")
-        if self.kind == "harmonic" and self.scale.is_zero():
+        if kind == "harmonic" and scale.is_zero():
             raise SpaceError("harmonic radii need a positive scale")
+        return tuple.__new__(cls, (kind, value, scale, cycle))
 
     def term(self, k: int) -> ExtReal:
         if self.kind == "constant":
@@ -131,12 +127,10 @@ class RadiusSeq:
         return next(iter(distinct)) if len(distinct) == 1 else None
 
 
-@dataclass(frozen=True)
-class KwLimitResult:
-    limit: dict | None      # {"point": label, "radius": str}
-    verified: bool
-    undecidable: bool = False
-    note: str = ""
+class KwLimitResult(namedtuple("KwLimitResult", "limit verified undecidable note",
+                               defaults=(False, ""))):
+    # limit: {"point": label, "radius": str}, or None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"limit": self.limit, "verified": self.verified,
@@ -179,13 +173,9 @@ def kw_limit(space: FiniteSpace, points: EpSeq, radii: RadiusSeq,
     return KwLimitResult(ball.label(space), verified)
 
 
-@dataclass(frozen=True)
-class KwAuditReport:
-    base_complete: bool
-    classes: int
-    classes_verified: int
-    chain_d_low_leq_identity: bool | None
-    equivalence_confirmed: bool
+class KwAuditReport(namedtuple("KwAuditReport", "base_complete classes classes_verified "
+                               "chain_d_low_leq_identity equivalence_confirmed")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"base_complete": self.base_complete,

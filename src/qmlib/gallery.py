@@ -28,8 +28,7 @@ d_F = d_low (see the derived module), so no fixture asserts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .extreal import INF, ExtReal
 from .family import (ChainAnalyzer, FamilySeq, FamilySpace, VectorFamilyAnalyzer,
@@ -43,12 +42,9 @@ from .topology import convergence
 TRIANGLE_INDICES = 16
 
 
-@dataclass(frozen=True)
-class Fact:
-    fact_id: str
-    description: str
-    expected: str
-    actual_fn: object  # () -> str
+class Fact(namedtuple("Fact", "fact_id description expected actual_fn")):
+    # actual_fn: () -> str
+    __slots__ = ()
 
     def evaluate(self) -> dict:
         actual = self.actual_fn()
@@ -57,20 +53,13 @@ class Fact:
                 "pass": actual == self.expected}
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    cutoff: int
-    space: object                 # FiniteSpace or FamilySpace
-    sequences: dict
-    facts: tuple
+class Fixture(namedtuple("Fixture", "name cutoff space sequences facts")):
+    # space: a FiniteSpace or a FamilySpace
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GalleryReport:
-    name: str
-    cutoff: int
-    entries: tuple
+class GalleryReport(namedtuple("GalleryReport", "name cutoff entries")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -84,6 +73,9 @@ class GalleryReport:
 def _grid_space(cutoff: int, dist) -> FiniteSpace:
     """The grid k/cutoff, k = 0..cutoff, with ``dist(a, b)`` an ``ExtReal``
     built from the two grid numerators ``a`` and ``b``."""
+    # the builders that use Fraction import it, so that no other command
+    # loads fractions (and decimal)
+    from fractions import Fraction
     ks = range(cutoff + 1)
     labels = [str(Fraction(k, cutoff)) for k in ks]
     return space_from_rows(labels, [[dist(a, b) for b in ks] for a in ks])
@@ -126,6 +118,7 @@ def build(name: str, cutoff: int) -> Fixture:
 
 
 def _build_projection(cutoff: int) -> Fixture:
+    from fractions import Fraction
     space = _grid_space(cutoff, lambda a, b: ExtReal(b, cutoff))
     zero = space.index("0")
     mid_val = Fraction(max(1, cutoff // 2), cutoff)
@@ -164,6 +157,7 @@ def _build_projection(cutoff: int) -> Fixture:
 
 
 def _build_x_one_minus_y(cutoff: int) -> Fixture:
+    from fractions import Fraction
     c = cutoff
     # (a/c)(1 - b/c) = a(c - b)/c^2
     space = _grid_space(c, lambda a, b: ExtReal(a * (c - b), c * c))
@@ -183,6 +177,7 @@ def _build_x_one_minus_y(cutoff: int) -> Fixture:
 
 
 def _build_halfopen(cutoff: int) -> Fixture:
+    from fractions import Fraction
     space = FamilySpace("truncated-difference", cutoff,
                         {"values": "one_minus_unit", "extras": {"0": "0", "2": "2"}})
     an = ChainAnalyzer(space)

@@ -8,7 +8,7 @@ all convergence predicates decidable with no tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .extreal import ExtReal, ext_max, ext_min
 from .space import FiniteSpace, SpaceError
@@ -42,8 +42,7 @@ def _primitive_cycle(cycle: tuple) -> tuple:
     return cycle
 
 
-@dataclass(frozen=True)
-class EpSeq:
+class EpSeq(namedtuple("EpSeq", "pre cycle")):
     """Canonical eventually periodic sequence of point indices.
 
     Canonical form: the cycle is not a proper power, and the preperiod has
@@ -51,12 +50,12 @@ class EpSeq:
     Construct through :func:`epseq` to get canonicalization.
     """
 
-    pre: tuple
-    cycle: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.cycle:
+    def __new__(cls, pre, cycle):
+        if not cycle:
             raise SpaceError("cycle must be nonempty")
+        return tuple.__new__(cls, (pre, cycle))
 
     def term(self, k: int) -> int:
         if k < len(self.pre):
@@ -91,11 +90,8 @@ def seq_from_dict(space: FiniteSpace, data: dict) -> EpSeq:
     return epseq_from_labels(space, *parts)
 
 
-@dataclass(frozen=True)
-class NetClasses:
-    reflexive: bool
-    pre_cauchy: bool
-    cauchy: bool
+class NetClasses(namedtuple("NetClasses", "reflexive pre_cauchy cauchy")):
+    __slots__ = ()
 
 
 def check_ids(space: FiniteSpace, seq: EpSeq) -> None:
@@ -194,12 +190,10 @@ def net_distance(space: FiniteSpace, s: EpSeq, t: EpSeq) -> ExtReal:
         ext_min(space.d(i, j) for j in t.cycle) for i in s.cycle)
 
 
-@dataclass(frozen=True)
-class SeqLimits:
+class SeqLimits(namedtuple("SeqLimits", "forward backward")):
     """Limits of d(x_k, y) and d(y, x_k); None when the tail oscillates."""
 
-    forward: ExtReal | None
-    backward: ExtReal | None
+    __slots__ = ()
 
 
 def seq_limits_against(space: FiniteSpace, seq: EpSeq, y: int) -> SeqLimits:

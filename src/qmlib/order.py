@@ -9,7 +9,7 @@ gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .extreal import ext_max, ext_min
 from .nets import MAX_DIRECTED_CLASSES, EpSeq, PreconditionError, classify, submasks
@@ -17,13 +17,11 @@ from .space import FiniteSpace, representatives
 from .topology import convergence
 
 
-@dataclass(frozen=True)
-class SupremumResult:
-    d_sups: frozenset
-    leq_sups: frozenset
-    # Partition of leq_sups under mutual specialization (x <= y <= x): at
-    # most one class, since two least upper bounds lie below each other.
-    classes: tuple
+class SupremumResult(namedtuple("SupremumResult", "d_sups leq_sups classes")):
+    # classes: the partition of leq_sups under mutual specialization
+    # (x <= y <= x), at most one class, since two least upper bounds lie
+    # below each other.
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"d_sups": sorted(self.d_sups),
@@ -81,11 +79,10 @@ def is_directed(space: FiniteSpace, Y) -> bool:
     return common & ymask != 0
 
 
-@dataclass(frozen=True)
-class EdCompletenessReport:
-    complete: bool
-    failing_Y: tuple | None = None
-    subsets_checked: int = 0
+class EdCompletenessReport(namedtuple("EdCompletenessReport",
+                                      "complete failing_Y subsets_checked",
+                                      defaults=(None, 0))):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"complete": self.complete,
@@ -148,16 +145,14 @@ def _sup_profile(rows, pts) -> tuple:
     return tuple(map(max, zip(*[rows[y] for y in pts])))
 
 
-@dataclass(frozen=True)
-class DirectedSequenceReport:
+class DirectedSequenceReport(namedtuple("DirectedSequenceReport",
+                                        "Y_leq_seq seq_in_Y biconditional_violations "
+                                        "tail_order_equiv")):
     """Exact audit of the three supremum/limit biconditionals for a set Y
-    below an enumerating sequence, plus the tail-order equivalence for
-    directed Y under a pre-Cauchy sequence."""
+    below an enumerating sequence, plus the tail-order equivalence (None
+    when not applicable) for directed Y under a pre-Cauchy sequence."""
 
-    Y_leq_seq: bool
-    seq_in_Y: bool
-    biconditional_violations: tuple
-    tail_order_equiv: bool | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,7 @@ the only structural property, and it is checked, never presumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import lcm
 
@@ -19,32 +19,32 @@ class SpaceError(ValueError):
     """Malformed space data (ragged matrix, unknown label, mismatched sets)."""
 
 
-@dataclass(frozen=True)
-class Validation:
+class Validation(namedtuple("Validation", "is_distance is_hemimetric is_symmetric "
+                            "is_metric violations", defaults=((),))):
     """Outcome of the structural checks on a space.
 
     ``violations`` holds label tuples: ``("triangle", i, k, j)`` for a
     failing triple, ``("self_distance", i)`` for a nonzero diagonal entry.
     """
 
-    is_distance: bool
-    is_hemimetric: bool
-    is_symmetric: bool
-    is_metric: bool
-    violations: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
-    labels: tuple
-    matrix: tuple
+class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
+    """A labelled square matrix of ``ExtReal`` distances (tuples of rows).
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
+    Instances keep a ``__dict__`` (no ``__slots__``): the cached
+    properties below store their values there, and ``derive`` fills
+    ``validation`` of a join through it.
+    """
+
+    def __new__(cls, labels, matrix):
+        n = len(labels)
+        if len(set(labels)) != n:
             raise SpaceError("duplicate point labels")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise SpaceError("matrix shape does not match label count")
+        return tuple.__new__(cls, (labels, matrix))
 
     @property
     def n(self) -> int:
@@ -288,7 +288,7 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
         rows = tuple(tuple(max(m[i][j], m[j][i]) for j in range(n)) for i in range(n))
         joined = FiniteSpace(space.labels, rows)
         if space.validation.is_distance:
-            # the instance is frozen: fill the slot the cached_property reads
+            # set the cached_property's entry, so it never runs _validate
             joined.__dict__["validation"] = _join_validation(space)
         return joined
     elif which == "leq_order":
@@ -307,12 +307,9 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
     return FiniteSpace(space.labels, rows)
 
 
-@dataclass(frozen=True)
-class BallsAndHoles:
-    upper_ball: frozenset
-    lower_ball: frozenset
-    upper_hole: frozenset
-    lower_hole: frozenset
+class BallsAndHoles(namedtuple("BallsAndHoles",
+                               "upper_ball lower_ball upper_hole lower_hole")):
+    __slots__ = ()
 
 
 def balls_and_holes(space: FiniteSpace, center: str, epsilon: ExtReal) -> BallsAndHoles:

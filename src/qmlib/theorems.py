@@ -36,7 +36,7 @@ grows, so an order supremum of a nonempty Y inside B is one of B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
@@ -47,13 +47,10 @@ from .order import _sup_profile, check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, derive, representatives, threshold_grid
 from .topology import is_complete
 
-@dataclass(frozen=True)
-class AuditEntry:
-    statement: str
-    hypotheses: dict
-    hypotheses_met: bool
-    conclusion_verified: bool | None   # None when vacuous
-    witness: dict = field(default_factory=dict)
+class AuditEntry(namedtuple("AuditEntry", "statement hypotheses hypotheses_met "
+                            "conclusion_verified witness")):
+    # conclusion_verified is None when the entry is vacuous
+    __slots__ = ()
 
     @property
     def vacuous(self) -> bool:
@@ -72,9 +69,8 @@ class AuditEntry:
                 "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    entries: tuple
+class AuditReport(namedtuple("AuditReport", "entries")):
+    __slots__ = ()
 
     @property
     def failures(self) -> tuple:
@@ -303,13 +299,11 @@ def audit(space: FiniteSpace, statements=STATEMENTS,
 # Constructive replay: directed set from a Cauchy sequence.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectedConstruction:
-    Y: tuple                      # labels, in construction order
-    directed: bool
-    forward_match: bool
-    backward_match: bool
-    radii: tuple                  # the shrinking radius schedule used
+class DirectedConstruction(namedtuple("DirectedConstruction",
+                                      "Y directed forward_match backward_match radii")):
+    # Y: labels, in construction order; radii: the shrinking radius
+    # schedule used
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

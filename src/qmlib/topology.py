@@ -15,7 +15,7 @@ complete; only family spaces need a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .extreal import ext_max, ext_min
 from .family import family_is_complete, family_subnet_equiv
@@ -27,22 +27,15 @@ TOPOLOGIES = ("upper_ball", "lower_ball", "upper_hole", "lower_hole",
               "double_hole", "d_limit")
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(namedtuple("ConvergenceReport", ("point",) + TOPOLOGIES
+                                   + ("witnesses",))):
     """Per-topology convergence flags of a sequence toward a point.
 
-    Each false flag records a witness ``(center_label, lhs, rhs)`` showing
-    the violated inequality.
+    Each false flag records a witness ``(center_label, lhs, rhs)`` in
+    ``witnesses``, keyed by topology, showing the violated inequality.
     """
 
-    point: str
-    upper_ball: bool
-    lower_ball: bool
-    upper_hole: bool
-    lower_hole: bool
-    double_hole: bool
-    d_limit: bool
-    witnesses: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def flag(self, topology: str) -> bool:
         if topology not in TOPOLOGIES:
@@ -105,15 +98,15 @@ def limit_set(space: FiniteSpace, seq: EpSeq, topology: str = "double_hole") -> 
                      if convergence(space, seq, x).flag(topology))
 
 
-@dataclass(frozen=True)
-class HoleCharacterizationReport:
+class HoleCharacterizationReport(namedtuple("HoleCharacterizationReport",
+                                            "checked_points violations",
+                                            defaults=((),))):
     """Exact check of the two hole-limit characterizations of a reflexive
     sequence: lower-hole convergence to x iff d(x_k, x) -> 0, and
     double-hole convergence iff upper-hole + lower-ball convergence to a
     point below itself.  Violations signal an implementation bug."""
 
-    checked_points: int
-    violations: tuple = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -136,12 +129,12 @@ def check_hole_characterizations(space: FiniteSpace, seq: EpSeq) -> HoleCharacte
     return HoleCharacterizationReport(space.n, tuple(violations))
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    complete: bool
-    # Cauchy cycle (as a label tuple) with empty double-hole limit set.
-    witness: tuple | None = None
-    cliques_checked: int = 0
+class CompletenessReport(namedtuple("CompletenessReport",
+                                    "complete witness cliques_checked",
+                                    defaults=(None, 0))):
+    # witness: a Cauchy cycle (as a label tuple) with empty double-hole
+    # limit set
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"complete": self.complete,

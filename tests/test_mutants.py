@@ -65,6 +65,21 @@ MUTANTS = {
     "zero-classes-partition-unchecked": (
         "space.py", "if core >> i & 1 and (cls & ~core", "if False and (cls & ~core",
         "tests/test_instances.py::test_a_non_partition_raises_on_every_call"),
+    "finite-space-rows-unchecked": (
+        "space.py", "len(matrix) != n or any(len(row) != n for row in matrix)",
+        "len(matrix) != n",
+        "tests/test_records.py::test_constructor_checks[ragged-matrix]"),
+    "vector-prefix-includes-j-equal-m": (
+        "family.py", "max(below[m - 1], diag[m - 1], above[m])",
+        "max(below[m], diag[m - 1], above[m])",
+        "tests/test_family.py::TestVectorFamily::test_pairwise_values"),
+    "upper-hole-against-the-greatest-point": (
+        "family.py", "w = self.space.value(self._least_point())",
+        "w = self.space.value(max(self.space.points(), key=self.space.value))",
+        "tests/test_family.py::TestChain::test_hole_limit_sets"),
+    "vector-closed-form-one-over-m": (
+        "family.py", "want = ExtReal(1, k)", "want = ExtReal(1, m)",
+        "tests/test_family.py::TestTriStateAndCertificates::test_certificate_failure_is_loud"),
 }
 
 

@@ -1,0 +1,49 @@
+"""Starting ``qml`` loads only what every command needs.
+
+``import qmlib.cli`` runs before any command, in every process.  The
+records are named tuples, so it loads no ``dataclasses`` (nor the
+``inspect`` that comes with it); ``hashlib`` is loaded by the random
+sweep's hashes and ``fractions`` (with ``decimal``) by the gallery's
+grid and chain fixtures, each at first use.  One fresh interpreter runs
+the commands in turn and reports which of these modules it has loaded
+after each.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFERRED = ("dataclasses", "inspect", "hashlib", "fractions", "decimal")
+
+PROBE = """
+import json, sys
+import qmlib.cli as cli
+deferred, steps = json.loads(sys.argv[1])
+loaded = lambda: sorted(m for m in deferred if m in sys.modules)
+seen = {"import": [0, loaded()]}
+for name, argv in steps:
+    seen[name] = [cli.main(argv), loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_only_what_they_use(tmp_path):
+    out = str(tmp_path / "out.json")
+    steps = [
+        ("check", ["check", str(ROOT / "tests" / "data" / "coprime_n8.json"), "--out", out]),
+        ("gallery", ["gallery", "halfopen", "--cutoff", "16", "--out", out]),
+        ("random", ["random", "--n", "3", "--count", "4", "--out", out]),
+    ]
+    run = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps([DEFERRED, steps])],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert seen == {"import": [0, []],
+                    "check": [0, []],
+                    "gallery": [0, ["decimal", "fractions"]],
+                    "random": [0, ["decimal", "fractions", "hashlib"]]}
