@@ -10,12 +10,12 @@ rational arithmetic.
 """
 
 from .extreal import INF, ONE, ZERO, ExtReal
-from .space import (FiniteSpace, SpaceError, Validation, balls_and_holes,
-                    derive, load_space, minplus_closure, space_from_rows,
-                    threshold_grid)
-from .nets import (EpSeq, NetClasses, PreconditionError, cauchy_subsequence,
-                   classify, epseq, epseq_from_labels, net_distance,
-                   seq_from_dict, seq_limits_against)
+from .space import (FiniteSpace, PreconditionError, SpaceError, Validation,
+                    balls_and_holes, derive, load_space, minplus_closure,
+                    space_from_rows, threshold_grid)
+from .nets import (EpSeq, NetClasses, cauchy_subsequence, classify, epseq,
+                   epseq_from_labels, net_distance, seq_from_dict,
+                   seq_limits_against)
 from .family import (CertificateError, FamilySeq, FamilySpace,
                      UndecidableAtCutoff, cauchy_subsequence_family,
                      classify_family, family_is_complete,

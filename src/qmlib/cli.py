@@ -22,12 +22,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .derived import derived_functions
+from .extreal import _shown
 from .family import FamilySpace, family_from_dict
 from .gallery import GALLERY_NAMES, build, verify
 from .generate import instance_stream
-from .nets import PreconditionError
-from .space import (FiniteSpace, SpaceError, derive, read_json_object, space_from_dict,
-                    space_to_dict)
+from .space import (FiniteSpace, PreconditionError, SpaceError, derive, read_json_object,
+                    space_from_dict, space_to_dict)
 from .theorems import STATEMENTS, audit
 from .topology import is_complete
 
@@ -98,7 +98,7 @@ def run_check(args) -> int:
             "is_hemimetric": v.is_hemimetric,
             "is_symmetric": v.is_symmetric,
             "is_metric": v.is_metric,
-            "violations": [list(t) for t in v.violations[:20]],
+            "violations": [list(t) for t in v.violations],
         },
         "derived": derived_functions(space).to_dict() if v.is_distance else None,
         "completeness": is_complete(space).to_dict() if v.is_distance else None,
@@ -187,39 +187,25 @@ def _render_gallery_md(p: dict) -> str:
 # random sweep
 # ---------------------------------------------------------------------------
 
-def _sups_signature(space: FiniteSpace) -> str:
-    """Hash of the metric-supremum landscape over small subsets.
+def _sups_signature(space: FiniteSpace) -> tuple:
+    """The d-suprema of every singleton and then every pair of points, as
+    one mask each.
 
     The d-suprema of Y are its upper bounds (the meet of the ``zero_up``
     masks of its members) whose integer row is the column-wise max of the
     rows of Y.  With the points grouped by row, each singleton and pair
     costs one dict lookup and one mask test, with no ``suprema`` call.
     """
-    # hashlib is imported by the sweep's three hashes only, so that no
-    # other command loads it
-    import hashlib
-    n = space.n
-    labels = space.labels
     rows = space.scaled[0]
     up0 = space.zero_up
     by_row: dict = {}
     for x, row in enumerate(rows):
         by_row[row] = by_row.get(row, 0) | 1 << x
-
-    def named(mask: int) -> list:
-        return sorted(labels[x] for x in range(n) if mask >> x & 1)
-
-    items = [[[y], named(by_row[rows[y]] & up0[y])] for y in range(n)]
-    for a, b in itertools.combinations(range(n), 2):
+    sups = [by_row[row] & up0[y] for y, row in enumerate(rows)]
+    for a, b in itertools.combinations(range(space.n), 2):
         top = tuple(map(max, rows[a], rows[b]))
-        items.append([[a, b], named(by_row.get(top, 0) & up0[a] & up0[b])])
-    return hashlib.sha256(json.dumps(items, sort_keys=True).encode()).hexdigest()
-
-
-def _order_signature(space: FiniteSpace) -> str:
-    import hashlib
-    return hashlib.sha256(json.dumps(
-        [space.n, list(space.zero_up)]).encode()).hexdigest()
+        sups.append(by_row.get(top, 0) & up0[a] & up0[b])
+    return tuple(sups)
 
 
 def _instance_payload(args) -> dict:
@@ -236,7 +222,7 @@ def _instance_payload(args) -> dict:
         "index": i,
         "kind": kind,
         "entries": [e.to_dict() for e in report.entries],
-        "order_sig": _order_signature(space),
+        "order_sig": space.zero_up,
         "sups_sig": _sups_signature(space),
         "nonjoin_two_distance": nonjoin,
     }
@@ -253,7 +239,6 @@ def run_random(args) -> int:
             payloads = list(pool.map(_instance_payload, tasks, chunksize=POOL_CHUNK))
     else:
         payloads = list(map(_instance_payload, tasks))
-    payloads.sort(key=lambda p: p["index"])
 
     summary = {}
     failures = []
@@ -298,7 +283,7 @@ def run_random(args) -> int:
             "two_distance_met_with_nonjoin_e": nonjoin_two_distance,
         },
     }
-    import hashlib
+    import hashlib   # here only, so that no other command loads it
     payload["content_hash"] = hashlib.sha256(
         canonical_json(payload).encode()).hexdigest()
     _emit(args, payload, _render_random_md)
@@ -353,14 +338,20 @@ def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low`` (else exit 2).
 
     The text is ASCII digits, ``ExtReal.parse``'s grammar in
-    integer form: a sign, ``_``, ``p/q`` or a non-ASCII digit is refused.
+    integer form: a sign, ``_``, ``p/q`` or a non-ASCII digit is refused,
+    and so is an integer past Python's int-to-str digit limit.  Messages
+    show only the start of a long value.
     """
     def parse(text: str) -> int:
         digits = text.strip()
         if not (digits.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(
-                f"invalid integer {text!r}: ASCII digits only")
-        value = int(digits)
+                f"invalid integer {_shown(text)}: ASCII digits only")
+        try:
+            value = int(digits)
+        except ValueError:   # more digits than sys.get_int_max_str_digits()
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {_shown(text)}: too many digits") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
         return value
@@ -431,7 +422,7 @@ def main(argv=None) -> int:
         workers = _int_at_least(1)(os.environ.get("QML_WORKERS", "1"))
         if workers > MAX_WORKERS:
             raise argparse.ArgumentTypeError(
-                f"{workers} is above the maximum {MAX_WORKERS}")
+                f"{_shown(workers)} is above the maximum {MAX_WORKERS}")
     except argparse.ArgumentTypeError as e:
         print(f"error: QML_WORKERS: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -37,8 +37,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .extreal import INF, ONE, ZERO, ExtReal
-from .nets import PreconditionError
-from .space import SpaceError
+from .space import PreconditionError, SpaceError
 
 VALUE_RULES = ("coordinate-projection", "truncated-difference", "order-characteristic")
 RULES = VALUE_RULES + ("sup-truncated-difference",)

@@ -34,8 +34,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .extreal import ONE, ZERO, ExtReal
-from .nets import EpSeq, PreconditionError, classify, epseq, zero_classes
-from .space import FiniteSpace, SpaceError
+from .nets import EpSeq, classify, epseq
+from .space import FiniteSpace, PreconditionError, SpaceError
 from .topology import is_complete
 
 DEFAULT_RADIUS_GRID = (ZERO, ExtReal(1, 2), ONE)
@@ -208,7 +208,7 @@ def kw_audit(space: FiniteSpace, grid=DEFAULT_RADIUS_GRID) -> KwAuditReport:
     any other base.
     """
     base = bool(is_complete(space).complete)
-    classes = [[j for j in range(space.n) if cls >> j & 1] for cls in zero_classes(space)]
+    classes = [[j for j in range(space.n) if cls >> j & 1] for cls in space.zero_classes]
     verified = sum(
         all(kw_limit(space, epseq([], members), RadiusSeq("constant", u), grid).verified
             for u in grid)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .extreal import ExtReal, ext_max, ext_min
-from .space import FiniteSpace, SpaceError
+from .space import FiniteSpace, PreconditionError, SpaceError
 
 
 # Largest specialization class whose zero cliques are listed; a larger
@@ -20,17 +20,6 @@ from .space import FiniteSpace, SpaceError
 # 63 MB peak RSS (2-vCPU VM, Python 3.11), and each further point doubles
 # both.
 MAX_CLASS_SIZE = 20
-# Largest number k of classes (under the two distances together) whose
-# 2^k - 1 unions ``order.check_ed_complete`` walks; more raise
-# PreconditionError (exit 3) before the walk.  On the k-point chain
-# (d(i, j) = 0 if i <= j else 1) `qml audit` took 1.3 s at k = 16, 2.6 s
-# at 17 and 5.2 s at 18, with the ceiling raised for the last two (2-vCPU
-# VM, Python 3.11).
-MAX_DIRECTED_CLASSES = 16
-
-
-class PreconditionError(ValueError):
-    """An operation was called outside its stated precondition."""
 
 
 def _primitive_cycle(cycle: tuple) -> tuple:
@@ -132,31 +121,13 @@ def submasks(mask: int):
         sub = (sub - mask) & mask
 
 
-def zero_classes(space: FiniteSpace) -> tuple:
-    """The specialization classes of the points of zero self-distance, one
-    bitmask each, ordered by least member.
-
-    These are the Cauchy tails: by the triangle law a nonempty set on
-    which d vanishes is a subset of one of them, and its double-hole limits
-    are that class.  The classes are first confirmed to partition those
-    points; a space where they do not (the triangle law fails) raises
-    ``PreconditionError``.  The tuple and the check are computed once per
-    space (``FiniteSpace.zero_classes``).
-    """
-    classes = space.zero_classes
-    if classes is None:
-        raise PreconditionError(
-            "specialization classes do not partition the zero-self-distance "
-            "points (the triangle law fails)")
-    return classes
-
-
 def zero_cliques(space: FiniteSpace):
     """All nonempty subsets on which d vanishes, as sorted bitmasks: the
-    nonempty submasks of ``zero_classes``.  A class above
-    ``MAX_CLASS_SIZE`` points raises ``PreconditionError``.
+    nonempty submasks of ``FiniteSpace.zero_classes``, which raises
+    ``PreconditionError`` on a space whose classes do not partition.  A
+    class above ``MAX_CLASS_SIZE`` points raises it too.
     """
-    classes = zero_classes(space)
+    classes = space.zero_classes
     largest = max((cls.bit_count() for cls in classes), default=0)
     if largest > MAX_CLASS_SIZE:
         raise PreconditionError(

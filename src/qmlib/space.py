@@ -15,8 +15,18 @@ from math import lcm
 from .extreal import INF, ZERO, ExtReal, ext_min
 
 
+# Most violations a validation keeps: the first ones in (i, j, k) order.
+# The triangle walk of a non-distance stops at this one; a distance is
+# walked in full.
+MAX_VIOLATIONS = 20
+
+
 class SpaceError(ValueError):
     """Malformed space data (ragged matrix, unknown label, mismatched sets)."""
+
+
+class PreconditionError(ValueError):
+    """An operation was called outside its stated precondition."""
 
 
 class Validation(namedtuple("Validation", "is_distance is_hemimetric is_symmetric "
@@ -24,7 +34,8 @@ class Validation(namedtuple("Validation", "is_distance is_hemimetric is_symmetri
     """Outcome of the structural checks on a space.
 
     ``violations`` holds label tuples: ``("triangle", i, k, j)`` for a
-    failing triple, ``("self_distance", i)`` for a nonzero diagonal entry.
+    failing triple, ``("self_distance", i)`` for a nonzero diagonal entry;
+    at most ``MAX_VIOLATIONS`` of them, the first in walk order.
     """
 
     __slots__ = ()
@@ -102,12 +113,20 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
                      for i, (u, w) in enumerate(zip(self.zero_up, self.zero_down)))
 
     @cached_property
-    def zero_classes(self) -> tuple | None:
-        """The specialization classes of the points of zero self-distance,
-        one bitmask each, ordered by least member; None when those classes
-        do not partition these points (the triangle law fails).
+    def representatives(self) -> int:
+        """Mask of the least member of each specialization class."""
+        return sum(1 << i for i, cls in enumerate(self.class_masks) if cls & -cls == 1 << i)
 
-        ``nets.zero_classes`` reads this and raises on None.
+    @cached_property
+    def zero_classes(self) -> tuple:
+        """The specialization classes of the points of zero self-distance,
+        one bitmask each, ordered by least member.
+
+        These are the Cauchy tails: by the triangle law a nonempty set on
+        which d vanishes is a subset of one of them, and its double-hole
+        limits are that class.  The classes are first confirmed to
+        partition those points; where they do not (the triangle law
+        fails), every read raises ``PreconditionError``.
         """
         n = self.n
         classes = self.class_masks
@@ -116,8 +135,10 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
             cls = classes[i]
             if core >> i & 1 and (cls & ~core or any(
                     classes[j] != cls for j in range(n) if cls >> j & 1)):
-                return None
-        reps = representatives(classes) & core
+                raise PreconditionError(
+                    "specialization classes do not partition the zero-self-distance "
+                    "points (the triangle law fails)")
+        reps = self.representatives & core
         return tuple(classes[i] for i in range(n) if reps >> i & 1)
 
     def leq(self, i: int, j: int) -> bool:
@@ -154,12 +175,6 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
 
     def __repr__(self):
         return f"FiniteSpace({len(self.labels)} points)"
-
-
-def representatives(class_masks) -> int:
-    """Mask of the least member of each class, given per point the mask
-    of its class (as in ``FiniteSpace.class_masks``)."""
-    return sum(1 << i for i, cls in enumerate(class_masks) if cls & -cls == 1 << i)
 
 
 def _entry(v) -> ExtReal:
@@ -212,11 +227,13 @@ def _below_masks(values) -> list:
     return out
 
 
-def _validate(space: FiniteSpace) -> Validation:
+def _triangle_violations(space: FiniteSpace) -> list:
+    """The failing triples as ``("triangle", i, k, j)`` label tuples, in
+    (i, j, k) order; the walk stops at the ``MAX_VIOLATIONS``-th."""
     n = space.n
     m = space.matrix
+    labels = space.labels
     violations = []
-    is_distance = True
     # Entries are nonnegative, so d(i,j) > d(i,k) + d(k,j) needs both legs
     # strictly below d(i,j); every other k satisfies the triangle law as is.
     # row_below[i][j]: the k with d(i,k) < d(i,j); col_below[j][i]: the k
@@ -237,14 +254,22 @@ def _validate(space: FiniteSpace) -> Validation:
                 cand ^= low
                 k = low.bit_length() - 1
                 if row[k] + col[k] < dij:
-                    is_distance = False
-                    violations.append(
-                        ("triangle", space.labels[i], space.labels[k], space.labels[j]))
+                    violations.append(("triangle", labels[i], labels[k], labels[j]))
+                    if len(violations) == MAX_VIOLATIONS:
+                        return violations
+    return violations
+
+
+def _validate(space: FiniteSpace) -> Validation:
+    n = space.n
+    m = space.matrix
+    violations = _triangle_violations(space)
+    is_distance = not violations
     is_hemimetric = is_distance
     for i in range(n):
         if not m[i][i].is_zero():
             is_hemimetric = False
-            if is_distance:
+            if is_distance and len(violations) < MAX_VIOLATIONS:
                 violations.append(("self_distance", space.labels[i]))
     is_symmetric = all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
     # A metric additionally separates points: mutual distance 0 forces equality.

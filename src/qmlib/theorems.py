@@ -42,9 +42,9 @@ from functools import cached_property
 from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
 from .extreal import ONE, ExtReal
-from .nets import EpSeq, PreconditionError, classify, epseq, zero_classes
+from .nets import EpSeq, classify, epseq
 from .order import _sup_profile, check_ed_complete, is_directed, suprema
-from .space import FiniteSpace, derive, representatives, threshold_grid
+from .space import FiniteSpace, PreconditionError, derive, threshold_grid
 from .topology import is_complete
 
 class AuditEntry(namedtuple("AuditEntry", "statement hypotheses hypotheses_met "
@@ -117,16 +117,11 @@ class AuditContext:
         return derived_functions(self.space)
 
     @cached_property
-    def representatives(self) -> int:
-        """Mask of the least member of each specialization class of d."""
-        return representatives(self.space.class_masks)
-
-    @cached_property
     def cliques(self) -> list:
         """One member list per specialization class of zero self-distance:
         the possible Cauchy tails up to the choice of a nonempty subset."""
         n = self.space.n
-        return [[j for j in range(n) if cls >> j & 1] for cls in zero_classes(self.space)]
+        return [[j for j in range(n) if cls >> j & 1] for cls in self.space.zero_classes]
 
     @cached_property
     def complete(self) -> bool:
@@ -177,7 +172,7 @@ def sup_upgrade_counterexample(ctx: AuditContext) -> list | None:
     space = ctx.space
     n = space.n
     rows = space.scaled[0]
-    reps = [i for i in range(n) if ctx.representatives >> i & 1]
+    reps = [i for i in range(n) if space.representatives >> i & 1]
     order_sups = {}
     for x in reps:
         below = [y for y in range(n) if space.zero_down[x] >> y & 1]

@@ -19,9 +19,8 @@ from collections import namedtuple
 
 from .extreal import ext_max, ext_min
 from .family import family_is_complete, family_subnet_equiv
-from .nets import (EpSeq, PreconditionError, cauchy_subsequence, check_ids, classify,
-                   zero_cliques)
-from .space import FiniteSpace
+from .nets import EpSeq, cauchy_subsequence, check_ids, classify, zero_cliques
+from .space import FiniteSpace, PreconditionError
 
 TOPOLOGIES = ("upper_ball", "lower_ball", "upper_hole", "lower_hole",
               "double_hole", "d_limit")

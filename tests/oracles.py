@@ -31,7 +31,7 @@ a validated distance takes its validation from the distance's own;
 are read from a table of quarter steps; ``random_value_pair_oracle``
 builds every entry through ``Fraction`` arithmetic.  The sweep's
 per-instance checks read the zero masks and the integer rows:
-``sups_signature_items``, ``net_classes_oracle``,
+``sups_signature_oracle``, ``net_classes_oracle``,
 ``dist_subequiv_oracle``, ``separable_oracle``,
 ``sup_upgrade_counterexample_oracle`` and
 ``construct_directed_from_cauchy_oracle`` keep the ``suprema`` loop and
@@ -66,7 +66,7 @@ from qmlib.nets import (NetClasses, PreconditionError, cauchy_subsequence, check
                         epseq, zero_cliques)
 from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
 from qmlib.space import (FiniteSpace, SpaceError, Validation, _validate, derive,
-                         representatives, space_from_rows, threshold_grid)
+                         space_from_rows, threshold_grid)
 from qmlib.theorems import DirectedConstruction
 from qmlib.topology import CompletenessReport, convergence
 
@@ -276,6 +276,13 @@ def zero_cliques_oracle(space: FiniteSpace) -> list:
     return out
 
 
+def representatives(class_masks) -> int:
+    """Mask of the least member of each class, given per point the mask of
+    its class: ``FiniteSpace.representatives`` for any such list, so that
+    tests can combine the class masks of two spaces."""
+    return sum(1 << i for i, cls in enumerate(class_masks) if cls & -cls == 1 << i)
+
+
 def zero_class_members_oracle(space: FiniteSpace) -> list:
     """One member list per specialization class whose representative (least
     member) has zero self-distance, read per representative."""
@@ -357,14 +364,12 @@ def sup_upgrade_counterexample_oracle(space: FiniteSpace, representatives: int):
     return None
 
 
-def sups_signature_items(space: FiniteSpace) -> list:
-    """The item list ``cli._sups_signature`` hashes, by one ``suprema`` call
-    per singleton and per pair of points."""
-    items = []
-    for size in (1, 2):
-        for pts in itertools.combinations(range(space.n), size):
-            items.append([list(pts), sorted(suprema(space, list(pts)).d_sups)])
-    return items
+def sups_signature_oracle(space: FiniteSpace) -> tuple:
+    """``cli._sups_signature``: the d-suprema masks of every singleton and
+    then every pair of points, by one ``suprema`` call each."""
+    return tuple(sum(1 << space.index(x) for x in suprema(space, list(pts)).d_sups)
+                 for size in (1, 2)
+                 for pts in itertools.combinations(range(space.n), size))
 
 
 def net_classes_oracle(space: FiniteSpace, seq) -> NetClasses:

@@ -13,7 +13,8 @@ from qmlib import cli, order
 from qmlib.cli import (EXIT_FAILURE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, MAX_WORKERS,
                        canonical_json, main)
 from qmlib.family import MAX_CUTOFF, RULES
-from qmlib.nets import MAX_CLASS_SIZE, MAX_DIRECTED_CLASSES
+from qmlib.nets import MAX_CLASS_SIZE
+from qmlib.order import MAX_DIRECTED_CLASSES
 
 
 @pytest.fixture
@@ -407,17 +408,18 @@ class TestRandom:
         ["random", "--n", "x"], ["random", "--n", "\u0663"], ["random", "--count", "1_0"],
         ["random", "--count", "+1"], ["random", "--n", "4/2"], ["random", "--seed", "-5"],
         ["random", "--seed", "+5"], ["gallery", "halfopen", "--cutoff", "1_6"],
-        ["gallery", "halfopen", "--cutoff", "-8"], ["gallery", "halfopen", "--cutoff", "16/2"]],
+        ["gallery", "halfopen", "--cutoff", "-8"], ["gallery", "halfopen", "--cutoff", "16/2"],
+        ["random", "--n", "9" * 5000]],
         ids=["n-0", "n-negative", "count-negative", "n-not-an-int", "n-arabic-indic",
              "count-underscore", "count-plus", "n-fraction", "seed-negative", "seed-plus",
-             "cutoff-underscore", "cutoff-negative", "cutoff-fraction"])
+             "cutoff-underscore", "cutoff-negative", "cutoff-fraction", "n-5000-digits"])
     def test_bad_size_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
+        assert len(captured.err.splitlines()) == 1 and len(captured.err) < 200
         assert "Traceback" not in captured.err
 
     def test_zero_count_is_an_empty_sweep(self, capsys):
@@ -531,7 +533,7 @@ class TestWorkers:
         assert RecordingPool.sizes == []
 
     @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", "", "+1", "1_0", "2/1",
-                                       "\u0661"])
+                                       "\u0661", pytest.param("9" * 5000, id="5000-digits")])
     def test_bad_pool_size_is_one_line_parse_error(self, capsys, monkeypatch,
                                                    discrete_file, value):
         monkeypatch.setenv("QML_WORKERS", value)
@@ -539,7 +541,7 @@ class TestWorkers:
         captured = capsys.readouterr()
         assert rc == EXIT_PARSE
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
+        assert len(captured.err.splitlines()) == 1 and len(captured.err) < 200
         assert "QML_WORKERS" in captured.err
 
 

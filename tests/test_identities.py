@@ -15,9 +15,9 @@ from qmlib.derived import derived_functions, sub_identity
 from qmlib.extreal import ZERO, ExtReal
 from qmlib.generate import random_metric, random_space, random_value_pair
 from qmlib.formal_balls import RadiusSeq, kw_limit
-from qmlib.nets import PreconditionError, classify, epseq, submasks, zero_classes, zero_cliques
+from qmlib.nets import PreconditionError, classify, epseq, submasks, zero_cliques
 from qmlib.order import check_ed_complete, suprema
-from qmlib.space import derive, representatives, space_from_rows
+from qmlib.space import derive, space_from_rows
 from qmlib.theorems import (AuditContext, audit, compose_with_filter,
                             construct_directed_from_cauchy, sup_upgrade_counterexample)
 from qmlib.topology import is_complete, pre_cauchy_subnet_equiv
@@ -27,8 +27,8 @@ from tests.oracles import (check_ed_complete_oracle, companion_oracle,
                            d_Phi_oracle, directed_set_with_profiles_oracle,
                            double_hole_limits_oracle, is_complete_oracle,
                            order_directed_complete_oracle, pre_cauchy_subnet_equiv_oracle,
-                           sup_upgrade_oracle, zero_class_members_oracle,
-                           zero_cliques_oracle)
+                           representatives, sup_upgrade_oracle,
+                           zero_class_members_oracle, zero_cliques_oracle)
 
 
 @st.composite
@@ -102,7 +102,7 @@ def test_zero_cliques_are_the_submasks_of_the_classes(pair):
 @given(wide_pairs)
 def test_the_zero_classes_are_the_cauchy_tails(pair):
     for space in pair:
-        classes = zero_classes(space)
+        classes = space.zero_classes
         assert list(classes) == sorted(classes, key=lambda cls: cls & -cls)
         assert sorted(sub for cls in classes for sub in submasks(cls)) \
             == zero_cliques_oracle(space)

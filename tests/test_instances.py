@@ -5,8 +5,9 @@ quarter steps; ``random_value_pair_oracle`` builds every entry through
 ``Fraction`` arithmetic from the same draws.  The symmetric join of a
 validated distance takes its ``validation`` from the distance's own;
 ``join_validation_oracle`` runs ``_validate`` on the join rebuilt as a
-plain space.  ``nets.zero_classes`` lists the classes once per space and
-still refuses a space whose classes do not partition on every call.
+plain space.  ``FiniteSpace.zero_classes`` lists the classes once per
+space and still refuses a space whose classes do not partition on every
+read.
 """
 
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.generate import random_metric, random_space, random_value_pair
-from qmlib.nets import PreconditionError, zero_classes
+from qmlib.space import PreconditionError
 from qmlib.space import derive, load_space, minplus_closure, space_from_rows
 
 from tests.oracles import join_validation_oracle, random_value_pair_oracle
@@ -121,9 +122,9 @@ def test_join_of_a_non_distance_is_validated_in_full(space):
 @EXAMPLES
 @given(distances())
 def test_zero_classes_are_listed_once_per_space(space):
-    first = zero_classes(space)
+    first = space.zero_classes
     assert "zero_classes" in space.__dict__
-    assert zero_classes(space) is first is space.zero_classes
+    assert space.zero_classes is first
 
 
 def test_a_non_partition_raises_on_every_call():
@@ -131,4 +132,4 @@ def test_a_non_partition_raises_on_every_call():
     space = space_from_rows(_labels(3), [["0", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]])
     for _ in range(2):
         with pytest.raises(PreconditionError):
-            zero_classes(space)
+            space.zero_classes

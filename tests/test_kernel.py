@@ -14,16 +14,20 @@ diagonals included) and on min-plus-closed spaces whose values have
 pairwise-coprime prime denominators, so the common denominator is large.
 """
 
+import itertools
+import json
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qmlib.cli import EXIT_FAILURE, main
 from qmlib.derived import derived_functions
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.gallery import build
 from qmlib.order import _has_d_sup, suprema
-from qmlib.space import _validate, minplus_closure, space_from_rows
+from qmlib.space import MAX_VIOLATIONS, _validate, load_space, minplus_closure, space_from_rows
 
 from tests.oracles import (derived_functions_oracle, minplus_closure_oracle,
                            suprema_oracle, validate_oracle)
@@ -145,9 +149,11 @@ TIED_FAILURES = space_from_rows(_labels(4), [["1", "2", "0", "1/2"],
 @EXAMPLES
 @given(spaces)
 @example(TIED_FAILURES)
+@example(space_from_rows(_labels(25), [["1"] * 25] * 25))   # 25 self_distance entries
 def test_validation_matches_the_oracle(space):
-    # every flag and the violations, in (i, j, k) order
-    assert _validate(space) == validate_oracle(space)
+    # every flag and the first MAX_VIOLATIONS violations, in (i, j, k) order
+    want = validate_oracle(space)
+    assert _validate(space) == want._replace(violations=want.violations[:MAX_VIOLATIONS])
 
 
 @EXAMPLES
@@ -178,6 +184,50 @@ def test_triangle_check_adds_only_where_both_legs_are_shorter(monkeypatch, cutof
         monkeypatch.setattr(ExtReal, "__add__", add)
         assert result.is_distance
         assert calls[0] == want, name
+
+
+def test_a_non_distance_stops_at_its_last_shown_violation(monkeypatch, capsys, tmp_path):
+    # a random 150-point matrix over a few integers fails the triangle law
+    # about 750 000 times; check reports the first MAX_VIOLATIONS, and the
+    # walk forms no sum after the last of them
+    rng = Random(150)
+    n = 150
+    rows = [[rng.choice((0, 1, 2, 3, 5, 8, 13)) for _ in range(n)] for _ in range(n)]
+    path = tmp_path / "wild.json"
+    path.write_text(json.dumps({"points": _labels(n), "matrix": rows}))
+
+    def candidate_sums():
+        # whether each sum fails, for the k whose legs both lie below
+        # d(i, j), in (i, j, k) order
+        for i, j, k in itertools.product(range(n), repeat=3):
+            if rows[i][k] < rows[i][j] and rows[k][j] < rows[i][j]:
+                yield rows[i][k] + rows[k][j] < rows[i][j]
+
+    want_sums = found = 0
+    for fails in candidate_sums():
+        want_sums += 1
+        found += fails
+        if found == MAX_VIOLATIONS:
+            break
+    assert found == MAX_VIOLATIONS
+
+    calls = [0]
+    add = ExtReal.__add__
+
+    def counting(a, b):
+        calls[0] += 1
+        return add(a, b)
+
+    space = load_space(str(path))
+    monkeypatch.setattr(ExtReal, "__add__", counting)
+    result = _validate(space)
+    monkeypatch.setattr(ExtReal, "__add__", add)
+    assert not result.is_distance and len(result.violations) == MAX_VIOLATIONS
+    assert calls[0] == want_sums
+
+    assert main(["check", str(path)]) == EXIT_FAILURE
+    shown = json.loads(capsys.readouterr().out)["validation"]["violations"]
+    assert shown == [list(v) for v in result.violations]
 
 
 @pytest.mark.parametrize("cutoff", [16, 64])

@@ -65,6 +65,13 @@ MUTANTS = {
     "zero-classes-partition-unchecked": (
         "space.py", "if core >> i & 1 and (cls & ~core", "if False and (cls & ~core",
         "tests/test_instances.py::test_a_non_partition_raises_on_every_call"),
+    "violation-cap-off-by-one": (
+        "space.py", "if len(violations) == MAX_VIOLATIONS:",
+        "if len(violations) > MAX_VIOLATIONS:",
+        "tests/test_kernel.py::test_a_non_distance_stops_at_its_last_shown_violation"),
+    "sups-signature-pair-below-one-member": (
+        "cli.py", "& up0[a] & up0[b]", "& up0[a]",
+        "tests/test_sweep_masks.py::test_sups_signature_matches_the_suprema_loop"),
     "finite-space-rows-unchecked": (
         "space.py", "len(matrix) != n or any(len(row) != n for row in matrix)",
         "len(matrix) != n",

@@ -3,7 +3,7 @@
 ``import qmlib.cli`` runs before any command, in every process.  The
 records are named tuples, so it loads no ``dataclasses`` (nor the
 ``inspect`` that comes with it); ``hashlib`` is loaded by the random
-sweep's hashes and ``fractions`` (with ``decimal``) by the gallery's
+sweep's content hash and ``fractions`` (with ``decimal``) by the gallery's
 grid and chain fixtures, each at first use.  One fresh interpreter runs
 the commands in turn and reports which of these modules it has loaded
 after each.
