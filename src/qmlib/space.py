@@ -2,7 +2,9 @@
 
 A :class:`FiniteSpace` is a labelled square matrix of exact distances.
 Nothing here assumes symmetry or zero self-distance; the triangle law is
-the only structural property, and it is checked, never presumed.
+the only structural property.  It is checked by walking the triples,
+except where the construction of a space proves it
+(``distance_by_construction``); it is never presumed of a given matrix.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
     """A labelled square matrix of ``ExtReal`` distances (tuples of rows).
 
     Instances keep a ``__dict__`` (no ``__slots__``): the cached
-    properties below store their values there, and ``derive`` fills
-    ``validation`` of a join through it.
+    properties below store their values there, and ``derive`` (for a
+    join) and ``distance_by_construction`` fill ``validation`` through it.
     """
 
     def __new__(cls, labels, matrix):
@@ -158,14 +160,19 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
         loops that only compare entries run on this form; values leave it
         through ``back``.
         """
-        finite = [v for v in {v for row in self.matrix for v in row} if not v.is_inf]
-        scale = lcm(*(v.den for v in finite))
-        to_int = {v: v.num * (scale // v.den) for v in finite}
-        sentinel = max(2, self.n) * max(to_int.values(), default=0) + 1
-        to_int[INF] = sentinel
-        rows = tuple(tuple(to_int[v] for v in row) for row in self.matrix)
-        back = {0: ZERO, sentinel: INF}
-        back.update((k, v) for v, k in to_int.items())
+        matrix = self.matrix
+        dens = {v.den for row in matrix for v in row}
+        dens.discard(0)   # infinity's; lcm is 0 once any argument is
+        scale = lcm(*dens)
+        back = {0: ZERO}
+        for row in matrix:
+            for v in row:
+                if v.den:
+                    back[v.num * (scale // v.den)] = v
+        sentinel = max(2, self.n) * max(back) + 1
+        back[sentinel] = INF
+        rows = tuple(tuple(v.num * (scale // v.den) if v.den else sentinel for v in row)
+                     for row in matrix)
         return rows, back, sentinel
 
     @cached_property
@@ -261,9 +268,14 @@ def _triangle_violations(space: FiniteSpace) -> list:
 
 
 def _validate(space: FiniteSpace) -> Validation:
+    return _finish_validation(space, _triangle_violations(space))
+
+
+def _finish_validation(space: FiniteSpace, violations: list) -> Validation:
+    """The validation of a space whose triangle walk found ``violations``:
+    the diagonal, symmetry and separation checks, added to that list."""
     n = space.n
     m = space.matrix
-    violations = _triangle_violations(space)
     is_distance = not violations
     is_hemimetric = is_distance
     for i in range(n):
@@ -278,6 +290,21 @@ def _validate(space: FiniteSpace) -> Validation:
     is_metric = is_hemimetric and is_symmetric and separated
     return Validation(is_distance, is_hemimetric, is_symmetric, is_metric,
                       tuple(violations))
+
+
+def distance_by_construction(labels: tuple, rows: tuple) -> FiniteSpace:
+    """A space whose construction proves the triangle law, with its
+    ``validation`` set without the triangle walk.
+
+    Only the walk is skipped: the diagonal, symmetry and separation checks
+    run as ``_validate`` runs them.  For constructors that prove the law
+    (``minplus_closure``, ``generate.random_value_pair``); every other
+    space, a loaded file's included, is walked in full.
+    """
+    space = FiniteSpace(labels, rows)
+    # set the cached_property's entry, so it never runs _validate
+    space.__dict__["validation"] = _finish_validation(space, [])
+    return space
 
 
 def _join_validation(space: FiniteSpace) -> Validation:
@@ -363,6 +390,12 @@ def minplus_closure(rows, labels=None) -> FiniteSpace:
     d[i][j] <- min(d[i][j], d[i][k] + d[k][j]), exact for nonnegative entries.
     The sum is formed only when both legs lie below d[i][j]; otherwise it
     is at least d[i][j] and cannot lower it.
+
+    The result carries its ``validation`` (``distance_by_construction``):
+    with nonnegative entries the pass leaves in d[i][j] the least length of
+    a walk of one or more steps from i to j, and two walks i -> k and
+    k -> j join into one from i to j, so d(i,j) <= d(i,k) + d(k,j) holds
+    by construction and the triangle walk is not run.
     """
     work = [list(r) for r in rows]
     n = len(work)
@@ -385,7 +418,7 @@ def minplus_closure(rows, labels=None) -> FiniteSpace:
                         wi[j] = cand
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
-    return FiniteSpace(tuple(labels), tuple(tuple(r) for r in work))
+    return distance_by_construction(tuple(labels), tuple(tuple(r) for r in work))
 
 
 def threshold_grid(space: FiniteSpace) -> tuple:

@@ -27,7 +27,10 @@ nonnegative, so a sum cannot fall below either of its legs:
 that add over every k, where production adds only over the k whose two
 legs both lie strictly below the entry under test.  The symmetric join of
 a validated distance takes its validation from the distance's own;
-``join_validation_oracle`` validates the join from scratch.  Value pairs
+``join_validation_oracle`` validates the join from scratch.
+``FiniteSpace.scaled`` reads the common denominator and the ints off the
+entries' numerators and denominators; ``scaled_oracle`` keeps the form
+that maps each distinct ``ExtReal`` to its int through a dict.  Value pairs
 are read from a table of quarter steps; ``random_value_pair_oracle``
 builds every entry through ``Fraction`` arithmetic.  The sweep's
 per-instance checks read the zero masks and the integer rows:
@@ -56,6 +59,7 @@ where production compares two distances on their zero masks
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from qmlib.derived import DerivedFunctions, StepFn, sub_identity
 from qmlib.extreal import INF, ONE, ZERO, ExtReal, ext_max, ext_min
@@ -588,6 +592,20 @@ def join_validation_oracle(space: FiniteSpace) -> Validation:
     """``_validate`` run on the symmetric join of ``space``, rebuilt as a
     plain space that carries no precomputed validation."""
     return _validate(FiniteSpace(space.labels, derive(space, "join").matrix))
+
+
+def scaled_oracle(space: FiniteSpace) -> tuple:
+    """``FiniteSpace.scaled`` through a dict from each distinct finite
+    ``ExtReal`` to its int."""
+    finite = [v for v in {v for row in space.matrix for v in row} if not v.is_inf]
+    scale = lcm(*(v.den for v in finite))
+    to_int = {v: v.num * (scale // v.den) for v in finite}
+    sentinel = max(2, space.n) * max(to_int.values(), default=0) + 1
+    to_int[INF] = sentinel
+    rows = tuple(tuple(to_int[v] for v in row) for row in space.matrix)
+    back = {0: ZERO, sentinel: INF}
+    back.update((k, v) for v, k in to_int.items())
+    return rows, back, sentinel
 
 
 RATIONAL_GRID = tuple(Fraction(k, 4) for k in range(0, 13))

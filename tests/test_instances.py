@@ -2,26 +2,31 @@
 
 ``random_value_pair`` reads both distances of a pair from a table of
 quarter steps; ``random_value_pair_oracle`` builds every entry through
-``Fraction`` arithmetic from the same draws.  The symmetric join of a
-validated distance takes its ``validation`` from the distance's own;
-``join_validation_oracle`` runs ``_validate`` on the join rebuilt as a
-plain space.  ``FiniteSpace.zero_classes`` lists the classes once per
-space and still refuses a space whose classes do not partition on every
-read.
+``Fraction`` arithmetic from the same draws.  Generated spaces and
+min-plus closures carry a ``validation`` set from their construction,
+without the triangle walk; it must equal ``_validate`` run on the same
+matrix as a plain space, and the oracle's full walk.
+``FiniteSpace.scaled`` is pinned to ``scaled_oracle``, the dict form it
+replaced.  The symmetric join of a validated distance takes its
+``validation`` from the distance's own; ``join_validation_oracle`` runs
+``_validate`` on the join rebuilt as a plain space.
+``FiniteSpace.zero_classes`` lists the classes once per space and still
+refuses a space whose classes do not partition on every read.
 """
 
 from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.generate import random_metric, random_space, random_value_pair
-from qmlib.space import PreconditionError
+from qmlib.space import MAX_VIOLATIONS, FiniteSpace, PreconditionError, _validate
 from qmlib.space import derive, load_space, minplus_closure, space_from_rows
 
-from tests.oracles import join_validation_oracle, random_value_pair_oracle
+from tests.oracles import (join_validation_oracle, random_value_pair_oracle, scaled_oracle,
+                           validate_oracle)
 
 DATA = Path(__file__).resolve().parent / "data"
 # every matrix file; fm_c256.json is a family rule, which has no join
@@ -74,6 +79,28 @@ def test_value_pair_matches_the_fraction_oracle(seed, n):
         assert got.labels == want.labels
         assert _exact(got) == _exact(want)
     assert fast_rng.getstate() == slow_rng.getstate()
+
+
+@EXAMPLES
+@given(distances())
+# all ones: the closure keeps the diagonal at 1, so 25 self_distance entries
+# reach the MAX_VIOLATIONS cap
+@example(minplus_closure(space_from_rows(_labels(25), [["1"] * 25] * 25).matrix))
+def test_generated_distances_carry_their_validation(space):
+    assert "validation" in space.__dict__
+    plain = FiniteSpace(space.labels, space.matrix)
+    want = validate_oracle(plain)
+    assert space.validation == _validate(plain)
+    assert space.validation == want._replace(violations=want.violations[:MAX_VIOLATIONS])
+
+
+@EXAMPLES
+@given(any_matrix())
+@example(space_from_rows(_labels(1), [["inf"]]))
+@example(space_from_rows(_labels(1), [["1/2"]]))
+@example(space_from_rows(_labels(3), [["inf"] * 3] * 3))
+def test_scaled_matches_the_oracle(space):
+    assert space.scaled == scaled_oracle(space)
 
 
 @EXAMPLES

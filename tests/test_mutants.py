@@ -69,6 +69,12 @@ MUTANTS = {
         "space.py", "if len(violations) == MAX_VIOLATIONS:",
         "if len(violations) > MAX_VIOLATIONS:",
         "tests/test_kernel.py::test_a_non_distance_stops_at_its_last_shown_violation"),
+    "constructed-validation-symmetry-skips-a-column": (
+        "space.py", "for j in range(i + 1, n))", "for j in range(i + 2, n))",
+        "tests/test_instances.py::test_generated_distances_carry_their_validation"),
+    "scaled-lcm-over-infinity": (
+        "space.py", "dens.discard(0)", "dens.discard(None)",
+        "tests/test_instances.py::test_scaled_matches_the_oracle"),
     "sups-signature-pair-below-one-member": (
         "cli.py", "& up0[a] & up0[b]", "& up0[a]",
         "tests/test_sweep_masks.py::test_sups_signature_matches_the_suprema_loop"),
