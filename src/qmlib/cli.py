@@ -9,6 +9,8 @@ Exit codes: 0 success; 1 fact or audit failure; 2 parse/usage error;
 3 precondition failure.  The worker pool size comes from QML_WORKERS, an
 integer from 1 to ``MAX_WORKERS`` (default 1, serial); the random sweep
 starts no more workers than it has chunks of ``POOL_CHUNK`` instances.
+``concurrent.futures`` (and with it ``multiprocessing``) is imported when
+a pool starts, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .derived import derived_functions
 from .extreal import _shown
@@ -40,6 +41,25 @@ EXIT_PRECONDITION = 3
 MAX_WORKERS = 64
 # instances per task sent to a pool worker
 POOL_CHUNK = 16
+
+
+class ProcessPoolExecutor:
+    """``concurrent.futures.ProcessPoolExecutor``, imported when a pool
+    starts; used as a context manager, it shuts the pool down on exit."""
+
+    def __init__(self, max_workers):
+        import concurrent.futures
+        self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown()
+        return False
+
+    def map(self, fn, *iterables, timeout=None, chunksize=1):
+        return self._pool.map(fn, *iterables, timeout=timeout, chunksize=chunksize)
 
 
 def canonical_json(obj) -> str:

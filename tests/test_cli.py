@@ -1,6 +1,7 @@
 """CLI commands, exit codes, file formats, and report determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -506,6 +507,15 @@ class RecordingPool:
         return map(fn, iterable)
 
 
+class KeptPool(cli.ProcessPoolExecutor):
+    """The real pool, kept referenced after its ``with`` block ends."""
+    kept = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        KeptPool.kept.append(self)
+
+
 class TestWorkers:
     @pytest.mark.parametrize("workers, count, size", [
         (MAX_WORKERS, 16, None), (MAX_WORKERS, 40, 3), (2, 128, 2), (4, 17, 2),
@@ -531,6 +541,30 @@ class TestWorkers:
         assert len(captured.err.splitlines()) == 1
         assert "QML_WORKERS" in captured.err and str(MAX_WORKERS) in captured.err
         assert RecordingPool.sizes == []
+
+    def test_worker_error_is_the_serial_line_and_the_pool_is_shut_down(
+            self, capsys, monkeypatch):
+        # n = 24 puts a class of more than MAX_CLASS_SIZE points in a worker
+        argv = ["random", "--n", "24", "--count", "40"]
+        assert main(argv) == EXIT_PRECONDITION
+        serial = capsys.readouterr()
+        monkeypatch.setenv("QML_WORKERS", "2")
+        # the pool stays referenced, so only its own shutdown stops the workers
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", KeptPool)
+        monkeypatch.setattr(KeptPool, "kept", [])
+        try:
+            rc = main(argv)
+            children = multiprocessing.active_children()
+        finally:
+            for pool in KeptPool.kept:
+                pool._pool.shutdown()
+        pooled = capsys.readouterr()
+        assert len(KeptPool.kept) == 1
+        assert rc == EXIT_PRECONDITION
+        assert pooled.out == serial.out == ""
+        assert len(pooled.err.splitlines()) == 1
+        assert pooled.err == serial.err
+        assert children == []
 
     @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", "", "+1", "1_0", "2/1",
                                        "\u0661", pytest.param("9" * 5000, id="5000-digits")])

@@ -78,6 +78,13 @@ MUTANTS = {
     "sups-signature-pair-below-one-member": (
         "cli.py", "& up0[a] & up0[b]", "& up0[a]",
         "tests/test_sweep_masks.py::test_sups_signature_matches_the_suprema_loop"),
+    "pool-imported-at-import": (
+        "cli.py", "import os\n", "import os\nimport concurrent.futures\n",
+        "tests/test_startup.py"),
+    "pool-exit-skips-shutdown": (
+        "cli.py", "self._pool.shutdown()", "pass",
+        "tests/test_cli.py::TestWorkers::"
+        "test_worker_error_is_the_serial_line_and_the_pool_is_shut_down"),
     "finite-space-rows-unchecked": (
         "space.py", "len(matrix) != n or any(len(row) != n for row in matrix)",
         "len(matrix) != n",

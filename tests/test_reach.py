@@ -90,13 +90,18 @@ def test_only_the_edges_import_fractions():
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
-# check and audit on every tests/data file, every gallery fixture at
-# cutoff 16, and one 16-instance sweep, all in JSON; "OUT" is the output
+# (QML_WORKERS, argv): check and audit on every tests/data file, every
+# gallery fixture at cutoff 16, one 16-instance serial sweep and one
+# 17-instance sweep on two workers (two chunks), all in JSON; "OUT" is the
+# output.  The pooled sweep's audits run in the workers, which the hook
+# does not see; the parent runs the pool wrapper.
 LEDGER_COMMANDS = (
-    [[cmd, str(path), "--out", "OUT"]
+    [("1", [cmd, str(path), "--out", "OUT"])
      for path in sorted(DATA.glob("*.json")) for cmd in ("check", "audit")]
-    + [["gallery", name, "--cutoff", "16", "--out", "OUT"] for name in qmlib.GALLERY_NAMES]
-    + [["random", "--n", "6", "--count", "16", "--out", "OUT"]])
+    + [("1", ["gallery", name, "--cutoff", "16", "--out", "OUT"])
+       for name in qmlib.GALLERY_NAMES]
+    + [("1", ["random", "--n", "6", "--count", "16", "--out", "OUT"]),
+       ("2", ["random", "--n", "6", "--count", "17", "--out", "OUT"])])
 
 API = "library entry point"
 MARKDOWN = "markdown output; the ledger's commands write JSON"
@@ -110,7 +115,8 @@ NEVER_RUN = {
     "cli._render_random_md": MARKDOWN,
     "cli.run_report": "the report command merges earlier outputs",
     "derived.StepFn.__call__": "library use of a step function; commands read its cuts",
-    "extreal.ExtReal.__reduce__": "pickling, for the worker pool of QML_WORKERS > 1",
+    "extreal.ExtReal.__reduce__": "pickling for the worker pool runs in its feeder thread, "
+                                  "which the hook does not see",
     "extreal.ExtReal.__repr__": "debugging aid",
     "extreal.ExtReal.__setattr__": "error path: an ExtReal is immutable",
     "extreal.ExtReal.scale_inf": "reached only through derive(space, 'leq_order')",
@@ -176,7 +182,7 @@ NEVER_RUN = {
 # Runs the commands with a profiler hook set before qmlib is imported, and
 # prints the qualified names of the qmlib functions that were called.
 LEDGER_PROBE = """
-import json, sys
+import json, os, sys
 from pathlib import Path
 ran = set()
 
@@ -186,7 +192,8 @@ def hook(frame, event, arg):
 
 sys.setprofile(hook)
 import qmlib.cli as cli
-for argv in json.loads(sys.argv[1]):
+for workers, argv in json.loads(sys.argv[1]):
+    os.environ["QML_WORKERS"] = workers
     cli.main(argv)
 sys.setprofile(None)
 package = str(Path(cli.__file__).parent)
@@ -210,10 +217,11 @@ def _function_names(tree, prefix=""):
 
 def test_the_commands_leave_only_the_ledger_unrun(tmp_path):
     out = str(tmp_path / "out.json")
-    argvs = [[out if a == "OUT" else a for a in argv] for argv in LEDGER_COMMANDS]
+    commands = [(workers, [out if a == "OUT" else a for a in argv])
+                for workers, argv in LEDGER_COMMANDS]
     run = subprocess.run(
-        [sys.executable, "-c", LEDGER_PROBE, json.dumps(argvs)],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "QML_WORKERS": "1"},
+        [sys.executable, "-c", LEDGER_PROBE, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     ran = set(json.loads(run.stdout))
