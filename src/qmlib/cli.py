@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .derived import derived_functions
 from .extreal import _shown
@@ -63,7 +64,55 @@ class ProcessPoolExecutor:
 
 
 def canonical_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte
+    for byte.
+
+    CPython's C encoder does not take ``indent``, so plain JSON values
+    (exact ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
+    ``bool``, ``None``) are emitted by ``_json_text``, which leaves each
+    string to the C ``encode_basestring_ascii``.  Anything else (a float, a
+    subclass, a non-text key) or nesting too deep for its two frames per
+    level falls back to ``json.dumps`` for the whole object.
+    """
+    try:
+        return _json_text(obj, "\n") + "\n"
+    except (TypeError, RecursionError):
+        pass
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_text(o, nl: str) -> str:
+    """``o`` as indented JSON whose lines start with ``nl`` (a newline and
+    the current indent); ``TypeError`` on anything but a plain JSON value."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + inner
+                + ("," + inner).join([encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                                      for k, v in sorted(o.items())])
+                + nl + "}")
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        try:   # a list of strings is one join in C
+            body = ("," + inner).join(map(encode_basestring_ascii, o))
+        except TypeError:
+            body = ("," + inner).join([_json_text(v, inner) for v in o])
+        return "[" + inner + body + nl + "]"
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"{t.__name__} is left to json.dumps")
 
 
 def _write(out: str | None, text: str) -> None:

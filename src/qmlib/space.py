@@ -202,12 +202,24 @@ def space_from_rows(labels, rows) -> FiniteSpace:
     other entry (a bool, a float, negative or non-numeric text, a zero
     denominator) raises ``SpaceError`` naming its row and column instead
     of being reinterpreted; the message shows at most the start of the
-    entry.
+    entry.  Each distinct text is parsed once per call.  Only exact
+    ``str`` entries share a parse: ``True`` and ``1.0`` hash equal to
+    ``1``, so any other entry goes through ``_entry`` every time.
     """
+    parsed = {}   # entry text -> its ExtReal, for this call only
     matrix = []
     for i, row in enumerate(rows):
         try:
-            matrix.append(tuple(map(_entry, row)))
+            out = []
+            for v in row:
+                if type(v) is not str:
+                    x = _entry(v)
+                else:
+                    x = parsed.get(v)
+                    if x is None:
+                        x = parsed[v] = _entry(v)
+                out.append(x)
+            matrix.append(tuple(out))
         except ValueError:
             for j, v in enumerate(row):   # the first bad entry names the error
                 try:

@@ -1,19 +1,23 @@
 """CLI commands, exit codes, file formats, and report determinism."""
 
+import collections
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qmlib import cli, order
 from qmlib.cli import (EXIT_FAILURE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, MAX_WORKERS,
                        canonical_json, main)
 from qmlib.family import MAX_CUTOFF, RULES
+from qmlib.gallery import GALLERY_NAMES
 from qmlib.nets import MAX_CLASS_SIZE
 from qmlib.order import MAX_DIRECTED_CLASSES
 
@@ -137,6 +141,8 @@ class TestCheck:
          "params": {"extras": {"u": f"{10**2999 + 1}/{10**2999}", "v": f"1/{3 * 10**2999 + 1}"}}},
         {"points": ["a", "b"], "matrix": [["0", "1/" + "7" * 3000], ["1", "0"]]},
         {"points": ["a", "b"], "matrix": [["0", "x" * 3000], ["1", "0"]]},
+        {"points": ["a", "b"], "matrix": [[0, 1], [True, 0]]},
+        {"points": ["a", "b"], "matrix": [[0, 1], [1.0, 0]]},
     ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "underscore", "arabic-indic-digit",
             "arabic-indic-denominator", "signed-fraction", "plus-sign", "cutoff-x", "cutoff-float", "cutoff-text",
             "not-an-object", "matrix-not-a-list", "label-not-a-string",
@@ -149,7 +155,7 @@ class TestCheck:
             "extras-on-vector-rule", "window-integer", "extra-takes-a-label",
             "extra-takes-the-label-past-the-window", "extra-takes-a-label-far-past-the-window",
             "extra-takes-a-natural-label", "extras-of-3000-digits", "entry-of-3000-digits",
-            "entry-of-3000-letters"])
+            "entry-of-3000-letters", "true-after-an-equal-int", "float-after-an-equal-int"])
     def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -160,6 +166,20 @@ class TestCheck:
         assert len(captured.err.splitlines()) == 1
         assert len(captured.err) < 200
         assert "Traceback" not in captured.err
+
+    # true and 1.0 hash equal to 1, so a memoised 1 must not let them through
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    @pytest.mark.parametrize("entry, kind", [("true", "bool"), ("1.0", "float")])
+    def test_bool_or_float_after_an_equal_int_names_its_entry(self, capsys, tmp_path,
+                                                              command, entry, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"points": ["a", "b"], "matrix": [[0, 1], [%s, 0]]}' % entry)
+        rc = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == (f"error: bad matrix entry at row 1, column 0: {kind} entries "
+                                "are not distances; write an integer or p/q text\n")
 
     # a JSON number has one reading: an integer is its decimal text, and a
     # float (an exponent, a decimal point, Infinity) is never an entry
@@ -606,8 +626,71 @@ class TestParserReuse:
         assert cli._parser.cache_info().misses == 1
 
 
+# JSON text of every kind json.dumps reads: ints past 64 bits, every float,
+# control characters, non-ASCII text and lone surrogates
+_TEXT = st.text(st.characters(exclude_categories=()) | st.integers(0xD800, 0xDFFF).map(chr))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+    | st.floats(allow_nan=True, allow_infinity=True) | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
 class TestCanonicalJson:
     def test_sorted_and_newline_terminated(self):
         text = canonical_json({"b": 1, "a": [2, 3]})
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+    def test_fallbacks_match_json_dumps(self):
+        Pair = collections.namedtuple("Pair", "a b")
+
+        class Label(str):
+            pass
+        for obj in ({"pair": Pair(1, [2])}, ["x", Label("y")], {2: "b", 10: ["a"]}):
+            assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_a_mixed_key_dict_raises_as_json_dumps_does(self):
+        with pytest.raises(TypeError):
+            json.dumps({1: "a", "b": 2}, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            canonical_json({1: "a", "b": 2})
+
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, obj):
+        assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_report_on_a_deeply_nested_file_matches_json_dumps(self, tmp_path):
+        # two frames per level outrun the recursion limit here, so the
+        # emitter falls back to json.dumps (one frame per level)
+        nest = 0
+        for depth in range(900):
+            nest = [nest] if depth % 2 else {"k": nest}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"nest": nest}))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        report = subprocess.run([sys.executable, "-m", "qmlib.cli", "report", str(path)],
+                                env=env, capture_output=True, timeout=60)
+        dumped = subprocess.run(
+            [sys.executable, "-c", "import json, sys; sys.stdout.write(json.dumps("
+             "json.load(open(sys.argv[1])), indent=2, sort_keys=True))", str(path)],
+            capture_output=True, timeout=60)
+        assert report.returncode == 0 and dumped.returncode == 0, report.stderr
+        assert report.stdout == b"# %s\n\n```\n%s\n```\n" % (str(path).encode(), dumped.stdout)
+
+    def test_no_command_payload_falls_back_to_json_dumps(self, capsys, monkeypatch):
+        data = Path(__file__).parent / "data"
+        argvs = [[command, str(path)] for path in sorted(data.glob("*.json"))
+                 for command in ("check", "audit")]
+        argvs.append(["audit", str(data / "pair_n8_d.json"),
+                      "--second-distance", str(data / "pair_n8_e.json")])
+        argvs += [["gallery", name, "--cutoff", "16", "--json"] for name in GALLERY_NAMES]
+        argvs.append(["random", "--n", "6", "--count", "8"])
+        expected = [run(capsys, argv) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("canonical_json fell back to json.dumps")
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=refuse))
+        assert [run(capsys, argv) for argv in argvs] == expected
+        assert [rc for rc, _ in expected].count(EXIT_OK) == len(argvs) - 1   # fm_c256 audit: 3

@@ -78,6 +78,13 @@ MUTANTS = {
     "sups-signature-pair-below-one-member": (
         "cli.py", "& up0[a] & up0[b]", "& up0[a]",
         "tests/test_sweep_masks.py::test_sups_signature_matches_the_suprema_loop"),
+    "canonical-json-unsorted-keys": (
+        "cli.py", "sorted(o.items())", "o.items()",
+        "tests/test_cli.py::TestCanonicalJson::test_sorted_and_newline_terminated"),
+    "entry-memo-any-type": (
+        "space.py", "if type(v) is not str:", "if False:",
+        "tests/test_cli.py::TestCheck::"
+        "test_bad_input_is_one_line_parse_error[true-after-an-equal-int]"),
     "pool-imported-at-import": (
         "cli.py", "import os\n", "import os\nimport concurrent.futures\n",
         "tests/test_startup.py"),

@@ -63,6 +63,26 @@ class TestValidate:
             space_from_rows(["a", "a"], [["0", "1"], ["1", "0"]])
 
 
+class TestEntries:
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        texts = []
+        parse = ExtReal.parse
+
+        def counted(text):
+            texts.append(text)
+            return parse(text)
+        monkeypatch.setattr(ExtReal, "parse", counted)
+        sp = space_from_rows(["a", "b", "c"], [["0", "1/2", "inf"], ["1/2", "0", "1/2"],
+                                               ["inf", "1/2", "0"]])
+        assert sorted(texts) == ["0", "1/2", "inf"]
+        assert sp.d(1, 2) == ExtReal(1, 2) and sp.d(2, 0) == INF
+
+    def test_a_repeated_bad_text_is_reported_at_its_first_position(self):
+        with pytest.raises(SpaceError, match=r"^bad matrix entry at row 0, column 2: 'x'"):
+            space_from_rows(["a", "b", "c"], [["0", "1", "x"], ["x", "0", "x"],
+                                               ["1", "x", "0"]])
+
+
 class TestDerive:
     def test_opposite_example(self):
         sp = space_from_rows(["a", "b"], [["0", "1"], ["inf", "0"]])
