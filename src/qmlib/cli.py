@@ -1,5 +1,11 @@
 """Command-line entry point: validation, audits, gallery, fuzzing, reports.
 
+Each ``run_<command>`` loads its input and decides, returning ``(payload,
+ok)`` (``report``: its merged markdown and True).  ``main`` alone emits: it
+renders canonical JSON, or ``_RENDERERS[command]`` for ``--format
+markdown`` (the table ``report`` uses), writes it and maps ``ok`` to exit
+0 or 1.  An input file's top-level key that its format does not read exits 2.
+
 JSON is the source of truth; markdown is derived from it.  Identical run
 configurations (including the seed) produce byte-identical JSON reports:
 no timestamps, sorted keys, deterministic instance streams, and
@@ -124,13 +130,6 @@ def _write(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, payload: dict, renderer, fmt: str | None = None) -> None:
-    """Write ``payload`` as ``fmt`` (default ``--format``): canonical JSON,
-    or markdown through ``renderer``."""
-    markdown = (fmt or args.format) == "markdown"
-    _write(args.out, renderer(payload) if markdown else canonical_json(payload))
-
-
 def _load_any_space(path: str):
     data = read_json_object(path)
     if "rule" in data:
@@ -138,26 +137,31 @@ def _load_any_space(path: str):
     return space_from_dict(data)
 
 
+def _load_finite(path: str, refusal: str) -> FiniteSpace:
+    """The finite space in ``path``; a family file raises ``refusal``."""
+    space = _load_any_space(path)
+    if isinstance(space, FamilySpace):
+        raise PreconditionError(refusal)
+    return space
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
-def run_check(args) -> int:
+def run_check(args) -> tuple:
     space = _load_any_space(args.space_file)
     if isinstance(space, FamilySpace):
-        comp = is_complete(space)
-        payload = {
+        return {
             "command": "check",
             "input": args.space_file,
             "kind": "family",
             "space": space.to_dict(),
-            "completeness": comp.to_dict(),
+            "completeness": is_complete(space).to_dict(),
             "derived": None,
-        }
-        _emit(args, payload, _render_check_md)
-        return EXIT_OK
+        }, True
     v = space.validation
-    payload = {
+    return {
         "command": "check",
         "input": args.space_file,
         "kind": "finite",
@@ -171,9 +175,7 @@ def run_check(args) -> int:
         },
         "derived": derived_functions(space).to_dict() if v.is_distance else None,
         "completeness": is_complete(space).to_dict() if v.is_distance else None,
-    }
-    _emit(args, payload, _render_check_md)
-    return EXIT_OK if v.is_distance else EXIT_FAILURE
+    }, v.is_distance
 
 
 def _render_check_md(p: dict) -> str:
@@ -197,26 +199,18 @@ def _render_check_md(p: dict) -> str:
 # audit
 # ---------------------------------------------------------------------------
 
-def run_audit(args) -> int:
-    space = _load_any_space(args.space_file)
-    if isinstance(space, FamilySpace):
-        raise PreconditionError(
-            "audit runs on finite space files; use the gallery command for "
-            "finitely presented fixtures")
-    second = None
-    if args.second_distance:
-        second = _load_any_space(args.second_distance)
-        if isinstance(second, FamilySpace):
-            raise PreconditionError("the second distance must be a finite space")
+def run_audit(args) -> tuple:
+    space = _load_finite(args.space_file, "audit runs on finite space files; use the "
+                                          "gallery command for finitely presented fixtures")
+    second = (_load_finite(args.second_distance, "the second distance must be a finite space")
+              if args.second_distance else None)
     report = audit(space, args.theorems, second)
-    payload = {
+    return {
         "command": "audit",
         "input": args.space_file,
         "second": args.second_distance,
         "report": report.to_dict(),
-    }
-    _emit(args, payload, _render_audit_md)
-    return EXIT_OK if report.ok else EXIT_FAILURE
+    }, report.ok
 
 
 def _render_audit_md(p: dict) -> str:
@@ -235,11 +229,9 @@ def _render_audit_md(p: dict) -> str:
 # gallery
 # ---------------------------------------------------------------------------
 
-def run_gallery(args) -> int:
+def run_gallery(args) -> tuple:
     report = verify(build(args.name, args.cutoff))
-    payload = {"command": "gallery", "report": report.to_dict()}
-    _emit(args, payload, _render_gallery_md, "json" if args.json else None)
-    return EXIT_OK if report.ok else EXIT_FAILURE
+    return {"command": "gallery", "report": report.to_dict()}, report.ok
 
 
 def _render_gallery_md(p: dict) -> str:
@@ -297,7 +289,7 @@ def _instance_payload(args) -> dict:
     }
 
 
-def run_random(args) -> int:
+def run_random(args) -> tuple:
     # a generator, so the serial path drops each space (and its caches)
     # once its payload is built
     tasks = ((i, kind, space, second, args.theorems)
@@ -355,8 +347,7 @@ def run_random(args) -> int:
     import hashlib   # here only, so that no other command loads it
     payload["content_hash"] = hashlib.sha256(
         canonical_json(payload).encode()).hexdigest()
-    _emit(args, payload, _render_random_md)
-    return EXIT_FAILURE if failures else EXIT_OK
+    return payload, not failures
 
 
 def _render_random_md(p: dict) -> str:
@@ -377,11 +368,12 @@ def _render_random_md(p: dict) -> str:
 # report (merge JSON outputs to markdown)
 # ---------------------------------------------------------------------------
 
+# command -> its markdown, for --format markdown and for report alike
 _RENDERERS = {"gallery": _render_gallery_md, "audit": _render_audit_md,
               "random": _render_random_md, "check": _render_check_md}
 
 
-def run_report(args) -> int:
+def run_report(args) -> tuple:
     sections = []
     for path in args.files:
         data = read_json_object(path)
@@ -395,8 +387,7 @@ def run_report(args) -> int:
         except (KeyError, TypeError, AttributeError) as e:
             raise SpaceError(f"{path} is not a well-formed {cmd} report "
                              f"({type(e).__name__}: {e})") from None
-    _write(args.out, "\n".join(sections))
-    return EXIT_OK
+    return "\n".join(sections), True
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +488,21 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     args.workers = workers
     try:
-        return args.run(args)
+        payload, ok = args.run(args)
+        if isinstance(payload, str):   # report's merged markdown
+            text = payload
+        elif args.format == "markdown" and not getattr(args, "json", False):
+            text = _RENDERERS[payload["command"]](payload)
+        else:   # gallery's --json wins over --format, in either order
+            text = canonical_json(payload)
+        _write(args.out, text)
     except (SpaceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .extreal import INF, ONE, ZERO, ExtReal
-from .space import PreconditionError, SpaceError
+from .space import PreconditionError, SpaceError, refuse_unknown_keys
 
 VALUE_RULES = ("coordinate-projection", "truncated-difference", "order-characteristic")
 RULES = VALUE_RULES + ("sup-truncated-difference",)
@@ -270,6 +270,7 @@ def family_from_dict(data: dict) -> FamilySpace:
         params = data.get("params", {})
     except (KeyError, TypeError):
         raise SpaceError("family file needs 'rule', 'cutoff' and optional 'params'") from None
+    refuse_unknown_keys(data, ("rule", "cutoff", "params"), "family")
     # a JSON integer only: no text, float or boolean is read as a cutoff
     if isinstance(cutoff, bool) or not isinstance(cutoff, int):
         raise SpaceError(f"cutoff {cutoff!r} is not an integer")

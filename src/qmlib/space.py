@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import lcm
 
-from .extreal import INF, ZERO, ExtReal, ext_min
+from .extreal import INF, ZERO, ExtReal, _shown, ext_min
 
 
 # Most violations a validation keeps: the first ones in (i, j, k) order.
@@ -465,12 +465,22 @@ def space_to_dict(space: FiniteSpace) -> dict:
     }
 
 
+def refuse_unknown_keys(data: dict, known: tuple, kind: str) -> None:
+    """Raise SpaceError naming the first key of ``data`` that a ``kind``
+    file does not read, rather than ignore it."""
+    for key in data:
+        if key not in known:
+            raise SpaceError(f"unknown key {_shown(key)} in a {kind} file "
+                             f"(it reads {', '.join(known)})")
+
+
 def space_from_dict(data: dict) -> FiniteSpace:
     try:
         labels = data["points"]
         rows = data["matrix"]
     except (KeyError, TypeError):
         raise SpaceError("space file needs 'points' and 'matrix'") from None
+    refuse_unknown_keys(data, ("points", "matrix"), "space")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SpaceError("'points' must be a list of strings")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import zip_longest
 
 from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
-from .extreal import ONE, ExtReal
+from .extreal import ONE, ExtReal, _shown
 from .nets import EpSeq, classify, epseq
 from .order import _sup_profile, check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, PreconditionError, derive, threshold_grid
@@ -275,7 +276,12 @@ def audit(space: FiniteSpace, statements=STATEMENTS,
         raise PreconditionError("audit requires a validated distance")
     e_space = second if second is not None else derive(space, "join")
     if e_space.labels != space.labels:
-        raise PreconditionError("second distance must share the point set")
+        # the first position where the label lists differ; None past an end
+        at, x, y = next((i, x, y) for i, (x, y)
+                        in enumerate(zip_longest(space.labels, e_space.labels)) if x != y)
+        x, y = ("no point" if v is None else _shown(v) for v in (x, y))
+        raise PreconditionError(f"second distance must list the same points in the same order; "
+                                f"at position {at} the first has {x} and the second has {y}")
     if not e_space.validation.is_distance:
         raise PreconditionError("second distance fails the triangle law")
     ctx = AuditContext(space, e_space)

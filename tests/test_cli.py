@@ -1,6 +1,7 @@
 """CLI commands, exit codes, file formats, and report determinism."""
 
 import collections
+import hashlib
 import json
 import multiprocessing
 import os
@@ -20,6 +21,9 @@ from qmlib.family import MAX_CUTOFF, RULES
 from qmlib.gallery import GALLERY_NAMES
 from qmlib.nets import MAX_CLASS_SIZE
 from qmlib.order import MAX_DIRECTED_CLASSES
+from tests.bad_inputs import BAD_FILES, BAD_REPORTS, BAD_SIZES, BAD_SPACES, BAD_WORKERS
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -90,72 +94,7 @@ class TestCheck:
         rc, _ = run(capsys, ["check", str(bad)])
         assert rc == EXIT_PARSE
 
-    @pytest.mark.parametrize("data", [
-        {"points": ["a", "b"], "matrix": [["0", "1/0"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "0/0"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "abc"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "0.5"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "-1"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", True], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "1_0"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "\u0663"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "1/\u0663"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "-1/-2"], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "1"], ["+1", "0"]]},
-        {"rule": "sup-truncated-difference", "cutoff": "x"},
-        {"rule": "sup-truncated-difference", "cutoff": 8.5},
-        {"rule": "sup-truncated-difference", "cutoff": "8"},
-        5,
-        {"points": ["a"], "matrix": 5},
-        {"points": [["a"]], "matrix": [["0"]]},
-        {"rule": "order-characteristic", "cutoff": 8, "params": 5},
-        {"rule": "order-characteristic", "cutoff": 8, "params": [["values", "natural"]]},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": 5}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"zz": "abc"}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"zz": 2}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"zz": "1/0"}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "1_0"}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "\u0663"}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "1e3"}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "0.5"}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "-1/2"}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"extras": {"h": "inf"}}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"values": "odd"}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"colour": "red"}},
-        {"rule": "order-characteristic", "cutoff": 8, "params": {"prefix": "f"}},
-        {"rule": "sup-truncated-difference", "cutoff": 8, "params": {"prefix": 3}},
-        {"rule": "sup-truncated-difference", "cutoff": 8, "params": {"coordinate_cutoff": "x"}},
-        {"rule": "sup-truncated-difference", "cutoff": 8, "params": {"coordinate_cutoff": 9.0}},
-        {"rule": "sup-truncated-difference", "cutoff": 8,
-         "params": {"coordinate_cutoff": True}},
-        {"rule": "sup-truncated-difference", "cutoff": 8,
-         "params": {"extras": {"zz": "1"}}},
-        {"rule": "sup-truncated-difference", "cutoff": 8,
-         "params": {"coordinate_cutoff": 64}},
-        {"rule": "truncated-difference", "cutoff": 6, "params": {"extras": {"1/2": "2"}}},
-        {"rule": "truncated-difference", "cutoff": 6, "params": {"extras": {"7/8": "0"}}},
-        {"rule": "truncated-difference", "cutoff": 4, "params": {"extras": {"9/10": "0"}}},
-        {"rule": "order-characteristic", "cutoff": 8,
-         "params": {"values": "natural", "extras": {"3": "1/2"}}},
-        {"rule": "truncated-difference", "cutoff": 4,
-         "params": {"extras": {"u": f"{10**2999 + 1}/{10**2999}", "v": f"1/{3 * 10**2999 + 1}"}}},
-        {"points": ["a", "b"], "matrix": [["0", "1/" + "7" * 3000], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [["0", "x" * 3000], ["1", "0"]]},
-        {"points": ["a", "b"], "matrix": [[0, 1], [True, 0]]},
-        {"points": ["a", "b"], "matrix": [[0, 1], [1.0, 0]]},
-    ], ids=["1/0", "0/0", "abc", "0.5", "-1", "true", "underscore", "arabic-indic-digit",
-            "arabic-indic-denominator", "signed-fraction", "plus-sign", "cutoff-x", "cutoff-float", "cutoff-text",
-            "not-an-object", "matrix-not-a-list", "label-not-a-string",
-            "params-not-an-object", "params-a-list", "extras-not-an-object",
-            "extra-not-rational", "extra-not-text", "extra-zero-denominator",
-            "extra-underscore", "extra-arabic-indic-digit", "extra-exponent",
-            "extra-decimal-point", "extra-negative", "extra-infinite",
-            "unknown-value-form", "unknown-param", "param-of-another-rule",
-            "prefix-not-a-string", "window-text", "window-float", "window-bool",
-            "extras-on-vector-rule", "window-integer", "extra-takes-a-label",
-            "extra-takes-the-label-past-the-window", "extra-takes-a-label-far-past-the-window",
-            "extra-takes-a-natural-label", "extras-of-3000-digits", "entry-of-3000-digits",
-            "entry-of-3000-letters", "true-after-an-equal-int", "float-after-an-equal-int"])
+    @pytest.mark.parametrize("data", list(BAD_SPACES.values()), ids=list(BAD_SPACES))
     def test_bad_input_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -166,6 +105,14 @@ class TestCheck:
         assert len(captured.err.splitlines()) == 1
         assert len(captured.err) < 200
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("case, key", [("family-with-a-matrix", "'points'"),
+                                           ("space-with-an-extra-key", "'extra'")])
+    def test_unknown_top_level_key_is_named(self, capsys, tmp_path, case, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(BAD_SPACES[case]))
+        assert main(["check", str(bad)]) == EXIT_PARSE
+        assert f"error: unknown key {key} in a " in capsys.readouterr().err
 
     # true and 1.0 hash equal to 1, so a memoised 1 must not let them through
     @pytest.mark.parametrize("command", ["check", "audit"])
@@ -314,12 +261,8 @@ class TestCheck:
             assert len(captured.err.splitlines()) == 1
 
 
-BAD_FILE_CONTENTS = [b"\xff\xfe{}", b"{not json", b"[1, 2]"]
-BAD_FILE_IDS = ["not-utf8", "invalid-json", "not-an-object"]
-
-
 class TestBadFiles:
-    @pytest.mark.parametrize("content", BAD_FILE_CONTENTS, ids=BAD_FILE_IDS)
+    @pytest.mark.parametrize("content", list(BAD_FILES.values()), ids=list(BAD_FILES))
     @pytest.mark.parametrize("role", ["check", "audit-main", "audit-second",
                                       "report-second"])
     def test_bad_file_is_named_on_stderr(self, capsys, tmp_path, discrete_file,
@@ -366,6 +309,21 @@ class TestAudit:
     def test_nonvalidated_input_is_precondition_error(self, capsys, broken_file):
         rc, _ = run(capsys, ["audit", broken_file])
         assert rc == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("points, difference", [
+        (["b", "a"], "at position 0 the first has 'a' and the second has 'b'"),
+        (["a", "b", "c"], "at position 2 the first has no point and the second has 'c'")],
+        ids=["another-order", "one-more-point"])
+    def test_second_distance_on_other_points_names_the_first_difference(
+            self, capsys, tmp_path, discrete_file, points, difference):
+        second = tmp_path / "second.json"
+        second.write_text(json.dumps({"points": points,
+                                      "matrix": [["0"] * len(points) for _ in points]}))
+        rc = main(["audit", discrete_file, "--second-distance", str(second)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PRECONDITION and captured.out == ""
+        assert captured.err == ("precondition failed: second distance must list the same "
+                                f"points in the same order; {difference}\n")
 
 
 class TestGallery:
@@ -424,16 +382,7 @@ class TestRandom:
         assert json.loads(target.read_text())["command"] == "random"
 
     # integers are ASCII digits only: no sign, "_", p/q or non-ASCII digit
-    @pytest.mark.parametrize("argv", [
-        ["random", "--n", "0"], ["random", "--n", "-1"], ["random", "--count", "-3"],
-        ["random", "--n", "x"], ["random", "--n", "\u0663"], ["random", "--count", "1_0"],
-        ["random", "--count", "+1"], ["random", "--n", "4/2"], ["random", "--seed", "-5"],
-        ["random", "--seed", "+5"], ["gallery", "halfopen", "--cutoff", "1_6"],
-        ["gallery", "halfopen", "--cutoff", "-8"], ["gallery", "halfopen", "--cutoff", "16/2"],
-        ["random", "--n", "9" * 5000]],
-        ids=["n-0", "n-negative", "count-negative", "n-not-an-int", "n-arabic-indic",
-             "count-underscore", "count-plus", "n-fraction", "seed-negative", "seed-plus",
-             "cutoff-underscore", "cutoff-negative", "cutoff-fraction", "n-5000-digits"])
+    @pytest.mark.parametrize("argv", list(BAD_SIZES.values()), ids=list(BAD_SIZES))
     def test_bad_size_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -478,19 +427,7 @@ class TestReport:
         rc, _ = run(capsys, ["report", str(bad)])
         assert rc == EXIT_PARSE
 
-    @pytest.mark.parametrize("data", [
-        [1, 2],
-        "random",
-        {"command": "gallery"},
-        {"command": "gallery", "report": {"fixture": "halfopen", "cutoff": 4, "facts": [5]}},
-        {"command": "random", "config": {}},
-        {"command": "random", "config": {"n": 4, "count": 1, "seed": 0}, "summary": [],
-         "searches": {}, "content_hash": "0"},
-        {"command": "audit", "input": "x.json", "report": {"entries": [{}]}},
-        {"command": "check", "input": "x.json", "kind": "finite"},
-    ], ids=["list", "string", "gallery-no-report", "gallery-fact-not-an-object",
-            "random-empty-config", "random-summary-a-list", "audit-empty-entry",
-            "check-no-validation"])
+    @pytest.mark.parametrize("data", list(BAD_REPORTS.values()), ids=list(BAD_REPORTS))
     def test_malformed_report_is_one_line_parse_error(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -507,6 +444,67 @@ class TestReport:
         rc, out = run(capsys, ["report", str(other)])
         assert rc == EXIT_OK
         assert out.startswith(f"# {other}") and '"x": 1' in out
+
+
+# name -> (argv run in tests/data, sha256 of its --format markdown bytes,
+# recorded when each command still wrote its own output)
+MARKDOWN_RUNS = {
+    "check-finite": (["check", "plain_n10.json"],
+                     "3bbb59408f8b0d9756b4035e070cc3a0482bc7fa7716ae13285ef1b353673616"),
+    "check-family": (["check", "fm_c256.json"],
+                     "556ca708a487948d20de8a53d2a627e3e7d7691b6413cbd8d9cc994a599e9ec5"),
+    "audit": (["audit", "plain_n10.json"],
+              "49a899acbd04d3b2b3cca30b13659172086a0c7abbb8eebccbf3a3602473ee93"),
+    "audit-second": (["audit", "pair_n8_d.json", "--second-distance", "pair_n8_e.json"],
+                     "4218dacda6476c4359ab4221c1ff14f8798a7ce7f615cff46fc0aebd3698e7fd"),
+    "gallery": (["gallery", "halfopen", "--cutoff", "16"],
+                "b3485345e4e6486660ea804ecd079d955602132610918e4d643972b42895eb56"),
+    "random": (["random", "--n", "4", "--count", "8", "--seed", "5"],
+               "ed1cc1ef31462cca48de16ef87c1ea9daae9e39ed5f7eb5648e1fd2f5d16939f"),
+}
+
+
+class TestEmit:
+    """``main`` renders, writes and maps the exit code of every command."""
+
+    @pytest.mark.parametrize("argv, digest", list(MARKDOWN_RUNS.values()),
+                             ids=list(MARKDOWN_RUNS))
+    def test_markdown_is_the_report_of_the_runs_json(self, capsys, monkeypatch, tmp_path,
+                                                     argv, digest):
+        monkeypatch.chdir(DATA)
+        markdown_argv = argv + ["--format", "markdown"]
+        rc, markdown = run(capsys, markdown_argv)
+        # the payload main rendered, from the command's own load-and-decide step
+        args = cli._parser().parse_args(markdown_argv)
+        args.workers = 1
+        payload, ok = args.run(args)
+        assert rc == (EXIT_OK if ok else EXIT_FAILURE)
+        if argv[0] != "random":   # a sweep's config records its --format
+            assert run(capsys, argv) == (rc, canonical_json(payload))
+        (tmp_path / "run.json").write_text(canonical_json(payload))
+        assert run(capsys, ["report", str(tmp_path / "run.json")]) == (EXIT_OK, markdown)
+        assert hashlib.sha256(markdown.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags", [["--json", "--format", "markdown"],
+                                       ["--format", "markdown", "--json"]],
+                             ids=["json-first", "format-first"])
+    def test_gallery_json_flag_wins_over_markdown(self, capsys, flags):
+        argv = ["gallery", "halfopen", "--cutoff", "10"]
+        assert run(capsys, argv + flags) == run(capsys, argv)
+
+    @pytest.mark.parametrize("command", ["check", "audit", "gallery", "random", "report"])
+    def test_out_into_a_missing_directory_is_one_line_parse_error(self, capsys, tmp_path,
+                                                                 discrete_file, command):
+        argv = {"check": ["check", discrete_file], "audit": ["audit", discrete_file],
+                "gallery": ["gallery", "halfopen", "--cutoff", "4"],
+                "random": ["random", "--n", "3", "--count", "2"],
+                "report": ["report", discrete_file]}[command]
+        out = tmp_path / "missing" / "out.json"
+        rc = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and str(out) in captured.err
+        assert not out.parent.exists()
 
 
 class RecordingPool:
@@ -586,8 +584,7 @@ class TestWorkers:
         assert pooled.err == serial.err
         assert children == []
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", "", "+1", "1_0", "2/1",
-                                       "\u0661", pytest.param("9" * 5000, id="5000-digits")])
+    @pytest.mark.parametrize("value", list(BAD_WORKERS.values()), ids=list(BAD_WORKERS))
     def test_bad_pool_size_is_one_line_parse_error(self, capsys, monkeypatch,
                                                    discrete_file, value):
         monkeypatch.setenv("QML_WORKERS", value)
