@@ -39,8 +39,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
 sys.path.insert(0, str(REPO))
-from tests.bad_inputs import (BAD_FILES, BAD_REPORTS, BAD_SIZES, BAD_SPACES,  # noqa: E402
-                              BAD_WORKERS)
+from tests.bad_inputs import (BAD_ARGUMENTS, BAD_FILES, BAD_REPORTS, BAD_SIZES,  # noqa: E402
+                              BAD_SPACES, BAD_WORKERS)
 
 FIXTURES = ("halfopen", "projection", "fm_counterexample", "x_one_minus_y")
 CUTOFFS = (16, 50, 100, 200)
@@ -91,6 +91,7 @@ def invocations() -> list:
     runs += [("1", ["report", f"bad/report-{i}.json"]) for i in range(len(BAD_REPORTS))]
     runs += [("1", argv) for argv in BAD_SIZES.values()]
     runs += [(value, ["check", "data/plain_n10.json"]) for value in BAD_WORKERS.values()]
+    runs += [("1", argv) for argv in BAD_ARGUMENTS.values()]
     return runs
 
 

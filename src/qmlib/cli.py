@@ -203,7 +203,7 @@ def run_audit(args) -> tuple:
     space = _load_finite(args.space_file, "audit runs on finite space files; use the "
                                           "gallery command for finitely presented fixtures")
     second = (_load_finite(args.second_distance, "the second distance must be a finite space")
-              if args.second_distance else None)
+              if args.second_distance is not None else None)
     report = audit(space, args.theorems, second)
     return {
         "command": "audit",
@@ -254,14 +254,13 @@ def _sups_signature(space: FiniteSpace) -> tuple:
 
     The d-suprema of Y are its upper bounds (the meet of the ``zero_up``
     masks of its members) whose integer row is the column-wise max of the
-    rows of Y.  With the points grouped by row, each singleton and pair
-    costs one dict lookup and one mask test, with no ``suprema`` call.
+    rows of Y.  With the points grouped by row (``points_by_row``), each
+    singleton and pair costs one dict lookup and one mask test, with no
+    ``suprema`` call.
     """
     rows = space.scaled[0]
     up0 = space.zero_up
-    by_row: dict = {}
-    for x, row in enumerate(rows):
-        by_row[row] = by_row.get(row, 0) | 1 << x
+    by_row = space.points_by_row
     sups = [by_row[row] & up0[y] for y, row in enumerate(rows)]
     for a, b in itertools.combinations(range(space.n), 2):
         top = tuple(map(max, rows[a], rows[b]))
@@ -331,10 +330,11 @@ def run_random(args) -> tuple:
 
     payload = {
         "command": "random",
-        # no sweep reads inputs, cutoff or second: they stay constant keys
+        # no sweep reads inputs, cutoff or second, and the hashed report is
+        # JSON under either --format: they stay constant keys
         "config": {"command": "random", "inputs": [], "seed": args.seed,
                    "count": args.count, "n": args.n, "cutoff": 50,
-                   "format": args.format, "theorems": list(args.theorems),
+                   "format": "json", "theorems": list(args.theorems),
                    "second": None},
         "instances_audited": len(payloads),
         "summary": dict(sorted(summary.items())),

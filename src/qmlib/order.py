@@ -12,16 +12,16 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .extreal import ext_max, ext_min
-from .nets import EpSeq, classify, submasks
+from .nets import EpSeq, classify, subset_lists
 from .space import FiniteSpace, PreconditionError
 from .topology import convergence
 
 # Largest number k of specialization classes whose 2^k - 1 unions
 # ``check_ed_complete`` walks; more raise
 # PreconditionError (exit 3) before the walk.  On the k-point chain
-# (d(i, j) = 0 if i <= j else 1) `qml audit` took 1.3 s at k = 16, 2.6 s
-# at 17 and 5.2 s at 18, with the ceiling raised for the last two (2-vCPU
-# VM, Python 3.11).
+# (d(i, j) = 0 if i <= j else 1) `qml audit` took 0.64 s at k = 16, 1.3 s
+# at 17 and 2.5 s at 18, with the ceiling raised for the last two
+# (separate processes, medians of 5, 2-vCPU VM, Python 3.11).
 MAX_DIRECTED_CLASSES = 16
 
 
@@ -71,10 +71,12 @@ def is_directed(space: FiniteSpace, Y) -> bool:
 
     Y is directed iff it has a top member: some y in Y with d(f, y) = 0
     for every f in Y, i.e. ``Y & AND over f in Y of zero_up[f]`` is
-    nonzero.  The metric sense asks, for every finite F inside Y, for a y
-    in Y with max over F of d(f, y) = 0 (the test oracle); F = Y is the
-    strongest case, so the two agree on every matrix, with or without the
-    triangle law.  On a finite carrier the order sense asks the same.
+    nonzero.  The AND only shrinks as Y is read, so the answer is False as
+    soon as it is empty.  The metric sense asks, for every finite F inside
+    Y, for a y in Y with max over F of d(f, y) = 0 (the test oracle); F = Y
+    is the strongest case, so the two agree on every matrix, with or
+    without the triangle law.  On a finite carrier the order sense asks
+    the same.
     """
     up0 = space.zero_up
     ymask = 0
@@ -82,6 +84,8 @@ def is_directed(space: FiniteSpace, Y) -> bool:
     for y in Y:
         ymask |= 1 << y
         common &= up0[y]
+        if not common:
+            return False
     if not ymask:
         raise PreconditionError("Y must be nonempty")
     return common & ymask != 0
@@ -107,13 +111,15 @@ def check_ed_complete(space: FiniteSpace) -> EdCompletenessReport:
     on which classes Y meets.  The walk therefore runs over the nonempty
     submasks of ``space.representatives``, in increasing order, and a
     failing Y is such a subset; more than ``MAX_DIRECTED_CLASSES``
-    classes raise ``PreconditionError`` before it starts.  Each step
-    peels the points off the submask's low bits and asks ``is_directed``
-    for a top member of Y (one zero-mask AND per point); a directed Y is
-    counted in ``subsets_checked`` and needs an upper bound x (Y inside
-    ``zero_down[x]``) whose integer row is the column-wise max of Y's.
-    The space must satisfy the triangle law.  Directedness under a second
-    distance e is a test oracle.
+    classes raise ``PreconditionError`` before it starts.  ``subset_lists``
+    builds each Y as its predecessor's points (Y without its top
+    representative, walked earlier) plus that representative, and
+    ``is_directed`` asks every Y for a top member, stopping once the AND
+    of its ``zero_up`` masks is empty.  A directed Y is counted in
+    ``subsets_checked`` and needs an upper bound whose integer row is the
+    column-wise max of Y's (``_has_d_sup``).  The space must satisfy the
+    triangle law.  Directedness under a second distance e is a test
+    oracle.
     """
     if not space.validation.is_distance:
         raise PreconditionError("directed completeness requires a validated distance")
@@ -123,29 +129,25 @@ def check_ed_complete(space: FiniteSpace) -> EdCompletenessReport:
         raise PreconditionError(f"{k} classes exceed the ceiling "
                                 f"{MAX_DIRECTED_CLASSES} for walking the directed subsets")
     checked = 0
-    for mask in submasks(reps):
-        pts = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            pts.append(low.bit_length() - 1)
-            rest ^= low
+    for pts in subset_lists([i for i in range(space.n) if reps >> i & 1]):
         if not is_directed(space, pts):
             continue
         checked += 1
-        if not _has_d_sup(space, mask, pts):
+        if not _has_d_sup(space, pts):
             return EdCompletenessReport(False, tuple(space.labels[i] for i in pts), checked)
     return EdCompletenessReport(True, None, checked)
 
 
-def _has_d_sup(space: FiniteSpace, ymask: int, pts) -> bool:
-    """Existence-only d-supremum test (matches suprema().d_sups != empty)
-    for the points ``pts`` of the mask ``ymask``."""
-    down0 = space.zero_down
-    rows = space.scaled[0]
-    profile = _sup_profile(rows, pts)
-    return any(rows[x] == profile
-               for x in range(space.n) if down0[x] & ymask == ymask)
+def _has_d_sup(space: FiniteSpace, pts) -> bool:
+    """Existence-only d-supremum test (matches suprema().d_sups != empty):
+    some upper bound of ``pts`` (a point of every ``zero_up`` of them) has
+    the points' column-wise max row (``points_by_row``)."""
+    up0 = space.zero_up
+    upper = -1
+    for y in pts:
+        upper &= up0[y]
+    profile = _sup_profile(space.scaled[0], pts)
+    return space.points_by_row.get(profile, 0) & upper != 0
 
 
 def _sup_profile(rows, pts) -> tuple:

@@ -176,6 +176,19 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
         return rows, back, sentinel
 
     @cached_property
+    def points_by_row(self) -> dict:
+        """Mask of the points per distinct integer row of ``scaled``.
+
+        A d-supremum of Y is an upper bound of Y whose row is the
+        column-wise max of Y's rows, so one lookup of that max gives every
+        candidate at once.
+        """
+        by_row: dict = {}
+        for x, row in enumerate(self.scaled[0]):
+            by_row[row] = by_row.get(row, 0) | 1 << x
+        return by_row
+
+    @cached_property
     def distinct_values(self) -> tuple:
         vals = {v for row in self.matrix for v in row}
         return tuple(sorted(vals))

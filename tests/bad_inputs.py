@@ -93,6 +93,13 @@ BAD_SPACES = {
 BAD_FILES = {"not-utf8": b"\xff\xfe{}", "invalid-json": b"{not json",
              "not-an-object": b"[1, 2]"}
 
+# argv naming files as ``data/<name>`` (``tests/data``, from its parent
+# directory) that ``main`` refuses with exit 2 and one stderr line
+BAD_ARGUMENTS = {
+    # an empty path is a file that cannot be read, not an absent option
+    "second-distance-empty": ["audit", "data/pair_n8_d.json", "--second-distance", ""],
+}
+
 # `qml report` inputs its renderers cannot read -> exit 2 with one line
 BAD_REPORTS = {
     "list": [1, 2],

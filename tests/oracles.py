@@ -53,7 +53,10 @@ and ``signed_fb_distance_oracle`` keeps the nonpositive-radius formula
 ``ThresholdRel`` is one generator {d < eps} of the relation filter, and
 ``subequiv`` compares two step functions through their sublevel sets,
 where production compares two distances on their zero masks
-(``dist_subequiv``).
+(``dist_subequiv``).  ``directed_subsets_count`` and
+``zero_cliques_count`` give the counts of the two exponential walks,
+``check_ed_complete`` and ``is_complete``, in closed form, read off the
+classes point by point.
 """
 
 import itertools
@@ -800,3 +803,22 @@ def grid_space_oracle(name: str, cutoff: int) -> FiniteSpace:
     vals = [Fraction(k, cutoff) for k in range(cutoff + 1)]
     rows = [[_ext(dist(a, b)) for b in vals] for a in vals]
     return space_from_rows([str(v) for v in vals], rows)
+
+
+def directed_subsets_count(space: FiniteSpace) -> int:
+    """``check_ed_complete(space).subsets_checked`` in closed form.
+
+    A directed union of classes has exactly one representative as its top
+    member, so it is a representative y with d(y, y) = 0 together with any
+    set of the other representatives f with d(f, y) = 0.
+    """
+    reps = representatives(space.class_masks)
+    pts = [i for i in range(space.n) if reps >> i & 1]
+    return sum(2 ** sum(1 for f in pts if f != y and space.leq(f, y))
+               for y in pts if space.leq(y, y))
+
+
+def zero_cliques_count(space: FiniteSpace) -> int:
+    """``is_complete(space).cliques_checked`` in closed form: a class C
+    of zero self-distance has 2^|C| - 1 nonempty subsets."""
+    return sum(2 ** len(members) - 1 for members in zero_class_members_oracle(space))

@@ -21,7 +21,8 @@ from qmlib.family import MAX_CUTOFF, RULES
 from qmlib.gallery import GALLERY_NAMES
 from qmlib.nets import MAX_CLASS_SIZE
 from qmlib.order import MAX_DIRECTED_CLASSES
-from tests.bad_inputs import BAD_FILES, BAD_REPORTS, BAD_SIZES, BAD_SPACES, BAD_WORKERS
+from tests.bad_inputs import (BAD_ARGUMENTS, BAD_FILES, BAD_REPORTS, BAD_SIZES, BAD_SPACES,
+                              BAD_WORKERS)
 
 DATA = Path(__file__).parent / "data"
 
@@ -243,18 +244,18 @@ class TestCheck:
         # the walk itself is stubbed out: only whether it starts is under test
         walks = []
 
-        def no_walk(mask):
-            walks.append(mask)
+        def no_walk(points):
+            walks.append(points)
             return iter(())
 
-        monkeypatch.setattr(order, "submasks", no_walk)
+        monkeypatch.setattr(order, "subset_lists", no_walk)
         path = self._chain(tmp_path, MAX_DIRECTED_CLASSES + extra)
         t0 = time.monotonic()
         rc = main(["audit", path])
         captured = capsys.readouterr()
         assert rc == code
         if code == EXIT_OK:
-            assert [m.bit_count() for m in walks] == [MAX_DIRECTED_CLASSES]
+            assert [len(points) for points in walks] == [MAX_DIRECTED_CLASSES]
         else:
             assert time.monotonic() - t0 < 1.0
             assert walks == [] and captured.out == ""
@@ -281,6 +282,15 @@ class TestBadFiles:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert str(bad) in captured.err
+
+    @pytest.mark.parametrize("argv", list(BAD_ARGUMENTS.values()), ids=list(BAD_ARGUMENTS))
+    def test_bad_argument_is_one_line_parse_error(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(DATA.parent)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestAudit:
@@ -460,7 +470,7 @@ MARKDOWN_RUNS = {
     "gallery": (["gallery", "halfopen", "--cutoff", "16"],
                 "b3485345e4e6486660ea804ecd079d955602132610918e4d643972b42895eb56"),
     "random": (["random", "--n", "4", "--count", "8", "--seed", "5"],
-               "ed1cc1ef31462cca48de16ef87c1ea9daae9e39ed5f7eb5648e1fd2f5d16939f"),
+               "906fd3780acde93c852d0f4d1c325d083943d79ea0b8979903c1172320f95be3"),
 }
 
 
@@ -479,8 +489,9 @@ class TestEmit:
         args.workers = 1
         payload, ok = args.run(args)
         assert rc == (EXIT_OK if ok else EXIT_FAILURE)
-        if argv[0] != "random":   # a sweep's config records its --format
-            assert run(capsys, argv) == (rc, canonical_json(payload))
+        assert run(capsys, argv) == (rc, canonical_json(payload))
+        if argv[0] == "random":
+            assert f"- content hash: {payload['content_hash']}\n" in markdown
         (tmp_path / "run.json").write_text(canonical_json(payload))
         assert run(capsys, ["report", str(tmp_path / "run.json")]) == (EXIT_OK, markdown)
         assert hashlib.sha256(markdown.encode()).hexdigest() == digest

@@ -31,9 +31,15 @@ MUTANTS = {
     "is-directed-union-of-ups": (
         "order.py", "common &= up0[y]", "common |= up0[y]",
         "tests/test_order.py::TestDirected"),
+    "is-directed-exits-on-a-partial-top": (
+        "order.py", "if not common:", "if not common & ymask:",
+        "tests/test_order.py::TestDirected"),
     "has-d-sup-any-overlap-bounds": (
-        "order.py", "down0[x] & ymask == ymask)", "down0[x] & ymask != 0)",
+        "order.py", "upper &= up0[y]", "upper |= up0[y]",
         "tests/test_kernel.py::test_suprema_match_the_oracle"),
+    "subset-walk-drops-the-predecessors-top-point": (
+        "nets.py", "ys = kept[i] + [p]", "ys = kept[i][:-1] + [p]",
+        "tests/test_nets.py::test_subset_lists_follow_the_submasks"),
     "filter-composition-empty-min-is-zero": (
         "theorems.py", "default=sentinel", "default=0",
         "tests/test_identities.py::test_filter_composition_equals_grid_and_order_forms"),
