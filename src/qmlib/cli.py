@@ -122,8 +122,11 @@ def _json_text(o, nl: str) -> str:
 
 
 def _write(out: str | None, text: str) -> None:
-    """Write to the file ``out``, or to stdout when it is None."""
-    if out:
+    """Write to the file ``out``, or to stdout when it is None.
+
+    An empty ``out`` is a path that cannot be opened, not an absent option.
+    """
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -97,23 +97,23 @@ def derived_functions(space: FiniteSpace) -> DerivedFunctions:
     Empty candidate sets contribute inf.  The definitional forms of d_F
     and d_Phi are kept as test oracles.
 
-    Both functions run as one ascending sweep over the integer form of the
+    Both functions run as one ascending sweep over the rank table of the
     matrix (``FiniteSpace.scaled``): a ball only grows with the radius, so
     each entry joins its row's ball at one cut, and each point's bound
-    only grows.
+    only grows.  The cuts are the ranks 1 to ``sentinel``: every distinct
+    positive finite entry, then inf.
     """
     rows, back, sentinel = space.scaled
-    cuts = sorted({v for row in rows for v in row if 0 < v < sentinel})
-    cuts.append(sentinel)
     columns = tuple(zip(*rows))
-    return DerivedFunctions(_ball_bound_fn(rows, space.zero_down, cuts, back),
-                            _ball_bound_fn(columns, space.zero_up, cuts, back))
+    return DerivedFunctions(_ball_bound_fn(rows, space.zero_down, sentinel, back),
+                            _ball_bound_fn(columns, space.zero_up, sentinel, back))
 
 
-def _ball_bound_fn(rows, held, cuts, back) -> StepFn:
+def _ball_bound_fn(rows, held, sentinel, back) -> StepFn:
     """Worst over x of the least ``rows[x][y]`` over the admissible y, the
     y whose cover holds the ball {z : rows[x][z] < r}, at radius 0 and at
-    each cut (the last cut is the sentinel, the empty infimum).
+    each cut r of rank 1 to ``sentinel`` (the last is inf, and ``sentinel``
+    is also the empty infimum).
 
     ``held[z]`` is the mask of the y whose cover holds z, so the
     admissible y of a ball are the meet of ``held`` over its members.
@@ -121,22 +121,19 @@ def _ball_bound_fn(rows, held, cuts, back) -> StepFn:
     d_up; with rows = the transpose of d and held = zero_up (the cover is
     zero_down) it is d_low.
 
-    Each entry (x, z) below the sentinel is an event at the cut where z
-    joins x's ball: an entry 0 at the first cut, and v > 0 at the cut
-    after v.  It narrows ``ok[x]``, and x's bound is the entry of the
-    first y of its ascending row still in ``ok[x]``; that pointer only
-    moves forward, so the sweep costs O(n^2) after the row sorts.  Bounds
-    only grow, so the worst one is a running max.
+    Each entry (x, z) of rank v below the sentinel is an event at the
+    cut of rank v + 1, where z joins x's ball, so it goes into bucket
+    ``events[v]``.  It narrows ``ok[x]``, and x's bound is the entry of
+    the first y of its ascending row still in ``ok[x]``; that pointer
+    only moves forward, so the sweep costs O(n^2) after the row sorts.
+    Bounds only grow, so the worst one is a running max.
     """
     n = len(rows)
-    sentinel = cuts[-1]
-    joins = {v: i for i, v in enumerate(cuts, 1)}
-    joins[0] = 0
-    events = [[] for _ in cuts]
+    events = [[] for _ in range(sentinel)]
     for x, row in enumerate(rows):
         for z, v in enumerate(row):
             if v < sentinel:
-                events[joins[v]].append((x, z))
+                events[v].append((x, z))
     orders = [sorted(range(n), key=row.__getitem__) for row in rows]
     ok = [(1 << n) - 1] * n
     first = [0] * n       # position in orders[x] of x's first admissible y
@@ -155,7 +152,7 @@ def _ball_bound_fn(rows, held, cuts, back) -> StepFn:
                 if bound > worst:
                     worst = bound
         values.append(worst)
-    return StepFn(back[at_zero], tuple(back[c] for c in cuts), tuple(back[v] for v in values))
+    return StepFn(back[at_zero], back[1:], tuple(back[v] for v in values))
 
 
 def sub_identity(f: StepFn) -> bool:

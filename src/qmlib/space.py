@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import cached_property
-from math import lcm
 
 from .extreal import INF, ZERO, ExtReal, _shown, ext_min
 
@@ -149,35 +148,28 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
 
     @cached_property
     def scaled(self) -> tuple:
-        """The matrix as exact integers: ``(rows, back, sentinel)``.
+        """The matrix as a rank table: ``(rows, back, sentinel)``.
 
-        Every finite entry is multiplied by the lcm D of the finite
-        denominators, so ``rows`` holds Python ints that order and compare
-        exactly as the entries do.  Infinity becomes ``sentinel``,
-        ``max(2, n) * max_finite + 1``: above every finite entry and every
-        sum of up to n - 1 of them (a min-plus path).  ``back`` maps each
-        int of ``rows``, 0 and ``sentinel`` to its ``ExtReal``.  Inner
-        loops that only compare entries run on this form; values leave it
-        through ``back``.
+        ``back`` is the ascending tuple of the distinct entries, with
+        ``ZERO`` always at rank 0 and ``INF`` always last, and ``rows``
+        holds each entry's index in it, so the ranks order and compare
+        exactly as the entries do.  ``sentinel`` is the last rank,
+        infinity's.  Inner loops that only compare entries run on this
+        form; values leave it through ``back``.  The ranks are keyed on
+        ``(num, den)`` pairs, so no ``ExtReal`` is hashed.
         """
         matrix = self.matrix
-        dens = {v.den for row in matrix for v in row}
-        dens.discard(0)   # infinity's; lcm is 0 once any argument is
-        scale = lcm(*dens)
-        back = {0: ZERO}
-        for row in matrix:
-            for v in row:
-                if v.den:
-                    back[v.num * (scale // v.den)] = v
-        sentinel = max(2, self.n) * max(back) + 1
-        back[sentinel] = INF
-        rows = tuple(tuple(v.num * (scale // v.den) if v.den else sentinel for v in row)
-                     for row in matrix)
-        return rows, back, sentinel
+        values = {(v.num, v.den): v for row in matrix for v in row}
+        values[0, 1] = ZERO     # rank 0, even where no entry is 0
+        values[1, 0] = INF      # the last rank, even where no entry is inf
+        back = tuple(sorted(values.values()))
+        rank = {(v.num, v.den): i for i, v in enumerate(back)}
+        rows = tuple(tuple(rank[v.num, v.den] for v in row) for row in matrix)
+        return rows, back, len(back) - 1
 
     @cached_property
     def points_by_row(self) -> dict:
-        """Mask of the points per distinct integer row of ``scaled``.
+        """Mask of the points per distinct rank row of ``scaled``.
 
         A d-supremum of Y is an upper bound of Y whose row is the
         column-wise max of Y's rows, so one lookup of that max gives every
@@ -187,11 +179,6 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
         for x, row in enumerate(self.scaled[0]):
             by_row[row] = by_row.get(row, 0) | 1 << x
         return by_row
-
-    @cached_property
-    def distinct_values(self) -> tuple:
-        vals = {v for row in self.matrix for v in row}
-        return tuple(sorted(vals))
 
     def __repr__(self):
         return f"FiniteSpace({len(self.labels)} points)"
@@ -453,7 +440,7 @@ def threshold_grid(space: FiniteSpace) -> tuple:
     ones, one value above the largest finite entry, and infinity.  The
     smallest grid entry generates the minimal relation {d = 0}.
     """
-    finite = sorted({v for v in space.distinct_values if not v.is_inf and not v.is_zero()})
+    finite = space.scaled[1][1:-1]
     grid = []
     prev = ZERO
     for v in finite:

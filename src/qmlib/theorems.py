@@ -91,8 +91,8 @@ def compose_with_filter(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpa
 
     The generators are nested, so the sup is attained at the smallest one,
     {d = 0}: this is e composed with the specialization order of d.  The
-    minima run on e's integer rows (``FiniteSpace.scaled``, an empty
-    relation giving the sentinel, i.e. inf).  The definitional form over
+    minima run on e's rank rows (``FiniteSpace.scaled``, an empty
+    relation giving the sentinel, inf's rank).  The definitional form over
     the whole threshold grid is a test oracle.
     """
     n = d_space.n

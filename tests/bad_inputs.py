@@ -96,8 +96,13 @@ BAD_FILES = {"not-utf8": b"\xff\xfe{}", "invalid-json": b"{not json",
 # argv naming files as ``data/<name>`` (``tests/data``, from its parent
 # directory) that ``main`` refuses with exit 2 and one stderr line
 BAD_ARGUMENTS = {
-    # an empty path is a file that cannot be read, not an absent option
+    # an empty path is a file that cannot be read or written, not an absent option
     "second-distance-empty": ["audit", "data/pair_n8_d.json", "--second-distance", ""],
+    "check-out-empty": ["check", "data/chain_n12.json", "--out", ""],
+    "audit-out-empty": ["audit", "data/chain_n12.json", "--out", ""],
+    "gallery-out-empty": ["gallery", "halfopen", "--cutoff", "4", "--out", ""],
+    "random-out-empty": ["random", "--n", "3", "--count", "2", "--out", ""],
+    "report-out-empty": ["report", "data/chain_n12.json", "--out", ""],
 }
 
 # `qml report` inputs its renderers cannot read -> exit 2 with one line

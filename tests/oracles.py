@@ -28,11 +28,12 @@ that add over every k, where production adds only over the k whose two
 legs both lie strictly below the entry under test.  The symmetric join of
 a validated distance takes its validation from the distance's own;
 ``join_validation_oracle`` validates the join from scratch.
-``FiniteSpace.scaled`` reads the common denominator and the ints off the
-entries' numerators and denominators; ``scaled_oracle`` keeps the form
-that maps each distinct ``ExtReal`` to its int through a dict.  Value pairs
-are read from a table of quarter steps; ``random_value_pair_oracle``
-builds every entry through ``Fraction`` arithmetic.  The sweep's
+``FiniteSpace.scaled`` ranks the distinct entries keyed on their
+``(num, den)`` pairs; ``scaled_oracle`` ranks them through a dict of
+``ExtReal``s, and the oracles read the distinct values off the matrix
+themselves.  Value pairs are read from a table of quarter steps;
+``random_value_pair_oracle`` builds every entry through ``Fraction``
+arithmetic.  The sweep's
 per-instance checks read the zero masks and the integer rows:
 ``sups_signature_oracle``, ``net_classes_oracle``,
 ``dist_subequiv_oracle``, ``separable_oracle``,
@@ -62,7 +63,6 @@ classes point by point.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from qmlib.derived import DerivedFunctions, StepFn, sub_identity
 from qmlib.extreal import INF, ONE, ZERO, ExtReal, ext_max, ext_min
@@ -85,9 +85,14 @@ def _step_over_cuts(space: FiniteSpace, piece) -> StepFn:
     return StepFn(piece(None), cuts, tuple(piece(r) for r in cuts))
 
 
+def _positive_values(space: FiniteSpace) -> list:
+    """The distinct positive finite matrix values, ascending."""
+    return sorted({v for row in space.matrix for v in row if not v.is_inf and not v.is_zero()})
+
+
 def _cuts(space: FiniteSpace) -> tuple:
     """The distinct positive finite matrix values, ascending, then inf."""
-    return tuple(v for v in space.distinct_values if not v.is_inf and not v.is_zero()) + (INF,)
+    return (*_positive_values(space), INF)
 
 
 def derived_functions_oracle(space: FiniteSpace) -> DerivedFunctions:
@@ -414,7 +419,7 @@ def construct_directed_from_cauchy_oracle(space: FiniteSpace, seq, dfs) -> Direc
     if not sub_identity(dfs.d_up):
         raise PreconditionError("upper-ball bound function is not uniformly below identity")
     n = space.n
-    positive = [v for v in space.distinct_values if not v.is_zero() and not v.is_inf]
+    positive = _positive_values(space)
     v_min = positive[0] if positive else ExtReal(1)
     cyc = seq.cycle
     p = len(cyc)
@@ -598,17 +603,12 @@ def join_validation_oracle(space: FiniteSpace) -> Validation:
 
 
 def scaled_oracle(space: FiniteSpace) -> tuple:
-    """``FiniteSpace.scaled`` through a dict from each distinct finite
-    ``ExtReal`` to its int."""
-    finite = [v for v in {v for row in space.matrix for v in row} if not v.is_inf]
-    scale = lcm(*(v.den for v in finite))
-    to_int = {v: v.num * (scale // v.den) for v in finite}
-    sentinel = max(2, space.n) * max(to_int.values(), default=0) + 1
-    to_int[INF] = sentinel
-    rows = tuple(tuple(to_int[v] for v in row) for row in space.matrix)
-    back = {0: ZERO, sentinel: INF}
-    back.update((k, v) for v, k in to_int.items())
-    return rows, back, sentinel
+    """``FiniteSpace.scaled`` through a dict from each distinct ``ExtReal``
+    to its rank: 0 first, inf last, the other entries ascending between."""
+    back = (ZERO, *_positive_values(space), INF)
+    rank = {v: i for i, v in enumerate(back)}
+    rows = tuple(tuple(rank[v] for v in row) for row in space.matrix)
+    return rows, back, len(back) - 1
 
 
 RATIONAL_GRID = tuple(Fraction(k, 4) for k in range(0, 13))

@@ -6,8 +6,8 @@ quarter steps; ``random_value_pair_oracle`` builds every entry through
 min-plus closures carry a ``validation`` set from their construction,
 without the triangle walk; it must equal ``_validate`` run on the same
 matrix as a plain space, and the oracle's full walk.
-``FiniteSpace.scaled`` is pinned to ``scaled_oracle``, the dict form it
-replaced.  The symmetric join of a validated distance takes its
+``FiniteSpace.scaled`` is pinned to ``scaled_oracle``, which ranks the
+entries through a dict of ``ExtReal``s.  The symmetric join of a validated distance takes its
 ``validation`` from the distance's own; ``join_validation_oracle`` runs
 ``_validate`` on the join rebuilt as a plain space.
 ``FiniteSpace.zero_classes`` lists the classes once per space and still

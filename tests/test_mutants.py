@@ -49,9 +49,6 @@ MUTANTS = {
     "ball-bound-union-of-holders": (
         "derived.py", "ok[x] & held[z]", "ok[x] | held[z]",
         "tests/test_kernel.py::test_derived_functions_match_the_oracle_on_any_matrix"),
-    "ball-bound-joins-at-its-own-cut": (
-        "derived.py", "enumerate(cuts, 1)", "enumerate(cuts)",
-        "tests/test_kernel.py::test_derived_functions_match_the_oracle_on_any_matrix"),
     "sup-upgrade-ball-closed": (
         "theorems.py", "rows[y][z] < dxz", "rows[y][z] <= dxz",
         "tests/test_theorems.py"),
@@ -78,8 +75,13 @@ MUTANTS = {
     "constructed-validation-symmetry-skips-a-column": (
         "space.py", "for j in range(i + 1, n))", "for j in range(i + 2, n))",
         "tests/test_instances.py::test_generated_distances_carry_their_validation"),
-    "scaled-lcm-over-infinity": (
-        "space.py", "dens.discard(0)", "dens.discard(None)",
+    # a matrix with no zero entry puts its least positive value at rank 0,
+    # in the first bucket, and loses the cut at that value
+    "scaled-zero-not-forced-to-rank-0": (
+        "space.py", "values[0, 1] = ZERO", "pass",
+        "tests/test_instances.py::test_scaled_matches_the_oracle"),
+    "scaled-inf-not-forced-last": (
+        "space.py", "values[1, 0] = INF", "pass",
         "tests/test_instances.py::test_scaled_matches_the_oracle"),
     "sups-signature-pair-below-one-member": (
         "cli.py", "& up0[a] & up0[b]", "& up0[a]",
