@@ -10,14 +10,17 @@ Imports ``qmlib.cli`` from ``--root``/src (default: this repository) and
 calls ``main(argv)`` on each invocation, in order.  A line is the
 invocation (``QML_WORKERS=k`` when not 1, then argv as JSON, with long
 arguments cut to their start), the exit code, and the sha256 of stdout
-and of stderr, tab-separated.
+and of stderr, tab-separated; when ``--out`` names a file that exists
+after the call, the sha256 of that file follows.
 
 The set: ``check`` and ``audit`` in JSON and markdown on every
 ``tests/data`` file, ``audit --second-distance``, every gallery fixture
 at cutoffs 16/50/100/200 (and its markdown and ``--json`` forms at 16),
-``random`` under ``QML_WORKERS`` 1 and 2, ``report`` over the JSON outputs,
-``--out`` into a missing directory, and the bad-input tables of
-``tests/bad_inputs.py``.  The inputs come from this repository, whatever
+``random`` under ``QML_WORKERS`` 1 and 2 and with ``--theorems`` in
+either order and repeated, ``report`` over the JSON outputs, ``--out``
+into a missing directory (with a bad input too), ``report`` onto the
+file it reads, failing ``audit`` runs onto an existing ``--out`` file,
+and the bad-input tables of ``tests/bad_inputs.py``.  The inputs come from this repository, whatever
 ``--root`` is, and are written to a temporary working directory under
 fixed relative names, so no line depends on where either checkout lives.
 Standard library only.
@@ -72,12 +75,22 @@ def invocations() -> list:
     # every JSON output so far, merged in one report
     reported = [f"out/{i}.json" for i, (_, argv) in enumerate(runs) if "--format" not in argv]
     runs.append(("1", ["report", *reported]))
+    picked = ["random", "--n", "5", "--count", "8", "--seed", "3", "--theorems"]
+    runs += [("1", picked + names) for names in
+             (["sup_upgrade", "cauchy_to_directed"], ["cauchy_to_directed", "sup_upgrade"],
+              ["sup_upgrade", "cauchy_to_directed", "sup_upgrade"])]
     missing = ["--out", "missing/out.json"]
     runs += [("1", ["check", "data/plain_n10.json", *missing]),
              ("1", ["audit", "data/plain_n10.json", *missing]),
              ("1", ["gallery", "halfopen", "--cutoff", "4", *missing]),
              ("1", ["random", "--n", "3", "--count", "2", *missing]),
-             ("1", ["report", "data/plain_n10.json", *missing])]
+             ("1", ["report", "data/plain_n10.json", *missing]),
+             ("1", ["check", "bad/file-0.json", *missing])]
+    # keep/*.json exist beforehand: report replaces the file it reads, and
+    # a run that exits 2 or 3 leaves its --out file as it was
+    runs += [("1", ["report", "keep/report.json", "--out", "keep/report.json"]),
+             ("1", ["audit", "data/fm_c256.json", "--out", "keep/audit.json"]),
+             ("1", ["audit", "bad/file-0.json", "--out", "keep/audit.json"])]
     runs += [("1", ["audit", "data/plain_n10.json", "--second-distance", "data/pair_n8_e.json"]),
              ("1", ["audit", "data/fm_c256.json"]),
              ("1", ["audit", "data/plain_n10.json", "--second-distance", "data/fm_c256.json"])]
@@ -100,6 +113,9 @@ def write_inputs(work: Path) -> None:
     shutil.copytree(DATA, work / "data")
     (work / "bad").mkdir()
     (work / "out").mkdir()
+    (work / "keep").mkdir()
+    for name in ("report.json", "audit.json"):
+        shutil.copyfile(DATA / "plain_n10.json", work / "keep" / name)
     for i, data in enumerate(BAD_SPACES.values()):
         (work / "bad" / f"space-{i}.json").write_text(json.dumps(data))
     for i, content in enumerate(BAD_FILES.values()):
@@ -156,7 +172,11 @@ def main(argv=None) -> int:
             for i, (workers, argv) in enumerate(invocations()):
                 rc, out, err = run_one(cli.main, workers, argv)
                 (work / "out" / f"{i}.json").write_text(out, errors="backslashreplace")
-                print(f"{_shown(workers, argv)}\t{rc}\t{_sha(out)}\t{_sha(err)}", flush=True)
+                line = f"{_shown(workers, argv)}\t{rc}\t{_sha(out)}\t{_sha(err)}"
+                target = work / argv[argv.index("--out") + 1] if "--out" in argv else work
+                if target.is_file():
+                    line += "\t" + hashlib.sha256(target.read_bytes()).hexdigest()
+                print(line, flush=True)
         finally:
             os.chdir(home)
             if saved_env is None:

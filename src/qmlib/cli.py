@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -34,6 +33,7 @@ from .extreal import _shown
 from .family import FamilySpace, family_from_dict
 from .gallery import GALLERY_NAMES, build, verify
 from .generate import instance_stream
+from .order import sups_signature
 from .space import (FiniteSpace, PreconditionError, SpaceError, derive, read_json_object,
                     space_from_dict, space_to_dict)
 from .theorems import STATEMENTS, audit
@@ -251,26 +251,6 @@ def _render_gallery_md(p: dict) -> str:
 # random sweep
 # ---------------------------------------------------------------------------
 
-def _sups_signature(space: FiniteSpace) -> tuple:
-    """The d-suprema of every singleton and then every pair of points, as
-    one mask each.
-
-    The d-suprema of Y are its upper bounds (the meet of the ``zero_up``
-    masks of its members) whose integer row is the column-wise max of the
-    rows of Y.  With the points grouped by row (``points_by_row``), each
-    singleton and pair costs one dict lookup and one mask test, with no
-    ``suprema`` call.
-    """
-    rows = space.scaled[0]
-    up0 = space.zero_up
-    by_row = space.points_by_row
-    sups = [by_row[row] & up0[y] for y, row in enumerate(rows)]
-    for a, b in itertools.combinations(range(space.n), 2):
-        top = tuple(map(max, rows[a], rows[b]))
-        sups.append(by_row.get(top, 0) & up0[a] & up0[b])
-    return tuple(sups)
-
-
 def _instance_payload(args) -> dict:
     i, kind, space, second, statements = args
     report = audit(space, statements, second)
@@ -285,16 +265,18 @@ def _instance_payload(args) -> dict:
         "index": i,
         "kind": kind,
         "entries": [e.to_dict() for e in report.entries],
-        "order_sig": space.zero_up,
-        "sups_sig": _sups_signature(space),
+        "signature": sups_signature(space),
         "nonjoin_two_distance": nonjoin,
     }
 
 
 def run_random(args) -> tuple:
+    # the statements that run, in table order and once each, so that the
+    # order and repeats of --theorems leave the content hash alone
+    theorems = tuple(s for s in STATEMENTS if s in args.theorems)
     # a generator, so the serial path drops each space (and its caches)
     # once its payload is built
-    tasks = ((i, kind, space, second, args.theorems)
+    tasks = ((i, kind, space, second, theorems)
              for i, kind, space, second in instance_stream(args.seed, args.n, args.count))
     workers = min(args.workers, -(-args.count // POOL_CHUNK))
     if workers > 1:
@@ -326,10 +308,11 @@ def run_random(args) -> tuple:
                                      "entry": e})
         if p["nonjoin_two_distance"]:
             nonjoin_two_distance += 1
-        prev = order_groups.get(p["order_sig"])
-        if prev is not None and prev != p["sups_sig"]:
+        order_sig, sups_sig = p["signature"]
+        prev = order_groups.get(order_sig)
+        if prev is not None and prev != sups_sig:
             same_order_different_sups += 1
-        order_groups.setdefault(p["order_sig"], p["sups_sig"])
+        order_groups.setdefault(order_sig, sups_sig)
 
     payload = {
         "command": "random",
@@ -337,7 +320,7 @@ def run_random(args) -> tuple:
         # JSON under either --format: they stay constant keys
         "config": {"command": "random", "inputs": [], "seed": args.seed,
                    "count": args.count, "n": args.n, "cutoff": 50,
-                   "format": "json", "theorems": list(args.theorems),
+                   "format": "json", "theorems": theorems,
                    "second": None},
         "instances_audited": len(payloads),
         "summary": dict(sorted(summary.items())),
@@ -491,6 +474,12 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     args.workers = workers
     try:
+        if args.out is not None:
+            # an --out that cannot be opened exits 2 before any work, and
+            # append mode leaves an existing file's bytes (report may read
+            # them) as they are until _write replaces them
+            with open(args.out, "a", encoding="utf-8"):
+                pass
         payload, ok = args.run(args)
         if isinstance(payload, str):   # report's merged markdown
             text = payload

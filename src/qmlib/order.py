@@ -10,6 +10,7 @@ gap.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
 from .extreal import ext_max, ext_min
 from .nets import EpSeq, classify, subset_lists
@@ -40,9 +41,8 @@ class SupremumResult(namedtuple("SupremumResult", "d_sups leq_sups classes")):
 def suprema(space: FiniteSpace, Y) -> SupremumResult:
     """d-suprema and order suprema of a nonempty point set (indices).
 
-    Read off the zero masks and the integer rows of the space: x bounds Y
-    when Y lies inside ``zero_down[x]``, and is a d-supremum when, in
-    addition, its row equals the column-wise max of the rows of Y.
+    Read off the zero masks of the space: x bounds Y when Y lies inside
+    ``zero_down[x]``.  The d-suprema are ``d_sup_mask``'s.
     """
     pts = sorted(set(Y))
     if not pts:
@@ -53,12 +53,45 @@ def suprema(space: FiniteSpace, Y) -> SupremumResult:
     upper = [x for x in range(space.n) if down0[x] & ymask == ymask]
     umask = _mask(upper)
     leq_sups = [x for x in upper if up0[x] & umask == umask]
-    rows = space.scaled[0]
-    profile = _sup_profile(rows, pts)
-    d_sups = [x for x in upper if rows[x] == profile]
+    d_sups = d_sup_mask(space, pts)
     leq_labels = frozenset(space.labels[i] for i in leq_sups)
-    return SupremumResult(frozenset(space.labels[i] for i in d_sups), leq_labels,
-                          (leq_labels,) if leq_sups else ())
+    return SupremumResult(frozenset(space.labels[x] for x in upper if d_sups >> x & 1),
+                          leq_labels, (leq_labels,) if leq_sups else ())
+
+
+def d_sup_mask(space: FiniteSpace, pts) -> int:
+    """Mask of the d-suprema of a nonempty point set (indices): the upper
+    bounds of ``pts`` (a point of every ``zero_up`` of them) whose rank row
+    is the column-wise max of the points' rows, read in one
+    ``points_by_row`` lookup.
+
+    This is the one d-supremum test: ``suprema`` reads its d-suprema here
+    and ``check_ed_complete`` asks it for a nonzero mask.
+    """
+    up0 = space.zero_up
+    upper = -1
+    for y in pts:
+        upper &= up0[y]
+    return space.points_by_row.get(_sup_profile(space.scaled[0], pts), 0) & upper
+
+
+def sups_signature(space: FiniteSpace) -> tuple:
+    """``(order, sups)``: the specialization order as the ``zero_up``
+    masks, and the d-suprema of every singleton and then every pair of
+    points, one mask each.  The sweep groups spaces by the first and
+    compares the second.
+
+    ``d_sup_mask``'s rule, unrolled: each singleton and pair costs one
+    ``points_by_row`` lookup and one mask test, with no ``suprema`` call.
+    """
+    rows = space.scaled[0]
+    up0 = space.zero_up
+    by_row = space.points_by_row
+    sups = [by_row[row] & up0[y] for y, row in enumerate(rows)]
+    for a, b in combinations(range(space.n), 2):
+        top = tuple(map(max, rows[a], rows[b]))
+        sups.append(by_row.get(top, 0) & up0[a] & up0[b])
+    return up0, tuple(sups)
 
 
 def _mask(pts) -> int:
@@ -116,10 +149,9 @@ def check_ed_complete(space: FiniteSpace) -> EdCompletenessReport:
     representative, walked earlier) plus that representative, and
     ``is_directed`` asks every Y for a top member, stopping once the AND
     of its ``zero_up`` masks is empty.  A directed Y is counted in
-    ``subsets_checked`` and needs an upper bound whose integer row is the
-    column-wise max of Y's (``_has_d_sup``).  The space must satisfy the
-    triangle law.  Directedness under a second distance e is a test
-    oracle.
+    ``subsets_checked`` and needs a d-supremum (``d_sup_mask``).  The
+    space must satisfy the triangle law.  Directedness under a second
+    distance e is a test oracle.
     """
     if not space.validation.is_distance:
         raise PreconditionError("directed completeness requires a validated distance")
@@ -133,21 +165,9 @@ def check_ed_complete(space: FiniteSpace) -> EdCompletenessReport:
         if not is_directed(space, pts):
             continue
         checked += 1
-        if not _has_d_sup(space, pts):
+        if not d_sup_mask(space, pts):
             return EdCompletenessReport(False, tuple(space.labels[i] for i in pts), checked)
     return EdCompletenessReport(True, None, checked)
-
-
-def _has_d_sup(space: FiniteSpace, pts) -> bool:
-    """Existence-only d-supremum test (matches suprema().d_sups != empty):
-    some upper bound of ``pts`` (a point of every ``zero_up`` of them) has
-    the points' column-wise max row (``points_by_row``)."""
-    up0 = space.zero_up
-    upper = -1
-    for y in pts:
-        upper &= up0[y]
-    profile = _sup_profile(space.scaled[0], pts)
-    return space.points_by_row.get(profile, 0) & upper != 0
 
 
 def _sup_profile(rows, pts) -> tuple:

@@ -46,8 +46,10 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
     """A labelled square matrix of ``ExtReal`` distances (tuples of rows).
 
     Instances keep a ``__dict__`` (no ``__slots__``): the cached
-    properties below store their values there, and ``derive`` (for a
-    join) and ``distance_by_construction`` fill ``validation`` through it.
+    properties below store their values there, and only
+    ``distance_by_construction`` fills ``validation`` through it.  The
+    d-supremum rule that reads ``points_by_row`` lives in
+    ``order.d_sup_mask``.
     """
 
     def __new__(cls, labels, matrix):
@@ -171,9 +173,9 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
     def points_by_row(self) -> dict:
         """Mask of the points per distinct rank row of ``scaled``.
 
-        A d-supremum of Y is an upper bound of Y whose row is the
-        column-wise max of Y's rows, so one lookup of that max gives every
-        candidate at once.
+        ``order.d_sup_mask`` holds the d-supremum rule that reads it: one
+        lookup of the column-wise max of Y's rows gives every candidate at
+        once.
         """
         by_row: dict = {}
         for x, row in enumerate(self.scaled[0]):
@@ -310,30 +312,14 @@ def distance_by_construction(labels: tuple, rows: tuple) -> FiniteSpace:
 
     Only the walk is skipped: the diagonal, symmetry and separation checks
     run as ``_validate`` runs them.  For constructors that prove the law
-    (``minplus_closure``, ``generate.random_value_pair``); every other
-    space, a loaded file's included, is walked in full.
+    (``minplus_closure``, ``generate.random_value_pair``, the join of a
+    distance in ``derive``); every other space, a loaded file's included,
+    is walked in full.  This is the only writer of ``validation``.
     """
     space = FiniteSpace(labels, rows)
     # set the cached_property's entry, so it never runs _validate
     space.__dict__["validation"] = _finish_validation(space, [])
     return space
-
-
-def _join_validation(space: FiniteSpace) -> Validation:
-    """The validation of the symmetric join of a validated distance, read
-    off the distance's own.
-
-    The join max(d(x,y), d(y,x)) satisfies the triangle law whenever d
-    does, is symmetric, and keeps d's diagonal, so it is a hemimetric iff
-    d is and its violations are d's ``self_distance`` entries (d has no
-    triangle ones).  Its zero entries off the diagonal are the pairs at
-    mutual d-distance 0, so it separates points iff every specialization
-    class of d is a single point.
-    """
-    v = space.validation
-    separated = all(cls == 1 << i for i, cls in enumerate(space.class_masks))
-    return Validation(True, v.is_hemimetric, True, v.is_hemimetric and separated,
-                      v.violations)
 
 
 def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> FiniteSpace:
@@ -342,7 +328,9 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
     ``compose`` is the min-plus composition with ``other`` over the shared
     point set; its result need not satisfy the triangle law, so callers
     should consult ``validation`` on the result.  The join of a distance
-    comes with its ``validation`` already set (``_join_validation``).
+    is built through ``distance_by_construction``: max(d(x,y), d(y,x))
+    satisfies the triangle law whenever d does, so only the walk is
+    skipped.
     """
     n = space.n
     m = space.matrix
@@ -350,11 +338,8 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
         rows = tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
     elif which == "join":
         rows = tuple(tuple(max(m[i][j], m[j][i]) for j in range(n)) for i in range(n))
-        joined = FiniteSpace(space.labels, rows)
         if space.validation.is_distance:
-            # set the cached_property's entry, so it never runs _validate
-            joined.__dict__["validation"] = _join_validation(space)
-        return joined
+            return distance_by_construction(space.labels, rows)
     elif which == "leq_order":
         rows = tuple(tuple(m[i][j].scale_inf() for j in range(n)) for i in range(n))
     elif which == "compose":

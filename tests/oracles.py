@@ -336,7 +336,7 @@ def check_ed_complete_oracle(space_e: FiniteSpace, space_d: FiniteSpace) -> EdCo
         if not is_directed(space_e, pts):
             continue
         checked += 1
-        if not suprema(space_d, pts).d_sups:
+        if not suprema_oracle(space_d, pts).d_sups:
             return EdCompletenessReport(False, tuple(space_d.labels[i] for i in pts), checked)
     return EdCompletenessReport(True, None, checked)
 
@@ -377,11 +377,13 @@ def sup_upgrade_counterexample_oracle(space: FiniteSpace, representatives: int):
 
 
 def sups_signature_oracle(space: FiniteSpace) -> tuple:
-    """``cli._sups_signature``: the d-suprema masks of every singleton and
-    then every pair of points, by one ``suprema`` call each."""
-    return tuple(sum(1 << space.index(x) for x in suprema(space, list(pts)).d_sups)
-                 for size in (1, 2)
-                 for pts in itertools.combinations(range(space.n), size))
+    """``order.sups_signature``: per point i the mask of the j with
+    d(i, j) = 0, then the d-suprema masks of every singleton and then
+    every pair of points, by one ``suprema_oracle`` call each."""
+    n = space.n
+    order = tuple(sum(1 << j for j in range(n) if space.d(i, j).is_zero()) for i in range(n))
+    return order, tuple(sum(1 << space.index(x) for x in suprema_oracle(space, list(pts)).d_sups)
+                        for size in (1, 2) for pts in itertools.combinations(range(n), size))
 
 
 def net_classes_oracle(space: FiniteSpace, seq) -> NetClasses:

@@ -402,6 +402,18 @@ class TestRandom:
         assert len(captured.err.splitlines()) == 1 and len(captured.err) < 200
         assert "Traceback" not in captured.err
 
+    def test_theorem_order_and_repeats_leave_the_content_hash(self, capsys):
+        # config.theorems lists the statements that ran, in table order, once each
+        sweep = ["random", "--n", "5", "--count", "8", "--seed", "3", "--theorems"]
+        runs = [run(capsys, sweep + names) for names in
+                (["sup_upgrade", "cauchy_to_directed"], ["cauchy_to_directed", "sup_upgrade"],
+                 ["sup_upgrade", "cauchy_to_directed", "sup_upgrade"])]
+        assert runs[0][0] == EXIT_OK and runs[1] == runs[0] and runs[2] == runs[0]
+        theorems = json.loads(runs[0][1])["config"]["theorems"]
+        assert theorems == [s for s in cli.STATEMENTS
+                            if s in ("sup_upgrade", "cauchy_to_directed")]
+        assert len(theorems) == 2
+
     def test_zero_count_is_an_empty_sweep(self, capsys):
         rc, out = run(capsys, ["random", "--n", "3", "--count", "0"])
         assert rc == EXIT_OK
@@ -516,6 +528,45 @@ class TestEmit:
         assert rc == EXIT_PARSE and captured.out == ""
         assert len(captured.err.splitlines()) == 1 and str(out) in captured.err
         assert not out.parent.exists()
+
+    def test_an_unopenable_out_exits_before_any_work(self, capsys, monkeypatch, tmp_path):
+        def no_instances(*args):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(cli, "instance_stream", no_instances)
+        out = tmp_path / "missing" / "x.json"
+        rc = main(["random", "--count", "300", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE and captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_an_unopenable_out_wins_over_a_bad_input(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        rc = main(["check", str(tmp_path / "absent.json"), "--out", str(out)])
+        assert rc == EXIT_PARSE and str(out) in capsys.readouterr().err
+
+    def test_report_reads_its_out_file_before_replacing_it(self, capsys, tmp_path,
+                                                          discrete_file):
+        target = tmp_path / "audit.json"
+        run(capsys, ["audit", discrete_file, "--out", str(target)])
+        rc, want = run(capsys, ["report", str(target)])
+        assert rc == EXIT_OK
+        assert run(capsys, ["report", str(target), "--out", str(target)]) == (EXIT_OK, "")
+        assert target.read_text() == want and want.startswith("# audit")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "absent.json"], EXIT_PARSE),
+        (["audit", "fm.json"], EXIT_PRECONDITION),
+        (["gallery", "halfopen", "--cutoff", str(MAX_CUTOFF + 1)], EXIT_PRECONDITION),
+    ], ids=["parse", "precondition", "gallery-ceiling"])
+    def test_a_failed_run_leaves_an_existing_out_file_as_it_was(
+            self, capsys, monkeypatch, tmp_path, family_file, argv, code):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "kept.json"
+        target.write_bytes(b"earlier bytes\n")
+        assert main(argv + ["--out", str(target)]) == code
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == b"earlier bytes\n"
 
 
 class RecordingPool:

@@ -7,10 +7,12 @@ last, so a rank never grows with the digits of an entry.
 entry at the cut where the entry joins its row's ball (each event
 narrows that row's admissible bounds by one mask AND, and a
 forward-only pointer into the sorted row reads the bound), and
-``suprema`` and ``_has_d_sup`` test d-suprema on its rows (``suprema``
-reads the order side off the zero masks).  The triangle check of ``validation`` and the relaxation of
-``minplus_closure`` stay on ``ExtReal`` entries but add only where both
-legs lie below the entry they test.  Each is pinned here to an oracle, on
+``order.d_sup_mask``, the one d-supremum test, looks the column-wise max
+of a set's rows up among them; ``suprema`` reads its d-suprema there and
+its order side off the zero masks.  The triangle check of
+``validation`` and the relaxation of ``minplus_closure`` stay on
+``ExtReal`` entries but add only where both legs lie below the entry
+they test.  Each is pinned here to an oracle, on
 arbitrary square matrices (non-distances, ties, infinities and nonzero
 diagonals included) and on min-plus-closed spaces whose values have
 pairwise-coprime prime denominators.
@@ -28,7 +30,7 @@ from qmlib.cli import EXIT_FAILURE, main
 from qmlib.derived import derived_functions
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.gallery import build
-from qmlib.order import _has_d_sup, suprema
+from qmlib.order import d_sup_mask, suprema
 from qmlib.space import MAX_VIOLATIONS, _validate, load_space, minplus_closure, space_from_rows
 
 from tests.oracles import (derived_functions_oracle, minplus_closure_oracle,
@@ -93,7 +95,7 @@ def test_suprema_match_the_oracle(case):
     space, pts = case
     want = suprema_oracle(space, pts)
     assert suprema(space, pts) == want
-    assert _has_d_sup(space, pts) == bool(want.d_sups)
+    assert d_sup_mask(space, pts) == sum(1 << space.index(x) for x in want.d_sups)
 
 
 @EXAMPLES

@@ -37,6 +37,11 @@ MUTANTS = {
     "has-d-sup-any-overlap-bounds": (
         "order.py", "upper &= up0[y]", "upper |= up0[y]",
         "tests/test_kernel.py::test_suprema_match_the_oracle"),
+    # on a hemimetric the row test alone implies the bound (d(x, x) = 0 is
+    # the max of the d(y, x)), so arbitrary matrices kill this one
+    "d-sup-mask-ignores-the-bounds": (
+        "order.py", "pts), 0) & upper", "pts), 0)",
+        "tests/test_kernel.py::test_suprema_match_the_oracle"),
     "subset-walk-drops-the-predecessors-top-point": (
         "nets.py", "ys = kept[i] + [p]", "ys = kept[i][:-1] + [p]",
         "tests/test_nets.py::test_subset_lists_follow_the_submasks"),
@@ -72,6 +77,9 @@ MUTANTS = {
         "space.py", "if len(violations) == MAX_VIOLATIONS:",
         "if len(violations) > MAX_VIOLATIONS:",
         "tests/test_kernel.py::test_a_non_distance_stops_at_its_last_shown_violation"),
+    "join-proven-on-any-matrix": (
+        "space.py", "if space.validation.is_distance:", "if True:",
+        "tests/test_instances.py::test_join_of_a_non_distance_is_validated_in_full"),
     "constructed-validation-symmetry-skips-a-column": (
         "space.py", "for j in range(i + 1, n))", "for j in range(i + 2, n))",
         "tests/test_instances.py::test_generated_distances_carry_their_validation"),
@@ -84,7 +92,7 @@ MUTANTS = {
         "space.py", "values[1, 0] = INF", "pass",
         "tests/test_instances.py::test_scaled_matches_the_oracle"),
     "sups-signature-pair-below-one-member": (
-        "cli.py", "& up0[a] & up0[b]", "& up0[a]",
+        "order.py", "& up0[a] & up0[b]", "& up0[a]",
         "tests/test_sweep_masks.py::test_sups_signature_matches_the_suprema_loop"),
     "canonical-json-unsorted-keys": (
         "cli.py", "sorted(o.items())", "o.items()",

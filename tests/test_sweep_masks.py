@@ -1,21 +1,22 @@
 """The sweep's per-instance checks on zero masks and integer rows, each
 pinned to the ExtReal scan it replaced.
 
-``cli._sups_signature``, ``nets.classify``, ``derived.dist_subequiv``,
+``order.sups_signature``, ``nets.classify``, ``derived.dist_subequiv``,
 ``AuditContext.e_separable``, ``theorems.sup_upgrade_counterexample``,
 ``theorems.compose_with_filter`` and ``theorems.construct_directed_from_cauchy``
 read the specialization order off ``zero_up``/``zero_down`` and compare
 entries on ``FiniteSpace.scaled``.  Each is compared with its oracle on
 random 1-7 point matrices: arbitrary ones, where the triangle law may
-fail, and min-plus-closed ones, which are distances.  Two cost tests
-check that the ports leave the ``suprema`` loop and the ExtReal
-comparisons behind.
+fail, and min-plus-closed ones, which are distances.
+``order.sups_signature`` unrolls ``order.d_sup_mask``'s rule over the
+singletons and pairs, and its oracle runs ``suprema_oracle`` on each.
+Two cost tests check that the ports leave the ``suprema`` loop (and the
+signature ``d_sup_mask`` too) and the ExtReal comparisons behind.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qmlib.cli as cli
 import qmlib.order as order
 from qmlib.derived import derived_functions, dist_subequiv, sub_identity
 from qmlib.extreal import ExtReal
@@ -74,7 +75,7 @@ def space_pairs(draw):
 @EXAMPLES
 @given(spaces)
 def test_sups_signature_matches_the_suprema_loop(space):
-    assert cli._sups_signature(space) == sups_signature_oracle(space)
+    assert order.sups_signature(space) == sups_signature_oracle(space)
 
 
 @EXAMPLES
@@ -153,9 +154,9 @@ def test_sups_signature_calls_no_suprema(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(order, "suprema", counting)
-    monkeypatch.setattr(cli, "suprema", counting, raising=False)
+    monkeypatch.setattr(order, "d_sup_mask", counting)
     for _, _, space, _ in instance_stream(0, 6, 16):
-        cli._sups_signature(space)
+        order.sups_signature(space)
     assert calls[0] == 0
 
 
