@@ -20,7 +20,10 @@ at cutoffs 16/50/100/200 (and its markdown and ``--json`` forms at 16),
 either order and repeated, ``report`` over the JSON outputs, ``--out``
 into a missing directory (with a bad input too), ``report`` onto the
 file it reads, failing ``audit`` runs onto an existing ``--out`` file,
-and the bad-input tables of ``tests/bad_inputs.py``.  The inputs come from this repository, whatever
+``check`` and ``audit`` in JSON and markdown on two spaces that fail the
+triangle law (one violation, and more than ``MAX_VIOLATIONS`` so that
+the cut is under the diff), and the bad-input tables of
+``tests/bad_inputs.py``.  The inputs come from this repository, whatever
 ``--root`` is, and are written to a temporary working directory under
 fixed relative names, so no line depends on where either checkout lives.
 Standard library only.
@@ -94,6 +97,11 @@ def invocations() -> list:
     runs += [("1", ["audit", "data/plain_n10.json", "--second-distance", "data/pair_n8_e.json"]),
              ("1", ["audit", "data/fm_c256.json"]),
              ("1", ["audit", "data/plain_n10.json", "--second-distance", "data/fm_c256.json"])]
+    # spaces that fail the triangle law: check exits 1 and audit 3
+    for name in ("one-violation", "past-the-cut"):
+        for command in ("check", "audit"):
+            argv = [command, f"nondistance/{name}.json"]
+            runs += [("1", argv), ("1", argv + MARKDOWN)]
     runs += [("1", ["check", f"bad/space-{i}.json"]) for i in range(len(BAD_SPACES))]
     for i in range(len(BAD_FILES)):
         bad = f"bad/file-{i}.json"
@@ -109,13 +117,28 @@ def invocations() -> list:
 
 
 def write_inputs(work: Path) -> None:
-    """Copy ``tests/data`` and write the bad-input tables under ``work``."""
+    """Copy ``tests/data`` and write the two non-distances and the
+    bad-input tables under ``work``."""
     shutil.copytree(DATA, work / "data")
     (work / "bad").mkdir()
     (work / "out").mkdir()
     (work / "keep").mkdir()
     for name in ("report.json", "audit.json"):
         shutil.copyfile(DATA / "plain_n10.json", work / "keep" / name)
+    (work / "nondistance").mkdir()
+    # one failing triple: d(a, b) = 3 > d(a, c) + d(c, b) = 2
+    one = {"points": ["a", "b", "c"],
+           "matrix": [["0", "3", "1"], ["inf", "0", "inf"], ["inf", "1", "0"]]}
+    # every ordered pair of distinct points p0..p5 sits at 3, and the hub
+    # h at 1 from and to each: 30 failing triples, past the cut at
+    # MAX_VIOLATIONS = 20
+    points = [f"p{i}" for i in range(6)] + ["h"]
+    hub = len(points) - 1
+    past = {"points": points,
+            "matrix": [["0" if i == j else "1" if hub in (i, j) else "3"
+                        for j in range(len(points))] for i in range(len(points))]}
+    for name, data in (("one-violation", one), ("past-the-cut", past)):
+        (work / "nondistance" / f"{name}.json").write_text(json.dumps(data))
     for i, data in enumerate(BAD_SPACES.values()):
         (work / "bad" / f"space-{i}.json").write_text(json.dumps(data))
     for i, content in enumerate(BAD_FILES.values()):

@@ -79,27 +79,15 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
 
     @cached_property
     def zero_up(self) -> tuple:
-        """Bitmask per point i of all j with d(i,j) = 0 (the up-set of i)."""
-        masks = []
-        for i in range(self.n):
-            m = 0
-            row = self.matrix[i]
-            for j in range(self.n):
-                if row[j].is_zero():
-                    m |= 1 << j
-            masks.append(m)
-        return tuple(masks)
+        """Bitmask per point i of all j with d(i,j) = 0 (the up-set of i),
+        read off the rank rows of ``scaled``, where rank 0 is zero."""
+        return tuple(_zero_mask(row) for row in self.scaled[0])
 
     @cached_property
     def zero_down(self) -> tuple:
-        """Bitmask per point j of all i with d(i,j) = 0."""
-        masks = [0] * self.n
-        for i in range(self.n):
-            row = self.matrix[i]
-            for j in range(self.n):
-                if row[j].is_zero():
-                    masks[j] |= 1 << i
-        return tuple(masks)
+        """Bitmask per point j of all i with d(i,j) = 0, read off the rank
+        columns of ``scaled``."""
+        return tuple(_zero_mask(col) for col in zip(*self.scaled[0]))
 
     @cached_property
     def class_masks(self) -> tuple:
@@ -156,8 +144,10 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
         ``ZERO`` always at rank 0 and ``INF`` always last, and ``rows``
         holds each entry's index in it, so the ranks order and compare
         exactly as the entries do.  ``sentinel`` is the last rank,
-        infinity's.  Inner loops that only compare entries run on this
-        form; values leave it through ``back``.  The ranks are keyed on
+        infinity's.  Every comparison of entries runs on this form: the
+        validation's masks, diagonal, symmetry and separation, the zero
+        masks, the join and the inner loops of ``order`` and ``derived``;
+        values leave it through ``back``.  The ranks are keyed on
         ``(num, den)`` pairs, so no ``ExtReal`` is hashed.
         """
         matrix = self.matrix
@@ -231,6 +221,15 @@ def space_from_rows(labels, rows) -> FiniteSpace:
     return FiniteSpace(tuple(labels), tuple(matrix))
 
 
+def _zero_mask(ranks) -> int:
+    """Bitmask of the positions of rank 0, the zero entries."""
+    mask = 0
+    for j, r in enumerate(ranks):
+        if not r:
+            mask |= 1 << j
+    return mask
+
+
 def _below_masks(values) -> list:
     """Per position j, the bitmask of the positions k with
     ``values[k] < values[j]``; equal values share one mask."""
@@ -250,9 +249,13 @@ def _below_masks(values) -> list:
 
 def _triangle_violations(space: FiniteSpace) -> list:
     """The failing triples as ``("triangle", i, k, j)`` label tuples, in
-    (i, j, k) order; the walk stops at the ``MAX_VIOLATIONS``-th."""
+    (i, j, k) order; the walk stops at the ``MAX_VIOLATIONS``-th.
+
+    The masks of candidate k compare the rank rows of ``scaled`` and their
+    transpose; only the sums d(i,k) + d(k,j) are ``ExtReal`` arithmetic."""
     n = space.n
     m = space.matrix
+    ranks = space.scaled[0]
     labels = space.labels
     violations = []
     # Entries are nonnegative, so d(i,j) > d(i,k) + d(k,j) needs both legs
@@ -261,8 +264,8 @@ def _triangle_violations(space: FiniteSpace) -> list:
     # with d(k,j) < d(i,j).  Their candidates go low to high, so violations
     # keep their (i, j, k) order.
     cols = tuple(zip(*m))
-    row_below = [_below_masks(row) for row in m]
-    col_below = [_below_masks(col) for col in cols]
+    row_below = [_below_masks(row) for row in ranks]
+    col_below = [_below_masks(col) for col in zip(*ranks)]
     for i in range(n):
         row = m[i]
         below = row_below[i]
@@ -289,19 +292,20 @@ def _finish_validation(space: FiniteSpace, violations: list) -> Validation:
     """The validation of a space whose triangle walk found ``violations``:
     the diagonal, symmetry and separation checks, added to that list."""
     n = space.n
-    m = space.matrix
+    m = space.scaled[0]   # ranks: 0 is zero, and equal ranks are equal entries
     is_distance = not violations
     is_hemimetric = is_distance
     for i in range(n):
-        if not m[i][i].is_zero():
+        if m[i][i]:
             is_hemimetric = False
             if is_distance and len(violations) < MAX_VIOLATIONS:
                 violations.append(("self_distance", space.labels[i]))
     is_symmetric = all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
-    # A metric additionally separates points: mutual distance 0 forces equality.
-    separated = all(not (m[i][j].is_zero() and m[j][i].is_zero())
-                    for i in range(n) for j in range(n) if i != j)
-    is_metric = is_hemimetric and is_symmetric and separated
+    # A metric additionally separates points: mutual distance 0 forces
+    # equality.  Under symmetry that is no zero off the diagonal, so it is
+    # read only once the space is known symmetric.
+    is_metric = is_hemimetric and is_symmetric and all(
+        m[i][j] for i in range(n) for j in range(i))
     return Validation(is_distance, is_hemimetric, is_symmetric, is_metric,
                       tuple(violations))
 
@@ -327,17 +331,20 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
 
     ``compose`` is the min-plus composition with ``other`` over the shared
     point set; its result need not satisfy the triangle law, so callers
-    should consult ``validation`` on the result.  The join of a distance
-    is built through ``distance_by_construction``: max(d(x,y), d(y,x))
-    satisfies the triangle law whenever d does, so only the walk is
-    skipped.
+    should consult ``validation`` on the result.  The join takes each
+    entry max(d(x,y), d(y,x)) as the larger of two ranks of ``scaled``,
+    read back through its values.  The join of a distance is built
+    through ``distance_by_construction``: max(d(x,y), d(y,x)) satisfies
+    the triangle law whenever d does, so only the walk is skipped.
     """
     n = space.n
     m = space.matrix
     if which == "opposite":
         rows = tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
     elif which == "join":
-        rows = tuple(tuple(max(m[i][j], m[j][i]) for j in range(n)) for i in range(n))
+        ranks, back, _ = space.scaled
+        rows = tuple(tuple(back[max(a, b)] for a, b in zip(row, col))
+                     for row, col in zip(ranks, zip(*ranks)))
         if space.validation.is_distance:
             return distance_by_construction(space.labels, rows)
     elif which == "leq_order":

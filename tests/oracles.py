@@ -598,6 +598,19 @@ def validate_oracle(space: FiniteSpace) -> Validation:
                       tuple(violations))
 
 
+def zero_masks_oracle(space: FiniteSpace) -> tuple:
+    """``(zero_up, zero_down, class_masks)`` from ``ExtReal.is_zero`` on
+    every entry, without the rank table."""
+    n = space.n
+    m = space.matrix
+    up = tuple(sum(1 << j for j in range(n) if m[i][j].is_zero()) for i in range(n))
+    down = tuple(sum(1 << i for i in range(n) if m[i][j].is_zero()) for j in range(n))
+    classes = tuple(sum(1 << j for j in range(n)
+                        if j == i or (m[i][j].is_zero() and m[j][i].is_zero()))
+                    for i in range(n))
+    return up, down, classes
+
+
 def join_validation_oracle(space: FiniteSpace) -> Validation:
     """``_validate`` run on the symmetric join of ``space``, rebuilt as a
     plain space that carries no precomputed validation."""

@@ -9,10 +9,12 @@ narrows that row's admissible bounds by one mask AND, and a
 forward-only pointer into the sorted row reads the bound), and
 ``order.d_sup_mask``, the one d-supremum test, looks the column-wise max
 of a set's rows up among them; ``suprema`` reads its d-suprema there and
-its order side off the zero masks.  The triangle check of
-``validation`` and the relaxation of ``minplus_closure`` stay on
-``ExtReal`` entries but add only where both legs lie below the entry
-they test.  Each is pinned here to an oracle, on
+its order side off the zero masks.  The zero masks are the entries of
+rank 0, and the symmetric join takes the larger of two ranks.  The
+triangle check of ``validation`` picks its candidates by comparing
+ranks, and it and the relaxation of ``minplus_closure`` add ``ExtReal``
+entries only where both legs lie below the entry they test.  Each is
+pinned here to an oracle, on
 arbitrary square matrices (non-distances, ties, infinities and nonzero
 diagonals included) and on min-plus-closed spaces whose values have
 pairwise-coprime prime denominators.
@@ -21,6 +23,7 @@ pairwise-coprime prime denominators.
 import itertools
 import json
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -31,14 +34,19 @@ from qmlib.derived import derived_functions
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.gallery import build
 from qmlib.order import d_sup_mask, suprema
-from qmlib.space import MAX_VIOLATIONS, _validate, load_space, minplus_closure, space_from_rows
+from qmlib.space import (MAX_VIOLATIONS, _validate, derive, load_space, minplus_closure,
+                         space_from_rows)
 
 from tests.oracles import (derived_functions_oracle, minplus_closure_oracle,
-                           suprema_oracle, validate_oracle)
+                           suprema_oracle, validate_oracle, zero_masks_oracle)
 
 VALUES = tuple(ExtReal.parse(t) for t in ("0", "1/2", "3/7", "5/11", "1", "2", "inf"))
 PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 EXAMPLES = settings(max_examples=150, deadline=None)
+DATA = Path(__file__).resolve().parent / "data"
+# every tests/data file that holds a matrix; a family rule holds none
+MATRIX_FILES = sorted(p for p in DATA.glob("*.json")
+                      if "matrix" in json.loads(p.read_text(encoding="utf-8")))
 
 
 def _labels(n: int) -> list:
@@ -115,6 +123,29 @@ def test_scaled_preserves_order_and_inverts_exactly(space):
             assert (ra == rb) == (da == db)
     assert back[0] == ZERO and back[sentinel] == INF and sentinel == len(back) - 1
     assert all(back[v] < back[v + 1] for v in range(sentinel))
+
+
+def _assert_zero_masks_and_join(space):
+    up, down, classes = zero_masks_oracle(space)
+    assert space.zero_up == up
+    assert space.zero_down == down
+    assert space.class_masks == classes
+    m = space.matrix
+    n = space.n
+    assert derive(space, "join").matrix == tuple(
+        tuple(max(m[i][j], m[j][i]) for j in range(n)) for i in range(n))
+
+
+@EXAMPLES
+@given(matrices())
+@example(space_from_rows(_labels(2), [["1", "inf"], ["1/2", "2"]]))   # no zero entry
+def test_zero_masks_and_join_match_the_oracle(space):
+    _assert_zero_masks_and_join(space)
+
+
+@pytest.mark.parametrize("path", MATRIX_FILES, ids=lambda p: p.name)
+def test_zero_masks_and_join_match_the_oracle_on_the_data_files(path):
+    _assert_zero_masks_and_join(load_space(str(path)))
 
 
 def test_ranks_do_not_grow_with_the_digits_of_the_entries():

@@ -85,6 +85,17 @@ MUTANTS = {
         "tests/test_instances.py::test_generated_distances_carry_their_validation"),
     # a matrix with no zero entry puts its least positive value at rank 0,
     # in the first bucket, and loses the cut at that value
+    "zero-down-from-rows": (
+        "space.py", "for col in zip(*self.scaled[0]))", "for col in self.scaled[0])",
+        "tests/test_kernel.py::test_zero_masks_and_join_match_the_oracle_on_the_data_files"),
+    # the join of [[0, 0], [0, 0]] is a hemimetric with two points at
+    # mutual distance 0
+    "separation-skips-the-subdiagonal": (
+        "space.py", "for j in range(i))", "for j in range(i - 1))",
+        "tests/test_instances.py::test_join_validation_covers_each_flag"),
+    "triangle-col-masks-from-rows": (
+        "space.py", "for col in zip(*ranks)]", "for col in ranks]",
+        "tests/test_kernel.py::test_validation_matches_the_oracle"),
     "scaled-zero-not-forced-to-rank-0": (
         "space.py", "values[0, 1] = ZERO", "pass",
         "tests/test_instances.py::test_scaled_matches_the_oracle"),
