@@ -192,21 +192,3 @@ _set_den = ExtReal.den.__set__
 ZERO = ExtReal(0)
 ONE = ExtReal(1)
 INF = ExtReal(1, 0)
-
-
-def ext_min(values, default: ExtReal = INF) -> ExtReal:
-    """Minimum with ``inf`` as the empty infimum."""
-    best = default
-    for v in values:
-        if v < best:
-            best = v
-    return best
-
-
-def ext_max(values, default: ExtReal = ZERO) -> ExtReal:
-    """Maximum with ``0`` as the empty supremum."""
-    best = default
-    for v in values:
-        if best < v:
-            best = v
-    return best

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .extreal import ExtReal, ext_max, ext_min
+from .extreal import ExtReal
 from .space import FiniteSpace, PreconditionError, SpaceError
 
 
@@ -178,8 +178,7 @@ def net_distance(space: FiniteSpace, s: EpSeq, t: EpSeq) -> ExtReal:
     """
     check_ids(space, s)
     check_ids(space, t)
-    return ext_max(
-        ext_min(space.d(i, j) for j in t.cycle) for i in s.cycle)
+    return max(min(space.d(i, j) for j in t.cycle) for i in s.cycle)
 
 
 class SeqLimits(namedtuple("SeqLimits", "forward backward")):

@@ -13,7 +13,7 @@ import json
 from collections import namedtuple
 from functools import cached_property
 
-from .extreal import INF, ZERO, ExtReal, _shown, ext_min
+from .extreal import INF, ZERO, ExtReal, _shown
 
 
 # Most violations a validation keeps: the first ones in (i, j, k) order.
@@ -131,10 +131,6 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
                     "points (the triangle law fails)")
         reps = self.representatives & core
         return tuple(classes[i] for i in range(n) if reps >> i & 1)
-
-    def leq(self, i: int, j: int) -> bool:
-        """The specialization order: d(i,j) = 0."""
-        return self.matrix[i][j].is_zero()
 
     @cached_property
     def scaled(self) -> tuple:
@@ -356,7 +352,7 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
             raise SpaceError("compose requires matching point sets")
         o = other.matrix
         rows = tuple(
-            tuple(ext_min(m[i][k] + o[k][j] for k in range(n)) for j in range(n))
+            tuple(min(m[i][k] + o[k][j] for k in range(n)) for j in range(n))
             for i in range(n))
     else:
         raise SpaceError(f"unknown derivation {which!r}")

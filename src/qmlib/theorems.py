@@ -25,6 +25,13 @@ decision ``_by_identity``, with no search:
 * completeness_criterion_1..4: every finite space is complete, the
   symmetric join and any second distance included.
 
+``*complete`` hypotheses read ``topology.is_complete`` (every Cauchy
+sequence has a double-hole limit), ``*directed_complete`` ones
+``order.check_ed_complete`` (every directed subset has a d-supremum).
+The source paper characterizes Yoneda completeness by such combinations;
+the criteria conclude double-hole completeness, and no function here
+decides Yoneda completeness.
+
 Only sup_upgrade, complete_implies_directed_complete and
 cauchy_to_directed search.
 

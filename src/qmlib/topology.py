@@ -11,13 +11,16 @@ set on which d vanishes, i.e. a nonempty subset of one specialization
 class, and its double-hole limits depend on that class alone.  Every
 clique member is its own double-hole limit, so every finite space is
 complete; only family spaces need a search.
+
+This is the completeness of ``is_complete``.  It is not the ``d_limit``
+flag of ``convergence``, which is decided per sequence and point, nor
+directed completeness (``order.check_ed_complete``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .extreal import ext_max, ext_min
 from .family import family_is_complete, family_subnet_equiv
 from .nets import EpSeq, cauchy_subsequence, check_ids, classify, zero_cliques
 from .space import FiniteSpace, PreconditionError
@@ -66,10 +69,10 @@ def convergence(space: FiniteSpace, seq: EpSeq, x: int) -> ConvergenceReport:
     ub = lb = uh = lh = dl = True
     for c in range(space.n):
         lbl = space.labels[c]
-        sup_from_c = ext_max(space.d(c, j) for j in cyc)
-        sup_to_c = ext_max(space.d(j, c) for j in cyc)
-        inf_from_c = ext_min(space.d(c, j) for j in cyc)
-        inf_to_c = ext_min(space.d(j, c) for j in cyc)
+        sup_from_c = max(space.d(c, j) for j in cyc)
+        sup_to_c = max(space.d(j, c) for j in cyc)
+        inf_from_c = min(space.d(c, j) for j in cyc)
+        inf_to_c = min(space.d(j, c) for j in cyc)
         if ub and not (sup_from_c <= space.d(c, x)):
             ub = False
             witnesses["upper_ball"] = (lbl, sup_from_c, space.d(c, x))
@@ -113,16 +116,19 @@ class HoleCharacterizationReport(namedtuple("HoleCharacterizationReport",
 
 
 def check_hole_characterizations(space: FiniteSpace, seq: EpSeq) -> HoleCharacterizationReport:
+    """Check both characterizations against ``convergence`` at every point;
+    their order side reads ``zero_down``."""
     cls = classify(space, seq)
     if not cls.reflexive:
         raise PreconditionError("sequence is not reflexive")
+    down0 = space.zero_down
+    cycle = sum(1 << i for i in set(seq.cycle))
     violations = []
     for x in range(space.n):
         rep = convergence(space, seq, x)
-        forward_to_zero = all(space.d(i, x).is_zero() for i in seq.cycle)
-        if rep.lower_hole != forward_to_zero:
+        if rep.lower_hole != (cycle & ~down0[x] == 0):
             violations.append((space.labels[x], "lower_hole_vs_forward_limit"))
-        rhs = rep.upper_hole and rep.lower_ball and space.d(x, x).is_zero()
+        rhs = rep.upper_hole and rep.lower_ball and bool(down0[x] >> x & 1)
         if rep.double_hole != rhs:
             violations.append((space.labels[x], "double_hole_vs_ball_and_order"))
     return HoleCharacterizationReport(space.n, tuple(violations))

@@ -21,7 +21,10 @@ values for the successor.  The functions here evaluate the
 uncollapsed definitions, point by point, so the differential tests can pin
 each production form to them.  ``derived_functions_oracle`` and
 ``suprema_oracle`` keep the cut-by-cut and point-by-point ``ExtReal``
-loops that the integer form of the matrix replaced.  Entries are
+loops that the integer form of the matrix replaced, and
+``link_directed_sequence_oracle`` and ``hole_characterizations_oracle``
+read the order side of the two limit audits the same way; ``leq`` is the
+specialization order d(i, j) = 0 that they read entry by entry.  Entries are
 nonnegative, so a sum cannot fall below either of its legs:
 ``validate_oracle`` and ``minplus_closure_oracle`` keep the triple loops
 that add over every k, where production adds only over the k whose two
@@ -65,17 +68,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qmlib.derived import DerivedFunctions, StepFn, sub_identity
-from qmlib.extreal import INF, ONE, ZERO, ExtReal, ext_max, ext_min
+from qmlib.extreal import INF, ONE, ZERO, ExtReal
 from qmlib.family import CandidateRejection, FamilyCompleteness, FamilySpace
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
                                 fb_distance, fb_distance_raw)
 from qmlib.nets import (NetClasses, PreconditionError, cauchy_subsequence, check_ids,
                         epseq, zero_cliques)
-from qmlib.order import EdCompletenessReport, SupremumResult, is_directed, suprema
+from qmlib.order import (DirectedSequenceReport, EdCompletenessReport, SupremumResult,
+                         is_directed, suprema)
 from qmlib.space import (FiniteSpace, SpaceError, Validation, _validate, derive,
                          space_from_rows, threshold_grid)
 from qmlib.theorems import DirectedConstruction
-from qmlib.topology import CompletenessReport, convergence
+from qmlib.topology import CompletenessReport, HoleCharacterizationReport, convergence
+
+
+def leq(space: FiniteSpace, i: int, j: int) -> bool:
+    """The specialization order, the oracles' definitional one: d(i, j) = 0."""
+    return space.d(i, j).is_zero()
 
 
 def _step_over_cuts(space: FiniteSpace, piece) -> StepFn:
@@ -116,11 +125,11 @@ def derived_functions_oracle(space: FiniteSpace) -> DerivedFunctions:
                     if space.d(z, x) < r:
                         ball_low |= 1 << z
             lb = [y for y in range(n) if up0[y] & ball_up == ball_up]
-            up_here = ext_min((space.d(x, y) for y in lb), INF)
+            up_here = min((space.d(x, y) for y in lb), default=INF)
             ub = [y for y in range(n) if down0[y] & ball_low == ball_low]
-            low_here = ext_min((space.d(y, x) for y in ub), INF)
-            up_worst = ext_max((up_worst, up_here))
-            low_worst = ext_max((low_worst, low_here))
+            low_here = min((space.d(y, x) for y in ub), default=INF)
+            up_worst = max(up_worst, up_here)
+            low_worst = max(low_worst, low_here)
         return up_worst, low_worst
 
     cuts = _cuts(space)
@@ -137,20 +146,65 @@ def suprema_oracle(space: FiniteSpace, Y) -> SupremumResult:
     every z."""
     pts = sorted(set(Y))
     n = space.n
-    upper = [x for x in range(n) if all(space.leq(y, x) for y in pts)]
-    leq_sups = [x for x in upper if all(space.leq(x, z) for z in upper)]
+    upper = [x for x in range(n) if all(leq(space, y, x) for y in pts)]
+    leq_sups = [x for x in upper if all(leq(space, x, z) for z in upper)]
     d_sups = [x for x in upper
-              if all(space.d(x, z) == ext_max(space.d(y, z) for y in pts) for z in range(n))]
+              if all(space.d(x, z) == max((space.d(y, z) for y in pts), default=ZERO)
+                     for z in range(n))]
     classes = []
     seen = set()
     for x in leq_sups:
         if x in seen:
             continue
-        cls = {z for z in leq_sups if space.leq(x, z) and space.leq(z, x)}
+        cls = {z for z in leq_sups if leq(space, x, z) and leq(space, z, x)}
         seen |= cls
         classes.append(frozenset(space.labels[i] for i in cls))
     return SupremumResult(frozenset(space.labels[i] for i in d_sups),
                           frozenset(space.labels[i] for i in leq_sups), tuple(classes))
+
+
+def link_directed_sequence_oracle(space: FiniteSpace, Y, seq) -> DirectedSequenceReport:
+    """``order.link_directed_sequence`` with its order side read point by
+    point on ExtReal entries: Y <= x by ``leq``, the forward domination
+    against the max over Y, the d-suprema by ``suprema_oracle`` and the
+    backward limits against the min over Y."""
+    pts = sorted(set(Y))
+    n = space.n
+    y_leq_seq = all(leq(space, y, c) for y in pts for c in seq.cycle)
+    seq_in_Y = set(seq.pre) | set(seq.cycle) <= set(pts)
+    violations = []
+    if y_leq_seq and seq_in_Y:
+        d_sups = suprema_oracle(space, pts).d_sups
+        for x in range(n):
+            rep = convergence(space, seq, x)
+            lbl = space.labels[x]
+            if rep.lower_hole != all(leq(space, y, x) for y in pts):
+                violations.append((lbl, "lower_hole_vs_upper_bound"))
+            if rep.upper_hole != all(space.d(x, z) <= max(space.d(y, z) for y in pts)
+                                     for z in range(n)):
+                violations.append((lbl, "upper_hole_vs_forward_domination"))
+            if rep.double_hole != (lbl in d_sups):
+                violations.append((lbl, "double_hole_vs_d_sup"))
+    tail_equiv = None
+    if directed_oracle(space, pts) and net_classes_oracle(space, seq).pre_cauchy:
+        tail_equiv = y_leq_seq == all(
+            space.d(z, seq.cycle[0]) <= min(space.d(z, y) for y in pts) for z in range(n))
+    return DirectedSequenceReport(y_leq_seq, seq_in_Y, tuple(violations), tail_equiv)
+
+
+def hole_characterizations_oracle(space: FiniteSpace, seq) -> HoleCharacterizationReport:
+    """``topology.check_hole_characterizations`` with its order side read
+    on ExtReal entries: d(x_k, x) = 0 along the cycle, and d(x, x) = 0."""
+    if not net_classes_oracle(space, seq).reflexive:
+        raise PreconditionError("sequence is not reflexive")
+    violations = []
+    for x in range(space.n):
+        rep = convergence(space, seq, x)
+        if rep.lower_hole != all(leq(space, i, x) for i in seq.cycle):
+            violations.append((space.labels[x], "lower_hole_vs_forward_limit"))
+        if rep.double_hole != (rep.upper_hole and rep.lower_ball and leq(space, x, x)):
+            violations.append((space.labels[x], "double_hole_vs_ball_and_order"))
+    return HoleCharacterizationReport(space.n, tuple(violations))
 
 
 def _lower_ball(space: FiniteSpace, x: int, r) -> list:
@@ -171,7 +225,7 @@ def d_F_oracle(space: FiniteSpace) -> StepFn:
             for k in range(len(ball) + 1):
                 for F in itertools.combinations(ball, k):
                     cand = [y for y in range(n) if all(space.d(z, y).is_zero() for z in F)]
-                    val = ext_min((space.d(y, x) for y in cand), INF)
+                    val = min((space.d(y, x) for y in cand), default=INF)
                     if worst < val:
                         worst = val
         return worst
@@ -192,7 +246,7 @@ def d_Phi_oracle(space: FiniteSpace) -> StepFn:
             ball = _lower_ball(space, x, r)
             for eps in grid:
                 cand = [y for y in range(n) if all(space.d(z, y) < eps for z in ball)]
-                val = ext_min((space.d(y, x) for y in cand), INF)
+                val = min((space.d(y, x) for y in cand), default=INF)
                 if worst < val:
                     worst = val
         return worst
@@ -237,8 +291,8 @@ def compose_with_filter_oracle(e_space: FiniteSpace, d_space: FiniteSpace) -> Fi
         for y in range(n):
             best = ZERO
             for eps in grid:
-                val = ext_min((e_space.d(x, z) for z in range(n)
-                               if d_space.d(z, y) < eps), INF)
+                val = min((e_space.d(x, z) for z in range(n) if d_space.d(z, y) < eps),
+                          default=INF)
                 if best < val:
                     best = val
             row.append(best)
@@ -258,7 +312,7 @@ def directed_oracle(space: FiniteSpace, Y) -> bool:
     pts = sorted(set(Y))
     for size in range(1, len(pts) + 1):
         for F in itertools.combinations(pts, size):
-            best = ext_min(ext_max(space.d(f, y) for f in F) for y in pts)
+            best = min(max(space.d(f, y) for f in F) for y in pts)
             if not best.is_zero():
                 return False
     return True
@@ -302,7 +356,7 @@ def zero_class_members_oracle(space: FiniteSpace) -> list:
     reps = representatives(space.class_masks)
     return [[j for j in range(n) if cls >> j & 1]
             for i, cls in enumerate(space.class_masks)
-            if reps >> i & 1 and space.leq(i, i)]
+            if reps >> i & 1 and leq(space, i, i)]
 
 
 def double_hole_limits_oracle(space: FiniteSpace, clique) -> list:
@@ -392,9 +446,9 @@ def net_classes_oracle(space: FiniteSpace, seq) -> NetClasses:
     check_ids(space, seq)
     reflexive = cauchy = True
     for i in seq.cycle:
-        if not ext_min(space.d(i, j) for j in seq.cycle).is_zero():
+        if not min(space.d(i, j) for j in seq.cycle).is_zero():
             reflexive = False
-        if not ext_max(space.d(i, j) for j in seq.cycle).is_zero():
+        if not max(space.d(i, j) for j in seq.cycle).is_zero():
             cauchy = False
     return NetClasses(reflexive, cauchy, cauchy)
 
@@ -409,7 +463,7 @@ def dist_subequiv_oracle(f_space: FiniteSpace, g_space: FiniteSpace) -> bool:
 def separable_oracle(space: FiniteSpace) -> bool:
     """Every row of d has minimum 0, on ExtReal entries."""
     n = space.n
-    return all(ext_min(space.d(x, y) for y in range(n)).is_zero() for x in range(n))
+    return all(min(space.d(x, y) for y in range(n)).is_zero() for x in range(n))
 
 
 def construct_directed_from_cauchy_oracle(space: FiniteSpace, seq, dfs) -> DirectedConstruction:
@@ -436,7 +490,7 @@ def construct_directed_from_cauchy_oracle(space: FiniteSpace, seq, dfs) -> Direc
         ball = [z for z in range(n) if space.d(x_f, z) < two_r]
         found = None
         for y in range(n):
-            if space.d(x_f, y) < r_prev and all(space.leq(y, z) for z in ball):
+            if space.d(x_f, y) < r_prev and all(leq(space, y, z) for z in ball):
                 found = y
                 break
         if found is None:
@@ -506,7 +560,7 @@ def fm_dist_oracle(m: int, k: int) -> ExtReal:
     coordinates 1..max(m, k) + 1, past which the two vectors agree."""
     def coord(n, j):
         return INF if j < n else ZERO if j == n else ExtReal(1, j)
-    return ext_max(coord(m, j).tsub(coord(k, j)) for j in range(1, max(m, k) + 2))
+    return max(coord(m, j).tsub(coord(k, j)) for j in range(1, max(m, k) + 2))
 
 
 CHAIN_CERT = "chain.increasing_below_one"
@@ -829,8 +883,8 @@ def directed_subsets_count(space: FiniteSpace) -> int:
     """
     reps = representatives(space.class_masks)
     pts = [i for i in range(space.n) if reps >> i & 1]
-    return sum(2 ** sum(1 for f in pts if f != y and space.leq(f, y))
-               for y in pts if space.leq(y, y))
+    return sum(2 ** sum(1 for f in pts if f != y and leq(space, f, y))
+               for y in pts if leq(space, y, y))
 
 
 def zero_cliques_count(space: FiniteSpace) -> int:

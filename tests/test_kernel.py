@@ -8,8 +8,9 @@ entry at the cut where the entry joins its row's ball (each event
 narrows that row's admissible bounds by one mask AND, and a
 forward-only pointer into the sorted row reads the bound), and
 ``order.d_sup_mask``, the one d-supremum test, looks the column-wise max
-of a set's rows up among them; ``suprema`` reads its d-suprema there and
-its order side off the zero masks.  The zero masks are the entries of
+of a set's rows up among them, inside the set's upper bounds (the AND of
+its ``zero_up`` masks, ``order._upper_bounds``); ``suprema`` reads its
+d-suprema there and its order suprema off the same upper bounds.  The zero masks are the entries of
 rank 0, and the symmetric join takes the larger of two ranks.  The
 triangle check of ``validation`` picks its candidates by comparing
 ranks, and it and the relaxation of ``minplus_closure`` add ``ExtReal``

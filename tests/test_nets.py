@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from qmlib.extreal import ZERO, ExtReal, ext_max, ext_min
+from qmlib.extreal import ZERO, ExtReal
 from qmlib.generate import random_space
 from qmlib.nets import (EpSeq, PreconditionError, cauchy_subsequence, classify,
                         epseq, epseq_from_labels, net_distance,
@@ -22,7 +22,7 @@ def unrolled_tail_stats(space, seq, fn):
     p = len(seq.cycle)
     start = len(seq.pre) + 2 * p
     vals = [fn(seq.term(k)) for k in range(start, start + p)]
-    return ext_min(vals), ext_max(vals)
+    return min(vals), max(vals)
 
 
 def classify_oracle(space, seq):
@@ -33,8 +33,8 @@ def classify_oracle(space, seq):
     limsups = []
     for g in range(start, start + p):
         window = [space.d(seq.term(g), seq.term(d)) for d in range(g + 1, g + 1 + p)]
-        liminfs.append(ext_min(window))
-        limsups.append(ext_max(window))
+        liminfs.append(min(window))
+        limsups.append(max(window))
     reflexive = all(v.is_zero() for v in liminfs)
     pre_cauchy = all(v.is_zero() for v in limsups)
     cauchy = all(space.d(seq.term(g), seq.term(d)).is_zero()

@@ -6,14 +6,35 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmlib.extreal import ext_max
 from qmlib.generate import random_metric, random_space
-from qmlib.nets import PreconditionError, epseq
-from qmlib.order import check_ed_complete, is_directed, link_directed_sequence, suprema
-from qmlib.space import derive, space_from_rows
+from qmlib.nets import EpSeq, PreconditionError, epseq
+from qmlib.order import (check_ed_complete, d_sup_mask, is_directed, link_directed_sequence,
+                         suprema)
+from qmlib.space import SpaceError, derive, minplus_closure, space_from_rows
 
-from tests.oracles import check_ed_complete_oracle, directed_oracle
+from tests.oracles import (check_ed_complete_oracle, directed_oracle,
+                           link_directed_sequence_oracle)
 from tests.test_space import grid_x_one_minus_y
+
+# zero-heavy, so upper bounds, directed sets and Cauchy cycles occur
+VALUES = ("0", "0", "0", "1/3", "1/2", "1", "2", "inf")
+
+
+@st.composite
+def spaces_with_sequences(draw):
+    """An arbitrary 1-5 point matrix or its min-plus closure (a distance),
+    a nonempty point set Y and a sequence whose preperiod enumerates Y and
+    whose cycle is drawn mostly from Y."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.sampled_from(VALUES), min_size=n, max_size=n)
+    sp = space_from_rows([f"p{i}" for i in range(n)],
+                         draw(st.lists(row, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        sp = minplus_closure(sp.matrix)
+    pts = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)))
+    point = st.one_of(st.sampled_from(pts), st.integers(min_value=0, max_value=n - 1))
+    cycle = draw(st.lists(point, min_size=1, max_size=3))
+    return sp, pts, epseq(pts, cycle)
 
 
 class TestSuprema:
@@ -66,6 +87,11 @@ class TestSuprema:
         sp = space_from_rows(["a"], [["0"]])
         with pytest.raises(PreconditionError):
             suprema(sp, [])
+
+    def test_d_sup_mask_of_the_empty_set_raises(self):
+        sp = space_from_rows(["a"], [["0"]])
+        with pytest.raises(PreconditionError, match="Y must be nonempty"):
+            d_sup_mask(sp, [])
 
 
 class TestDirected:
@@ -130,8 +156,8 @@ class TestDirected:
                     if not is_directed(sp, Y):
                         continue
                     hits += 1
-                    y0 = min(Y, key=lambda y: (ext_max(sp.d(a, y) for a in Y), y))
-                    assert ext_max(sp.d(a, y0) for a in Y).is_zero()
+                    y0 = min(Y, key=lambda y: (max(sp.d(a, y) for a in Y), y))
+                    assert max(sp.d(a, y0) for a in Y).is_zero()
                     assert sp.labels[y0] in suprema(sp, Y).d_sups
         assert hits > 30
 
@@ -200,3 +226,17 @@ class TestLinkDirectedSequence:
         rep = link_directed_sequence(sp, [0], epseq([], [1]))
         assert rep.Y_leq_seq is False
         assert rep.tail_order_equiv is not False
+
+    def test_sequence_ids_outside_the_space_raise(self):
+        sp = space_from_rows(["a", "b"], [["0", "0"], ["0", "0"]])
+        for cycle in ([2], [-1]):
+            with pytest.raises(SpaceError):
+                link_directed_sequence(sp, [0], EpSeq((), tuple(cycle)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(spaces_with_sequences())
+    def test_matches_the_oracle_on_any_matrix(self, case):
+        # the order side on masks and rank rows against ExtReal entries
+        sp, pts, seq = case
+        assert link_directed_sequence(sp, pts, seq) == \
+            link_directed_sequence_oracle(sp, pts, seq)

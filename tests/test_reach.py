@@ -168,7 +168,6 @@ NEVER_RUN = {
     "order.SupremumResult.to_dict": "no command reports suprema",
     "order.link_directed_sequence": API,
     "space.FiniteSpace.__repr__": "debugging aid",
-    "space.FiniteSpace.leq": "reached only through link_directed_sequence",
     "space.load_space": API,
     "theorems.DirectedConstruction.to_dict": "failure path: witness of a failed replay",
     "topology.ConvergenceReport.flag": "reached only through library sequence checks",

@@ -3,15 +3,20 @@
 import itertools
 from random import Random
 
+import pytest
+from hypothesis import given, settings
+
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.generate import random_space
-from qmlib.nets import classify, epseq, zero_cliques
+from qmlib.nets import PreconditionError, classify, epseq, zero_cliques
 from qmlib.order import suprema
 from qmlib.space import space_from_rows
 from qmlib.topology import (check_hole_characterizations, convergence,
                             is_complete, limit_set, pre_cauchy_subnet_equiv)
 
+from tests.oracles import hole_characterizations_oracle
 from tests.test_nets import unrolled_tail_stats
+from tests.test_order import spaces_with_sequences
 from tests.test_space import projection_space
 
 
@@ -104,6 +109,17 @@ class TestHoleCharacterizations:
                 if classify(sp, seq).reflexive:
                     violations += len(check_hole_characterizations(sp, seq).violations)
         assert violations == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(spaces_with_sequences())
+    def test_matches_the_oracle_on_any_matrix(self, case):
+        # the order side on zero_down against ExtReal entries
+        sp, _, seq = case
+        if not classify(sp, seq).reflexive:
+            with pytest.raises(PreconditionError):
+                check_hole_characterizations(sp, seq)
+            return
+        assert check_hole_characterizations(sp, seq) == hole_characterizations_oracle(sp, seq)
 
 
 class TestLimitSets:
