@@ -8,12 +8,12 @@ difference of point values together with their absolute difference.
 Point values are quarter steps, so both distances of a pair are read from
 one table of quarters and no value is built per instance.
 
-Every space generated here carries its ``validation`` from its
-construction, without the cubic triangle walk: a min-plus closure
+Every space generated here is a ``space.ProvenDistance``, validated
+without the cubic triangle walk when first read: a min-plus closure
 satisfies the triangle law (``minplus_closure``), and so does each
 distance of a pair, since (a - c)+ <= (a - b)+ + (b - c)+ and
 |a - c| <= |a - b| + |b - c|.  The diagonal, symmetry and separation
-checks still run (``space.distance_by_construction``).
+checks still run, and nothing is validated or cached at generation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from random import Random
 
 from .extreal import INF, ZERO, ExtReal
-from .space import FiniteSpace, distance_by_construction, minplus_closure
+from .space import FiniteSpace, ProvenDistance, minplus_closure
 
 VALUE_GRID = (ZERO, ExtReal(1, 4), ExtReal(1, 2), ExtReal(1), ExtReal(2), INF)
 POSITIVE_GRID = (ExtReal(1, 4), ExtReal(1, 2), ExtReal(1), ExtReal(2))
@@ -69,7 +69,7 @@ def random_value_pair(rng: Random, n: int):
     labels = tuple(f"p{i}" for i in range(n))
     d_rows = tuple(tuple(QUARTERS[a - b if a > b else 0] for b in steps) for a in steps)
     e_rows = tuple(tuple(QUARTERS[scale * abs(a - b)] for b in steps) for a in steps)
-    return distance_by_construction(labels, d_rows), distance_by_construction(labels, e_rows)
+    return ProvenDistance(labels, d_rows), ProvenDistance(labels, e_rows)
 
 
 def instance_stream(seed: int, n: int, count: int):

@@ -3,8 +3,8 @@
 A :class:`FiniteSpace` is a labelled square matrix of exact distances.
 Nothing here assumes symmetry or zero self-distance; the triangle law is
 the only structural property.  It is checked by walking the triples,
-except where the construction of a space proves it
-(``distance_by_construction``); it is never presumed of a given matrix.
+except on a :class:`ProvenDistance`, whose construction proves it; it is
+never presumed of a given matrix.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ class Validation(namedtuple("Validation", "is_distance is_hemimetric is_symmetri
 class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
     """A labelled square matrix of ``ExtReal`` distances (tuples of rows).
 
-    Instances keep a ``__dict__`` (no ``__slots__``): the cached
-    properties below store their values there, and only
-    ``distance_by_construction`` fills ``validation`` through it.  The
+    Instances keep a ``__dict__`` (no ``__slots__``): each cached
+    property below stores its value there when first read.  A
+    :class:`ProvenDistance` validates without the triangle walk.  The
     d-supremum rule that reads ``points_by_row`` lives in
     ``order.d_sup_mask``.
     """
@@ -169,7 +169,23 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
         return by_row
 
     def __repr__(self):
-        return f"FiniteSpace({len(self.labels)} points)"
+        return f"{type(self).__name__}({len(self.labels)} points)"
+
+
+class ProvenDistance(FiniteSpace):
+    """A space whose construction proves the triangle law.
+
+    ``minplus_closure``, ``generate.random_value_pair`` and the join of a
+    distance in ``derive`` build one; every other space, a loaded file's
+    included, is a plain ``FiniteSpace`` and is walked in full.  Its
+    ``validation`` is computed when first read, like every cache of a
+    space, by the diagonal, symmetry and separation checks of
+    ``_validate`` without the triangle walk.
+    """
+
+    @cached_property
+    def validation(self) -> Validation:
+        return _finish_validation(self, [])
 
 
 def _entry(v) -> ExtReal:
@@ -306,22 +322,6 @@ def _finish_validation(space: FiniteSpace, violations: list) -> Validation:
                       tuple(violations))
 
 
-def distance_by_construction(labels: tuple, rows: tuple) -> FiniteSpace:
-    """A space whose construction proves the triangle law, with its
-    ``validation`` set without the triangle walk.
-
-    Only the walk is skipped: the diagonal, symmetry and separation checks
-    run as ``_validate`` runs them.  For constructors that prove the law
-    (``minplus_closure``, ``generate.random_value_pair``, the join of a
-    distance in ``derive``); every other space, a loaded file's included,
-    is walked in full.  This is the only writer of ``validation``.
-    """
-    space = FiniteSpace(labels, rows)
-    # set the cached_property's entry, so it never runs _validate
-    space.__dict__["validation"] = _finish_validation(space, [])
-    return space
-
-
 def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> FiniteSpace:
     """Derived space: ``opposite``, ``join``, ``leq_order`` or ``compose``.
 
@@ -329,9 +329,9 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
     point set; its result need not satisfy the triangle law, so callers
     should consult ``validation`` on the result.  The join takes each
     entry max(d(x,y), d(y,x)) as the larger of two ranks of ``scaled``,
-    read back through its values.  The join of a distance is built
-    through ``distance_by_construction``: max(d(x,y), d(y,x)) satisfies
-    the triangle law whenever d does, so only the walk is skipped.
+    read back through its values.  The join of a distance is a
+    ``ProvenDistance``, validated without the triangle walk when first
+    read: max(d(x,y), d(y,x)) satisfies the triangle law whenever d does.
     """
     n = space.n
     m = space.matrix
@@ -342,7 +342,7 @@ def derive(space: FiniteSpace, which: str, other: FiniteSpace | None = None) -> 
         rows = tuple(tuple(back[max(a, b)] for a, b in zip(row, col))
                      for row, col in zip(ranks, zip(*ranks)))
         if space.validation.is_distance:
-            return distance_by_construction(space.labels, rows)
+            return ProvenDistance(space.labels, rows)
     elif which == "leq_order":
         rows = tuple(tuple(m[i][j].scale_inf() for j in range(n)) for i in range(n))
     elif which == "compose":
@@ -391,11 +391,11 @@ def minplus_closure(rows, labels=None) -> FiniteSpace:
     The sum is formed only when both legs lie below d[i][j]; otherwise it
     is at least d[i][j] and cannot lower it.
 
-    The result carries its ``validation`` (``distance_by_construction``):
-    with nonnegative entries the pass leaves in d[i][j] the least length of
-    a walk of one or more steps from i to j, and two walks i -> k and
-    k -> j join into one from i to j, so d(i,j) <= d(i,k) + d(k,j) holds
-    by construction and the triangle walk is not run.
+    The result is a ``ProvenDistance``, validated without the triangle
+    walk when first read: with nonnegative entries the pass leaves in
+    d[i][j] the least length of a walk of one or more steps from i to j,
+    and two walks i -> k and k -> j join into one from i to j, so
+    d(i,j) <= d(i,k) + d(k,j) holds by construction.
     """
     work = [list(r) for r in rows]
     n = len(work)
@@ -418,7 +418,7 @@ def minplus_closure(rows, labels=None) -> FiniteSpace:
                         wi[j] = cand
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
-    return distance_by_construction(tuple(labels), tuple(tuple(r) for r in work))
+    return ProvenDistance(tuple(labels), tuple(tuple(r) for r in work))
 
 
 def threshold_grid(space: FiniteSpace) -> tuple:

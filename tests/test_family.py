@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.family import (Analyzer, CertificateError, ChainAnalyzer, FamilySeq,
                           FamilySpace, NaturalOrderAnalyzer,
-                          UndecidableAtCutoff, VectorFamilyAnalyzer, analyzer_for,
+                          UndecidableAtCutoff, VectorFamilyAnalyzer, _CERT_CHECKS, analyzer_for,
                           cauchy_subsequence_family, classify_family,
                           family_is_complete, family_limits_against,
                           family_subnet_equiv)
@@ -131,6 +131,15 @@ class TestChain:
         an = ChainAnalyzer(halfopen_space())
         gap = an.lower_ball_bound_failure()
         assert gap["value"] == "3/2" and gap["exceeds_radius"] is True
+
+    def test_the_chain_limit_is_both_suprema(self):
+        # extras 0, 1 and 2: the bounds are 1 and 2, the least is 1, and
+        # only 2 overshoots the chain's sup of (value(y) - w)+ at w = 0
+        sp = FamilySpace("truncated-difference", 8,
+                         {"values": "one_minus_unit", "extras": {"0": "0", "1": "1", "2": "2"}})
+        sups = ChainAnalyzer(sp).chain_suprema()
+        assert sups["leq_sups"] == sups["d_sups"] == ["1"]
+        assert sups["evidence"] == {"2": {"z": "0", "chain_sup": "1", "candidate": "2"}}
 
     def test_completeness_witnesses_cover_all_candidates(self):
         sp = halfopen_space(8)
@@ -302,6 +311,32 @@ class TestTriStateAndCertificates:
         sp._verified["naturals.values"] = False
         with pytest.raises(CertificateError):
             an.cert("naturals.values")
+
+    @pytest.mark.parametrize("space, analyzer", [
+        (fm_space(8), VectorFamilyAnalyzer),
+        (halfopen_space(8), ChainAnalyzer),
+        (naturals_space(8), NaturalOrderAnalyzer),
+    ], ids=["fm.pairwise", "chain.increasing_below_one", "naturals.values"])
+    def test_a_broken_closed_form_fails_its_certificate(self, monkeypatch, space, analyzer):
+        # one distance (vector rule) or one value (value rules) off its
+        # closed form, at x_3
+        if analyzer is VectorFamilyAnalyzer:
+            column = FamilySpace._vector_column
+
+            def broken(self, q, top):
+                col = column(self, q, top)
+                if q == self.indexed(3):
+                    col[2] = ZERO     # d(x_2, x_3) is 1/3
+                return col
+            monkeypatch.setattr(FamilySpace, "_vector_column", broken)
+        else:
+            value = FamilySpace.value
+            wrong = ExtReal(1) if analyzer is ChainAnalyzer else ExtReal(4)
+            monkeypatch.setattr(FamilySpace, "value",
+                                lambda self, pt: wrong if pt == ("i", 3) else value(self, pt))
+        assert _CERT_CHECKS[analyzer.CERT](space) is False
+        with pytest.raises(CertificateError):
+            analyzer(space).cert(analyzer.CERT)
 
     @pytest.mark.parametrize("space", [
         halfopen_space(), naturals_space(), fm_space(),

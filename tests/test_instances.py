@@ -3,27 +3,30 @@
 ``random_value_pair`` reads both distances of a pair from a table of
 quarter steps; ``random_value_pair_oracle`` builds every entry through
 ``Fraction`` arithmetic from the same draws.  Generated spaces and
-min-plus closures carry a ``validation`` set from their construction,
-without the triangle walk; it must equal ``_validate`` run on the same
-matrix as a plain space, and the oracle's full walk.
+min-plus closures are ``ProvenDistance``s, validated without the
+triangle walk when first read; the validation must equal ``_validate``
+run on the same matrix as a plain space, and the oracle's full walk.
 ``FiniteSpace.scaled`` is pinned to ``scaled_oracle``, which ranks the
-entries through a dict of ``ExtReal``s.  The symmetric join of a validated distance takes its
-``validation`` from the distance's own; ``join_validation_oracle`` runs
+entries through a dict of ``ExtReal``s.  The symmetric join of a
+validated distance is a ``ProvenDistance`` too, and the join of a
+non-distance a plain space; ``join_validation_oracle`` runs
 ``_validate`` on the join rebuilt as a plain space.
 ``FiniteSpace.zero_classes`` lists the classes once per space and still
 refuses a space whose classes do not partition on every read.
 """
 
+import pickle
 from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from qmlib import space as space_module
 from qmlib.extreal import INF, ZERO, ExtReal
-from qmlib.generate import random_metric, random_space, random_value_pair
-from qmlib.space import MAX_VIOLATIONS, FiniteSpace, PreconditionError, _validate
-from qmlib.space import derive, load_space, minplus_closure, space_from_rows
+from qmlib.generate import instance_stream, random_metric, random_space, random_value_pair
+from qmlib.space import MAX_VIOLATIONS, FiniteSpace, PreconditionError, ProvenDistance
+from qmlib.space import _validate, derive, load_space, minplus_closure, space_from_rows
 
 from tests.oracles import (join_validation_oracle, random_value_pair_oracle, scaled_oracle,
                            validate_oracle)
@@ -87,7 +90,7 @@ def test_value_pair_matches_the_fraction_oracle(seed, n):
 # reach the MAX_VIOLATIONS cap
 @example(minplus_closure(space_from_rows(_labels(25), [["1"] * 25] * 25).matrix))
 def test_generated_distances_carry_their_validation(space):
-    assert "validation" in space.__dict__
+    assert type(space) is ProvenDistance
     plain = FiniteSpace(space.labels, space.matrix)
     want = validate_oracle(plain)
     assert space.validation == _validate(plain)
@@ -108,7 +111,7 @@ def test_scaled_matches_the_oracle(space):
 def test_join_validation_matches_validate(space):
     assert space.validation.is_distance
     joined = derive(space, "join")
-    assert "validation" in joined.__dict__
+    assert type(joined) is ProvenDistance
     assert joined.validation == join_validation_oracle(space)
 
 
@@ -130,7 +133,7 @@ def test_join_validation_covers_each_flag():
     for rows in cases.values():
         space = space_from_rows(_labels(2), rows)
         joined = derive(space, "join")
-        assert "validation" in joined.__dict__
+        assert type(joined) is ProvenDistance
         got = joined.validation
         assert got == join_validation_oracle(space)
         seen.add((got.is_hemimetric, got.is_metric, bool(got.violations)))
@@ -142,8 +145,26 @@ def test_join_validation_covers_each_flag():
 def test_join_of_a_non_distance_is_validated_in_full(space):
     assume(not space.validation.is_distance)
     joined = derive(space, "join")
-    assert "validation" not in joined.__dict__
+    assert type(joined) is FiniteSpace
     assert joined.validation == join_validation_oracle(space)
+
+
+def test_constructed_spaces_validate_without_the_triangle_walk(monkeypatch):
+    # a fresh generated space carries no cache: nothing was validated or
+    # ranked before it is read
+    stream = list(instance_stream(7, 5, 8))
+    spaces = [sp for _, _, d, e in stream for sp in (d, e) if sp is not None]
+    assert all(vars(pickle.loads(pickle.dumps(sp))) == {} for sp in spaces)
+
+    def walk(space):
+        raise AssertionError("the triangle walk ran on a proven distance")
+
+    monkeypatch.setattr(space_module, "_triangle_violations", walk)
+    # all ones: the closure keeps the nonzero diagonal
+    spaces.append(minplus_closure(space_from_rows(_labels(4), [["1"] * 4] * 4).matrix))
+    for sp in spaces:
+        assert sp.validation.is_distance
+        assert derive(sp, "join").validation.is_distance
 
 
 @EXAMPLES

@@ -136,6 +136,17 @@ MUTANTS = {
         "family.py", "w = self.space.value(self._least_point())",
         "w = self.space.value(max(self.space.points(), key=self.space.value))",
         "tests/test_family.py::TestChain::test_hole_limit_sets"),
+    # the genuine columns match the closed form, so only a broken one
+    # reaches the mismatch branch
+    "vector-pairwise-ignores-a-mismatch": (
+        "family.py", "if got != want:", "if got != want and m == k:",
+        "tests/test_family.py::TestTriStateAndCertificates::"
+        "test_a_broken_closed_form_fails_its_certificate[fm.pairwise]"),
+    # equivalent in output: only the skipped triangle walk tells it apart
+    "closure-returns-a-plain-space": (
+        "space.py", "return ProvenDistance(tuple(labels), tuple(tuple(r) for r in work))",
+        "return FiniteSpace(tuple(labels), tuple(tuple(r) for r in work))",
+        "tests/test_instances.py::test_constructed_spaces_validate_without_the_triangle_walk"),
     "vector-closed-form-one-over-m": (
         "family.py", "want = ExtReal(1, k)", "want = ExtReal(1, m)",
         "tests/test_family.py::TestTriStateAndCertificates::test_certificate_failure_is_loud"),

@@ -23,14 +23,18 @@ from qmlib.formal_balls import FormalBall, KwAuditReport, KwLimitResult, RadiusS
 from qmlib.gallery import Fact, Fixture, GalleryReport
 from qmlib.nets import EpSeq, NetClasses, SeqLimits
 from qmlib.order import DirectedSequenceReport, EdCompletenessReport, SupremumResult
-from qmlib.space import (BallsAndHoles, FiniteSpace, SpaceError, Validation,
-                         space_from_rows)
+from qmlib.space import (BallsAndHoles, FiniteSpace, ProvenDistance, SpaceError, Validation,
+                         minplus_closure, space_from_rows)
 from qmlib.theorems import AuditEntry, AuditReport, DirectedConstruction
 from qmlib.topology import CompletenessReport, ConvergenceReport, HoleCharacterizationReport
 
 
 def _space():
     return space_from_rows(["a", "b"], [["0", "1/2"], ["inf", "0"]])
+
+
+def _proven():
+    return minplus_closure(_space().matrix, _space().labels)
 
 
 def _step():
@@ -63,6 +67,7 @@ RECORDS = {
                    "Validation(is_distance=True, is_hemimetric=True, is_symmetric=False, "
                    "is_metric=False, violations=())"),
     "FiniteSpace": (_space, "FiniteSpace(2 points)"),
+    "ProvenDistance": (_proven, "ProvenDistance(2 points)"),
     "BallsAndHoles": (lambda: BallsAndHoles(frozenset({"a"}), frozenset(), frozenset({"b"}),
                                             frozenset()),
                       "BallsAndHoles(upper_ball=frozenset({'a'}), lower_ball=frozenset(), "
@@ -188,7 +193,7 @@ def test_record_behaviour_is_pinned(name):
 def test_slots_only_where_no_cache_is_kept():
     for name, (make, _) in RECORDS.items():
         has_dict = hasattr(make(), "__dict__")
-        assert has_dict == (name in {"FiniteSpace", "FamilySpace"}), name
+        assert has_dict == (name in {"FiniteSpace", "ProvenDistance", "FamilySpace"}), name
 
 
 def test_finite_space_pickles_with_its_caches():
@@ -198,6 +203,17 @@ def test_finite_space_pickles_with_its_caches():
     assert back == space and hash(back) == hash(space)
     for key in ("validation", "zero_up", "scaled"):
         assert back.__dict__[key] == space.__dict__[key]
+    assert back.validation.is_distance
+
+
+def test_proven_distance_pickles_with_its_type_and_caches():
+    space = _proven()
+    back = pickle.loads(pickle.dumps(space))
+    assert type(back) is ProvenDistance and vars(back) == {}
+    space.validation, space.scaled   # fill two caches
+    back = pickle.loads(pickle.dumps(space))
+    assert type(back) is ProvenDistance and back == space
+    assert vars(back) == vars(space)
     assert back.validation.is_distance
 
 
