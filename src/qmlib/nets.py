@@ -121,27 +121,6 @@ def submasks(mask: int):
         sub = (sub - mask) & mask
 
 
-def subset_lists(points):
-    """Every nonempty subset of ``points`` (increasing indices) as an
-    increasing list, in the order ``submasks`` visits their masks.
-
-    Each subset is its predecessor, the subset without its top point
-    (which that order always visits first), extended by the top point.
-    Only the subsets of all but the last point can be predecessors, so at
-    most 2^(k-1) lists are held for k points.  A yielded list may be one
-    of those held, so callers must not change it.
-    """
-    kept = [[]]
-    for p in points[:-1]:
-        for i in range(len(kept)):
-            ys = kept[i] + [p]
-            kept.append(ys)
-            yield ys
-    for p in points[-1:]:   # no subset with the last point is a predecessor
-        for ys in kept:
-            yield ys + [p]
-
-
 def zero_cliques(space: FiniteSpace):
     """All nonempty subsets on which d vanishes, as sorted bitmasks: the
     nonempty submasks of ``FiniteSpace.zero_classes``, which raises

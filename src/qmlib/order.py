@@ -12,16 +12,17 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .nets import EpSeq, check_ids, classify, subset_lists
+from .nets import EpSeq, check_ids, classify
 from .space import FiniteSpace, PreconditionError
 from .topology import convergence
 
-# Largest number k of specialization classes whose 2^k - 1 unions
+# Largest number k of specialization classes whose up to 2^k - 1 unions
 # ``check_ed_complete`` walks; more raise
 # PreconditionError (exit 3) before the walk.  On the k-point chain
-# (d(i, j) = 0 if i <= j else 1) `qml audit` took 0.64 s at k = 16, 1.3 s
-# at 17 and 2.5 s at 18, with the ceiling raised for the last two
-# (separate processes, medians of 5, 2-vCPU VM, Python 3.11).
+# (d(i, j) = 0 if i <= j else 1), where no union is skipped, `qml audit`
+# took 0.21 s and 22 MB peak RSS at k = 16, 0.32 s at 17 and 0.57 s and
+# 43 MB at 18, with the ceiling raised for the last two (separate
+# processes, medians of 5, 2-vCPU VM, Python 3.11).
 MAX_DIRECTED_CLASSES = 16
 
 
@@ -54,8 +55,9 @@ def suprema(space: FiniteSpace, Y) -> SupremumResult:
 
 def _upper_bounds(up0, pts) -> int:
     """Mask of the upper bounds of a nonempty point set, the AND of its
-    ``zero_up`` masks; only ``is_directed`` (which stops early) and
-    ``sups_signature`` (unrolled) AND them themselves."""
+    ``zero_up`` masks; only ``is_directed`` (which stops early),
+    ``sups_signature`` (unrolled) and ``check_ed_complete``'s walk (one AND
+    per subset, on its predecessor's) AND them themselves."""
     upper = -1
     for y in pts:
         upper &= up0[y]
@@ -70,11 +72,18 @@ def d_sup_mask(space: FiniteSpace, pts) -> int:
     rows, read in one ``points_by_row`` lookup.
 
     This is the one d-supremum test: ``suprema`` and
-    ``link_directed_sequence`` read their d-suprema here and
-    ``check_ed_complete`` asks it for a nonzero mask.
+    ``link_directed_sequence`` read their d-suprema here, and
+    ``check_ed_complete``'s walk, which carries each subset's upper bounds
+    and column-wise max, applies the same rule, ``_d_sups``, to them.
     """
     upper = _upper_bounds(space.zero_up, pts)
-    return space.points_by_row.get(_sup_profile(space.scaled[0], pts), 0) & upper
+    return _d_sups(space, _sup_profile(space.scaled[0], pts), upper)
+
+
+def _d_sups(space: FiniteSpace, profile: tuple, upper: int) -> int:
+    """The d-supremum rule: the points of ``upper`` (a set's upper bounds)
+    whose rank row is ``profile`` (the column-wise max of its rows)."""
+    return space.points_by_row.get(profile, 0) & upper
 
 
 def sups_signature(space: FiniteSpace) -> tuple:
@@ -141,17 +150,12 @@ def check_ed_complete(space: FiniteSpace) -> EdCompletenessReport:
     Both verdicts read a point only through its specialization class
     (``space.class_masks``): by the triangle law its members share their
     rows and columns, so directedness and the d-suprema of Y depend only
-    on which classes Y meets.  The walk therefore runs over the nonempty
-    submasks of ``space.representatives``, in increasing order, and a
+    on which classes Y meets.  The walk (``_walk_directed``) therefore
+    runs over the nonempty subsets of the class representatives, and a
     failing Y is such a subset; more than ``MAX_DIRECTED_CLASSES``
-    classes raise ``PreconditionError`` before it starts.  ``subset_lists``
-    builds each Y as its predecessor's points (Y without its top
-    representative, walked earlier) plus that representative, and
-    ``is_directed`` asks every Y for a top member, stopping once the AND
-    of its ``zero_up`` masks is empty.  A directed Y is counted in
-    ``subsets_checked`` and needs a d-supremum (``d_sup_mask``).  The
-    space must satisfy the triangle law.  Directedness under a second
-    distance e is a test oracle.
+    classes raise ``PreconditionError`` before it starts.  The space must
+    satisfy the triangle law.  Directedness under a second distance e is
+    a test oracle.
     """
     if not space.validation.is_distance:
         raise PreconditionError("directed completeness requires a validated distance")
@@ -160,13 +164,50 @@ def check_ed_complete(space: FiniteSpace) -> EdCompletenessReport:
     if k > MAX_DIRECTED_CLASSES:
         raise PreconditionError(f"{k} classes exceed the ceiling "
                                 f"{MAX_DIRECTED_CLASSES} for walking the directed subsets")
+    return _walk_directed(space, [i for i in range(space.n) if reps >> i & 1])
+
+
+def _walk_directed(space: FiniteSpace, points: list) -> EdCompletenessReport:
+    """Ask every directed subset of ``points`` (increasing indices) for a
+    d-supremum, in increasing mask order (``nets.submasks``).
+
+    Each subset Y is its predecessor, Y without its top point p (which
+    that order visits first), plus p.  The walk carries each kept
+    predecessor's points, upper bounds (the AND of its ``zero_up`` masks)
+    and sup profile (the column-wise max of its rank rows), so Y's are
+    one AND with ``zero_up[p]`` and one max with ``rows[p]``.  Where p
+    bounds the predecessor, the triangle law puts ``rows[p]`` above every
+    member's row, and the max is ``rows[p]`` itself, shared, not built.
+
+    A Y without upper bounds has no top member, and no subset containing
+    it has one, so Y is skipped and its extensions are never formed.  No
+    skipped subset is directed, so ``subsets_checked`` and the first
+    failing Y are those of the full walk.  Every other Y asks
+    ``is_directed``; a directed one is counted and needs a nonzero
+    ``_d_sups``.  The subsets with the last point extend nothing, so at
+    most 2^(k-1) predecessors are kept for k points.
+    """
+    up0 = space.zero_up
+    rows = space.scaled[0]
     checked = 0
-    for pts in subset_lists([i for i in range(space.n) if reps >> i & 1]):
-        if not is_directed(space, pts):
-            continue
-        checked += 1
-        if not d_sup_mask(space, pts):
-            return EdCompletenessReport(False, tuple(space.labels[i] for i in pts), checked)
+    kept = [((), -1, None)]     # the empty set: every point bounds it
+    for p in points:
+        up_p, row_p = up0[p], rows[p]
+        extend = p != points[-1]
+        for i in range(len(kept)):
+            ys, bounds, profile = kept[i]
+            upper = bounds & up_p
+            if not upper:
+                continue
+            ys += (p,)
+            profile = row_p if bounds >> p & 1 else tuple(map(max, profile, row_p))
+            if is_directed(space, ys):
+                checked += 1
+                if not _d_sups(space, profile, upper):
+                    return EdCompletenessReport(False, tuple(space.labels[y] for y in ys),
+                                                checked)
+            if extend:
+                kept.append((ys, upper, profile))
     return EdCompletenessReport(True, None, checked)
 
 

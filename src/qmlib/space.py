@@ -60,6 +60,12 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
             raise SpaceError("matrix shape does not match label count")
         return tuple.__new__(cls, (labels, matrix))
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so its checks run; namedtuple's
+        ``_replace`` builds through here too."""
+        return cls(*iterable)
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -180,8 +186,14 @@ class ProvenDistance(FiniteSpace):
     included, is a plain ``FiniteSpace`` and is walked in full.  Its
     ``validation`` is computed when first read, like every cache of a
     space, by the diagonal, symmetry and separation checks of
-    ``_validate`` without the triangle walk.
+    ``_validate`` without the triangle walk.  ``_make`` and ``_replace``
+    give a plain ``FiniteSpace``: the proof was for this matrix, not for
+    the one put in its place.
     """
+
+    @classmethod
+    def _make(cls, iterable):
+        return FiniteSpace(*iterable)
 
     @cached_property
     def validation(self) -> Validation:

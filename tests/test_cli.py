@@ -244,11 +244,11 @@ class TestCheck:
         # the walk itself is stubbed out: only whether it starts is under test
         walks = []
 
-        def no_walk(points):
+        def no_walk(space, points):
             walks.append(points)
-            return iter(())
+            return order.EdCompletenessReport(True)
 
-        monkeypatch.setattr(order, "subset_lists", no_walk)
+        monkeypatch.setattr(order, "_walk_directed", no_walk)
         path = self._chain(tmp_path, MAX_DIRECTED_CLASSES + extra)
         t0 = time.monotonic()
         rc = main(["audit", path])

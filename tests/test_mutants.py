@@ -40,7 +40,7 @@ MUTANTS = {
     # on a hemimetric the row test alone implies the bound (d(x, x) = 0 is
     # the max of the d(y, x)), so arbitrary matrices kill this one
     "d-sup-mask-ignores-the-bounds": (
-        "order.py", "pts), 0) & upper", "pts), 0)",
+        "order.py", "get(profile, 0) & upper", "get(profile, 0)",
         "tests/test_kernel.py::test_suprema_match_the_oracle"),
     # the enumerating sequences of the older link tests have one-point
     # cycles, so only the oracle test draws a cycle that leaves Y's bounds
@@ -48,8 +48,26 @@ MUTANTS = {
         "order.py", "upper >> c & 1 for c in seq.cycle)", "upper >> c & 1 for c in seq.cycle[:1])",
         "tests/test_order.py::TestLinkDirectedSequence::test_matches_the_oracle_on_any_matrix"),
     "subset-walk-drops-the-predecessors-top-point": (
-        "nets.py", "ys = kept[i] + [p]", "ys = kept[i][:-1] + [p]",
-        "tests/test_nets.py::test_subset_lists_follow_the_submasks"),
+        "order.py", "ys += (p,)", "ys = ys[:-1] + (p,)",
+        "tests/test_order.py::test_walk_visits_every_subset_in_submask_order"),
+    "subset-walk-profile-is-the-new-row": (
+        "order.py", "tuple(map(max, profile, row_p))", "row_p",
+        "tests/test_identities.py::test_every_distance_is_directed_complete_in_itself"),
+    # the shared row is the max only where p bounds the predecessor
+    "subset-walk-shares-the-row-where-p-is-reflexive": (
+        "order.py", "row_p if bounds >> p & 1 else", "row_p if up_p >> p & 1 else",
+        "tests/test_identities.py::test_every_distance_is_directed_complete_in_itself"),
+    # a subset with upper bounds but no top member can still extend to a
+    # directed one (its bound joins it)
+    "subset-walk-skips-the-undirected": (
+        "order.py", "if not upper:\n                continue\n            ys += (p,)\n",
+        "ys += (p,)\n            if not any(upper >> y & 1 for y in ys):\n"
+        "                continue\n",
+        "tests/test_closed_forms.py::test_directed_subsets_checked_is_the_closed_form"),
+    # equivalent in output: only the is_directed calls tell it apart
+    "subset-walk-never-skips": (
+        "order.py", "if not upper:\n                continue\n", "pass\n",
+        "tests/test_order.py::test_walk_skips_the_subsets_without_upper_bounds"),
     "filter-composition-empty-min-is-zero": (
         "theorems.py", "default=sentinel", "default=0",
         "tests/test_identities.py::test_filter_composition_equals_grid_and_order_forms"),

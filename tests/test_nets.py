@@ -9,7 +9,7 @@ from qmlib.extreal import ZERO, ExtReal
 from qmlib.generate import random_space
 from qmlib.nets import (EpSeq, PreconditionError, cauchy_subsequence, classify,
                         epseq, epseq_from_labels, net_distance,
-                        seq_limits_against, submasks, subset_lists)
+                        seq_limits_against)
 from qmlib.space import SpaceError, space_from_rows
 
 
@@ -226,13 +226,3 @@ class TestSeqLimits:
         sp = space_from_rows(["a", "b", "c"], [["0"] * 3] * 3)
         with pytest.raises(SpaceError):
             seq_from_dict(sp, data)
-
-
-@given(st.sets(st.integers(min_value=0, max_value=11), max_size=7))
-def test_subset_lists_follow_the_submasks(points):
-    # each subset extends its predecessor: the lists must still be the
-    # submasks' members, in the submasks' order
-    pts = sorted(points)
-    mask = sum(1 << p for p in pts)
-    assert list(subset_lists(pts)) == [[p for p in pts if sub >> p & 1]
-                                       for sub in submasks(mask)]

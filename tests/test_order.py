@@ -6,10 +6,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmlib import order
 from qmlib.generate import random_metric, random_space
-from qmlib.nets import EpSeq, PreconditionError, epseq
-from qmlib.order import (check_ed_complete, d_sup_mask, is_directed, link_directed_sequence,
-                         suprema)
+from qmlib.nets import EpSeq, PreconditionError, epseq, submasks
+from qmlib.order import (EdCompletenessReport, check_ed_complete, d_sup_mask, is_directed,
+                         link_directed_sequence, suprema)
 from qmlib.space import SpaceError, derive, minplus_closure, space_from_rows
 
 from tests.oracles import (check_ed_complete_oracle, directed_oracle,
@@ -195,6 +196,48 @@ class TestEdComplete:
         rep = check_ed_complete_oracle(e_space, d_space)
         assert not rep.complete
         assert rep.failing_Y == ("1/2",)
+
+
+# d(i, j) = 0 if i <= j else 1: every nonempty subset is directed
+CHAIN = space_from_rows([f"p{i}" for i in range(12)],
+                        [["0" if i <= j else "1" for j in range(12)] for i in range(12)])
+
+
+def _asked(space, points):
+    """The walk's report on ``points`` and the sets it asked ``is_directed``
+    about, in order."""
+    asked = []
+
+    def recording(sp, ys):
+        asked.append(list(ys))
+        return is_directed(sp, ys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(order, "is_directed", recording)
+        report = order._walk_directed(space, points)
+    return report, asked
+
+
+@given(st.sets(st.integers(min_value=0, max_value=11), min_size=1, max_size=7))
+def test_walk_visits_every_subset_in_submask_order(points):
+    # each subset extends its carried predecessor: on a chain nothing is
+    # skipped, so the walk must ask about every subset, in submask order
+    pts = sorted(points)
+    report, asked = _asked(CHAIN, pts)
+    assert asked == [[p for p in pts if sub >> p & 1]
+                     for sub in submasks(sum(1 << p for p in pts))]
+    assert report == EdCompletenessReport(True, None, 2 ** len(pts) - 1)
+
+
+def test_walk_skips_the_subsets_without_upper_bounds():
+    # on the discrete 16-point space no two points share an upper bound, so
+    # only the singletons are asked, and none of their 2^16 - 17 supersets
+    k = 16
+    space = space_from_rows([f"p{i}" for i in range(k)],
+                            [["0" if i == j else "1" for j in range(k)] for i in range(k)])
+    report, asked = _asked(space, list(range(k)))
+    assert asked == [[p] for p in range(k)]
+    assert check_ed_complete(space) == report == (True, None, k)
 
 
 class TestLinkDirectedSequence:

@@ -168,6 +168,8 @@ NEVER_RUN = {
     "order.SupremumResult.to_dict": "no command reports suprema",
     "order.link_directed_sequence": API,
     "space.FiniteSpace.__repr__": "debugging aid",
+    "space.FiniteSpace._make": "namedtuple's _make and _replace; no command rebuilds a space",
+    "space.ProvenDistance._make": "namedtuple's _make and _replace; no command rebuilds a space",
     "space.load_space": API,
     "theorems.DirectedConstruction.to_dict": "failure path: witness of a failed replay",
     "topology.ConvergenceReport.flag": "reached only through library sequence checks",

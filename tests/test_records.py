@@ -25,7 +25,7 @@ from qmlib.nets import EpSeq, NetClasses, SeqLimits
 from qmlib.order import DirectedSequenceReport, EdCompletenessReport, SupremumResult
 from qmlib.space import (BallsAndHoles, FiniteSpace, ProvenDistance, SpaceError, Validation,
                          minplus_closure, space_from_rows)
-from qmlib.theorems import AuditEntry, AuditReport, DirectedConstruction
+from qmlib.theorems import AuditEntry, AuditReport, DirectedConstruction, audit
 from qmlib.topology import CompletenessReport, ConvergenceReport, HoleCharacterizationReport
 
 
@@ -215,6 +215,21 @@ def test_proven_distance_pickles_with_its_type_and_caches():
     assert type(back) is ProvenDistance and back == space
     assert vars(back) == vars(space)
     assert back.validation.is_distance
+
+
+def test_a_replaced_matrix_loses_the_proof():
+    # the 3-point non-distance of test_nonvalidated_space_rejected, put in
+    # the place of its own closure's matrix
+    bad = space_from_rows(["a", "b", "c"],
+                          [["0", "5", "1"], ["1", "0", "inf"], ["inf", "1", "0"]])
+    proven = minplus_closure(bad.matrix, bad.labels)
+    for space in (proven._replace(matrix=bad.matrix), ProvenDistance._make(bad)):
+        assert type(space) is FiniteSpace and space == bad
+        assert not space.validation.is_distance
+        with pytest.raises(qmlib.PreconditionError):
+            audit(space)
+    with pytest.raises(SpaceError, match="matrix shape does not match label count"):
+        FiniteSpace._make((("a", "b"), ((ZERO, ONE),)))
 
 
 def test_record_default_dicts_are_fresh():
