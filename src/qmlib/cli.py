@@ -13,10 +13,12 @@ aggregation in instance order regardless of the worker pool.
 
 Exit codes: 0 success; 1 fact or audit failure; 2 parse/usage error;
 3 precondition failure.  The worker pool size comes from QML_WORKERS, an
-integer from 1 to ``MAX_WORKERS`` (default 1, serial); the random sweep
-starts no more workers than it has chunks of ``POOL_CHUNK`` instances.
-``concurrent.futures`` (and with it ``multiprocessing``) is imported when
-a pool starts, so no other command loads it.
+integer from 1 to ``MAX_WORKERS`` (default 1, serial): this process and
+QML_WORKERS - 1 forked children, each running whole chunks of
+``POOL_CHUNK`` instances that it inherits through ``fork``.  The random
+sweep starts no more processes than it has chunks, and runs serially
+where ``os.fork`` is missing.  ``pickle`` is imported when a pool starts,
+so no other command loads it.
 """
 
 from __future__ import annotations
@@ -44,29 +46,107 @@ EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
-# QML_WORKERS ceiling; a fork pool launches every worker at its first submit
+# QML_WORKERS ceiling: a pooled sweep forks at most this many processes
+# less one, since this process runs a share itself
 MAX_WORKERS = 64
-# instances per task sent to a pool worker
+# instances per chunk; each process of a pooled sweep runs whole chunks
 POOL_CHUNK = 16
 
 
 class ProcessPoolExecutor:
-    """``concurrent.futures.ProcessPoolExecutor``, imported when a pool
-    starts; used as a context manager, it shuts the pool down on exit."""
+    """A fork pool over tasks this process already holds.
+
+    ``map`` cuts its tasks into chunks of ``chunksize`` and forks
+    ``max_workers - 1`` children.  Child k runs chunks k, k + max_workers,
+    k + 2 max_workers, ...; this process runs the share that starts at
+    chunk 0.  A child inherits its chunks through ``fork``, so no task is
+    pickled; it sends its results back as one pickled list through a pipe
+    and leaves with ``os._exit``.  Each share stops at its first failing
+    task, and ``map`` raises the failure of the lowest chunk, as a serial
+    ``map`` would.  It returns only once every child is reaped.
+    ``timeout`` is accepted for the ``concurrent.futures`` signature and
+    not read.  ``fork`` needs a caller without other threads; ``qml``
+    starts none.
+    """
 
     def __init__(self, max_workers):
-        import concurrent.futures
-        self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+        self._max_workers = max_workers
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self._pool.shutdown()
         return False
 
     def map(self, fn, *iterables, timeout=None, chunksize=1):
-        return self._pool.map(fn, *iterables, timeout=timeout, chunksize=chunksize)
+        import pickle
+        tasks = list(zip(*iterables))
+        chunks = [tasks[k:k + chunksize] for k in range(0, len(tasks), chunksize)]
+        step = self._max_workers
+        children = []       # (first chunk, pid, read end of its pipe)
+        blobs = []
+        try:
+            for first in range(1, min(step, len(chunks))):
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        # holding no read end, a child whose parent stops
+                        # reading fails its write instead of blocking
+                        os.close(r)
+                        for _, _, earlier in children:
+                            os.close(earlier)
+                        with open(w, "wb") as out:
+                            out.write(pickle.dumps(_run_share(fn, chunks, first, step)))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                # closed before the next fork, so that no later child holds
+                # this pipe open past this child's exit
+                os.close(w)
+                children.append((first, pid, r))
+            shares = [_run_share(fn, chunks, 0, step)]
+            for _, _, r in children:
+                with open(r, "rb", closefd=False) as pipe:
+                    blobs.append(pipe.read())
+        finally:
+            for _, _, r in children:
+                os.close(r)
+            codes = [os.waitpid(pid, 0)[1] for _, pid, _ in children]
+        for (first, _, _), code, blob in zip(children, codes, blobs):
+            shares.append(_received(blob, os.waitstatus_to_exitcode(code), first))
+        failures = [failure for _, failure in shares if failure is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return iter([result for c in range(len(chunks))
+                     for result in shares[c % step][0][c // step]])
+
+
+def _run_share(fn, chunks, first, step) -> tuple:
+    """``(results, failure)`` of ``fn`` over chunks ``first``, ``first +
+    step``, ...: a list of results per chunk run, and ``(chunk index,
+    exception)`` of the first task that raised, or None."""
+    results = []
+    for c in range(first, len(chunks), step):
+        try:
+            results.append([fn(*task) for task in chunks[c]])
+        except Exception as e:
+            return results, (c, e)
+    return results, None
+
+
+def _received(blob: bytes, code: int, first: int) -> tuple:
+    """A child's share as read from its pipe; a child that exited without
+    a readable one fails at its first chunk."""
+    import pickle
+    if code == 0:
+        try:
+            return pickle.loads(blob)
+        except Exception:
+            pass
+    return [], (first, RuntimeError(
+        f"a pool worker exited with status {code} and no readable result"))
 
 
 def canonical_json(obj) -> str:
@@ -278,7 +358,8 @@ def run_random(args) -> tuple:
     # once its payload is built
     tasks = ((i, kind, space, second, theorems)
              for i, kind, space, second in instance_stream(args.seed, args.n, args.count))
-    workers = min(args.workers, -(-args.count // POOL_CHUNK))
+    # without os.fork the sweep runs serially
+    workers = min(args.workers, -(-args.count // POOL_CHUNK)) if hasattr(os, "fork") else 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads = list(pool.map(_instance_payload, tasks, chunksize=POOL_CHUNK))

@@ -66,6 +66,12 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
         ``_replace`` builds through here too."""
         return cls(*iterable)
 
+    def __reduce__(self):
+        # rebuilds through the constructor with the caches as state, and
+        # writes nothing on the class (copyreg's default caches
+        # ``__slotnames__`` there)
+        return (type(self), tuple(self), self.__dict__ or None)
+
     @property
     def n(self) -> int:
         return len(self.labels)

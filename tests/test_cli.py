@@ -2,8 +2,8 @@
 
 import collections
 import hashlib
+import itertools
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -587,13 +587,74 @@ class RecordingPool:
         return map(fn, iterable)
 
 
-class KeptPool(cli.ProcessPoolExecutor):
-    """The real pool, kept referenced after its ``with`` block ends."""
-    kept = []
+class ToyError(Exception):
+    pass
 
-    def __init__(self, max_workers):
-        super().__init__(max_workers)
-        KeptPool.kept.append(self)
+
+def toy_square(i, fail):
+    """i squared, or what ``fail`` names for i: an exception, an unpicklable
+    exception, an interrupt, an exit without a result, or a result larger
+    than a pipe holds."""
+    action = fail.get(i)
+    if action == "big":
+        return "x" * 200_000
+    if action == "interrupt":
+        raise KeyboardInterrupt
+    if action == "raise":
+        raise ToyError(i)
+    if action == "unpicklable":
+        raise ToyError(lambda: i)
+    if action == "exit":
+        os._exit(3)
+    return i * i
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkPool:
+    """``cli.ProcessPoolExecutor(2)`` on 48 tasks in chunks of 16: the child
+    runs chunk 1 (tasks 16..31), this process chunks 0 and 2."""
+
+    @staticmethod
+    def squares(fail, workers=2, count=48):
+        with cli.ProcessPoolExecutor(workers) as pool:
+            return list(pool.map(toy_square, range(count), itertools.repeat(fail),
+                                 chunksize=16))
+
+    @pytest.mark.parametrize("workers, count", [(2, 48), (3, 33), (5, 100), (4, 17)])
+    def test_results_in_task_order(self, workers, count):
+        assert self.squares({}, workers, count) == [i * i for i in range(count)]
+        assert_no_child_left()
+
+    def test_the_lowest_chunk_failure_is_raised(self):
+        # the child's failure at 20 is collected after this process's at 40
+        with pytest.raises(ToyError) as err:
+            self.squares({20: "raise", 40: "raise"})
+        assert err.value.args == (20,)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("action, status", [("exit", 3), ("unpicklable", 1)])
+    def test_a_child_without_a_readable_result_is_one_runtime_error(self, action, status):
+        with pytest.raises(RuntimeError, match=f"status {status} and no readable result"):
+            self.squares({20: action})
+        assert_no_child_left()
+
+    def test_an_interrupt_here_ends_a_child_blocked_on_its_pipe(self):
+        # the child's share outgrows the pipe, and this process stops
+        # reading before it starts
+        with pytest.raises(KeyboardInterrupt):
+            self.squares({0: "interrupt", 20: "big"})
+        assert_no_child_left()
+
+    def test_a_failure_below_a_lost_child_is_raised(self):
+        # a lost child's share starts at chunk 1, after the failure at 5
+        with pytest.raises(ToyError) as err:
+            self.squares({5: "raise", 20: "exit"})
+        assert err.value.args == (5,)
+        assert_no_child_left()
 
 
 class TestWorkers:
@@ -624,27 +685,19 @@ class TestWorkers:
 
     def test_worker_error_is_the_serial_line_and_the_pool_is_shut_down(
             self, capsys, monkeypatch):
-        # n = 24 puts a class of more than MAX_CLASS_SIZE points in a worker
+        # at n = 24 every chunk has an instance past a ceiling, so the
+        # child and this process both fail, and instance 0's error is raised
         argv = ["random", "--n", "24", "--count", "40"]
         assert main(argv) == EXIT_PRECONDITION
         serial = capsys.readouterr()
         monkeypatch.setenv("QML_WORKERS", "2")
-        # the pool stays referenced, so only its own shutdown stops the workers
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", KeptPool)
-        monkeypatch.setattr(KeptPool, "kept", [])
-        try:
-            rc = main(argv)
-            children = multiprocessing.active_children()
-        finally:
-            for pool in KeptPool.kept:
-                pool._pool.shutdown()
+        rc = main(argv)
         pooled = capsys.readouterr()
-        assert len(KeptPool.kept) == 1
         assert rc == EXIT_PRECONDITION
         assert pooled.out == serial.out == ""
         assert len(pooled.err.splitlines()) == 1
         assert pooled.err == serial.err
-        assert children == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("value", list(BAD_WORKERS.values()), ids=list(BAD_WORKERS))
     def test_bad_pool_size_is_one_line_parse_error(self, capsys, monkeypatch,

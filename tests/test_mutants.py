@@ -136,12 +136,15 @@ MUTANTS = {
         "tests/test_cli.py::TestCheck::"
         "test_bad_input_is_one_line_parse_error[true-after-an-equal-int]"),
     "pool-imported-at-import": (
-        "cli.py", "import os\n", "import os\nimport concurrent.futures\n",
+        "cli.py", "import os\n", "import os\nimport pickle\n",
         "tests/test_startup.py"),
-    "pool-exit-skips-shutdown": (
-        "cli.py", "self._pool.shutdown()", "pass",
-        "tests/test_cli.py::TestWorkers::"
-        "test_worker_error_is_the_serial_line_and_the_pool_is_shut_down"),
+    "pool-skips-reaping": (
+        "cli.py", "codes = [os.waitpid(pid, 0)[1] for _, pid, _ in children]",
+        "codes = [0 for _ in children]",
+        "tests/test_cli.py::TestForkPool"),
+    "pool-raises-first-collected-failure": (
+        "cli.py", "raise min(failures, key=lambda f: f[0])[1]", "raise failures[0][1]",
+        "tests/test_cli.py::TestForkPool::test_the_lowest_chunk_failure_is_raised"),
     "finite-space-rows-unchecked": (
         "space.py", "len(matrix) != n or any(len(row) != n for row in matrix)",
         "len(matrix) != n",

@@ -93,8 +93,8 @@ DATA = ROOT / "tests" / "data"
 # (QML_WORKERS, argv): check and audit on every tests/data file, every
 # gallery fixture at cutoff 16, one 16-instance serial sweep and one
 # 17-instance sweep on two workers (two chunks), all in JSON; "OUT" is the
-# output.  The pooled sweep's audits run in the workers, which the hook
-# does not see; the parent runs the pool wrapper.
+# output.  The pooled sweep's parent runs the pool and audits chunk 0; the
+# forked child's calls, which the hook does not see, repeat the serial ones.
 LEDGER_COMMANDS = (
     [("1", [cmd, str(path), "--out", "OUT"])
      for path in sorted(DATA.glob("*.json")) for cmd in ("check", "audit")]
@@ -115,8 +115,8 @@ NEVER_RUN = {
     "cli._render_random_md": MARKDOWN,
     "cli.run_report": "the report command merges earlier outputs",
     "derived.StepFn.__call__": "library use of a step function; commands read its cuts",
-    "extreal.ExtReal.__reduce__": "pickling for the worker pool runs in its feeder thread, "
-                                  "which the hook does not see",
+    "extreal.ExtReal.__reduce__": "no command pickles a number: pool workers inherit their "
+                                  "spaces through fork and send back plain payloads",
     "extreal.ExtReal.__repr__": "debugging aid",
     "extreal.ExtReal.__setattr__": "error path: an ExtReal is immutable",
     "extreal.ExtReal.scale_inf": "reached only through derive(space, 'leq_order')",
@@ -167,6 +167,8 @@ NEVER_RUN = {
     "order.EdCompletenessReport.to_dict": "no command reports it; audit reads its fields",
     "order.SupremumResult.to_dict": "no command reports suprema",
     "order.link_directed_sequence": API,
+    "space.FiniteSpace.__reduce__": "no command pickles a space: pool workers inherit theirs "
+                                    "through fork",
     "space.FiniteSpace.__repr__": "debugging aid",
     "space.FiniteSpace._make": "namedtuple's _make and _replace; no command rebuilds a space",
     "space.ProvenDistance._make": "namedtuple's _make and _replace; no command rebuilds a space",

@@ -215,6 +215,10 @@ def test_proven_distance_pickles_with_its_type_and_caches():
     assert type(back) is ProvenDistance and back == space
     assert vars(back) == vars(space)
     assert back.validation.is_distance
+    # the pickle rebuilds through the constructor and caches nothing on
+    # the class
+    assert "__slotnames__" not in vars(ProvenDistance)
+    assert "__slotnames__" not in vars(FiniteSpace)
 
 
 def test_a_replaced_matrix_loses_the_proof():

@@ -4,9 +4,10 @@
 records are named tuples, so it loads no ``dataclasses`` (nor the
 ``inspect`` that comes with it); ``hashlib`` is loaded by the random
 sweep's content hash and ``fractions`` (with ``decimal``) by the gallery's
-grid and chain fixtures, each at first use.  ``concurrent.futures``
-(with ``multiprocessing``, ``socket``, ``subprocess`` and ``logging``) is
-loaded only when a random sweep starts a worker pool.  One fresh
+grid and chain fixtures, each at first use.  ``pickle`` is loaded only
+when a random sweep forks workers, which send their results back pickled;
+no command loads ``concurrent.futures`` (with ``multiprocessing``,
+``socket``, ``subprocess`` and ``logging``).  One fresh
 interpreter runs the commands in turn and reports which of these modules
 it has loaded after each; the probe imports the ``qmlib`` that this test
 imported.
@@ -22,8 +23,8 @@ import qmlib
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(qmlib.__file__).resolve().parent.parent
-POOL = ("concurrent.futures", "logging", "multiprocessing", "socket", "subprocess")
-DEFERRED = ("dataclasses", "inspect", "hashlib", "fractions", "decimal") + POOL
+NEVER = ("concurrent.futures", "logging", "multiprocessing", "socket", "subprocess")
+DEFERRED = ("dataclasses", "inspect", "hashlib", "fractions", "decimal", "pickle") + NEVER
 
 PROBE = """
 import json, os, sys
@@ -40,7 +41,7 @@ print(json.dumps(seen))
 
 def test_commands_load_only_what_they_use(tmp_path):
     out = str(tmp_path / "out.json")
-    # 20 instances make two chunks, so the pooled sweep starts two workers
+    # 20 instances make two chunks, so the pooled sweep forks one child
     steps = [
         ("check", "1", ["check", str(ROOT / "tests" / "data" / "coprime_n8.json"),
                         "--out", out]),
@@ -58,4 +59,4 @@ def test_commands_load_only_what_they_use(tmp_path):
                     "check": [0, []],
                     "gallery": [0, ["decimal", "fractions"]],
                     "random": [0, ["decimal", "fractions", "hashlib"]],
-                    "pooled": [0, sorted(("decimal", "fractions", "hashlib") + POOL)]}
+                    "pooled": [0, ["decimal", "fractions", "hashlib", "pickle"]]}
