@@ -12,19 +12,20 @@ no timestamps, sorted keys, deterministic instance streams, and
 aggregation in instance order regardless of the worker pool.
 
 Exit codes: 0 success; 1 fact or audit failure; 2 parse/usage error;
-3 precondition failure.  The worker pool size comes from QML_WORKERS, an
-integer from 1 to ``MAX_WORKERS`` (default 1, serial): this process and
-QML_WORKERS - 1 forked children, each running whole chunks of
-``POOL_CHUNK`` instances that it inherits through ``fork``.  The random
-sweep starts no more processes than it has chunks, and runs serially
-where ``os.fork`` is missing.  ``pickle`` is imported when a pool starts,
-so no other command loads it.
+3 precondition failure.  The random sweep is one ``ProcessPoolExecutor.map``
+over instance indices and seeds, in chunks of ``POOL_CHUNK``; each process
+builds, audits and drops the instances of its own chunks.  QML_WORKERS,
+an integer from 1 to ``MAX_WORKERS`` (default 1, serial), bounds the
+processes: the pool alone decides how many it forks, no more than it has
+chunks and none where ``os.fork`` is missing.  ``pickle`` is imported
+when the pool forks, so no other command loads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from .derived import derived_functions
 from .extreal import _shown
 from .family import FamilySpace, family_from_dict
 from .gallery import GALLERY_NAMES, build, verify
-from .generate import instance_stream
+from .generate import instance, instance_seeds
 from .order import sups_signature
 from .space import (FiniteSpace, PreconditionError, SpaceError, derive, read_json_object,
                     space_from_dict, space_to_dict)
@@ -54,16 +55,17 @@ POOL_CHUNK = 16
 
 
 class ProcessPoolExecutor:
-    """A fork pool over tasks this process already holds.
+    """A fork pool, and the one place that decides how many processes run.
 
-    ``map`` cuts its tasks into chunks of ``chunksize`` and forks
-    ``max_workers - 1`` children.  Child k runs chunks k, k + max_workers,
-    k + 2 max_workers, ...; this process runs the share that starts at
-    chunk 0.  A child inherits its chunks through ``fork``, so no task is
-    pickled; it sends its results back as one pickled list through a pipe
-    and leaves with ``os._exit``.  Each share stops at its first failing
-    task, and ``map`` raises the failure of the lowest chunk, as a serial
-    ``map`` would.  It returns only once every child is reaped.
+    ``map`` cuts its tasks into chunks of ``chunksize`` and, with step =
+    ``max_workers`` (1 where ``os.fork`` is missing), forks min(step,
+    chunks) - 1 children: a pool of one, or a single chunk, runs in this
+    process alone.  Child k runs chunks k, k + step, k + 2 step, ...; this
+    process runs the share that starts at chunk 0.  A child inherits its chunks through ``fork``,
+    so no task is pickled; it sends its results back as one pickled list
+    through a pipe and leaves with ``os._exit``.  Each share stops at its
+    first failing task, and ``map`` raises the failure of the lowest chunk,
+    as a serial ``map`` would.  It returns only once every child is reaped.
     ``timeout`` is accepted for the ``concurrent.futures`` signature and
     not read.  ``fork`` needs a caller without other threads; ``qml``
     starts none.
@@ -79,14 +81,14 @@ class ProcessPoolExecutor:
         return False
 
     def map(self, fn, *iterables, timeout=None, chunksize=1):
-        import pickle
         tasks = list(zip(*iterables))
         chunks = [tasks[k:k + chunksize] for k in range(0, len(tasks), chunksize)]
-        step = self._max_workers
+        step = self._max_workers if hasattr(os, "fork") else 1
         children = []       # (first chunk, pid, read end of its pipe)
         blobs = []
         try:
             for first in range(1, min(step, len(chunks))):
+                import pickle
                 r, w = os.pipe()
                 pid = os.fork()
                 if pid == 0:
@@ -331,8 +333,8 @@ def _render_gallery_md(p: dict) -> str:
 # random sweep
 # ---------------------------------------------------------------------------
 
-def _instance_payload(args) -> dict:
-    i, kind, space, second, statements = args
+def _instance_payload(i, inst_seed, n, statements) -> dict:
+    kind, space, second = instance(i, inst_seed, n)
     report = audit(space, statements, second)
     # two-distance statements satisfied with e distinct from the join of d
     nonjoin = False
@@ -354,17 +356,12 @@ def run_random(args) -> tuple:
     # the statements that run, in table order and once each, so that the
     # order and repeats of --theorems leave the content hash alone
     theorems = tuple(s for s in STATEMENTS if s in args.theorems)
-    # a generator, so the serial path drops each space (and its caches)
-    # once its payload is built
-    tasks = ((i, kind, space, second, theorems)
-             for i, kind, space, second in instance_stream(args.seed, args.n, args.count))
-    # without os.fork the sweep runs serially
-    workers = min(args.workers, -(-args.count // POOL_CHUNK)) if hasattr(os, "fork") else 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_instance_payload, tasks, chunksize=POOL_CHUNK))
-    else:
-        payloads = list(map(_instance_payload, tasks))
+    # a task is an index and a seed: each process builds its own instances
+    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        payloads = list(pool.map(_instance_payload, range(args.count),
+                                 instance_seeds(args.seed, args.count),
+                                 itertools.repeat(args.n), itertools.repeat(theorems),
+                                 chunksize=POOL_CHUNK))
 
     summary = {}
     failures = []

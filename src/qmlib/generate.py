@@ -14,6 +14,9 @@ satisfies the triangle law (``minplus_closure``), and so does each
 distance of a pair, since (a - c)+ <= (a - b)+ + (b - c)+ and
 |a - c| <= |a - b| + |b - c|.  The diagonal, symmetry and separation
 checks still run, and nothing is validated or cached at generation.
+
+A sweep draws the seeds in index order (``instance_seeds``), and whichever
+process runs instance i builds it from its seed alone (``instance``).
 """
 
 from __future__ import annotations
@@ -72,23 +75,23 @@ def random_value_pair(rng: Random, n: int):
     return ProvenDistance(labels, d_rows), ProvenDistance(labels, e_rows)
 
 
-def instance_stream(seed: int, n: int, count: int):
-    """Deterministic stream of (index, kind, space, second-or-None).
+def instance_seeds(seed: int, count: int) -> list:
+    """Each instance's seed, in index order, from one ``Random(seed)``."""
+    master = Random(seed)
+    return [master.getrandbits(63) for _ in range(count)]
+
+
+def instance(i: int, inst_seed: int, n: int) -> tuple:
+    """Instance ``i`` as (kind, space, second-or-None), built from its seed.
 
     Kinds rotate through plain distances, hemimetrics, metrics, and
     value-based two-distance pairs so every audited statement gets
     non-vacuous instances.
     """
-    master = Random(seed)
-    for i in range(count):
-        inst_rng = Random(master.getrandbits(63))
-        kind = ("plain", "hemimetric", "metric", "value_pair")[i % 4]
-        if kind == "plain":
-            yield i, kind, random_space(inst_rng, n, hemimetric=False), None
-        elif kind == "hemimetric":
-            yield i, kind, random_space(inst_rng, n, hemimetric=True), None
-        elif kind == "metric":
-            yield i, kind, random_metric(inst_rng, n), None
-        else:
-            d_space, e_space = random_value_pair(inst_rng, n)
-            yield i, kind, d_space, e_space
+    inst_rng = Random(inst_seed)
+    kind = ("plain", "hemimetric", "metric", "value_pair")[i % 4]
+    if kind in ("plain", "hemimetric"):
+        return kind, random_space(inst_rng, n, hemimetric=kind == "hemimetric"), None
+    if kind == "metric":
+        return kind, random_metric(inst_rng, n), None
+    return (kind, *random_value_pair(inst_rng, n))

@@ -60,7 +60,8 @@ where production compares two distances on their zero masks
 (``dist_subequiv``).  ``directed_subsets_count`` and
 ``zero_cliques_count`` give the counts of the two exponential walks,
 ``check_ed_complete`` and ``is_complete``, in closed form, read off the
-classes point by point.
+classes point by point.  ``instance_stream`` is a sweep's instances in
+index order, each built from its seed as whichever process runs it does.
 """
 
 import itertools
@@ -72,6 +73,7 @@ from qmlib.extreal import INF, ONE, ZERO, ExtReal
 from qmlib.family import CandidateRejection, FamilyCompleteness, FamilySpace
 from qmlib.formal_balls import (DEFAULT_RADIUS_GRID, FormalBall, RadiusSeq,
                                 fb_distance, fb_distance_raw)
+from qmlib.generate import instance, instance_seeds
 from qmlib.nets import (NetClasses, PreconditionError, cauchy_subsequence, check_ids,
                         epseq, zero_cliques)
 from qmlib.order import (DirectedSequenceReport, EdCompletenessReport, SupremumResult,
@@ -80,6 +82,12 @@ from qmlib.space import (FiniteSpace, SpaceError, Validation, _validate, derive,
                          space_from_rows, threshold_grid)
 from qmlib.theorems import DirectedConstruction
 from qmlib.topology import CompletenessReport, HoleCharacterizationReport, convergence
+
+
+def instance_stream(seed: int, n: int, count: int):
+    """(index, kind, space, second-or-None) of each instance of a sweep."""
+    for i, inst_seed in enumerate(instance_seeds(seed, count)):
+        yield (i, *instance(i, inst_seed, n))
 
 
 def leq(space: FiniteSpace, i: int, j: int) -> bool:

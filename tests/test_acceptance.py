@@ -15,7 +15,7 @@ from qmlib.derived import derived_functions, sub_identity
 from qmlib.extreal import ZERO, ExtReal
 from qmlib.family import ChainAnalyzer, FamilySeq, VectorFamilyAnalyzer, classify_family
 from qmlib.gallery import build, verify
-from qmlib.generate import instance_stream, random_space
+from qmlib.generate import random_space
 from qmlib.nets import EpSeq, classify, epseq, zero_cliques
 from qmlib.order import is_directed, link_directed_sequence
 from qmlib.theorems import construct_directed_from_cauchy
@@ -23,7 +23,8 @@ from qmlib.topology import (check_hole_characterizations, is_complete,
                             limit_set)
 from qmlib.formal_balls import kw_audit, kw_limit
 
-from tests.oracles import _sample_cauchy_fb_sequences, ball_identities, d_Phi_oracle
+from tests.oracles import (_sample_cauchy_fb_sequences, ball_identities, d_Phi_oracle,
+                           instance_stream)
 from tests.test_nets import classify_oracle
 
 

@@ -419,16 +419,16 @@ class TestRandom:
         assert rc == EXIT_OK
         assert json.loads(out)["instances_audited"] == 0
 
-    def test_worker_pool_matches_serial(self, capsys, tmp_path, monkeypatch):
-        # 20 instances make two chunks, so two workers both start
-        serial = tmp_path / "serial.json"
-        pooled = tmp_path / "pooled.json"
-        run(capsys, ["random", "--n", "4", "--count", "20", "--seed", "3",
-                     "--out", str(serial)])
-        monkeypatch.setenv("QML_WORKERS", "2")
-        run(capsys, ["random", "--n", "4", "--count", "20", "--seed", "3",
-                     "--out", str(pooled)])
-        assert serial.read_bytes() == pooled.read_bytes()
+    # 17 instances make two chunks, 33 and 40 three with a short last one,
+    # and 100 seven, so some workers get more chunks than others
+    @pytest.mark.parametrize("workers, count", list(itertools.product(
+        ("1", "2", "3", "5"), (0, 17, 33, 40, 100))))
+    def test_worker_pool_matches_serial(self, capsys, monkeypatch, workers, count):
+        argv = ["random", "--n", "4", "--count", str(count), "--seed", "3"]
+        serial = run(capsys, argv)
+        monkeypatch.setenv("QML_WORKERS", workers)
+        assert run(capsys, argv) == serial
+        assert_no_child_left()
 
 
 class TestReport:
@@ -533,7 +533,8 @@ class TestEmit:
         def no_instances(*args):
             raise AssertionError("an instance was generated")
 
-        monkeypatch.setattr(cli, "instance_stream", no_instances)
+        monkeypatch.setattr(cli, "instance_seeds", no_instances)
+        monkeypatch.setattr(cli, "instance", no_instances)
         out = tmp_path / "missing" / "x.json"
         rc = main(["random", "--count", "300", "--out", str(out)])
         captured = capsys.readouterr()
@@ -583,8 +584,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    def map(self, fn, *iterables, timeout=None, chunksize=1):
+        return map(fn, *iterables)
 
 
 class ToyError(Exception):
@@ -658,17 +659,33 @@ class TestForkPool:
 
 
 class TestWorkers:
+    # size: the processes that run the sweep, min(workers, chunks), or None
+    # where this process runs it alone; every other one is forked
     @pytest.mark.parametrize("workers, count, size", [
         (MAX_WORKERS, 16, None), (MAX_WORKERS, 40, 3), (2, 128, 2), (4, 17, 2),
         (3, 0, None), (1, 64, None)])
     def test_pool_size_is_capped_by_the_chunk_count(self, capsys, monkeypatch,
                                                     workers, count, size):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(RecordingPool, "sizes", [])
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setenv("QML_WORKERS", str(workers))
         rc, _ = run(capsys, ["random", "--n", "2", "--count", str(count)])
         assert rc == EXIT_OK
-        assert RecordingPool.sizes == ([] if size is None else [size])
+        assert len(forks) == (size or 1) - 1
+        assert_no_child_left()
+
+    def test_without_fork_a_pool_gives_the_serial_bytes(self, capsys, monkeypatch):
+        argv = ["random", "--n", "4", "--count", "40", "--seed", "3"]
+        serial = run(capsys, argv)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setenv("QML_WORKERS", "3")
+        assert run(capsys, argv) == serial
 
     def test_pool_size_above_the_ceiling_is_one_line_parse_error(
             self, capsys, monkeypatch):

@@ -24,12 +24,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qmlib import space as space_module
 from qmlib.extreal import INF, ZERO, ExtReal
-from qmlib.generate import instance_stream, random_metric, random_space, random_value_pair
+from qmlib.generate import random_metric, random_space, random_value_pair
 from qmlib.space import MAX_VIOLATIONS, FiniteSpace, PreconditionError, ProvenDistance
 from qmlib.space import _validate, derive, load_space, minplus_closure, space_from_rows
 
-from tests.oracles import (join_validation_oracle, random_value_pair_oracle, scaled_oracle,
-                           validate_oracle)
+from tests.oracles import (instance_stream, join_validation_oracle, random_value_pair_oracle,
+                           scaled_oracle, validate_oracle)
 
 DATA = Path(__file__).resolve().parent / "data"
 # every matrix file; fm_c256.json is a family rule, which has no join

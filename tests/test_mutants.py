@@ -11,13 +11,17 @@ old text has moved or been duplicated fails loudly instead of passing.
 
 The exit status must be 1 (tests ran, and some failed): a copy that does
 not import gives a collection error, which is status 2, so it cannot pass
-for a killed mutant.  A new fast path adds its own row; a mutation that
+for a killed mutant.  A mutant that makes its test hang is killed too: the
+child run keeps ``tests/conftest.py``'s per-test deadline, which ends it
+with status 1.  A new fast path adds its own row; a mutation that
 no test can tell apart from the original (an equivalent mutant) gets no
 row, and its reason goes in the change that adds the fast path.
 """
 
+import contextlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +29,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# a row waits at least the child run's own per-test deadline for a hanging
+# mutant, so its bound is the run's 300 s timeout below, not that deadline
+DEADLINE_S = 330
 
 # (file, old text, new text, killing test)
 MUTANTS = {
@@ -145,6 +152,19 @@ MUTANTS = {
     "pool-raises-first-collected-failure": (
         "cli.py", "raise min(failures, key=lambda f: f[0])[1]", "raise failures[0][1]",
         "tests/test_cli.py::TestForkPool::test_the_lowest_chunk_failure_is_raised"),
+    # the child blocks writing to a pipe that it still reads itself, so
+    # this process waits for it until the test deadline ends the run
+    "pool-child-keeps-its-read-end": (
+        "cli.py", "os.close(r)\n                        for _, _, earlier",
+        "for _, _, earlier",
+        "tests/test_cli.py::TestForkPool::test_an_interrupt_here_ends_a_child_blocked_on_its_pipe"),
+    "pool-forks-past-the-chunks": (
+        "cli.py", "range(1, min(step, len(chunks)))", "range(1, step)",
+        "tests/test_cli.py::TestWorkers::test_pool_size_is_capped_by_the_chunk_count[4-17-2]"),
+    "pool-ignores-a-missing-fork": (
+        "cli.py", 'step = self._max_workers if hasattr(os, "fork") else 1',
+        "step = self._max_workers",
+        "tests/test_cli.py::TestWorkers::test_without_fork_a_pool_gives_the_serial_bytes"),
     "finite-space-rows-unchecked": (
         "space.py", "len(matrix) != n or any(len(row) != n for row in matrix)",
         "len(matrix) != n",
@@ -184,11 +204,21 @@ def test_mutant_is_killed(name, tmp_path):
     text = source.read_text()
     assert text.count(old) == 1, f"{name}: {old!r} must occur once in {filename}"
     source.write_text(text.replace(old, new))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-profile=mutant", str(ROOT / target)],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
-        capture_output=True, text=True, timeout=300)
-    tail = "\n".join(run.stdout.splitlines()[-5:])
-    assert run.returncode == 1, f"{name} survived {target} (exit {run.returncode}):\n{tail}"
+    log = tmp_path / "log.txt"
+    # the output goes to a file, not a pipe, so a process the run leaves
+    # behind cannot keep this test waiting for its end; the run has its own
+    # process group, and whatever is left of it (a pool child blocked on
+    # its pipe) is killed with it
+    with open(log, "w") as out, subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutant", str(ROOT / target)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            stdout=out, stderr=subprocess.STDOUT, start_new_session=True) as run:
+        try:
+            code = run.wait(timeout=300)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(run.pid, signal.SIGKILL)
+    tail = "\n".join(log.read_text().splitlines()[-5:])
+    assert code == 1, f"{name} survived {target} (exit {code}):\n{tail}"
 

@@ -21,15 +21,15 @@ from hypothesis import given, settings, strategies as st
 import qmlib.order as order
 from qmlib.derived import derived_functions, dist_subequiv, sub_identity
 from qmlib.extreal import ExtReal
-from qmlib.generate import instance_stream
 from qmlib.nets import PreconditionError, classify, epseq
 from qmlib.space import minplus_closure, space_from_rows
 from qmlib.theorems import (AuditContext, compose_with_filter,
                             construct_directed_from_cauchy, sup_upgrade_counterexample)
 
 from tests.oracles import (compose_with_filter_oracle, construct_directed_from_cauchy_oracle,
-                           dist_subequiv_oracle, net_classes_oracle, separable_oracle,
-                           sup_upgrade_counterexample_oracle, sups_signature_oracle)
+                           dist_subequiv_oracle, instance_stream, net_classes_oracle,
+                           separable_oracle, sup_upgrade_counterexample_oracle,
+                           sups_signature_oracle)
 
 # zero-heavy, so specialization classes, upper bounds and Cauchy cycles occur
 VALUES = ("0", "0", "0", "1/3", "1/2", "1", "2", "inf")

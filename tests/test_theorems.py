@@ -7,13 +7,13 @@ from random import Random
 import pytest
 
 from qmlib.derived import derived_functions, sub_identity
-from qmlib.generate import instance_stream, random_space, random_value_pair
+from qmlib.generate import random_space, random_value_pair
 from qmlib.nets import PreconditionError, epseq, zero_cliques
 from qmlib.space import space_from_rows
 from qmlib.theorems import (STATEMENT_TABLE, STATEMENTS, _by_identity,
                             audit, compose_with_filter, construct_directed_from_cauchy)
 
-from tests.oracles import compose_with_order
+from tests.oracles import compose_with_order, instance_stream
 
 
 
