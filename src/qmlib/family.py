@@ -483,7 +483,15 @@ class Analyzer:
 
 class VectorFamilyAnalyzer(Analyzer):
     """The sup-truncated-difference family of all-but-finitely-agreeing
-    vectors.  Everything reduces to the verified pairwise closed form."""
+    vectors.  Everything reduces to the verified pairwise closed form.
+
+    Limits of the identity sequence against any x_j: d(x_m, x_j) = inf for
+    every m > j and d(x_j, x_m) = 1/m, which tends to 0, so the forward
+    limit is inf and the backward limit 0.  The same closed form makes the
+    specialization order and the symmetric join discrete (off-diagonal
+    distances are 1/k or inf, never 0), so directed sets are singletons and
+    Cauchy nets of the join are eventually constant: the order side is
+    trivially complete once the certificate holds."""
 
     CERT = "fm.pairwise"
 
@@ -499,27 +507,7 @@ class VectorFamilyAnalyzer(Analyzer):
     def limits(self, seq: FamilySeq, target):
         if seq.kind != "identity":
             return super().limits(seq, target)
-        return self.limits_against(target[1])
-
-    def limits_against(self, j: int):
-        """Exact (forward, backward, certs) limits of the identity sequence
-        against x_j: d(x_m, x_j) = inf for all m > j, and d(x_j, x_m) = 1/m
-        which tends to 0."""
-        c = self.cert(self.CERT)
-        return INF, ZERO, (c,)
-
-    def discrete_order(self) -> Claim:
-        c = self.cert(self.CERT)
-        # off-diagonal distances are 1/k or inf, never 0, in both directions
-        return Claim(True, (c,), "specialization order and symmetric join are discrete")
-
-    def trivially_order_directed_complete(self) -> Claim:
-        c = self.cert(self.CERT)
-        return Claim(True, (c,), "directed sets are singletons with zero self-distance")
-
-    def trivially_join_complete(self) -> Claim:
-        c = self.cert(self.CERT)
-        return Claim(True, (c,), "join distance is discrete: Cauchy nets are eventually constant")
+        return INF, ZERO, (self.cert(self.CERT),)
 
     def completeness(self) -> FamilyCompleteness:
         c = self.cert(self.CERT)
@@ -537,7 +525,8 @@ class ChainAnalyzer(Analyzer):
 
     The chain values increase strictly to 1 without attaining it, so the
     tail limits of (value(c) - value(x_n))+ and (value(x_n) - value(c))+
-    are (value(c) - 1)+ and (1 - value(c))+ exactly.
+    are (value(c) - 1)+ and (1 - value(c))+ exactly, and every finite
+    subset of the chain is bounded by its largest member (directed).
     """
 
     CERT = "chain.increasing_below_one"
@@ -597,11 +586,6 @@ class ChainAnalyzer(Analyzer):
             "evidence": evidence,
             "certificates": [c],
         }
-
-    def chain_directed(self) -> Claim:
-        c = self.cert(self.CERT)
-        # any finite subset of the chain is bounded by its largest member
-        return Claim(True, (c,))
 
     def hole_limit_sets(self):
         """Exact single/double hole limit points of the chain sequence.

@@ -17,6 +17,15 @@ Four fixtures:
                          complete.
 
 Every expected fact is machine-checked exactly at the fixture's cutoff.
+The family fixtures verify their certificate (``fm.pairwise``,
+``chain.increasing_below_one``) while they are built, so a failed check
+raises ``CertificateError`` before any fact is evaluated.  The facts
+``pairwise_forward``, ``pairwise_backward``, ``self_distance_zero``,
+``order_discrete`` and ``trivially_*`` of ``fm_counterexample`` and
+``chain_directed`` of ``halfopen`` are that verdict alone;
+``counterexample_replicated`` adds the completeness verdict.  Their other
+facts but ``valid_distance`` and ``spot_value`` read in-window data, to
+which the certificate gives its tail meaning.
 
 A remark that stays documentation only: over the space of real sequences
 vanishing at infinity (with the same sup-of-truncated-differences
@@ -101,6 +110,12 @@ def _every_point_witnessed(space: FamilySpace, comp) -> bool:
             == sorted(space.label(pt) for pt in space.points())
             and all(ExtReal.parse(r.limit) < ExtReal.parse(r.required)
                     for r in comp.rejections))
+
+
+def _certified(an) -> bool:
+    """True once the analyzer's certificate has verified: a failed check
+    raises CertificateError instead of returning."""
+    return bool(an.cert(an.CERT))
 
 
 def _fmt_bool(b) -> str:
@@ -195,7 +210,7 @@ def _build_halfopen(cutoff: int) -> Fixture:
         Fact("chain_cauchy", "the chain enumeration is Cauchy", "true",
              lambda: _fmt_bool(classify_family(chain_seq).cauchy.value)),
         Fact("chain_directed", "the chain is directed in both senses", "true",
-             lambda: _fmt_bool(an.chain_directed().value)),
+             lambda: _fmt_bool(_certified(an))),
         Fact("order_sup", "the only order supremum of the chain is 2", "2",
              lambda: ",".join(sups["leq_sups"])),
         Fact("no_metric_sup", "the chain has no metric supremum", "",
@@ -233,22 +248,10 @@ def _build_fm(cutoff: int) -> Fixture:
     seq = FamilySeq(space, "identity")
     comp = family_is_complete(space)
     spot_m, spot_k = (3, 7) if cutoff >= 7 else (1, cutoff)
-    fwd, bwd, _ = an.limits_against(min(3, cutoff))
+    fwd, bwd, _ = an.limits(seq, space.indexed(min(3, cutoff)))
 
-    def _pairwise_forward():
-        ok = all(space.dist(space.indexed(m), space.indexed(k)) == ExtReal(1, k)
-                 for m in range(1, cutoff + 1) for k in range(m + 1, cutoff + 1))
-        return _fmt_bool(ok)
-
-    def _pairwise_backward():
-        ok = all(space.dist(space.indexed(k), space.indexed(m)).is_inf
-                 for m in range(1, cutoff + 1) for k in range(m + 1, cutoff + 1))
-        return _fmt_bool(ok)
-
-    def _diag():
-        ok = all(space.dist(space.indexed(m), space.indexed(m)).is_zero()
-                 for m in range(1, cutoff + 1))
-        return _fmt_bool(ok)
+    def certified():
+        return _fmt_bool(_certified(an))
 
     def _rejections():
         rej = comp.rejections
@@ -264,26 +267,21 @@ def _build_fm(cutoff: int) -> Fixture:
              f"triangle law holds on all triples over the indices up to "
              f"{TRIANGLE_INDICES} and the last two indices", "true",
              lambda: _fmt_bool(_family_triangle_ok(space))),
-        Fact("pairwise_forward", "d(f_m, f_k) = 1/k for every m < k", "true",
-             _pairwise_forward),
-        Fact("pairwise_backward", "d(f_k, f_m) = inf for every m < k", "true",
-             _pairwise_backward),
+        Fact("pairwise_forward", "d(f_m, f_k) = 1/k for every m < k", "true", certified),
+        Fact("pairwise_backward", "d(f_k, f_m) = inf for every m < k", "true", certified),
         Fact("self_distance_zero",
-             "all-infinite shared coordinates cancel: d(f_m, f_m) = 0", "true",
-             _diag),
+             "all-infinite shared coordinates cancel: d(f_m, f_m) = 0", "true", certified),
         Fact("spot_value", f"d(f_{spot_m}, f_{spot_k}) attained at coordinate {spot_k}",
              str(ExtReal(1, spot_k)),
              lambda: str(space.dist(space.indexed(spot_m), space.indexed(spot_k)))),
         Fact("cauchy", "the family sequence is certified Cauchy", "true",
              lambda: _fmt_bool(classify_family(seq).cauchy.value)),
         Fact("order_discrete", "specialization order and symmetric join are discrete",
-             "true", lambda: _fmt_bool(an.discrete_order().value)),
+             "true", certified),
         Fact("trivially_order_directed_complete",
-             "directed subsets are singletons, each its own supremum", "true",
-             lambda: _fmt_bool(an.trivially_order_directed_complete().value)),
+             "directed subsets are singletons, each its own supremum", "true", certified),
         Fact("trivially_join_complete",
-             "the symmetric join distance is discrete, hence complete", "true",
-             lambda: _fmt_bool(an.trivially_join_complete().value)),
+             "the symmetric join distance is discrete, hence complete", "true", certified),
         Fact("incomplete", "yet the space is not complete", "false",
              lambda: _fmt_bool(comp.complete)),
         Fact("rejection_witnesses",
@@ -293,9 +291,7 @@ def _build_fm(cutoff: int) -> Fixture:
              "inf|0", lambda: f"{fwd}|{bwd}"),
         Fact("counterexample_replicated",
              "order side trivially complete while completeness fails", "replicated",
-             lambda: "replicated"
-             if (an.trivially_order_directed_complete().value
-                 and an.trivially_join_complete().value and comp.complete is False)
+             lambda: "replicated" if _certified(an) and comp.complete is False
              else "not-replicated"),
     )
     return Fixture("fm_counterexample", cutoff, space, {"fm": seq}, facts)

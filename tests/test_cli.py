@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -656,6 +657,28 @@ class TestForkPool:
             self.squares({5: "raise", 20: "exit"})
         assert err.value.args == (5,)
         assert_no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="tests/conftest.py asks Linux's prctl for it")
+    def test_a_forked_child_ends_with_the_process_that_forked_it(self):
+        # a child forks a sleeper that holds a pipe's write end, then
+        # exits: the sleeper ends with it, so the pipe reads its end at
+        # once and no orphan keeps the run's output open
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                if os.fork() == 0:
+                    time.sleep(10)
+            finally:
+                os._exit(0)
+        os.close(w)
+        os.waitpid(pid, 0)
+        try:
+            ready, _, _ = select.select([r], [], [], 5)
+            assert ready and os.read(r, 1) == b""
+        finally:
+            os.close(r)
 
 
 class TestWorkers:

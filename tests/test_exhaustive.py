@@ -20,9 +20,16 @@ their oracles.
 Every 3-point matrix over {0, 1, inf} has a min-plus closure that is a
 ``ProvenDistance`` validated as ``_validate`` validates the same matrix
 as a plain space.
+
+Every 3-point matrix with off-diagonal entries in {0, 1, inf} and diagonal
+entries in {0, 1}, non-distances included, validates as
+``validate_oracle`` does, with the oracle's violations in walk order and
+cut at ``MAX_VIOLATIONS``, and its join is a ``ProvenDistance`` exactly
+when it is a distance.
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
 
@@ -32,8 +39,8 @@ from qmlib.derived import derived_functions
 from qmlib.extreal import INF, ONE, ZERO
 from qmlib.nets import classify, epseq
 from qmlib.order import check_ed_complete, link_directed_sequence, suprema, sups_signature
-from qmlib.space import (FiniteSpace, ProvenDistance, _validate, derive, minplus_closure,
-                         space_from_rows)
+from qmlib.space import (MAX_VIOLATIONS, FiniteSpace, ProvenDistance, _validate, derive,
+                         minplus_closure, space_from_rows)
 from qmlib.theorems import AuditContext, audit, sup_upgrade_counterexample
 from qmlib.topology import check_hole_characterizations
 
@@ -184,3 +191,24 @@ def test_every_closure_is_proven_and_validated_as_the_walk():
             want = walked[closed.matrix] = _validate(FiniteSpace(closed.labels, closed.matrix))
         assert closed.validation == want, entries
     assert len(walked) == 5287
+
+
+def test_every_small_matrix_validates_as_the_oracle():
+    labels = tuple(LABELS)
+    kinds = Counter()      # (is_distance, violation kinds) -> matrices
+    for diagonal in itertools.product((ZERO, ONE), repeat=N):
+        for entries in itertools.product((ZERO, ONE, INF), repeat=len(OFF_DIAGONAL)):
+            cell = {**dict(zip(OFF_DIAGONAL, entries)),
+                    **{(i, i): v for i, v in enumerate(diagonal)}}
+            sp = FiniteSpace(labels, tuple(tuple(cell[i, j] for j in range(N))
+                                           for i in range(N)))
+            want = validate_oracle(sp)
+            assert sp.validation == want._replace(
+                violations=want.violations[:MAX_VIOLATIONS]), (diagonal, entries)
+            joined = derive(sp, "join")
+            assert (type(joined) is ProvenDistance) == want.is_distance, (diagonal, entries)
+            key = (want.is_distance, tuple(sorted({v[0] for v in want.violations})))
+            kinds[key] += 1
+    # the walk reaches the triangle branch and the self-distance branch
+    assert kinds == {(False, ("triangle",)): 4447, (True, ()): 192,
+                     (True, ("self_distance",)): 1193}

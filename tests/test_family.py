@@ -80,10 +80,10 @@ class TestVectorFamily:
         assert "fm.pairwise" in cls.cauchy.certificates
 
     def test_limits_and_discreteness(self):
-        an = VectorFamilyAnalyzer(fm_space())
-        fwd, bwd, certs = an.limits_against(3)
-        assert fwd == INF and bwd == ZERO and certs
-        assert an.discrete_order().value is True
+        sp = fm_space()
+        fwd, bwd, certs = VectorFamilyAnalyzer(sp).limits(FamilySeq(sp, "identity"),
+                                                          sp.indexed(3))
+        assert fwd == INF and bwd == ZERO and certs == ("fm.pairwise",)
 
     def test_incompleteness_witnesses(self):
         sp = fm_space(10)

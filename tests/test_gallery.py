@@ -3,8 +3,9 @@
 import pytest
 
 from qmlib import family
+from qmlib.extreal import ZERO
 from qmlib.family import CandidateRejection, ChainAnalyzer, FamilyCompleteness
-from qmlib.gallery import GALLERY_NAMES, build, verify
+from qmlib.gallery import GALLERY_NAMES, Fact, build, verify
 from qmlib.space import FiniteSpace, SpaceError
 
 from tests.oracles import GRID_DISTANCES, grid_space_oracle
@@ -42,6 +43,42 @@ class TestBuildAndVerify:
         monkeypatch.setitem(family._CERT_CHECKS, "fm.pairwise", counting)
         assert verify(build("fm_counterexample", 16)).ok
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("cutoff", [16, 32])
+    def test_fm_walks_its_pairs_once(self, monkeypatch, cutoff):
+        # the certificate compares the c^2 pairs; the pairwise facts read
+        # its verdict instead of comparing them again (a second walk makes
+        # 2c^2 + 325 calls)
+        calls = []
+        dist = family.FamilySpace.dist
+
+        def counted(self, p, q):
+            calls.append(1)
+            return dist(self, p, q)
+
+        monkeypatch.setattr(family.FamilySpace, "dist", counted)
+        assert verify(build("fm_counterexample", cutoff)).ok
+        assert len(calls) <= cutoff ** 2 + 400
+
+    def test_a_broken_certificate_stops_the_build(self, monkeypatch):
+        # d(f_2, f_3) off its closed form: the certificate fails while the
+        # fixture is built, so no fact can print a wrong "true"
+        column = family.FamilySpace._vector_column
+
+        def broken(self, q, top):
+            col = column(self, q, top)
+            if q == self.indexed(3):
+                col[2] = ZERO
+            return col
+
+        evaluated = []
+        evaluate = Fact.evaluate
+        monkeypatch.setattr(family.FamilySpace, "_vector_column", broken)
+        monkeypatch.setattr(Fact, "evaluate",
+                            lambda fact: evaluated.append(fact) or evaluate(fact))
+        with pytest.raises(family.CertificateError):
+            build("fm_counterexample", 16)
+        assert evaluated == []
 
     def test_unknown_name(self):
         with pytest.raises(SpaceError):

@@ -45,15 +45,16 @@ MUTANTS = {
         "order.py", "upper &= up0[y]", "upper |= up0[y]",
         "tests/test_kernel.py::test_suprema_match_the_oracle"),
     # on a hemimetric the row test alone implies the bound (d(x, x) = 0 is
-    # the max of the d(y, x)), so arbitrary matrices kill this one
+    # the max of the d(y, x)), so a positive self-distance kills this one
     "d-sup-mask-ignores-the-bounds": (
         "order.py", "get(profile, 0) & upper", "get(profile, 0)",
-        "tests/test_kernel.py::test_suprema_match_the_oracle"),
+        "tests/test_order.py::TestSuprema::test_d_sups_subset_of_leq_sups"),
     # the enumerating sequences of the older link tests have one-point
-    # cycles, so only the oracle test draws a cycle that leaves Y's bounds
+    # cycles; the exhaustive test's cycle through p1 and p2 leaves Y's
+    # bounds on some 3-point distance
     "link-y-below-seq-reads-one-cycle-point": (
         "order.py", "upper >> c & 1 for c in seq.cycle)", "upper >> c & 1 for c in seq.cycle[:1])",
-        "tests/test_order.py::TestLinkDirectedSequence::test_matches_the_oracle_on_any_matrix"),
+        "tests/test_exhaustive.py::test_the_limit_audits_hold_for_every_set_and_cycle[[1, 2]]"),
     "subset-walk-drops-the-predecessors-top-point": (
         "order.py", "ys += (p,)", "ys = ys[:-1] + (p,)",
         "tests/test_order.py::test_walk_visits_every_subset_in_submask_order"),
@@ -109,10 +110,10 @@ MUTANTS = {
         "tests/test_kernel.py::test_a_non_distance_stops_at_its_last_shown_violation"),
     "join-proven-on-any-matrix": (
         "space.py", "if space.validation.is_distance:", "if True:",
-        "tests/test_instances.py::test_join_of_a_non_distance_is_validated_in_full"),
+        "tests/test_exhaustive.py::test_every_small_matrix_validates_as_the_oracle"),
     "constructed-validation-symmetry-skips-a-column": (
         "space.py", "for j in range(i + 1, n))", "for j in range(i + 2, n))",
-        "tests/test_instances.py::test_generated_distances_carry_their_validation"),
+        "tests/test_exhaustive.py::test_every_small_matrix_validates_as_the_oracle"),
     # a matrix with no zero entry puts its least positive value at rank 0,
     # in the first bucket, and loses the cut at that value
     "zero-down-from-rows": (

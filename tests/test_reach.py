@@ -139,7 +139,6 @@ NEVER_RUN = {
     "family.NaturalOrderAnalyzer._extract": "no family file of the set has natural values",
     "family.NaturalOrderAnalyzer.classify": "no family file of the set has natural values",
     "family.NaturalOrderAnalyzer.hole_flags": "no family file of the set has natural values",
-    "family.VectorFamilyAnalyzer.limits": "reached only through family_limits_against",
     "family._check_natural_values": "no family file of the set has natural values",
     "family.cauchy_subsequence_family": API,
     "family.family_limits_against": API,

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps named ``qmlib`` functions and requires some
 of their counters to be nonzero on given workloads.  A refactor that
 renames a traced function, or routes a call around its module binding,
-zeroes such a counter; this test catches that on one ``qml audit`` run.
+zeroes such a counter; these tests catch that on one ``qml audit`` run
+and on ``qml gallery`` runs of the fixtures that reach the gallery gates.
 The tracer is read from its source without writing any file under
 ``perfbench/``.
 """
@@ -21,6 +22,13 @@ DATA = Path(__file__).resolve().parent / "data"
 GATES = ("order.is_directed.calls", "order.check_ed_complete.subsets_checked",
          "order.check_ed_complete.directed_ratio", "nets.zero_cliques.cliques",
          "topology.is_complete.cliques_checked")
+# the gallery_c100 workload's gates: the family fixtures reach the family
+# and gallery layers, the grid fixture the cubic space validation
+GALLERY_GATES = ("family.FamilySpace.dist.calls", "space.validate.calls",
+                 "family.family_is_complete.self_s", "gallery.build.self_s",
+                 "gallery.verify.self_s")
+GALLERY_RUNS = [["gallery", name, "--cutoff", "16"]
+                for name in ("fm_counterexample", "halfopen", "projection")]
 
 
 def _load_tracer():
@@ -36,20 +44,32 @@ def _snapshot() -> dict:
     return {p: p.read_bytes() for p in PERFBENCH.rglob("*") if p.is_file()}
 
 
-def test_audit_feeds_every_gated_counter(capsys):
+def _assert_traced_runs_feed(runs, gates) -> None:
+    """Run the commands in this process under the tracer: every command
+    exits 0, the tracer finds every target, every gate reads nonzero,
+    every binding is restored and no file under ``perfbench/`` changes."""
     before = _snapshot()
     tracer = _load_tracer()
     bindings = tracer.bindings()
     t = tracer.Tracer()
     t.install()
     try:
-        rc = cli.main(["audit", str(DATA / "plain_n10.json")])
+        codes = [cli.main(argv) for argv in runs]
     finally:
         t.restore()
-    capsys.readouterr()
-    assert rc == cli.EXIT_OK
+    assert codes == [cli.EXIT_OK] * len(runs)
     assert t.missing == []
     values = t.metrics()
-    assert all(values[name] > 0 for name in GATES), {name: values[name] for name in GATES}
+    assert all(values[name] > 0 for name in gates), {name: values[name] for name in gates}
     assert tracer.changed_bindings(bindings) == []
     assert _snapshot() == before
+
+
+def test_audit_feeds_every_gated_counter(capsys):
+    _assert_traced_runs_feed([["audit", str(DATA / "plain_n10.json")]], GATES)
+    capsys.readouterr()
+
+
+def test_gallery_feeds_every_gated_counter(capsys):
+    _assert_traced_runs_feed(GALLERY_RUNS, GALLERY_GATES)
+    capsys.readouterr()
