@@ -344,9 +344,8 @@ def _instance_payload(i, inst_seed, n, statements) -> dict:
         if entry is not None and entry.hypotheses_met:
             nonjoin = second.matrix != derive(space, "join").matrix
     return {
-        "index": i,
         "kind": kind,
-        "entries": [e.to_dict() for e in report.entries],
+        "entries": report.entries,
         "signature": sups_signature(space),
         "nonjoin_two_distance": nonjoin,
     }
@@ -368,22 +367,22 @@ def run_random(args) -> tuple:
     nonjoin_two_distance = 0
     order_groups: dict = {}
     same_order_different_sups = 0
-    for p in payloads:
+    for i, p in enumerate(payloads):
         for e in p["entries"]:
-            s = summary.setdefault(e["statement"], {
+            s = summary.setdefault(e.statement, {
                 "instances": 0, "hypotheses_met": 0, "verified": 0,
                 "vacuous": 0, "failures": 0})
             s["instances"] += 1
-            if e["vacuous"]:
+            if e.vacuous:
                 s["vacuous"] += 1
             else:
                 s["hypotheses_met"] += 1
-                if e["conclusion_verified"]:
+                if e.conclusion_verified:
                     s["verified"] += 1
                 else:
                     s["failures"] += 1
-                    failures.append({"instance": p["index"], "kind": p["kind"],
-                                     "entry": e})
+                    failures.append({"instance": i, "kind": p["kind"],
+                                     "entry": e.to_dict()})
         if p["nonjoin_two_distance"]:
             nonjoin_two_distance += 1
         order_sig, sups_sig = p["signature"]

@@ -92,14 +92,14 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
     @cached_property
     def zero_up(self) -> tuple:
         """Bitmask per point i of all j with d(i,j) = 0 (the up-set of i),
-        read off the rank rows of ``scaled``, where rank 0 is zero."""
-        return tuple(_zero_mask(row) for row in self.scaled[0])
+        read off the entries: a zero test compares no two of them."""
+        return tuple(_zero_mask(row) for row in self.matrix)
 
     @cached_property
     def zero_down(self) -> tuple:
-        """Bitmask per point j of all i with d(i,j) = 0, read off the rank
-        columns of ``scaled``."""
-        return tuple(_zero_mask(col) for col in zip(*self.scaled[0]))
+        """Bitmask per point j of all i with d(i,j) = 0, read off the
+        columns of the entries."""
+        return tuple(_zero_mask(col) for col in zip(*self.matrix))
 
     @cached_property
     def class_masks(self) -> tuple:
@@ -153,10 +153,10 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
         holds each entry's index in it, so the ranks order and compare
         exactly as the entries do.  ``sentinel`` is the last rank,
         infinity's.  Every comparison of entries runs on this form: the
-        validation's masks, diagonal, symmetry and separation, the zero
-        masks, the join and the inner loops of ``order`` and ``derived``;
-        values leave it through ``back``.  The ranks are keyed on
-        ``(num, den)`` pairs, so no ``ExtReal`` is hashed.
+        validation's masks, diagonal, symmetry and separation, the join
+        and the inner loops of ``order`` and ``derived``; values leave it
+        through ``back``.  The ranks are keyed on ``(num, den)`` pairs, so
+        no ``ExtReal`` is hashed.
         """
         matrix = self.matrix
         values = {(v.num, v.den): v for row in matrix for v in row}
@@ -251,11 +251,11 @@ def space_from_rows(labels, rows) -> FiniteSpace:
     return FiniteSpace(tuple(labels), tuple(matrix))
 
 
-def _zero_mask(ranks) -> int:
-    """Bitmask of the positions of rank 0, the zero entries."""
+def _zero_mask(values) -> int:
+    """Bitmask of the positions of the zero entries (infinity is 1/0)."""
     mask = 0
-    for j, r in enumerate(ranks):
-        if not r:
+    for j, v in enumerate(values):
+        if not v.num:
             mask |= 1 << j
     return mask
 

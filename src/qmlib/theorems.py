@@ -334,8 +334,11 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
     ball of radius 2r around the current tail term is its ``zero_up`` mask,
     and each step takes the least point of that mask whose own mask holds
     the whole ball (a lower bound of the ball at distance zero from the
-    term).  Search exhaustion would contradict the ball bound hypothesis
-    and raises.  The limit data are compared on the integer rows.
+    term).  The schedule keeps p + 2 radii for a cycle of p points, but
+    only the first p steps are searched: the last two would repeat the
+    first two, so they add no point.  Search exhaustion would contradict
+    the ball bound hypothesis and raises.  The limit data are compared on
+    the integer rows.
     """
     cls = classify(space, seq)
     if not cls.cauchy:
@@ -351,13 +354,11 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
     v_min = ONE if least.is_inf else least
     cyc = seq.cycle
     p = len(cyc)
+    # the halving schedule: p + 2 radii v_min/4, v_min/8, ...
+    radii = tuple(ExtReal(v_min.num, v_min.den << step) for step in range(2, p + 4))
     ys = []
-    radii = []
-    r = ExtReal(v_min.num, 2 * v_min.den)       # r_1 = v_min / 2
-    for step in range(p + 2):
-        r = ExtReal(r.num, 2 * r.den)           # halving schedule
-        radii.append(r)
-        ball = up0[cyc[step % p]]
+    for step, c in enumerate(cyc):
+        ball = up0[c]
         found = next((y for y in range(n) if ball >> y & 1 and ball & ~up0[y] == 0), None)
         if found is None:
             raise PreconditionError(
@@ -369,5 +370,4 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
     forward_match = _sup_profile(rows, ys) == rows[c0]
     backward_match = all(min(row[y] for y in ys) == row[c0] for row in rows)
     return DirectedConstruction(tuple(space.labels[i] for i in ys),
-                                directed, forward_match, backward_match,
-                                tuple(radii))
+                                directed, forward_match, backward_match, radii)

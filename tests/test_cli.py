@@ -15,17 +15,23 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from qmlib import cli, order
+from qmlib import cli, order, theorems
 from qmlib.cli import (EXIT_FAILURE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, MAX_WORKERS,
                        canonical_json, main)
 from qmlib.family import MAX_CUTOFF, RULES
 from qmlib.gallery import GALLERY_NAMES
 from qmlib.nets import MAX_CLASS_SIZE
 from qmlib.order import MAX_DIRECTED_CLASSES
+from qmlib.theorems import audit
 from tests.bad_inputs import (BAD_ARGUMENTS, BAD_FILES, BAD_REPORTS, BAD_SIZES, BAD_SPACES,
                               BAD_WORKERS)
+from tests.oracles import instance_stream
 
 DATA = Path(__file__).parent / "data"
+# the per-test deadline of tests/conftest.py, about five times the slowest
+# test here (about 1 s), so that a pool child blocked on its pipe fails
+# its test sooner
+DEADLINE_S = 5
 
 
 @pytest.fixture
@@ -430,6 +436,46 @@ class TestRandom:
         monkeypatch.setenv("QML_WORKERS", workers)
         assert run(capsys, argv) == serial
         assert_no_child_left()
+
+    def test_a_failing_sweep_renders_each_failing_entry(self, capsys, monkeypatch):
+        # sup_upgrade decided False on every instance that meets its
+        # hypotheses; forked children inherit the patched table
+        hypotheses, _ = theorems.STATEMENT_TABLE["sup_upgrade"]
+        monkeypatch.setitem(theorems.STATEMENT_TABLE, "sup_upgrade", (
+            hypotheses, lambda ctx: (False, {"Y": [ctx.space.labels[0]]})))
+        argv = ["random", "--n", "4", "--count", "40", "--seed", "3"]
+        serial = run(capsys, argv)
+        monkeypatch.setenv("QML_WORKERS", "3")
+        assert run(capsys, argv) == serial
+        assert_no_child_left()
+        rc, out = serial
+        assert rc == EXIT_FAILURE
+        data = json.loads(out)
+        want = []
+        for i, kind, space, second in instance_stream(3, 4, 40):
+            for e in audit(space, second=second).entries:
+                if e.failed:
+                    want.append({"instance": i, "kind": kind, "entry": e.to_dict()})
+        assert data["failures"] == want
+        assert [f["entry"]["statement"] for f in want] == ["sup_upgrade"] * 10
+        assert data["summary"]["sup_upgrade"] == {
+            "instances": 40, "hypotheses_met": 10, "verified": 0, "vacuous": 30,
+            "failures": 10}
+        assert all(s["failures"] == 0 for name, s in data["summary"].items()
+                   if name != "sup_upgrade")
+
+    def test_a_sweep_without_failures_renders_no_entry(self, capsys, monkeypatch):
+        calls = [0]
+        real = theorems.AuditEntry.to_dict
+
+        def counting(entry):
+            calls[0] += 1
+            return real(entry)
+
+        monkeypatch.setattr(theorems.AuditEntry, "to_dict", counting)
+        rc, _ = run(capsys, ["random", "--n", "6", "--count", "16"])
+        assert rc == EXIT_OK
+        assert calls[0] == 0
 
 
 class TestReport:

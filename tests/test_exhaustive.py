@@ -25,7 +25,9 @@ Every 3-point matrix with off-diagonal entries in {0, 1, inf} and diagonal
 entries in {0, 1}, non-distances included, validates as
 ``validate_oracle`` does, with the oracle's violations in walk order and
 cut at ``MAX_VIOLATIONS``, and its join is a ``ProvenDistance`` exactly
-when it is a distance.
+when it is a distance.  Its filter composition with itself equals
+``compose_with_filter_oracle``'s, and the zero masks of both equal
+``zero_masks_oracle``'s.
 """
 
 import itertools
@@ -41,12 +43,13 @@ from qmlib.nets import classify, epseq
 from qmlib.order import check_ed_complete, link_directed_sequence, suprema, sups_signature
 from qmlib.space import (MAX_VIOLATIONS, FiniteSpace, ProvenDistance, _validate, derive,
                          minplus_closure, space_from_rows)
-from qmlib.theorems import AuditContext, audit, sup_upgrade_counterexample
+from qmlib.theorems import AuditContext, audit, compose_with_filter, sup_upgrade_counterexample
 from qmlib.topology import check_hole_characterizations
 
-from tests.oracles import (derived_functions_oracle, directed_subsets_count,
-                           join_validation_oracle, sup_upgrade_counterexample_oracle,
-                           suprema_oracle, sups_signature_oracle, validate_oracle)
+from tests.oracles import (compose_with_filter_oracle, derived_functions_oracle,
+                           directed_subsets_count, join_validation_oracle,
+                           sup_upgrade_counterexample_oracle, suprema_oracle,
+                           sups_signature_oracle, validate_oracle, zero_masks_oracle)
 
 N = 3
 ENTRIES = ("0", "1", "2", "inf")
@@ -207,6 +210,12 @@ def test_every_small_matrix_validates_as_the_oracle():
                 violations=want.violations[:MAX_VIOLATIONS]), (diagonal, entries)
             joined = derive(sp, "join")
             assert (type(joined) is ProvenDistance) == want.is_distance, (diagonal, entries)
+            composed = compose_with_filter(sp, sp)
+            assert (composed.matrix
+                    == compose_with_filter_oracle(sp, sp).matrix), (diagonal, entries)
+            for space in (sp, composed):
+                assert ((space.zero_up, space.zero_down)
+                        == zero_masks_oracle(space)[:2]), (diagonal, entries)
             key = (want.is_distance, tuple(sorted({v[0] for v in want.violations})))
             kinds[key] += 1
     # the walk reaches the triangle branch and the self-distance branch

@@ -76,9 +76,15 @@ MUTANTS = {
     "subset-walk-never-skips": (
         "order.py", "if not upper:\n                continue\n", "pass\n",
         "tests/test_order.py::test_walk_skips_the_subsets_without_upper_bounds"),
+    # a one-point cycle then searches nothing and builds an empty Y
+    "replay-skips-the-last-cycle-point": (
+        "theorems.py", "for step, c in enumerate(cyc):", "for step, c in enumerate(cyc[:-1]):",
+        "tests/test_sweep_masks.py::test_directed_construction_replays_every_sweep_class"),
+    # an empty relation needs a column of d with no zero entry, so a
+    # nonzero diagonal entry
     "filter-composition-empty-min-is-zero": (
         "theorems.py", "default=sentinel", "default=0",
-        "tests/test_identities.py::test_filter_composition_equals_grid_and_order_forms"),
+        "tests/test_exhaustive.py::test_every_small_matrix_validates_as_the_oracle"),
     "chain-successor-from-numerator": (
         "family.py", "v.den // (v.den - v.num)", "v.num // (v.den - v.num)",
         "tests/test_family.py::TestChain"),
@@ -114,10 +120,12 @@ MUTANTS = {
     "constructed-validation-symmetry-skips-a-column": (
         "space.py", "for j in range(i + 1, n))", "for j in range(i + 2, n))",
         "tests/test_exhaustive.py::test_every_small_matrix_validates_as_the_oracle"),
-    # a matrix with no zero entry puts its least positive value at rank 0,
-    # in the first bucket, and loses the cut at that value
     "zero-down-from-rows": (
-        "space.py", "for col in zip(*self.scaled[0]))", "for col in self.scaled[0])",
+        "space.py", "for col in zip(*self.matrix))", "for col in self.matrix)",
+        "tests/test_kernel.py::test_zero_masks_and_join_match_the_oracle_on_the_data_files"),
+    # the denominators pick out the infinite entries (1/0), not the zeros
+    "zero-mask-reads-den": (
+        "space.py", "if not v.num:", "if not v.den:",
         "tests/test_kernel.py::test_zero_masks_and_join_match_the_oracle_on_the_data_files"),
     # the join of [[0, 0], [0, 0]] is a hemimetric with two points at
     # mutual distance 0

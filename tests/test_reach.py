@@ -117,7 +117,8 @@ NEVER_RUN = {
     "cli.run_report": "the report command merges earlier outputs",
     "derived.StepFn.__call__": "library use of a step function; commands read its cuts",
     "extreal.ExtReal.__reduce__": "no command pickles a number: each sweep process builds "
-                                  "its own spaces from seeds and sends back plain payloads",
+                                  "its own spaces from seeds and sends back audit entries, "
+                                  "whose hypotheses are flags and whose witnesses are labels",
     "extreal.ExtReal.__repr__": "debugging aid",
     "extreal.ExtReal.__setattr__": "error path: an ExtReal is immutable",
     "extreal.ExtReal.scale_inf": "reached only through derive(space, 'leq_order')",

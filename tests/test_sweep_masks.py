@@ -12,8 +12,12 @@ fail, and min-plus-closed ones, which are distances.
 singletons and pairs (a call per singleton and pair cost ``sweep_n6``
 about 6% of its throughput), and its oracle runs ``suprema_oracle`` on each.
 Two cost tests check that the ports call neither ``suprema`` nor
-``d_sup_mask`` and leave the ExtReal comparisons behind.
+``d_sup_mask`` and leave the ExtReal comparisons behind; a third, that an
+audit ranks d and e alone: its filter composition is read only through
+its zero masks, which need no rank table.
 """
+
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +26,8 @@ import qmlib.order as order
 from qmlib.derived import derived_functions, dist_subequiv, sub_identity
 from qmlib.extreal import ExtReal
 from qmlib.nets import PreconditionError, classify, epseq
-from qmlib.space import minplus_closure, space_from_rows
-from qmlib.theorems import (AuditContext, compose_with_filter,
+from qmlib.space import FiniteSpace, minplus_closure, space_from_rows
+from qmlib.theorems import (AuditContext, audit, compose_with_filter,
                             construct_directed_from_cauchy, sup_upgrade_counterexample)
 
 from tests.oracles import (compose_with_filter_oracle, construct_directed_from_cauchy_oracle,
@@ -181,3 +185,23 @@ def test_directed_construction_compares_no_extreals(monkeypatch, seed):
     for space, seq, dfs in cases:
         assert construct_directed_from_cauchy(space, seq, dfs).ok
     assert calls[0] == 0
+
+
+def test_an_audit_ranks_d_and_e_alone(monkeypatch):
+    ranked = []
+    real = vars(FiniteSpace)["scaled"].func
+
+    def counting(space):
+        ranked.append(space)
+        return real(space)
+
+    scaled = cached_property(counting)
+    scaled.__set_name__(FiniteSpace, "scaled")
+    monkeypatch.setattr(FiniteSpace, "scaled", scaled)
+    for _, _, space, second in instance_stream(0, 6, 16):
+        # copies without caches, so that the audit ranks whatever it reads
+        if second is not None:
+            second = FiniteSpace(second.labels, second.matrix)
+        ranked.clear()
+        audit(FiniteSpace(space.labels, space.matrix), second=second)
+        assert len(ranked) <= 2

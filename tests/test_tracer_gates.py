@@ -1,10 +1,11 @@
 """The benchmark's layer tracer still finds the layers it gates on.
 
 ``perfbench/tracer.py`` wraps named ``qmlib`` functions and requires some
-of their counters to be nonzero on given workloads.  A refactor that
+of their counters to be nonzero on given workloads: ``LAYER_METRICS``
+maps each per-layer metric to the workloads it gates.  A refactor that
 renames a traced function, or routes a call around its module binding,
-zeroes such a counter; these tests catch that on one ``qml audit`` run
-and on ``qml gallery`` runs of the fixtures that reach the gallery gates.
+zeroes such a counter; these tests catch that on a small run of each
+in-process workload, against every metric ``LAYER_METRICS`` maps to it.
 The tracer is read from its source without writing any file under
 ``perfbench/``.
 """
@@ -17,18 +18,16 @@ import qmlib.cli as cli
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DATA = Path(__file__).resolve().parent / "data"
 
-# directed_ratio counts only the is_directed calls made inside
-# check_ed_complete, so it reads 0 when that call bypasses the module binding
-GATES = ("order.is_directed.calls", "order.check_ed_complete.subsets_checked",
-         "order.check_ed_complete.directed_ratio", "nets.zero_cliques.cliques",
-         "topology.is_complete.cliques_checked")
-# the gallery_c100 workload's gates: the family fixtures reach the family
-# and gallery layers, the grid fixture the cubic space validation
-GALLERY_GATES = ("family.FamilySpace.dist.calls", "space.validate.calls",
-                 "family.family_is_complete.self_s", "gallery.build.self_s",
-                 "gallery.verify.self_s")
-GALLERY_RUNS = [["gallery", name, "--cutoff", "16"]
-                for name in ("fm_counterexample", "halfopen", "projection")]
+# a small run of each workload that runs in this process; sweep_pool2 is
+# the sweep_n6 call list on a pool.  The gallery_c100 fixtures reach the
+# family and gallery layers, the grid fixture the cubic space validation.
+RUNS = {
+    "sweep_n6": [["random", "--n", "6", "--count", "16"]],
+    "audit_n12": [["audit", str(DATA / "plain_n10.json")]],
+    "check_coprime": [["check", str(DATA / "coprime_n15.json")]],
+    "gallery_c100": [["gallery", name, "--cutoff", "16"]
+                     for name in ("fm_counterexample", "halfopen", "projection")],
+}
 
 
 def _load_tracer():
@@ -44,12 +43,18 @@ def _snapshot() -> dict:
     return {p: p.read_bytes() for p in PERFBENCH.rglob("*") if p.is_file()}
 
 
-def _assert_traced_runs_feed(runs, gates) -> None:
-    """Run the commands in this process under the tracer: every command
-    exits 0, the tracer finds every target, every gate reads nonzero,
-    every binding is restored and no file under ``perfbench/`` changes."""
+def _assert_traced_runs_feed(workload, monkeypatch) -> None:
+    """Run the workload's commands in this process under the tracer: every
+    command exits 0, the tracer finds every target, every metric gated on
+    the workload reads nonzero, every binding is restored and no file
+    under ``perfbench/`` changes."""
+    monkeypatch.delenv("QML_WORKERS", raising=False)
     before = _snapshot()
     tracer = _load_tracer()
+    gates = [name for name, (_, _, workloads) in tracer.LAYER_METRICS.items()
+             if workload in workloads]
+    assert gates
+    runs = RUNS[workload]
     bindings = tracer.bindings()
     t = tracer.Tracer()
     t.install()
@@ -65,11 +70,21 @@ def _assert_traced_runs_feed(runs, gates) -> None:
     assert _snapshot() == before
 
 
-def test_audit_feeds_every_gated_counter(capsys):
-    _assert_traced_runs_feed([["audit", str(DATA / "plain_n10.json")]], GATES)
+def test_sweep_feeds_every_gated_counter(capsys, monkeypatch):
+    _assert_traced_runs_feed("sweep_n6", monkeypatch)
     capsys.readouterr()
 
 
-def test_gallery_feeds_every_gated_counter(capsys):
-    _assert_traced_runs_feed(GALLERY_RUNS, GALLERY_GATES)
+def test_audit_feeds_every_gated_counter(capsys, monkeypatch):
+    _assert_traced_runs_feed("audit_n12", monkeypatch)
+    capsys.readouterr()
+
+
+def test_check_feeds_every_gated_counter(capsys, monkeypatch):
+    _assert_traced_runs_feed("check_coprime", monkeypatch)
+    capsys.readouterr()
+
+
+def test_gallery_feeds_every_gated_counter(capsys, monkeypatch):
+    _assert_traced_runs_feed("gallery_c100", monkeypatch)
     capsys.readouterr()
