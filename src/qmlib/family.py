@@ -36,7 +36,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 
-from .extreal import INF, ONE, ZERO, ExtReal
+from .extreal import INF, ONE, ZERO, ExtReal, _shown
 from .space import PreconditionError, SpaceError, refuse_unknown_keys
 
 VALUE_RULES = ("coordinate-projection", "truncated-difference", "order-characteristic")
@@ -81,7 +81,7 @@ class FamilySpace(namedtuple("FamilySpace", "rule cutoff params")):
     def __new__(cls, rule, cutoff, params=_NO_PARAMS):
         self = tuple.__new__(cls, (rule, cutoff, {} if params is _NO_PARAMS else params))
         if self.rule not in RULES:
-            raise SpaceError(f"unknown family rule {self.rule!r}")
+            raise SpaceError(f"unknown family rule {_shown(self.rule)}")
         if self.cutoff < 4:
             raise SpaceError("cutoff must be at least 4")
         _check_params(self.rule, self.params)
@@ -91,8 +91,8 @@ class FamilySpace(namedtuple("FamilySpace", "rule cutoff params")):
         for label in self.params.get("extras", {}):
             n = self.index_of(label)
             if n is not None:
-                raise SpaceError(f"extra point {label!r} has the label of "
-                                 f"indexed point {n}")
+                raise SpaceError(f"extra point {_shown(label)} has the label of "
+                                 f"indexed point {_shown(n)}")
         return self
 
     # -- points ------------------------------------------------------------
@@ -234,10 +234,10 @@ def _check_params(rule: str, params) -> None:
     allowed = VALUE_PARAMS if rule in VALUE_RULES else VECTOR_PARAMS
     unknown = sorted(set(params) - set(allowed))
     if unknown:
-        raise SpaceError(f"unknown params {unknown} for rule {rule!r} "
+        raise SpaceError(f"unknown params {_shown(unknown)} for rule {rule!r} "
                          f"(allowed: {', '.join(allowed)})")
     if params.get("values", "one_minus_unit") not in VALUE_FORMS:
-        raise SpaceError(f"unknown value form {params['values']!r}")
+        raise SpaceError(f"unknown value form {_shown(params['values'])}")
     extras = params.get("extras", {})
     if not isinstance(extras, dict):
         raise SpaceError("'extras' must map point labels to rational text")
@@ -245,9 +245,9 @@ def _check_params(rule: str, params) -> None:
         try:
             value = ExtReal.parse(text)
         except ValueError as e:
-            raise SpaceError(f"extra point {label!r}: {e}") from None
+            raise SpaceError(f"extra point {_shown(label)}: {e}") from None
         if value.is_inf:
-            raise SpaceError(f"extra point {label!r}: infinity is not a rational")
+            raise SpaceError(f"extra point {_shown(label)}: infinity is not a rational")
     if not isinstance(params.get("prefix", "x"), str):
         raise SpaceError("'prefix' must be a string")
 
@@ -261,7 +261,7 @@ def _vector_index(pt) -> int:
 
 def check_cutoff_ceiling(cutoff: int) -> None:
     if cutoff > MAX_CUTOFF:
-        raise PreconditionError(f"cutoff {cutoff} exceeds the ceiling {MAX_CUTOFF}")
+        raise PreconditionError(f"cutoff {_shown(cutoff)} exceeds the ceiling {MAX_CUTOFF}")
 
 
 def family_from_dict(data: dict) -> FamilySpace:
@@ -273,7 +273,7 @@ def family_from_dict(data: dict) -> FamilySpace:
     refuse_unknown_keys(data, ("rule", "cutoff", "params"), "family")
     # a JSON integer only: no text, float or boolean is read as a cutoff
     if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-        raise SpaceError(f"cutoff {cutoff!r} is not an integer")
+        raise SpaceError(f"cutoff {_shown(cutoff)} is not an integer")
     return FamilySpace(rule, cutoff, params)
 
 

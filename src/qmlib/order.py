@@ -40,12 +40,13 @@ class SupremumResult(namedtuple("SupremumResult", "d_sups leq_sups classes")):
 
 def suprema(space: FiniteSpace, Y) -> SupremumResult:
     """d-suprema and order suprema of a nonempty point set (indices): the
-    d-suprema are ``d_sup_mask``'s, the order suprema the upper bounds
-    whose ``zero_up`` mask holds every upper bound."""
+    d-suprema are ``_d_sups`` of its upper bounds and sup profile, the
+    order suprema the upper bounds whose ``zero_up`` mask holds every
+    upper bound."""
     pts = sorted(set(Y))
     up0 = space.zero_up
     upper = _upper_bounds(up0, pts)
-    d_sups = d_sup_mask(space, pts)
+    d_sups = _d_sups(space, _sup_profile(space.scaled[0], pts), upper)
     labels = space.labels
     leq_labels = frozenset(labels[x] for x in range(space.n)
                            if upper >> x & 1 and up0[x] & upper == upper)
@@ -66,23 +67,15 @@ def _upper_bounds(up0, pts) -> int:
     return upper
 
 
-def d_sup_mask(space: FiniteSpace, pts) -> int:
-    """Mask of the d-suprema of a nonempty point set (indices): the upper
-    bounds of ``pts`` whose rank row is the column-wise max of the points'
-    rows, read in one ``points_by_row`` lookup.
-
-    This is the one d-supremum test: ``suprema`` and
-    ``link_directed_sequence`` read their d-suprema here, and
-    ``check_ed_complete``'s walk, which carries each subset's upper bounds
-    and column-wise max, applies the same rule, ``_d_sups``, to them.
-    """
-    upper = _upper_bounds(space.zero_up, pts)
-    return _d_sups(space, _sup_profile(space.scaled[0], pts), upper)
-
-
 def _d_sups(space: FiniteSpace, profile: tuple, upper: int) -> int:
     """The d-supremum rule: the points of ``upper`` (a set's upper bounds)
-    whose rank row is ``profile`` (the column-wise max of its rows)."""
+    whose rank row is ``profile`` (the column-wise max of its rows).
+
+    This is the one d-supremum test: ``suprema`` and
+    ``link_directed_sequence`` apply it to the upper bounds and profile
+    they build, and ``check_ed_complete``'s walk to the ones it carries
+    per subset.
+    """
     return space.points_by_row.get(profile, 0) & upper
 
 
@@ -92,11 +85,12 @@ def sups_signature(space: FiniteSpace) -> tuple:
     points, one mask each.  The sweep groups spaces by the first and
     compares the second.
 
-    ``d_sup_mask``'s rule, unrolled: each singleton and pair costs one
+    ``_d_sups``'s rule, unrolled: each singleton and pair costs one
     ``points_by_row`` lookup and one mask test, with no ``suprema`` call.
-    A ``d_sup_mask`` call per singleton and pair cost the ``sweep_n6``
-    benchmark about 6% of its throughput (1896 to 1778 items/s, slower in
-    6 of 6 paired runs; 2-vCPU VM, Python 3.11).
+    Building each singleton's and pair's bounds and profile in a call of
+    its own cost the ``sweep_n6`` benchmark about 6% of its throughput
+    (1896 to 1778 items/s, slower in 6 of 6 paired runs; 2-vCPU VM,
+    Python 3.11).
     """
     rows = space.scaled[0]
     up0 = space.zero_up
@@ -242,8 +236,10 @@ def link_directed_sequence(space: FiniteSpace, Y, seq: EpSeq) -> DirectedSequenc
 
     Independently, for metric-sense directed Y and pre-Cauchy sequences,
     Y <= seq iff the backward limits of the sequence are below inf over Y.
-    The order side reads the upper bounds, ``d_sup_mask`` and the rank
-    rows, so each biconditional checks them against ``convergence``.
+    The order side reads the upper bounds and the rank rows (Y is directed
+    iff one of its members bounds it, and its d-suprema are ``_d_sups``
+    of the two), so each biconditional checks them against
+    ``convergence``.
     """
     check_ids(space, seq)
     pts = sorted(set(Y))
@@ -254,7 +250,7 @@ def link_directed_sequence(space: FiniteSpace, Y, seq: EpSeq) -> DirectedSequenc
     violations = []
     if y_leq_seq and seq_in_Y:
         profile = _sup_profile(rows, pts)
-        d_sups = d_sup_mask(space, pts)
+        d_sups = _d_sups(space, profile, upper)
         for x in range(space.n):
             rep = convergence(space, seq, x)
             lbl = space.labels[x]
@@ -265,7 +261,7 @@ def link_directed_sequence(space: FiniteSpace, Y, seq: EpSeq) -> DirectedSequenc
             if rep.double_hole != bool(d_sups >> x & 1):
                 violations.append((lbl, "double_hole_vs_d_sup"))
     tail_equiv = None
-    if is_directed(space, pts) and classify(space, seq).pre_cauchy:
+    if upper & sum(1 << y for y in pts) and classify(space, seq).pre_cauchy:
         c0 = seq.cycle[0]   # d(z, c0) is the backward limit at z on a Cauchy cycle
         tail_equiv = y_leq_seq == all(row[c0] <= min(row[y] for y in pts) for row in rows)
     return DirectedSequenceReport(y_leq_seq, seq_in_Y, tuple(violations), tail_equiv)

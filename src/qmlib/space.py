@@ -48,8 +48,7 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
     Instances keep a ``__dict__`` (no ``__slots__``): each cached
     property below stores its value there when first read.  A
     :class:`ProvenDistance` validates without the triangle walk.  The
-    d-supremum rule that reads ``points_by_row`` lives in
-    ``order.d_sup_mask``.
+    d-supremum rule that reads ``points_by_row`` is ``order._d_sups``.
     """
 
     def __new__(cls, labels, matrix):
@@ -171,7 +170,7 @@ class FiniteSpace(namedtuple("FiniteSpace", "labels matrix")):
     def points_by_row(self) -> dict:
         """Mask of the points per distinct rank row of ``scaled``.
 
-        ``order.d_sup_mask`` holds the d-supremum rule that reads it: one
+        ``order._d_sups`` is the d-supremum rule that reads it: one
         lookup of the column-wise max of Y's rows gives every candidate at
         once.
         """

@@ -51,7 +51,7 @@ from .derived import (DerivedFunctions, derived_functions, dist_subequiv,
                       leq_identity, sub_identity)
 from .extreal import ONE, ExtReal, _shown
 from .nets import EpSeq, classify, epseq
-from .order import _sup_profile, check_ed_complete, is_directed, suprema
+from .order import check_ed_complete, is_directed, suprema
 from .space import FiniteSpace, PreconditionError, derive, threshold_grid
 from .topology import is_complete
 
@@ -123,13 +123,6 @@ class AuditContext:
     @cached_property
     def dfs(self) -> DerivedFunctions:
         return derived_functions(self.space)
-
-    @cached_property
-    def cliques(self) -> list:
-        """One member list per specialization class of zero self-distance:
-        the possible Cauchy tails up to the choice of a nonempty subset."""
-        n = self.space.n
-        return [[j for j in range(n) if cls >> j & 1] for cls in self.space.zero_classes]
 
     @cached_property
     def complete(self) -> bool:
@@ -214,11 +207,14 @@ def _complete_implies_dd(ctx: AuditContext):
 
 
 def _cauchy_to_directed(ctx: AuditContext):
+    """Replay each class of zero self-distance (``space.zero_classes``), the
+    possible Cauchy tails up to the choice of a nonempty subset."""
     space = ctx.space
-    for clique in ctx.cliques:
-        res = construct_directed_from_cauchy(space, epseq([], sorted(clique)), ctx.dfs)
+    for cls in space.zero_classes:
+        members = [j for j in range(space.n) if cls >> j & 1]
+        res = construct_directed_from_cauchy(space, epseq([], members), ctx.dfs)
         if not res.ok:
-            return False, {"cycle": sorted(space.labels[i] for i in clique),
+            return False, {"cycle": sorted(space.labels[i] for i in members),
                            "construction": res.to_dict()}
     return True, {}
 
@@ -334,12 +330,17 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
     ball of radius 2r around the current tail term is its ``zero_up`` mask,
     and each step takes the least point of that mask whose own mask holds
     the whole ball (a lower bound of the ball at distance zero from the
-    term).  The schedule keeps p + 2 radii for a cycle of p points, but
-    only the first p steps are searched: the last two would repeat the
-    first two, so they add no point.  Search exhaustion would contradict
-    the ball bound hypothesis and raises.  The limit data are compared on
-    the integer rows.
+    term).  The space must be a validated distance: then a Cauchy cycle
+    lies in one specialization class, whose members share their
+    ``zero_up`` mask, so every step finds the same point and one search,
+    from the first cycle point c0, gives Y.  (Without the triangle law the
+    steps can differ.)  The schedule keeps p + 2 radii for a cycle of p
+    points.  Search exhaustion would contradict the ball bound hypothesis
+    and raises.  The limit data of Y = {found} are its row and column,
+    compared with c0's on the integer rows.
     """
+    if not space.validation.is_distance:
+        raise PreconditionError("the directed-set replay requires a validated distance")
     cls = classify(space, seq)
     if not cls.cauchy:
         raise PreconditionError("sequence is not Cauchy")
@@ -347,27 +348,19 @@ def construct_directed_from_cauchy(space: FiniteSpace, seq: EpSeq,
         dfs = derived_functions(space)
     if not sub_identity(dfs.d_up):
         raise PreconditionError("upper-ball bound function is not uniformly below identity")
-    n = space.n
     up0 = space.zero_up
     rows = space.scaled[0]
     least = dfs.d_up.cuts[0]      # the least positive entry, or inf when there is none
     v_min = ONE if least.is_inf else least
-    cyc = seq.cycle
-    p = len(cyc)
+    c0 = seq.cycle[0]
     # the halving schedule: p + 2 radii v_min/4, v_min/8, ...
-    radii = tuple(ExtReal(v_min.num, v_min.den << step) for step in range(2, p + 4))
-    ys = []
-    for step, c in enumerate(cyc):
-        ball = up0[c]
-        found = next((y for y in range(n) if ball >> y & 1 and ball & ~up0[y] == 0), None)
-        if found is None:
-            raise PreconditionError(
-                f"ball bound hypothesis violated: no witness at step {step} (bug signal)")
-        if found not in ys:
-            ys.append(found)
-    directed = is_directed(space, ys)
-    c0 = cyc[0]
-    forward_match = _sup_profile(rows, ys) == rows[c0]
-    backward_match = all(min(row[y] for y in ys) == row[c0] for row in rows)
-    return DirectedConstruction(tuple(space.labels[i] for i in ys),
-                                directed, forward_match, backward_match, radii)
+    radii = tuple(ExtReal(v_min.num, v_min.den << step)
+                  for step in range(2, len(seq.cycle) + 4))
+    ball = up0[c0]
+    found = next((y for y in range(space.n) if ball >> y & 1 and ball & ~up0[y] == 0), None)
+    if found is None:
+        raise PreconditionError("ball bound hypothesis violated: no witness at step 0 "
+                                "(bug signal)")
+    return DirectedConstruction((space.labels[found],), is_directed(space, (found,)),
+                                rows[found] == rows[c0],
+                                all(row[found] == row[c0] for row in rows), radii)

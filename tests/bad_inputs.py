@@ -87,6 +87,18 @@ BAD_SPACES = {
                              "points": ["a", "b"], "matrix": [["0", "1"], ["1", "0"]]},
     "space-with-an-extra-key": {"points": ["a", "b"], "matrix": [["0", "1"], ["1", "0"]],
                                 "extra": 1},
+    # a long bad value is cut to its start in the message
+    "rule-of-5000-letters": {"rule": "r" * 5000, "cutoff": 8},
+    "cutoff-text-of-4000-digits": {"rule": "sup-truncated-difference", "cutoff": "9" * 4000},
+    "param-of-3000-letters": {"rule": "order-characteristic", "cutoff": 8,
+                              "params": {"p" * 3000: 1}},
+    "value-form-of-3000-letters": {"rule": "order-characteristic", "cutoff": 8,
+                                   "params": {"values": "v" * 3000}},
+    "extra-label-of-3000-letters": {"rule": "order-characteristic", "cutoff": 8,
+                                    "params": {"extras": {"h" * 3000: "abc"}}},
+    "extra-takes-a-label-of-4000-digits": {"rule": "order-characteristic", "cutoff": 8,
+                                           "params": {"values": "natural",
+                                                      "extras": {"1" + "0" * 3999: "1/2"}}},
 }
 
 # file bytes that are not a JSON object -> exit 2 naming the file, in any role

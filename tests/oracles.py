@@ -290,17 +290,18 @@ class ThresholdRel:
 def compose_with_filter_oracle(e_space: FiniteSpace, d_space: FiniteSpace) -> FiniteSpace:
     """e composed through every generator of d's relation filter:
     (x, y) -> sup over the threshold grid of min over {z : d(z,y) < eps}
-    of e(x, z)."""
+    of e(x, z).  Each relation {z : d(z,y) < eps} is built once per
+    (eps, y) and read by every row x."""
     n = d_space.n
-    grid = threshold_grid(d_space)
+    below = [[[z for z in range(n) if d_space.d(z, y) < eps] for eps in threshold_grid(d_space)]
+             for y in range(n)]
     rows = []
     for x in range(n):
         row = []
-        for y in range(n):
+        for zss in below:
             best = ZERO
-            for eps in grid:
-                val = min((e_space.d(x, z) for z in range(n) if d_space.d(z, y) < eps),
-                          default=INF)
+            for zs in zss:
+                val = min((e_space.d(x, z) for z in zs), default=INF)
                 if best < val:
                     best = val
             row.append(best)

@@ -176,6 +176,15 @@ class TestCheck:
         assert rc == EXIT_PRECONDITION
         assert capsys.readouterr().out == ""
 
+    def test_cutoff_of_4000_digits_is_one_short_precondition_line(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"rule": "order-characteristic", "cutoff": %s}' % ("9" * 4000))
+        rc = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PRECONDITION
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and len(captured.err) < 200
+
     def test_cutoff_at_the_ceiling_is_accepted(self, capsys, tmp_path):
         path = tmp_path / "ceiling.json"
         path.write_text(json.dumps({"rule": "order-characteristic", "cutoff": MAX_CUTOFF}))

@@ -7,18 +7,18 @@ last, so a rank never grows with the digits of an entry.
 entry at the cut where the entry joins its row's ball (each event
 narrows that row's admissible bounds by one mask AND, and a
 forward-only pointer into the sorted row reads the bound), and
-``order.d_sup_mask``, the one d-supremum test, looks the column-wise max
+``order._d_sups``, the one d-supremum rule, looks the column-wise max
 of a set's rows up among them, inside the set's upper bounds (the AND of
-its ``zero_up`` masks, ``order._upper_bounds``); ``suprema`` reads its
-d-suprema there and its order suprema off the same upper bounds.  The zero masks are the entries of
-rank 0, and the symmetric join takes the larger of two ranks.  The
-triangle check of ``validation`` picks its candidates by comparing
-ranks, and it and the relaxation of ``minplus_closure`` add ``ExtReal``
-entries only where both legs lie below the entry they test.  Each is
-pinned here to an oracle, on
-arbitrary square matrices (non-distances, ties, infinities and nonzero
-diagonals included) and on min-plus-closed spaces whose values have
-pairwise-coprime prime denominators.
+its ``zero_up`` masks, ``order._upper_bounds``); ``suprema`` applies it
+and reads its order suprema off the same upper bounds.  The zero masks
+are the entries of rank 0, and the symmetric join takes the larger of
+two ranks.  The triangle check of ``validation`` picks its candidates
+by comparing ranks, and it and the relaxation of ``minplus_closure`` add
+``ExtReal`` entries only where both legs lie below the entry they test.
+Each is pinned here to an oracle, on arbitrary square matrices
+(non-distances, ties, infinities and nonzero diagonals included) and on
+min-plus-closed spaces whose values have pairwise-coprime prime
+denominators.
 """
 
 import itertools
@@ -34,7 +34,7 @@ from qmlib.cli import EXIT_FAILURE, main
 from qmlib.derived import derived_functions
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.gallery import build
-from qmlib.order import d_sup_mask, suprema
+from qmlib.order import suprema
 from qmlib.space import (MAX_VIOLATIONS, _validate, derive, load_space, minplus_closure,
                          space_from_rows)
 
@@ -104,7 +104,6 @@ def test_suprema_match_the_oracle(case):
     space, pts = case
     want = suprema_oracle(space, pts)
     assert suprema(space, pts) == want
-    assert d_sup_mask(space, pts) == sum(1 << space.index(x) for x in want.d_sups)
 
 
 @EXAMPLES

@@ -46,7 +46,7 @@ MUTANTS = {
         "tests/test_kernel.py::test_suprema_match_the_oracle"),
     # on a hemimetric the row test alone implies the bound (d(x, x) = 0 is
     # the max of the d(y, x)), so a positive self-distance kills this one
-    "d-sup-mask-ignores-the-bounds": (
+    "d-sups-ignores-the-bounds": (
         "order.py", "get(profile, 0) & upper", "get(profile, 0)",
         "tests/test_order.py::TestSuprema::test_d_sups_subset_of_leq_sups"),
     # the enumerating sequences of the older link tests have one-point
@@ -76,10 +76,13 @@ MUTANTS = {
     "subset-walk-never-skips": (
         "order.py", "if not upper:\n                continue\n", "pass\n",
         "tests/test_order.py::test_walk_skips_the_subsets_without_upper_bounds"),
-    # a one-point cycle then searches nothing and builds an empty Y
-    "replay-skips-the-last-cycle-point": (
-        "theorems.py", "for step, c in enumerate(cyc):", "for step, c in enumerate(cyc[:-1]):",
-        "tests/test_sweep_masks.py::test_directed_construction_replays_every_sweep_class"),
+    # the one search from the first cycle point is sound only under the
+    # triangle law
+    "replay-accepts-a-non-distance": (
+        "theorems.py",
+        'raise PreconditionError("the directed-set replay requires a validated distance")',
+        "pass",
+        "tests/test_theorems.py::TestConstructiveReplay::test_a_non_distance_is_refused"),
     # an empty relation needs a column of d with no zero entry, so a
     # nonzero diagonal entry
     "filter-composition-empty-min-is-zero": (

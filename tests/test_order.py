@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qmlib import order
 from qmlib.generate import random_metric, random_space
 from qmlib.nets import EpSeq, PreconditionError, epseq, submasks
-from qmlib.order import (EdCompletenessReport, check_ed_complete, d_sup_mask, is_directed,
+from qmlib.order import (EdCompletenessReport, check_ed_complete, is_directed,
                          link_directed_sequence, suprema)
 from qmlib.space import SpaceError, derive, minplus_closure, space_from_rows
 
@@ -86,13 +86,8 @@ class TestSuprema:
 
     def test_empty_rejected(self):
         sp = space_from_rows(["a"], [["0"]])
-        with pytest.raises(PreconditionError):
-            suprema(sp, [])
-
-    def test_d_sup_mask_of_the_empty_set_raises(self):
-        sp = space_from_rows(["a"], [["0"]])
         with pytest.raises(PreconditionError, match="Y must be nonempty"):
-            d_sup_mask(sp, [])
+            suprema(sp, [])
 
 
 class TestDirected:

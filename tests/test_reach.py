@@ -10,8 +10,11 @@ test reads the source, so an uncalled definition fails it when it lands.
 
 Being named is not being run.  ``NEVER_RUN`` is the ledger of the
 functions and methods that a fixed command set (``LEDGER_COMMANDS``)
-never calls, each with its reason; a profiler hook in a fresh
-interpreter records what runs, and the ledger must match it exactly.
+never calls, each with its reason; a trace hook in a fresh interpreter
+records what runs, and the ledger must match it exactly.  The same run
+records the lines that run, and ``UNRUN_STATEMENTS`` pins, per module,
+how many statements outside the ledger's functions none of them reaches,
+so a change that adds an unreached branch shows it here.
 """
 
 import ast
@@ -20,6 +23,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qmlib
 
@@ -183,26 +188,53 @@ NEVER_RUN = {
     "topology.pre_cauchy_subnet_equiv": API,
 }
 
-# Runs the commands with a profiler hook set before qmlib is imported, and
-# prints the qualified names of the qmlib functions that were called.
+# module -> statements that no command of LEDGER_COMMANDS runs, outside
+# the NEVER_RUN functions and the docstrings: error paths, markdown-only
+# branches and the library-only branches of functions that do run
+UNRUN_STATEMENTS = {
+    "cli": 31, "derived": 3, "extreal": 13, "family": 35, "gallery": 3, "nets": 7,
+    "order": 6, "space": 37, "theorems": 16, "topology": 8,
+}
+
+# Runs the commands with a trace hook set before qmlib is imported, and
+# prints the qualified names of the qmlib functions that were called and,
+# per module, the lines that ran.  A code object stops being traced once
+# every one of its lines has run (its first line, the ``def``, raises no
+# line event of its own).
 LEDGER_PROBE = """
-import json, os, sys
+import importlib.util, json, os, sys
 from pathlib import Path
-ran = set()
+package = importlib.util.find_spec("qmlib").submodule_search_locations[0]
+left = {}   # each qmlib code object that ran -> its lines that have not run yet
+
+def code_lines(code):
+    return {line for _, _, line in code.co_lines()} - {None, code.co_firstlineno}
+
+def line_hook(frame, event, arg):
+    if event == "line":
+        left[frame.f_code].discard(frame.f_lineno)
+    return line_hook
 
 def hook(frame, event, arg):
-    if event == "call":
-        ran.add(frame.f_code)
+    code = frame.f_code
+    if code.co_filename.startswith(package):
+        if code not in left:
+            left[code] = code_lines(code)
+        if left[code]:
+            return line_hook
+    return None
 
-sys.setprofile(hook)
+sys.settrace(hook)
 import qmlib.cli as cli
 for workers, argv in json.loads(sys.argv[1]):
     os.environ["QML_WORKERS"] = workers
     cli.main(argv)
-sys.setprofile(None)
-package = str(Path(cli.__file__).parent)
-print(json.dumps(sorted({f"{Path(c.co_filename).stem}.{c.co_qualname}"
-                         for c in ran if c.co_filename.startswith(package)})))
+sys.settrace(None)
+lines = {}
+for code, unrun in left.items():
+    lines.setdefault(Path(code.co_filename).stem, set()).update(code_lines(code) - unrun)
+print(json.dumps({"ran": sorted({f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in left}),
+                  "lines": {stem: sorted(ran) for stem, ran in lines.items()}}))
 """
 
 
@@ -219,8 +251,38 @@ def _function_names(tree, prefix=""):
             yield from _function_names(node, prefix)
 
 
-def test_the_commands_leave_only_the_ledger_unrun(tmp_path):
-    out = str(tmp_path / "out.json")
+def _unrun_statements(body, ran_lines, module, prefix=""):
+    """Yield each statement of ``body``, nested ones included, whose own
+    lines (a compound statement's header, a definition's decorators) have
+    none among ``ran_lines``; docstrings and the bodies of the
+    ``NEVER_RUN`` functions are left out."""
+    for i, node in enumerate(body):
+        if (i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            continue    # a docstring
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        inner = getattr(node, "body", None)
+        last = max(node.lineno, inner[0].lineno - 1) if inner else node.end_lineno
+        if not ran_lines.intersection(range(first, last + 1)):
+            yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if f"{module}.{prefix}{node.name}" in NEVER_RUN:
+                continue
+            nested = f"{prefix}{node.name}.<locals>."
+        elif isinstance(node, ast.ClassDef):
+            nested = f"{prefix}{node.name}."
+        else:
+            nested = prefix
+        for block in (inner or [], getattr(node, "orelse", []), getattr(node, "finalbody", []),
+                      *(h.body for h in getattr(node, "handlers", []))):
+            yield from _unrun_statements(block, ran_lines, module, nested)
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """``{"ran": functions, "lines": module -> lines}`` of one run of
+    ``LEDGER_COMMANDS`` under ``LEDGER_PROBE``."""
+    out = str(tmp_path_factory.mktemp("ledger") / "out.json")
     commands = [(workers, [out if a == "OUT" else a for a in argv])
                 for workers, argv in LEDGER_COMMANDS]
     run = subprocess.run(
@@ -228,7 +290,11 @@ def test_the_commands_leave_only_the_ledger_unrun(tmp_path):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    ran = set(json.loads(run.stdout))
+    return json.loads(run.stdout)
+
+
+def test_the_commands_leave_only_the_ledger_unrun(probe):
+    ran = set(probe["ran"])
     defined = {f"{path.stem}.{name}" for path, tree in _modules()
                for name in _function_names(tree)}
     never_run = defined - ran
@@ -237,3 +303,16 @@ def test_the_commands_leave_only_the_ledger_unrun(tmp_path):
     assert all(reason and "\n" not in reason for reason in NEVER_RUN.values())
     assert {key.rpartition(".")[2] for key, reason in NEVER_RUN.items()
             if reason == API} == LIBRARY_API
+
+
+def test_the_commands_leave_only_the_pinned_statements_unrun(probe):
+    unrun = {}
+    for path, tree in _modules():
+        ran_lines = set(probe["lines"].get(path.stem, ()))
+        lines = [node.lineno for node in _unrun_statements(tree.body, ran_lines, path.stem)]
+        if lines:
+            unrun[path.stem] = lines
+    counts = {module: len(lines) for module, lines in unrun.items()}
+    changed = {module: unrun.get(module, []) for module in counts.keys() | UNRUN_STATEMENTS.keys()
+               if counts.get(module) != UNRUN_STATEMENTS.get(module)}
+    assert counts == UNRUN_STATEMENTS, f"the unrun statements' lines now: {changed}"

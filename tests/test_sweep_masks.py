@@ -7,12 +7,14 @@ pinned to the ExtReal scan it replaced.
 read the specialization order off ``zero_up``/``zero_down`` and compare
 entries on ``FiniteSpace.scaled``.  Each is compared with its oracle on
 random 1-7 point matrices: arbitrary ones, where the triangle law may
-fail, and min-plus-closed ones, which are distances.
-``order.sups_signature`` unrolls ``order.d_sup_mask``'s rule over the
+fail, and min-plus-closed ones, which are distances.  The directed-set
+replay searches one cycle point, which holds only under the triangle
+law, so on a non-distance it must refuse.
+``order.sups_signature`` unrolls ``order._d_sups``'s rule over the
 singletons and pairs (a call per singleton and pair cost ``sweep_n6``
 about 6% of its throughput), and its oracle runs ``suprema_oracle`` on each.
 Two cost tests check that the ports call neither ``suprema`` nor
-``d_sup_mask`` and leave the ExtReal comparisons behind; a third, that an
+``_d_sups`` and leave the ExtReal comparisons behind; a third, that an
 audit ranks d and e alone: its filter composition is read only through
 its zero masks, which need no rank table.
 """
@@ -33,7 +35,7 @@ from qmlib.theorems import (AuditContext, audit, compose_with_filter,
 from tests.oracles import (compose_with_filter_oracle, construct_directed_from_cauchy_oracle,
                            dist_subequiv_oracle, instance_stream, net_classes_oracle,
                            separable_oracle, sup_upgrade_counterexample_oracle,
-                           sups_signature_oracle)
+                           sups_signature_oracle, zero_class_members_oracle)
 
 # zero-heavy, so specialization classes, upper bounds and Cauchy cycles occur
 VALUES = ("0", "0", "0", "1/3", "1/2", "1", "2", "inf")
@@ -131,8 +133,11 @@ def _outcome(fn, *args):
 def test_directed_construction_matches_the_oracle(case):
     space, seq = case
     dfs = derived_functions(space)
-    assert (_outcome(construct_directed_from_cauchy, space, seq, dfs)
-            == _outcome(construct_directed_from_cauchy_oracle, space, seq, dfs))
+    if space.validation.is_distance:
+        want = _outcome(construct_directed_from_cauchy_oracle, space, seq, dfs)
+    else:
+        want = ("raised", "the directed-set replay requires a validated distance")
+    assert _outcome(construct_directed_from_cauchy, space, seq, dfs) == want
 
 
 def test_directed_construction_replays_every_sweep_class():
@@ -142,7 +147,7 @@ def test_directed_construction_replays_every_sweep_class():
         dfs = derived_functions(space)
         if not space.validation.is_distance or not sub_identity(dfs.d_up):
             continue
-        for clique in AuditContext(space, space).cliques:
+        for clique in zero_class_members_oracle(space):
             seq = epseq([], clique)
             assert (construct_directed_from_cauchy(space, seq, dfs)
                     == construct_directed_from_cauchy_oracle(space, seq, dfs))
@@ -151,18 +156,14 @@ def test_directed_construction_replays_every_sweep_class():
 
 
 def test_sups_signature_calls_no_suprema(monkeypatch):
-    calls = [0]
-    real = order.suprema
-
-    def counting(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(order, "suprema", counting)
-    monkeypatch.setattr(order, "d_sup_mask", counting)
+    calls = []
+    for name in ("suprema", "_d_sups"):
+        real = getattr(order, name)
+        monkeypatch.setattr(order, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
     for _, _, space, _ in instance_stream(0, 6, 16):
         order.sups_signature(space)
-    assert calls[0] == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -179,7 +180,7 @@ def test_directed_construction_compares_no_extreals(monkeypatch, seed):
         dfs = derived_functions(space)
         if space.validation.is_distance and sub_identity(dfs.d_up):
             cases.extend((space, epseq([], c), dfs)
-                         for c in AuditContext(space, space).cliques)
+                         for c in zero_class_members_oracle(space))
     assert cases
     monkeypatch.setattr(ExtReal, "__lt__", counting)
     for space, seq, dfs in cases:

@@ -13,7 +13,8 @@ from qmlib.space import space_from_rows
 from qmlib.theorems import (STATEMENT_TABLE, STATEMENTS, _by_identity,
                             audit, compose_with_filter, construct_directed_from_cauchy)
 
-from tests.oracles import compose_with_order, instance_stream
+from tests.oracles import (compose_with_order, construct_directed_from_cauchy_oracle,
+                           instance_stream)
 
 
 
@@ -151,6 +152,19 @@ class TestConstructiveReplay:
         assert not sub_identity(dfs.d_up)
         with pytest.raises(PreconditionError):
             construct_directed_from_cauchy(bad, epseq([], [0]), dfs)
+
+    def test_a_non_distance_is_refused(self):
+        # d(a, c) = 1 > d(a, b) + d(b, c) = 0: a and b are mutually at 0
+        # but their zero_up masks differ, so a search from a alone finds
+        # (a,) where a search per cycle point finds (a, b)
+        sp = space_from_rows(["a", "b", "c"],
+                             [["0", "0", "1"], ["0", "0", "0"], ["1", "1", "0"]])
+        assert not sp.validation.is_distance
+        seq = epseq([], [0, 1])
+        dfs = derived_functions(sp)
+        assert construct_directed_from_cauchy_oracle(sp, seq, dfs).Y == ("a", "b")
+        with pytest.raises(PreconditionError, match="requires a validated distance"):
+            construct_directed_from_cauchy(sp, seq, dfs)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
