@@ -89,6 +89,13 @@ class TestSuprema:
         with pytest.raises(PreconditionError, match="Y must be nonempty"):
             suprema(sp, [])
 
+    def test_d_sup_mask_of_the_empty_set_raises(self):
+        # the upper bounds that _d_sups reads refuse an empty set on the
+        # sequence path too, not only in suprema
+        sp = space_from_rows(["a"], [["0"]])
+        with pytest.raises(PreconditionError, match="Y must be nonempty"):
+            link_directed_sequence(sp, [], epseq([], [0]))
+
 
 class TestDirected:
     def test_singleton(self):
