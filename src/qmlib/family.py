@@ -149,7 +149,7 @@ class FamilySpace(namedtuple("FamilySpace", "rule cutoff params")):
             return ("e", label)
         n = self.index_of(label)
         if n is None or n > self.cutoff:
-            raise SpaceError(f"unknown point {label!r}")
+            raise SpaceError(f"unknown point {_shown(label)}")
         return self.indexed(n)
 
     # -- values and distances ----------------------------------------------

@@ -359,6 +359,11 @@ class TestTriStateAndCertificates:
             with pytest.raises(SpaceError):
                 sp.point_by_label(label)
 
+    def test_a_long_unknown_label_is_cut(self):
+        with pytest.raises(SpaceError, match="^unknown point 'xxx") as err:
+            halfopen_space(8).point_by_label("x" * 5000)
+        assert len(str(err.value)) < 100
+
     def test_overlong_label_names_no_point(self):
         # too long for int(); an extra of that label is just an extra
         label = "9" * 5000 + "/1"

@@ -14,15 +14,19 @@ and reads its order suprema off the same upper bounds.  The zero masks
 are the entries of rank 0, and the symmetric join takes the larger of
 two ranks.  The triangle check of ``validation`` picks its candidates
 by comparing ranks, and it and the relaxation of ``minplus_closure`` add
-``ExtReal`` entries only where both legs lie below the entry they test.
+``ExtReal`` entries only where both legs lie below the entry they test;
+the check also drops the candidates off the staircase of ``STEPS`` cut
+positions where a pair has more than ``STEPS`` of them, and its sums
+are counted against ``walk_sums``, the rule in its definitional form.
 Each is pinned here to an oracle, on arbitrary square matrices
 (non-distances, ties, infinities and nonzero diagonals included) and on
 min-plus-closed spaces whose values have pairwise-coprime prime
 denominators.
 """
 
-import itertools
+import functools
 import json
+import math
 from math import comb
 from pathlib import Path
 from random import Random
@@ -35,7 +39,7 @@ from qmlib.derived import derived_functions
 from qmlib.extreal import INF, ZERO, ExtReal
 from qmlib.gallery import build
 from qmlib.order import suprema
-from qmlib.space import (MAX_VIOLATIONS, _validate, derive, load_space, minplus_closure,
+from qmlib.space import (MAX_VIOLATIONS, STEPS, _validate, derive, load_space, minplus_closure,
                          space_from_rows)
 
 from tests.oracles import (derived_functions_oracle, minplus_closure_oracle,
@@ -199,11 +203,49 @@ def test_minplus_closure_matches_the_oracle(space):
     assert _validate(closed) == validate_oracle(closed)
 
 
+def walk_sums(d):
+    """Every triple (i, j, k) the triangle walk sums, in (i, j, k) order,
+    on a square list of exact entries (``math.inf`` for inf).
+
+    The definitional form: the k with both legs below c = d[i][j]; where
+    a pair has more than ``STEPS`` of them, only those with
+    STEPS * d[i][k] < s * c and STEPS * d[k][j] < (STEPS + 1 - s) * c for
+    some s in 1 .. STEPS."""
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            c = d[i][j]
+            ks = [k for k in range(n) if d[i][k] < c and d[k][j] < c]
+            if len(ks) > STEPS:
+                ks = [k for k in ks if any(
+                    STEPS * d[i][k] < s * c and STEPS * d[k][j] < (STEPS + 1 - s) * c
+                    for s in range(1, STEPS + 1))]
+            for k in ks:
+                yield i, j, k
+
+
+def _scaled_integers(space) -> list:
+    """The entries times the lcm of their denominators, so integers, and
+    inf as ``math.inf``: every comparison of the walk's rule is
+    homogeneous, so the scaling changes no count, and ``walk_sums`` runs
+    on exact integers instead of ``Fraction``s (3.6 s against 0.12 s at
+    cutoff 64)."""
+    scale = math.lcm(*(v.den for row in space.matrix for v in row if not v.is_inf))
+    return [[math.inf if v.is_inf else v.num * (scale // v.den) for v in row]
+            for row in space.matrix]
+
+
+@functools.lru_cache(maxsize=None)
+def grid_sums(name: str, cutoff: int) -> int:
+    return sum(1 for _ in walk_sums(_scaled_integers(build(name, cutoff).space)))
+
+
 @pytest.mark.parametrize("cutoff", [16, 64])
 def test_triangle_check_adds_only_where_both_legs_are_shorter(monkeypatch, cutoff):
     # projection: d(x, y) = y, so d(k, j) < d(i, j) never holds and no sum
     # is formed; x_one_minus_y: d(x, y) = x(1 - y), so both legs are
-    # shorter exactly when j < k < i.  The full triple loop adds (c + 1)^3.
+    # shorter exactly when j < k < i, and the staircase keeps some of
+    # those C(c + 1, 3) triples.  The full triple loop adds (c + 1)^3.
     calls = [0]
     add = ExtReal.__add__
 
@@ -211,14 +253,57 @@ def test_triangle_check_adds_only_where_both_legs_are_shorter(monkeypatch, cutof
         calls[0] += 1
         return add(a, b)
 
-    for name, want in (("projection", 0), ("x_one_minus_y", comb(cutoff + 1, 3))):
+    assert grid_sums("projection", cutoff) == 0
+    assert 0 < grid_sums("x_one_minus_y", cutoff) < comb(cutoff + 1, 3)
+    for name in ("projection", "x_one_minus_y"):
         space = build(name, cutoff).space
         calls[0] = 0
         monkeypatch.setattr(ExtReal, "__add__", counting)
         result = _validate(space)
         monkeypatch.setattr(ExtReal, "__add__", add)
         assert result.is_distance
-        assert calls[0] == want, name
+        assert calls[0] == grid_sums(name, cutoff), name
+
+
+def _planted_grid(rng, cutoff):
+    """The x_one_minus_y grid with one to three entries lowered to k/8 of
+    their value (k in 0 .. 7): a lowered leg makes the triples through
+    it fail, among many distinct values."""
+    space = build("x_one_minus_y", cutoff).space
+    rows = [list(row) for row in space.matrix]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(space.n), rng.randrange(space.n)
+        rows[i][j] = ExtReal(rows[i][j].num * rng.randrange(8), rows[i][j].den * 8)
+    return space_from_rows(space.labels, rows)
+
+
+def _random_rationals(rng, n):
+    """A random n-point matrix of values p/q and some infinities."""
+    def entry():
+        return INF if rng.random() < 0.1 else ExtReal(rng.randint(0, 60), rng.randint(1, 9))
+    return space_from_rows(_labels(n), [[entry() for _ in range(n)] for _ in range(n)])
+
+
+def _refines(space) -> bool:
+    """Whether some pair has more than STEPS k with both legs below it."""
+    d = space.matrix
+    n = space.n
+    return any(sum(d[i][k] < d[i][j] and d[k][j] < d[i][j] for k in range(n)) > STEPS
+               for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_staircase_walk_matches_the_oracle(seed):
+    # n >= 12 and many distinct values, so pairs with more than STEPS
+    # candidates are refined; every violation, its order and the
+    # MAX_VIOLATIONS cut as the oracle's
+    rng = Random(seed)
+    cases = [_planted_grid(rng, cutoff) for cutoff in range(11, 19)]
+    cases += [_random_rationals(rng, n) for n in range(12, 17)]
+    for space in cases:
+        assert _refines(space)
+        want = validate_oracle(space)
+        assert _validate(space) == want._replace(violations=want.violations[:MAX_VIOLATIONS])
 
 
 def test_a_non_distance_stops_at_its_last_shown_violation(monkeypatch, capsys, tmp_path):
@@ -231,17 +316,10 @@ def test_a_non_distance_stops_at_its_last_shown_violation(monkeypatch, capsys, t
     path = tmp_path / "wild.json"
     path.write_text(json.dumps({"points": _labels(n), "matrix": rows}))
 
-    def candidate_sums():
-        # whether each sum fails, for the k whose legs both lie below
-        # d(i, j), in (i, j, k) order
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if rows[i][k] < rows[i][j] and rows[k][j] < rows[i][j]:
-                yield rows[i][k] + rows[k][j] < rows[i][j]
-
     want_sums = found = 0
-    for fails in candidate_sums():
+    for i, j, k in walk_sums(rows):
         want_sums += 1
-        found += fails
+        found += rows[i][k] + rows[k][j] < rows[i][j]
         if found == MAX_VIOLATIONS:
             break
     assert found == MAX_VIOLATIONS
@@ -268,8 +346,8 @@ def test_a_non_distance_stops_at_its_last_shown_violation(monkeypatch, capsys, t
 @pytest.mark.parametrize("cutoff", [16, 64])
 def test_every_value_is_built_through_init(monkeypatch, cutoff):
     # x_one_minus_y builds one value per grid entry, and its triangle check
-    # one per sum over the C(c + 1, 3) triples with j < k < i; a value made
-    # around ExtReal.__init__ would go missing from this count
+    # one per sum, the cut positions none; a value made around
+    # ExtReal.__init__ would go missing from this count
     calls = [0]
     init = ExtReal.__init__
 
@@ -281,4 +359,4 @@ def test_every_value_is_built_through_init(monkeypatch, cutoff):
     result = _validate(build("x_one_minus_y", cutoff).space)
     monkeypatch.setattr(ExtReal, "__init__", init)
     assert result.is_distance
-    assert calls[0] == (cutoff + 1) ** 2 + comb(cutoff + 1, 3)
+    assert calls[0] == (cutoff + 1) ** 2 + grid_sums("x_one_minus_y", cutoff)

@@ -105,7 +105,17 @@ MUTANTS = {
         "ExtReal.parse(r.limit) <= ExtReal.parse(r.required)",
         "tests/test_gallery.py::TestFixtureShapes::test_halfopen_rejections_must_be_witnesses"),
     "below-masks-ties-see-each-other": (
-        "space.py", "if v != prev:", "if True:",
+        "space.py", "if ascending[t] != ascending[start]:", "if True:",
+        "tests/test_kernel.py::test_triangle_check_adds_only_where_both_legs_are_shorter"),
+    # the col step of s is one too low: a k whose first leg reaches the
+    # top step is dropped
+    "staircase-steps-shifted": (
+        "space.py", "cut[STEPS + 1 - s]", "cut[STEPS - s]",
+        "tests/test_kernel.py::test_the_staircase_walk_matches_the_oracle"),
+    # an inclusive cut is still sound, so only the sums it adds tell it
+    "staircase-cut-inclusive": (
+        "space.py", "if STEPS * nums[mid] * den < bound * dens[mid]:",
+        "if STEPS * nums[mid] * den <= bound * dens[mid]:",
         "tests/test_kernel.py::test_triangle_check_adds_only_where_both_legs_are_shorter"),
     "extreal-same-denominator-lt-inclusive": (
         "extreal.py", "d != 0 and self.num < other.num", "d != 0 and self.num <= other.num",

@@ -159,6 +159,11 @@ class TestBallsAndHoles:
         with pytest.raises(SpaceError):
             balls_and_holes(sp, "nope", ExtReal(1))
 
+    def test_a_long_unknown_label_is_cut(self):
+        with pytest.raises(SpaceError, match="^unknown point 'xxx") as err:
+            projection_space().index("x" * 5000)
+        assert len(str(err.value)) < 100
+
     def test_zero_radius_rejected(self):
         sp = projection_space()
         with pytest.raises(SpaceError):
